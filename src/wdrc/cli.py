@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -57,6 +58,22 @@ def _resolve_lam(cfg, scenario, nominal, override):
         cfg.sys, cfg.cost, nominal, scenario, cfg.theta
     )
     return calibration.lam, calibration
+
+
+def _check_overrides(args) -> None:
+    """Reject out-of-range command-line values before any work starts."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"must be >= 0, got {seed}", "--seed")
+    runs = getattr(args, "runs", None)
+    if runs is not None and runs < 1:
+        raise ConfigError(f"must be >= 1, got {runs}", "--runs")
+    trace_run = getattr(args, "trace_run", None)
+    if trace_run is not None and trace_run < 0:
+        raise ConfigError(f"must be >= 0, got {trace_run}", "--trace-run")
+    lam = getattr(args, "lam", None)
+    if lam is not None and not 0.0 < lam < math.inf:
+        raise ConfigError(f"must be positive and finite, got {lam}", "--lam")
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -201,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_overrides(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

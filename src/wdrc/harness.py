@@ -141,6 +141,34 @@ def _entry(raw: dict, key: str, path: str):
     return raw[key]
 
 
+def _integer(
+    raw: dict, key: str, path: str, minimum: int, default: int | None = None
+) -> int:
+    """An integer entry of at least ``minimum``; floats and bools are rejected."""
+    full = f"{path}.{key}" if path else key
+    if key not in raw and default is None:
+        raise ConfigError("missing entry", full)
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", full)
+    if value < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value}", full)
+    return value
+
+
+def _real(value: Any, field: str) -> float:
+    """A finite real number; bools and non-numeric strings are rejected."""
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}", field)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {value!r}", field) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"must be finite, got {value!r}", field)
+    return number
+
+
 def _matrix(raw: dict, key: str, path: str) -> np.ndarray:
     try:
         return np.array(_entry(raw, key, path), dtype=float)
@@ -180,10 +208,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         Q=_matrix(cost_raw, "Q", "cost"),
         Q_f=_matrix(cost_raw, "Q_f", "cost"),
         R=_matrix(cost_raw, "R", "cost"),
-        horizon=int(_entry(cost_raw, "horizon", "cost")),
+        horizon=_integer(cost_raw, "horizon", "cost", minimum=1),
     )
     robust = _section(raw, "robustness")
-    theta = float(_entry(robust, "theta", "robustness"))
+    theta = _real(_entry(robust, "theta", "robustness"), "robustness.theta")
     if theta < 0.0:
         raise ConfigError("theta must be >= 0", "robustness.theta")
     lam_raw = robust.get("lam", "auto")
@@ -195,13 +223,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             )
         lam = None
     else:
-        lam = float(lam_raw)
+        lam = _real(lam_raw, "robustness.lam")
         if lam <= 0.0:
             raise ConfigError("lam must be positive", "robustness.lam")
 
     scen = _section(raw, "scenario")
     noise_cov = (
-        np.array(scen["noise_cov"], dtype=float)
+        _matrix(scen, "noise_cov", "scenario")
         if "noise_cov" in scen
         else np.array(sys.M)
     )
@@ -214,8 +242,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             _entry(scen, "initial_state", "scenario"), "scenario.initial_state"
         ),
         noise_cov=noise_cov,
-        sample_count=int(_entry(scen, "sample_count", "scenario")),
-        seed=int(scen.get("seed", 0)),
+        sample_count=_integer(scen, "sample_count", "scenario", minimum=1),
+        seed=_integer(scen, "seed", "scenario", minimum=0, default=0),
     )
     if scenario.true_disturbance.dim != sys.n_x:
         raise ConfigError(
@@ -228,12 +256,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             "scenario.initial_state",
         )
 
-    runs = int(raw.get("runs", 1000))
-    if runs < 1:
-        raise ConfigError("runs must be >= 1", "runs")
-    bins = int(raw.get("histogram_bins", 40))
-    if bins < 1:
-        raise ConfigError("histogram_bins must be >= 1", "histogram_bins")
+    runs = _integer(raw, "runs", "", minimum=1, default=1000)
+    bins = _integer(raw, "histogram_bins", "", minimum=1, default=40)
 
     return ExperimentConfig(
         sys=sys,
@@ -453,8 +477,13 @@ def run_campaign(
 
 
 def paired_mean_z(baseline: np.ndarray, candidate: np.ndarray) -> float:
-    """z-score for ``mean(baseline) > mean(candidate)`` on paired runs."""
+    """z-score for ``mean(baseline) > mean(candidate)`` on paired runs.
+
+    NaN for fewer than two runs, which have no standard error.
+    """
     d = np.asarray(baseline, dtype=float) - np.asarray(candidate, dtype=float)
+    if d.size < 2:
+        return math.nan
     se = d.std(ddof=1) / math.sqrt(d.size)
     return float(d.mean() / se)
 
@@ -464,10 +493,13 @@ def paired_std_z(baseline: np.ndarray, candidate: np.ndarray) -> float:
 
     Uses the identity ``cov(a + b, a - b) = var(a) - var(b)``: the
     mean of the centered cross products estimates the variance gap and
-    its standard error comes from the same products.
+    its standard error comes from the same products.  NaN for fewer
+    than two runs.
     """
     a = np.asarray(baseline, dtype=float)
     b = np.asarray(candidate, dtype=float)
+    if a.size < 2:
+        return math.nan
     u = (a + b) - (a + b).mean()
     w = (a - b) - (a - b).mean()
     p = u * w
@@ -490,6 +522,11 @@ def build_histogram(
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form, stable across runs."""
     return repr(float(x))
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no NaN or infinity; such values are reported as null."""
+    return x if math.isfinite(x) else None
 
 
 def _stats_dict(stats: CostStatistics) -> dict:
@@ -567,7 +604,7 @@ def emit_reports(result: CampaignResult, out_dir: str) -> dict[str, str]:
             "theta": cert.theta,
             "j_lambda": cert.j_lambda,
             "j_lambda_ref": cert.j_lambda_ref,
-            "kappa": cert.kappa if math.isfinite(cert.kappa) else None,
+            "kappa": _finite_or_none(cert.kappa),
             "w_kappa": cert.w_kappa,
             "guaranteed_bound": cert.guaranteed_bound,
             "j_lq": cert.j_lq,
@@ -576,12 +613,16 @@ def emit_reports(result: CampaignResult, out_dir: str) -> dict[str, str]:
         }
     if result.wdrc is not None and result.lqg is not None:
         summary["paired_tests"] = {
-            "mean_z": paired_mean_z(result.lqg.costs, result.wdrc.costs),
-            "std_z": paired_std_z(result.lqg.costs, result.wdrc.costs),
+            "mean_z": _finite_or_none(
+                paired_mean_z(result.lqg.costs, result.wdrc.costs)
+            ),
+            "std_z": _finite_or_none(
+                paired_std_z(result.lqg.costs, result.wdrc.costs)
+            ),
         }
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths["summary"] = summary_path
     return paths

@@ -12,9 +12,14 @@ where ``G = A P_bar A' + Sigma`` is the predicted state covariance and
 objective is concave on the PSD cone (the last term is a Bures cross
 term, and ``V`` is a minimum of functions linear in ``G``), and an
 equivalent semidefinite program exists via Schur complements; this
-module solves it by projected gradient ascent with Armijo backtracking,
+module solves it with the stationarity fixed point of the transport
+map, backed by projected gradient ascent with Armijo backtracking,
 which is fast at the small state dimensions the harness targets and is
-cross-checked against grid oracles in the test suite.
+cross-checked against grid oracles in the test suite.  When the fixed
+point is undefined at the start, it is retried from the ascent iterate
+on a doubling schedule of ascent steps, because near the smallest
+feasible penalty the maximizer can lie far out along a direction in
+which the objective is nearly flat, where plain ascent crawls.
 
 The maximization is bounded only when the penalty is large enough; if
 iterates grow without bound the solver raises
@@ -78,8 +83,9 @@ class CovObjectiveContext:
 class SolverOptions:
     """Covariance solver hyperparameters.
 
-    ``fp_max_iter`` bounds the transport fixed-point pre-solve; the
-    remaining fields drive the projected-gradient-ascent fallback.
+    ``fp_max_iter`` bounds each run of the transport fixed point (the
+    pre-solve and its retries); the remaining fields drive the
+    projected-gradient-ascent fallback.
     """
 
     max_iter: int = 5000
@@ -98,7 +104,8 @@ class CovSolve:
     Attributes:
         cov: Maximizing covariance.
         z_tilde: Objective value at the maximizer.
-        iterations: Accepted ascent steps taken.
+        iterations: Accepted ascent steps plus the passes of every
+            adopted fixed point.
         converged: Whether the stationarity residual met tolerance.
         trace: Optional per-iteration ``(objective, residual)`` rows.
     """
@@ -290,7 +297,7 @@ def solve_worst_case_cov(
     opts: SolverOptions = SolverOptions(),
     init: np.ndarray | None = None,
 ) -> CovSolve:
-    """Maximize the stage objective by projected gradient ascent.
+    """Maximize the stage objective: fixed point, then projected ascent.
 
     Iterates start at the nominal covariance (or ``init``), stay
     positive definite through an eigenvalue floor, and stop when the
@@ -300,6 +307,13 @@ def solve_worst_case_cov(
     value keeps an unbounded instance (whose objective grows without
     limit along the ascent) from widening its own finish line.  The
     accepted step size carries over between iterations.
+
+    The transport fixed point (:func:`_fixed_point`) runs first and its
+    iterate is adopted unless it loses more than rounding noise of
+    objective value.  If the map is undefined at the start, it is
+    retried under the same rule from the ascent iterate after 16, 32,
+    64, ... accepted ascent steps.  Either way the ascent loop has the
+    last word: it certifies stationarity or raises ``Diverged``.
 
     Raises:
         Diverged: If iterates grow without bound or ascent stalls far
@@ -317,18 +331,29 @@ def solve_worst_case_cov(
     iterations = 0
     converged = False
 
-    # Stationarity fixed point first; adopt its iterate unless it loses
-    # objective value by more than rounding noise (a warm start at the
-    # neighboring stage's maximizer can tie to within eps while having
-    # a far worse stationarity residual).  The ascent loop below then
-    # either certifies the point immediately or keeps climbing.
-    fp = _fixed_point(ctx, Sigma, floor, opts)
-    if fp is not None:
+    def adopt_fixed_point() -> bool:
+        # Adopt the fixed point's iterate unless it loses objective value
+        # by more than rounding noise (a warm start at the neighboring
+        # stage's maximizer can tie to within eps while having a far
+        # worse stationarity residual).  False when the map is undefined.
+        nonlocal Sigma, f_cur, iterations
+        fp = _fixed_point(ctx, Sigma, floor, opts)
+        if fp is None:
+            return False
         fp_sigma, fp_iters = fp
         f_fp = _objective(fp_sigma, ctx)
         if f_fp >= f_cur - 64.0 * np.finfo(float).eps * (1.0 + abs(f_cur)):
             Sigma, f_cur = fp_sigma, f_fp
-            iterations = fp_iters
+            iterations += fp_iters
+        return True
+
+    # Where the map is undefined at the start (the gain there leaves the
+    # shifted coefficient matrix indefinite, as near the feasibility
+    # boundary of the penalty), it can become defined once the ascent
+    # has moved toward the maximizer, so it is retried on a doubling
+    # schedule of accepted steps.
+    retry_at = None if adopt_fixed_point() else 16
+    ascent_steps = 0
 
     for _ in range(opts.max_iter):
         grad = _gradient(Sigma, ctx)
@@ -375,6 +400,10 @@ def solve_worst_case_cov(
         iterations += 1
         if float(np.trace(Sigma)) > growth_cap or not np.isfinite(f_cur):
             raise Diverged("worst-case covariance grew without bound")
+        ascent_steps += 1
+        if ascent_steps == retry_at:
+            retry_at *= 2
+            adopt_fixed_point()
 
     return CovSolve(
         cov=Sigma,

@@ -118,3 +118,23 @@ def test_unwritable_output_exits_with_io_code(config_path, capsys):
     )
     assert code == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["simulate", "--seed", "-3"], "--seed"),
+        (["simulate", "--runs", "0"], "--runs"),
+        (["synthesize", "--lam", "0"], "--lam"),
+        (["synthesize", "--lam", "-1"], "--lam"),
+    ],
+)
+def test_out_of_range_overrides_exit_with_config_code(
+    argv, field, config_path, tmp_path, capsys
+):
+    code = main(argv + ["-c", config_path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert field in err
+    assert not (tmp_path / "o").exists()

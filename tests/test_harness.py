@@ -113,6 +113,32 @@ def test_config_errors_carry_field_paths(mutate, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("cost", "horizon"), 2.7),
+        (("cost", "horizon"), 0),
+        (("scenario", "sample_count"), False),
+        (("scenario", "sample_count"), 0),
+        (("scenario", "seed"), 3.5),
+        (("scenario", "seed"), -3),
+        (("scenario", "seed"), None),
+        (("runs",), True),
+        (("runs",), 8.0),
+        (("histogram_bins",), "5"),
+    ],
+)
+def test_config_integers_reject_other_types_and_out_of_range(path, value):
+    raw = base_config()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field == ".".join(path)
+
+
 def test_unknown_distribution_type_is_rejected():
     raw = base_config()
     raw["scenario"]["true_disturbance"] = {"type": "poisson", "rate": 2.0}
@@ -139,6 +165,24 @@ def test_non_numeric_matrix_is_rejected():
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.field == "plant.A"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("robustness", "theta", "big"),
+        ("robustness", "theta", float("nan")),
+        ("robustness", "lam", True),
+        ("robustness", "lam", float("inf")),
+        ("scenario", "noise_cov", [["x"]]),
+    ],
+)
+def test_non_numeric_entries_are_rejected(section, key, value):
+    raw = base_config()
+    raw[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field == f"{section}.{key}"
 
 
 def test_load_config_round_trip(tmp_path):
@@ -347,6 +391,21 @@ def test_emit_reports_single_mode(tmp_path):
     assert "paired_tests" not in summary
     assert "certificate" not in summary
     assert list(summary["statistics"]) == ["lqg"]
+
+
+def test_single_run_summary_is_strict_json(tmp_path):
+    """One run has no paired standard error: the z-scores are null, not
+    the NaN literal that strict JSON parsers reject."""
+    result = run_campaign(config_from_dict(base_config()), runs=1)
+    paths = emit_reports(result, str(tmp_path / "one"))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = open(paths["summary"]).read()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["runs"] == 1
+    assert summary["paired_tests"] == {"mean_z": None, "std_z": None}
 
 
 def test_emit_reports_are_deterministic(campaign, tmp_path):

@@ -1,20 +1,26 @@
 """Adversarial moments: gradients, maximizers, and the schedule."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_psd
+from wdrc.controller import synthesize_wdrc
 from wdrc.errors import Diverged
 from wdrc.estimator import initial_posterior_cov, kalman_gain, update, BeliefState, predict
+from wdrc.harness import load_config
 from wdrc.model import (
     CostSpec,
     GaussianSpec,
     LinearSystem,
     NominalDistribution,
+    draw_nominal_samples,
+    estimate_nominal,
 )
 from wdrc.oracles import bracket_max, fd_gradient_sym, grid_max, worst_cov_no_obs
 from wdrc.psdmath import MomentPair, symmetrize
-from wdrc.riccati import backward_pass
+from wdrc.riccati import backward_pass, min_feasible_lambda
 from wdrc.worstcase import (
     CovObjectiveContext,
     SolverOptions,
@@ -25,6 +31,8 @@ from wdrc.worstcase import (
     solve_worst_case_cov,
     worst_case_mean,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _context(rng: np.random.Generator, n: int, n_y: int) -> CovObjectiveContext:
@@ -162,6 +170,45 @@ def test_unbounded_problem_raises_diverged():
     )
     with pytest.raises(Diverged):
         solve_worst_case_cov(ctx)
+
+
+def test_solver_reaches_interior_maximizer_at_feasibility_boundary():
+    """Stage 0 of ``gaussian.yaml`` at the smallest feasible penalty: the
+    transport fixed point is undefined at the nominal start and ascent
+    alone crawls along a nearly flat direction for its whole budget, yet
+    the problem is bounded with an interior maximizer far out."""
+    cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
+    nominal = estimate_nominal(draw_nominal_samples(cfg.scenario, cfg.cost.horizon))
+    lam = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
+    sol = backward_pass(cfg.sys, cfg.cost, nominal, lam)
+    p0 = initial_posterior_cov(cfg.scenario.initial_state, cfg.sys)
+    ctx = CovObjectiveContext(
+        S_next=sol.S[1],
+        P_next=sol.P[1],
+        lam=lam,
+        Sigma_hat=nominal.cov(0),
+        P_bar=p0,
+        sys=cfg.sys,
+    )
+    opts = SolverOptions()
+    solve = solve_worst_case_cov(ctx, opts)
+    assert solve.converged
+    assert solve.iterations <= opts.max_iter // 50
+
+    tol = 1e-9 * (1.0 + abs(solve.z_tilde))
+    top = np.linalg.eigh(ctx.P_next)[1][:, -1]
+    for s in np.logspace(0.0, 3.0, 31):
+        assert cov_objective(s * np.outer(top, top), ctx) <= solve.z_tilde + tol
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        scale = 10.0 ** rng.uniform(-2.0, 3.0)
+        probe = scale * random_psd(rng, 2, jitter=1e-6)
+        assert cov_objective(probe, ctx) <= solve.z_tilde + tol
+        nearby = solve.cov + 1e-2 * scale * random_psd(rng, 2, jitter=0.0)
+        assert cov_objective(nearby, ctx) <= solve.z_tilde + tol
+
+    ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0, opts, strict=True)
+    assert all(s.converged for s in ctrl.schedule.solves)
 
 
 def test_worst_case_mean_is_stationary_point(plant):
