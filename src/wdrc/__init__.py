@@ -20,13 +20,9 @@ from .bounds import (
 )
 from .controller import (
     LqgController,
-    SimulationTrace,
     WdrcController,
     lqg_gains,
-    run_closed_loop,
     synthesize_wdrc,
-    trace_cost,
-    write_trace,
 )
 from .errors import (
     ConfigError,
@@ -90,7 +86,6 @@ from .worstcase import (
     CovSolve,
     SolverOptions,
     WorstCaseSchedule,
-    WorstCaseStage,
     cov_gradient,
     cov_objective,
     forward_schedule,
@@ -140,7 +135,6 @@ __all__ = [
     "CovObjectiveContext",
     "SolverOptions",
     "CovSolve",
-    "WorstCaseStage",
     "WorstCaseSchedule",
     "cov_objective",
     "cov_gradient",
@@ -151,12 +145,8 @@ __all__ = [
     # controller
     "LqgController",
     "WdrcController",
-    "SimulationTrace",
     "lqg_gains",
     "synthesize_wdrc",
-    "run_closed_loop",
-    "trace_cost",
-    "write_trace",
     # bounds
     "CostCertificate",
     "CalibrationResult",

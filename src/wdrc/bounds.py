@@ -47,12 +47,7 @@ from .closedloop import (
 )
 from .controller import LqgController, WdrcController, lqg_gains, synthesize_wdrc
 from .errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
-from .estimator import (
-    BeliefState,
-    covariance_path,
-    initial_posterior_cov,
-    kalman_gain,
-)
+from .estimator import BeliefState, initial_posterior_cov, kalman_gain
 from .model import (
     STREAM_VALUE_MC,
     CostSpec,
@@ -65,7 +60,6 @@ from .model import (
     split_stream,
 )
 from .riccati import min_feasible_lambda
-from .worstcase import SolverOptions
 
 __all__ = [
     "CostCertificate",
@@ -80,7 +74,8 @@ __all__ = [
     "calibrate_lambda",
 ]
 
-DEFAULT_MC_SAMPLES = 10_000
+# First measurements averaged by the value and the certificate.
+MC_SAMPLES = 10_000
 DEFAULT_LAMBDA_CAP = 1e6
 
 
@@ -227,32 +222,21 @@ def certified_bound(
     return dual_bound(loop, z0, ctrl.nominal, sys.M, theta)
 
 
-def lqg_value_terms(
-    sys: LinearSystem,
-    cost: CostSpec,
-    nominal: NominalDistribution,
-    x0_dist: DistributionSpec,
-) -> tuple[LqgController, np.ndarray]:
-    """Baseline controller plus its per-stage value trace terms.
+def lqg_value_terms(ctrl: LqgController) -> np.ndarray:
+    """Per-stage value trace terms of the baseline controller.
 
     The returned path holds ``tr[S_{t+1} P_bar_{t+1}] +
-    tr[P_{t+1} Sigma_hat_t]`` along the nominal filter covariance path,
-    completing the baseline value in the same convention the robust
-    value uses.
+    tr[P_{t+1} Sigma_hat_t]`` along the nominal filter covariance path
+    ``ctrl.post_covs``, completing the baseline value in the same
+    convention the robust value uses.
     """
-    ctrl = lqg_gains(sys, cost, nominal)
-    T = cost.horizon
-    p0 = initial_posterior_cov(x0_dist, sys)
-    feed = np.stack([nominal.cov(t) for t in range(T)])
-    _, post_covs, _ = covariance_path(p0, feed, sys)
-    path = np.array(
+    return np.array(
         [
-            float(np.trace(ctrl.S[t + 1] @ post_covs[t + 1]))
-            + float(np.trace(ctrl.P[t + 1] @ nominal.cov(t)))
-            for t in range(T)
+            float(np.trace(ctrl.S[t + 1] @ ctrl.post_covs[t + 1]))
+            + float(np.trace(ctrl.P[t + 1] @ ctrl.nominal.cov(t)))
+            for t in range(ctrl.horizon)
         ]
     )
-    return ctrl, path
 
 
 def performance_ratio(
@@ -261,9 +245,8 @@ def performance_ratio(
     nominal: NominalDistribution,
     scenario: ScenarioSpec,
     params: RobustnessParams,
-    opts: SolverOptions = SolverOptions(),
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    wdrc_ctrl=None,
+    wdrc_ctrl: WdrcController | None = None,
+    lqg_ctrl: LqgController | None = None,
 ) -> CostCertificate:
     """Certificate comparing the robust bound with the baseline value.
 
@@ -275,6 +258,8 @@ def performance_ratio(
     Args:
         wdrc_ctrl: Optional pre-synthesized robust controller for
             ``params.lam``; synthesized here when omitted.
+        lqg_ctrl: Optional pre-synthesized baseline controller;
+            synthesized here when omitted.
 
     Raises:
         DegenerateLQ: If the baseline value is not strictly positive,
@@ -284,15 +269,16 @@ def performance_ratio(
     p0 = initial_posterior_cov(x0_dist, sys)
     ctrl = wdrc_ctrl
     if ctrl is None:
-        ctrl = synthesize_wdrc(sys, cost, nominal, params.lam, p0, opts)
-    y0 = _y0_samples(x0_dist, sys, scenario.seed, mc_samples)
+        ctrl = synthesize_wdrc(sys, cost, nominal, params.lam, p0)
+    lqg = lqg_ctrl if lqg_ctrl is not None else lqg_gains(sys, cost, nominal, p0)
+    y0 = _y0_samples(x0_dist, sys, scenario.seed, MC_SAMPLES)
     z_tilde = ctrl.schedule.z_tilde_path
 
     ref = reference_belief(x0_dist, sys)
     j_lambda_ref = evaluate_value(ctrl.solution, z_tilde, ref)
     j_lambda = expected_value(ctrl.solution, z_tilde, x0_dist, sys, y0)
 
-    lqg, lq_path = lqg_value_terms(sys, cost, nominal, x0_dist)
+    lq_path = lqg_value_terms(lqg)
     j_lq_ref = evaluate_value(lqg, lq_path, ref)
     j_lq = expected_value(lqg, lq_path, x0_dist, sys, y0)
     if not math.isfinite(j_lq) or j_lq <= 0.0:
@@ -320,14 +306,13 @@ def _bound_objective(
     x0_dist: DistributionSpec,
     theta: float,
     y0_samples: np.ndarray,
-    opts: SolverOptions,
     p0: np.ndarray,
 ):
     """Build ``g(lam)``, treating infeasible or stalled solves as infinite."""
 
     def g(lam: float) -> float:
         try:
-            ctrl = synthesize_wdrc(sys, cost, nominal, lam, p0, opts, strict=True)
+            ctrl = synthesize_wdrc(sys, cost, nominal, lam, p0)
         except (PenaltyTooSmall, Diverged):
             return math.inf
         return certified_bound(ctrl, sys, cost, x0_dist, theta, y0_samples).bound
@@ -343,8 +328,6 @@ def calibrate_lambda(
     theta: float,
     lam_cap: float = DEFAULT_LAMBDA_CAP,
     scan_points: int = 33,
-    opts: SolverOptions = SolverOptions(),
-    mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> CalibrationResult:
     """Minimize the certified bound over the design penalty.
 
@@ -365,9 +348,9 @@ def calibrate_lambda(
     """
     x0_dist = scenario.initial_state
     lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * lam_cap, hi=lam_cap)
-    y0 = _y0_samples(x0_dist, sys, scenario.seed, mc_samples)
+    y0 = _y0_samples(x0_dist, sys, scenario.seed, MC_SAMPLES)
     p0 = initial_posterior_cov(x0_dist, sys)
-    g = _bound_objective(sys, cost, nominal, x0_dist, theta, y0, opts, p0)
+    g = _bound_objective(sys, cost, nominal, x0_dist, theta, y0, p0)
 
     evaluations: list[tuple[float, float]] = []
 

@@ -7,14 +7,16 @@ Subcommands:
     calibrate   Search for the penalty minimizing the guaranteed bound.
     oracle      Run the built-in numerical self-checks.
 
+Every subcommand but ``oracle`` starts from :func:`wdrc.harness.prepare`.
+
 Exit codes: 0 success, 2 configuration error, 3 solver or numerical
-failure, 4 I/O failure.
+failure (including a worst-case stage that does not converge), 4 I/O
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys as _sys
@@ -22,11 +24,17 @@ import sys as _sys
 import numpy as np
 
 from .bounds import calibrate_lambda
-from .controller import run_closed_loop, synthesize_wdrc, write_trace
+from .controller import synthesize_wdrc
 from .errors import ConfigError, WdrcError
-from .estimator import initial_posterior_cov
-from .harness import emit_reports, load_config, run_campaign
-from .model import draw_nominal_samples, estimate_nominal
+from .harness import (
+    emit_reports,
+    load_config,
+    prepare,
+    resolve_lam,
+    run_campaign,
+    trace_run,
+    write_trace,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -34,30 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-
-def _scenario(cfg, seed):
-    if seed is None:
-        return cfg.scenario
-    return dataclasses.replace(cfg.scenario, seed=seed)
-
-
-def _nominal(cfg, scenario):
-    samples = draw_nominal_samples(
-        scenario, cfg.cost.horizon, per_stage=cfg.per_stage_nominal
-    )
-    return estimate_nominal(samples)
-
-
-def _resolve_lam(cfg, scenario, nominal, override):
-    if override is not None:
-        return float(override), None
-    if cfg.lam is not None:
-        return cfg.lam, None
-    calibration = calibrate_lambda(
-        cfg.sys, cfg.cost, nominal, scenario, cfg.theta
-    )
-    return calibration.lam, calibration
 
 
 def _check_overrides(args) -> None:
@@ -87,10 +71,8 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 def cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
-    scenario = _scenario(cfg, args.seed)
-    nominal = _nominal(cfg, scenario)
-    lam, _ = _resolve_lam(cfg, scenario, nominal, args.lam)
-    p0 = initial_posterior_cov(scenario.initial_state, cfg.sys)
+    scenario, nominal, p0 = prepare(cfg, args.seed)
+    lam, _ = resolve_lam(cfg, scenario, nominal, args.lam)
     ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
     sol = ctrl.solution
     payload = {
@@ -123,9 +105,7 @@ def cmd_simulate(args) -> int:
         for label, ctrl in (("wdrc", result.wdrc_ctrl), ("lqg", result.lqg_ctrl)):
             if ctrl is None:
                 continue
-            trace = run_closed_loop(
-                ctrl, result.scenario, cfg.sys, cfg.cost, run=args.trace_run
-            )
+            trace = trace_run(ctrl, result.scenario, cfg.sys, cfg.cost, args.trace_run)
             path = f"{out_dir}/trace_{label}.jsonl"
             write_trace(trace, path)
             paths[f"trace_{label}"] = path
@@ -136,11 +116,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
-    scenario = _scenario(cfg, args.seed)
-    nominal = _nominal(cfg, scenario)
-    calibration = calibrate_lambda(
-        cfg.sys, cfg.cost, nominal, scenario, cfg.theta
-    )
+    scenario, nominal, _ = prepare(cfg, args.seed)
+    calibration = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     _write_json(
         {
             "lam": calibration.lam,

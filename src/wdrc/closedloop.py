@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ControllerMode, WdrcController
-from .estimator import covariance_path, initial_posterior_cov, kalman_gain
+from .estimator import initial_posterior_cov, kalman_gain
 from .model import CostSpec, DistributionSpec, LinearSystem, NominalDistribution
 from .worstcase import mean_affine
 
@@ -130,13 +130,10 @@ def policy_feed(
             w_const=None,
         )
     T = mode.horizon
-    feed = np.stack([mode.nominal.cov(t) for t in range(T)])
-    p0 = initial_posterior_cov(x0_dist, sys)
-    _, _, gains = covariance_path(p0, feed, sys)
     return PolicyFeed(
         K=mode.K,
         L=mode.L,
-        filter_gains=gains,
+        filter_gains=mode.gains,
         init_gain=init_gain,
         w_affine=None,
         w_const=np.stack([mode.nominal.mean(t) for t in range(T)]),

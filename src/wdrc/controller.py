@@ -1,10 +1,12 @@
-"""Closed-loop policies and the per-run simulator.
+"""Policy synthesis: the robust policy and the baseline LQG policy.
 
-Two controller modes share one simulation loop.  The robust mode pairs
-the penalized Riccati gains with a filter driven by worst-case
-disturbance moments; the baseline mode uses certainty-equivalent LQG
-gains with the nominal moments.  In both modes the plant itself is
-driven by draws from the scenario's true distributions.
+The robust policy pairs the penalized Riccati gains with a filter
+driven by worst-case disturbance moments; the baseline uses
+certainty-equivalent LQG gains with a filter driven by the nominal
+moments.  Each controller carries its filter's covariance path and
+gains, which do not depend on the measurements.  Both run in the same
+closed loop, simulated by :mod:`wdrc.harness` and evaluated exactly by
+:mod:`wdrc.closedloop`.
 
 The baseline gains are synthesized by the textbook finite-horizon
 recursion (control-weight inverse ``(R + B' P B)^{-1}``), deliberately
@@ -14,48 +16,24 @@ syntheses cross-validate each other in the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ScheduleMismatch
-from .estimator import BeliefState, init_belief, predict, update
-from .model import (
-    CostSpec,
-    LinearSystem,
-    NominalDistribution,
-    Realization,
-    ScenarioSpec,
-    draw_realization,
-)
+from .estimator import covariance_path
+from .model import CostSpec, LinearSystem, NominalDistribution
 from .psdmath import symmetrize
 from .riccati import RiccatiSolution, backward_pass
-from .worstcase import (
-    SolverOptions,
-    WorstCaseSchedule,
-    WorstCaseStage,
-    forward_schedule,
-    worst_case_mean,
-)
+from .worstcase import WorstCaseSchedule, forward_schedule
 
 __all__ = [
     "LqgController",
     "WdrcController",
     "ControllerMode",
-    "SimulationTrace",
     "lqg_gains",
     "synthesize_wdrc",
-    "control_input",
-    "run_closed_loop",
-    "trace_cost",
-    "write_trace",
 ]
-
-# Largest belief-covariance deviation tolerated between a run's filter
-# and the precomputed schedule before declaring them out of sync.
-_SCHEDULE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,7 +42,9 @@ class LqgController:
 
     The scalar offsets ``z`` exclude all covariance trace terms; those
     enter the value separately through the filter covariance path, in
-    the same convention the robust mode uses.
+    the same convention the robust mode uses.  ``post_covs`` (``(T + 1,
+    n, n)``) and ``gains`` (``(T, n, n_y)``) are the nominal filter's
+    covariance path and measurement gains from the initial posterior.
     """
 
     P: np.ndarray
@@ -74,6 +54,8 @@ class LqgController:
     K: np.ndarray
     L: np.ndarray
     nominal: NominalDistribution
+    post_covs: np.ndarray
+    gains: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -104,37 +86,16 @@ class WdrcController:
 ControllerMode = Union[WdrcController, LqgController]
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
-    """Complete record of one closed-loop run.
-
-    Attributes:
-        states: True states, ``(T + 1, n_x)``.
-        inputs: Applied inputs, ``(T, n_u)``.
-        observations: Measurements, ``(T + 1, n_y)``.
-        belief_means: Filter means after each update, ``(T + 1, n_x)``.
-        belief_covs: Filter covariances, ``(T + 1, n_x, n_x)``.
-        worst_case: Per-stage adversarial moments (robust mode only).
-        realized_cost: Accumulated quadratic cost of the run.
-        run: Run index that keyed the randomness.
-        seed: Master seed the randomness derived from.
-    """
-
-    states: np.ndarray
-    inputs: np.ndarray
-    observations: np.ndarray
-    belief_means: np.ndarray
-    belief_covs: np.ndarray
-    worst_case: tuple[WorstCaseStage, ...] | None
-    realized_cost: float
-    run: int
-    seed: int
-
-
 def lqg_gains(
-    sys: LinearSystem, cost: CostSpec, nominal: NominalDistribution
+    sys: LinearSystem,
+    cost: CostSpec,
+    nominal: NominalDistribution,
+    p0_cov: np.ndarray,
 ) -> LqgController:
     """Synthesize the finite-horizon certainty-equivalent LQG policy.
+
+    The filter's covariance path starts from the initial posterior
+    ``p0_cov`` and predicts with the nominal covariances.
 
     Backward from ``P_T = Q_f`` with ``W = (R + B' P_{t+1} B)^{-1}``:
 
@@ -172,7 +133,12 @@ def lqg_gains(
             + float(drift @ P_next @ drift)
             + 2.0 * float(r_next @ drift)
         )
-    return LqgController(P=P, S=S, r=r, z=z, K=K, L=L, nominal=nominal)
+    feed = np.stack([nominal.cov(t) for t in range(T)])
+    _, post_covs, gains = covariance_path(p0_cov, feed, sys)
+    return LqgController(
+        P=P, S=S, r=r, z=z, K=K, L=L, nominal=nominal,
+        post_covs=post_covs, gains=gains,
+    )
 
 
 def synthesize_wdrc(
@@ -181,158 +147,11 @@ def synthesize_wdrc(
     nominal: NominalDistribution,
     lam: float,
     p0_cov: np.ndarray,
-    opts: SolverOptions = SolverOptions(),
-    strict: bool = False,
 ) -> WdrcController:
-    """Run the backward pass and the worst-case forward pass."""
-    sol = backward_pass(sys, cost, nominal, lam)
-    schedule = forward_schedule(sys, sol, nominal, p0_cov, opts, strict=strict)
-    return WdrcController(solution=sol, schedule=schedule, nominal=nominal)
+    """Run the backward pass and the worst-case forward pass.
 
-
-def control_input(K_t: np.ndarray, L_t: np.ndarray, belief: BeliefState) -> np.ndarray:
-    """Affine control law ``u = K x_bar + L`` on the belief mean."""
-    return K_t @ belief.mean + L_t
-
-
-def run_closed_loop(
-    mode: ControllerMode,
-    scenario: ScenarioSpec,
-    sys: LinearSystem,
-    cost: CostSpec,
-    run: int = 0,
-    realization: Realization | None = None,
-) -> SimulationTrace:
-    """Simulate one run of the closed loop under the true distributions.
-
-    Args:
-        mode: Synthesized controller (robust or baseline).
-        scenario: True distributions and master seed.
-        sys: Plant matrices.
-        cost: Quadratic cost and horizon.
-        run: Run index keying this run's randomness.
-        realization: Optional pre-drawn randomness; defaults to the
-            realization determined by ``(scenario.seed, run)``.
-
-    Returns:
-        The full trace, including the realized cost.
+    Raises :class:`~wdrc.errors.Diverged` at an unconverged stage.
     """
-    T = cost.horizon
-    robust = isinstance(mode, WdrcController)
-    if mode.horizon != T:
-        raise ValueError(
-            f"controller synthesized for horizon {mode.horizon}, cost has {T}"
-        )
-    if realization is None:
-        realization = draw_realization(scenario, sys, T, run)
-
-    states = np.zeros((T + 1, sys.n_x))
-    inputs = np.zeros((T, sys.n_u))
-    observations = np.zeros((T + 1, sys.n_y))
-    belief_means = np.zeros((T + 1, sys.n_x))
-    belief_covs = np.zeros((T + 1, sys.n_x, sys.n_x))
-    wc_stages: list[WorstCaseStage] = []
-
-    x = realization.x0
-    states[0] = x
-    y = sys.C @ x + realization.v[0]
-    observations[0] = y
-    belief = init_belief(scenario.initial_state, y, sys)
-    if robust:
-        _check_schedule(belief.cov, mode.schedule.post_covs[0], 0)
-    belief_means[0], belief_covs[0] = belief.mean, belief.cov
-
-    realized = 0.0
-    for t in range(T):
-        u = control_input(mode.K[t], mode.L[t], belief)
-        inputs[t] = u
-        realized += float(x @ cost.Q @ x) + float(u @ cost.R @ u)
-
-        if robust:
-            solve = mode.schedule.solves[t]
-            w_mean = worst_case_mean(
-                sys,
-                mode.solution.lam,
-                mode.solution.P[t + 1],
-                mode.solution.r[t + 1],
-                belief.mean,
-                u,
-                mode.nominal.mean(t),
-            )
-            w_cov = solve.cov
-            wc_stages.append(
-                WorstCaseStage(
-                    mean=w_mean,
-                    cov=w_cov,
-                    z_tilde=solve.z_tilde,
-                    iterations=solve.iterations,
-                    converged=solve.converged,
-                )
-            )
-        else:
-            w_mean = mode.nominal.mean(t)
-            w_cov = mode.nominal.cov(t)
-
-        x = sys.A @ x + sys.B @ u + realization.w[t]
-        states[t + 1] = x
-        y = sys.C @ x + realization.v[t + 1]
-        observations[t + 1] = y
-
-        belief = update(predict(belief, u, w_mean, w_cov, sys), y, sys)
-        if robust:
-            _check_schedule(belief.cov, mode.schedule.post_covs[t + 1], t + 1)
-        belief_means[t + 1], belief_covs[t + 1] = belief.mean, belief.cov
-
-    realized += float(x @ cost.Q_f @ x)
-    return SimulationTrace(
-        states=states,
-        inputs=inputs,
-        observations=observations,
-        belief_means=belief_means,
-        belief_covs=belief_covs,
-        worst_case=tuple(wc_stages) if robust else None,
-        realized_cost=realized,
-        run=run,
-        seed=scenario.seed,
-    )
-
-
-def _check_schedule(cov: np.ndarray, expected: np.ndarray, t: int) -> None:
-    drift = float(np.max(np.abs(cov - expected)))
-    if drift > _SCHEDULE_TOL:
-        raise ScheduleMismatch(
-            f"filter covariance at stage {t} deviates from the schedule "
-            f"by {drift:.3e}; the schedule was built for a different "
-            "initial belief or scenario"
-        )
-
-
-def trace_cost(trace: SimulationTrace, cost: CostSpec) -> float:
-    """Recompute the realized cost of a trace from its states and inputs."""
-    total = 0.0
-    for t in range(trace.inputs.shape[0]):
-        x, u = trace.states[t], trace.inputs[t]
-        total += float(x @ cost.Q @ x) + float(u @ cost.R @ u)
-    x_T = trace.states[-1]
-    return total + float(x_T @ cost.Q_f @ x_T)
-
-
-def write_trace(trace: SimulationTrace, path) -> None:
-    """Serialize a trace as JSON lines, one record per stage."""
-    T = trace.inputs.shape[0]
-    with open(path, "w") as fh:
-        for t in range(T + 1):
-            record = {
-                "t": t,
-                "state": trace.states[t].tolist(),
-                "observation": trace.observations[t].tolist(),
-                "belief_mean": trace.belief_means[t].tolist(),
-                "belief_cov": trace.belief_covs[t].tolist(),
-            }
-            if t < T:
-                record["input"] = trace.inputs[t].tolist()
-                if trace.worst_case is not None:
-                    stage = trace.worst_case[t]
-                    record["worst_case_mean"] = stage.mean.tolist()
-                    record["worst_case_cov"] = stage.cov.tolist()
-            fh.write(json.dumps(record) + "\n")
+    sol = backward_pass(sys, cost, nominal, lam)
+    schedule = forward_schedule(sys, sol, nominal, p0_cov)
+    return WdrcController(solution=sol, schedule=schedule, nominal=nominal)

@@ -1,14 +1,16 @@
 """Benchmark campaigns: config files, paired rollouts, and reports.
 
-A campaign estimates one nominal distribution from scenario samples,
-synthesizes the robust and baseline policies, simulates paired
+Every command starts from :func:`prepare` (seed override, nominal
+estimate, initial posterior covariance) and :func:`resolve_lam`.  A
+campaign synthesizes the robust and baseline policies, simulates paired
 Monte-Carlo runs (both policies see identical draws), and writes
 deterministic reports: per-run costs as CSV, a shared-bin histogram,
 and a JSON summary embedding the full configuration.
 
-Rollouts are vectorized across runs.  Every per-run quantity depends
-only on that run's substream, so results are identical for any worker
-count or chunking.
+Rollouts are vectorized across runs by :func:`_roll_batch`, the one
+closed-loop simulator; :func:`trace_run` runs it on a batch of one.
+Every per-run quantity depends only on that run's substream, so results
+are identical for any worker count or chunking.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -50,7 +52,6 @@ from .model import (
     draw_realization,
     estimate_nominal,
 )
-from .worstcase import SolverOptions
 
 __all__ = [
     "ExperimentConfig",
@@ -58,7 +59,11 @@ __all__ = [
     "CampaignResult",
     "load_config",
     "config_from_dict",
+    "prepare",
+    "resolve_lam",
     "run_campaign",
+    "trace_run",
+    "write_trace",
     "emit_reports",
     "build_histogram",
     "paired_mean_z",
@@ -77,7 +82,6 @@ class ExperimentConfig:
     lam: float | None
     runs: int
     histogram_bins: int
-    paired: bool
     per_stage_nominal: bool
     output_dir: str | None
     echo: dict
@@ -214,13 +218,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     theta = _real(_entry(robust, "theta", "robustness"), "robustness.theta")
     if theta < 0.0:
         raise ConfigError("theta must be >= 0", "robustness.theta")
+    # YAML 1.1 reads exponent forms without a dot (``4e0``) as strings,
+    # so any string other than "auto" goes through ``float`` as well.
     lam_raw = robust.get("lam", "auto")
-    if isinstance(lam_raw, str):
-        if lam_raw != "auto":
-            raise ConfigError(
-                f"lam must be a positive number or 'auto', got {lam_raw!r}",
-                "robustness.lam",
-            )
+    if lam_raw == "auto":
         lam = None
     else:
         lam = _real(lam_raw, "robustness.lam")
@@ -267,7 +268,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         lam=lam,
         runs=runs,
         histogram_bins=bins,
-        paired=bool(raw.get("paired", True)),
         per_stage_nominal=bool(raw.get("per_stage_nominal", False)),
         output_dir=raw.get("output_dir"),
         echo=raw,
@@ -286,6 +286,35 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def prepare(
+    cfg: ExperimentConfig, seed: int | None = None
+) -> tuple[ScenarioSpec, NominalDistribution, np.ndarray]:
+    """The scenario with the seed override applied, the nominal law
+    estimated from its samples, and the initial posterior covariance."""
+    scenario = cfg.scenario if seed is None else replace(cfg.scenario, seed=seed)
+    samples = draw_nominal_samples(
+        scenario, cfg.cost.horizon, per_stage=cfg.per_stage_nominal
+    )
+    p0 = initial_posterior_cov(scenario.initial_state, cfg.sys)
+    return scenario, estimate_nominal(samples), p0
+
+
+def resolve_lam(
+    cfg: ExperimentConfig,
+    scenario: ScenarioSpec,
+    nominal: NominalDistribution,
+    override: float | None = None,
+) -> tuple[float, CalibrationResult | None]:
+    """The penalty (``override``, else the config's, else calibrated)
+    and the calibration that chose it, if one ran."""
+    if override is not None:
+        return float(override), None
+    if cfg.lam is not None:
+        return cfg.lam, None
+    calibration = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    return calibration.lam, calibration
+
+
 def _roll_batch(
     feed: PolicyFeed,
     sys: LinearSystem,
@@ -294,10 +323,14 @@ def _roll_batch(
     x0s: np.ndarray,
     w: np.ndarray,
     v: np.ndarray,
+    record: list | None = None,
 ) -> np.ndarray:
     """Vectorized closed loop over the run axis; returns per-run costs.
 
-    This is the loop :mod:`wdrc.closedloop` evaluates exactly.
+    This is the loop :mod:`wdrc.closedloop` evaluates exactly.  With
+    ``record``, the batch's ``(state, observation, belief mean, input,
+    filter disturbance mean)`` arrays are appended to it for every stage
+    ``t < T``, then ``(state, observation, belief mean)`` at ``T``.
     """
     A, B, C = sys.A, sys.B, sys.C
     T = cost.horizon
@@ -315,12 +348,63 @@ def _roll_batch(
             Wm = Xb @ H[t].T + h[t]
         else:
             Wm = feed.w_const[t]
+        if record is not None:
+            record.append((X, Y, Xb, U, Wm))
         X = X @ A.T + U @ B.T + w[:, t]
         Y = X @ C.T + v[:, t + 1]
         prior = Xb @ A.T + U @ B.T + Wm
         Xb = prior + (Y - prior @ C.T) @ feed.filter_gains[t].T
     costs += np.einsum("ij,jk,ik->i", X, cost.Q_f, X)
+    if record is not None:
+        record.append((X, Y, Xb))
     return costs
+
+
+def trace_run(
+    ctrl: WdrcController | LqgController,
+    scenario: ScenarioSpec,
+    sys: LinearSystem,
+    cost: CostSpec,
+    run: int,
+) -> dict[str, np.ndarray]:
+    """Per-stage arrays of run ``run``: :func:`_roll_batch` on a batch of one.
+
+    Keys are the ``--dump-trace`` record fields; ``input`` and the
+    worst-case moments (robust policy only) have one row fewer.  The
+    covariances come from the controller, as no measurement moves them.
+    """
+    real = draw_realization(scenario, sys, cost.horizon, run)
+    x0_dist = scenario.initial_state
+    stages: list = []
+    feed = policy_feed(ctrl, sys, x0_dist)
+    _roll_batch(
+        feed, sys, cost, x0_dist, real.x0[None], real.w[None], real.v[None], stages
+    )
+
+    def column(k: int) -> np.ndarray:
+        return np.stack([row[k][0] for row in stages if k < len(row)])
+
+    robust = isinstance(ctrl, WdrcController)
+    trace = {
+        "state": column(0),
+        "observation": column(1),
+        "belief_mean": column(2),
+        "belief_cov": ctrl.schedule.post_covs if robust else ctrl.post_covs,
+        "input": column(3),
+    }
+    if robust:
+        trace["worst_case_mean"] = column(4)
+        trace["worst_case_cov"] = np.stack([s.cov for s in ctrl.schedule.solves])
+    return trace
+
+
+def write_trace(trace: dict[str, np.ndarray], path) -> None:
+    """Serialize a trace as JSON lines, one record per stage."""
+    with open(path, "w") as fh:
+        for t in range(len(trace["state"])):
+            record = {"t": t}
+            record.update((k, v[t].tolist()) for k, v in trace.items() if t < len(v))
+            fh.write(json.dumps(record) + "\n")
 
 
 def _simulate_chunk(args) -> tuple[int, np.ndarray | None, np.ndarray | None]:
@@ -398,7 +482,6 @@ def run_campaign(
     seed: int | None = None,
     runs: int | None = None,
     jobs: int = 1,
-    opts: SolverOptions = SolverOptions(),
 ) -> CampaignResult:
     """Execute a full campaign: estimate, calibrate, synthesize, simulate.
 
@@ -408,54 +491,35 @@ def run_campaign(
         seed: Overrides the scenario seed.
         runs: Overrides the configured run count.
         jobs: Worker processes for the simulation phase.
-        opts: Worst-case solver options.
 
     Returns:
         Statistics, certificate, and provenance for report emission.
     """
     if mode not in ("wdrc", "lqg", "both"):
         raise ValueError(f"mode must be wdrc, lqg, or both; got {mode!r}")
-    scenario = cfg.scenario
-    if seed is not None:
-        scenario = ScenarioSpec(
-            true_disturbance=scenario.true_disturbance,
-            initial_state=scenario.initial_state,
-            noise_cov=np.array(scenario.noise_cov),
-            sample_count=scenario.sample_count,
-            seed=seed,
-        )
+    scenario, nominal, p0 = prepare(cfg, seed)
     n_runs = cfg.runs if runs is None else runs
 
-    samples = draw_nominal_samples(
-        scenario, cfg.cost.horizon, per_stage=cfg.per_stage_nominal
-    )
-    nominal = estimate_nominal(samples)
-
-    want_wdrc = mode in ("wdrc", "both")
-    lam = cfg.lam
+    # The certificate needs the baseline even when it is not simulated.
+    lqg_ctrl = lqg_gains(cfg.sys, cfg.cost, nominal, p0)
+    lam = None
     calibration = None
     certificate = None
     wdrc_ctrl = None
-    if want_wdrc:
-        if lam is None:
-            calibration = calibrate_lambda(
-                cfg.sys, cfg.cost, nominal, scenario, cfg.theta, opts=opts
-            )
-            lam = calibration.lam
-        p0 = initial_posterior_cov(scenario.initial_state, cfg.sys)
-        wdrc_ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0, opts)
+    if mode in ("wdrc", "both"):
+        lam, calibration = resolve_lam(cfg, scenario, nominal)
+        wdrc_ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
         certificate = performance_ratio(
             cfg.sys,
             cfg.cost,
             nominal,
             scenario,
             RobustnessParams(lam=lam, theta=cfg.theta),
-            opts=opts,
             wdrc_ctrl=wdrc_ctrl,
+            lqg_ctrl=lqg_ctrl,
         )
-    lqg_ctrl = (
-        lqg_gains(cfg.sys, cfg.cost, nominal) if mode in ("lqg", "both") else None
-    )
+    if mode == "wdrc":
+        lqg_ctrl = None
 
     wdrc_costs, lqg_costs = simulate_paired(
         wdrc_ctrl, lqg_ctrl, scenario, cfg.sys, cfg.cost, n_runs, jobs
@@ -465,7 +529,7 @@ def run_campaign(
         mode=mode,
         runs=n_runs,
         seed=scenario.seed,
-        lam=lam if want_wdrc else None,
+        lam=lam,
         calibration=calibration,
         certificate=certificate,
         wdrc=CostStatistics.from_costs(wdrc_costs) if wdrc_costs is not None else None,
@@ -584,7 +648,6 @@ def emit_reports(result: CampaignResult, out_dir: str) -> dict[str, str]:
         "mode": result.mode,
         "runs": result.runs,
         "seed": result.seed,
-        "paired": result.config.paired,
         "histogram_bins": result.config.histogram_bins,
         "lam": result.lam,
         "statistics": {label: _stats_dict(s) for label, s in named},

@@ -30,7 +30,6 @@ __all__ = [
     "Realization",
     "estimate_nominal",
     "stationary_nominal",
-    "sample_disturbance",
     "split_stream",
     "draw_nominal_samples",
     "draw_realization",
@@ -310,20 +309,6 @@ def split_stream(seed: int, *key: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_disturbance(
-    spec: DistributionSpec, t: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw the stage ``t`` disturbance vector from the true law.
-
-    The stage index is accepted for interface symmetry; the true law is
-    stage-invariant, so it does not affect the draw.  Consecutive calls
-    on one stream consume it exactly like a single bulk draw of the
-    same total size.
-    """
-    del t
-    return spec.sample(rng, 1)[0]
 
 
 @dataclass(frozen=True)

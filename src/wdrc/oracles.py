@@ -1,21 +1,34 @@
 """Independent reference computations for validating the solvers.
 
 Everything here deliberately avoids the production code paths: brute
-force grids, central finite differences, inverse-CDF quadrature, and
-closed forms that exist only in special cases.  Tests compare the fast
-implementations against these slow routes; ``run_oracle_suite`` bundles
-the same comparisons behind the ``oracle`` CLI subcommand.
+force grids, central finite differences, inverse-CDF quadrature,
+closed forms that exist only in special cases, and a per-run filter
+loop (:func:`run_closed_loop`) for the batched rollouts.  Tests compare
+the fast implementations against these slow routes;
+``run_oracle_suite`` bundles the same comparisons behind the ``oracle``
+CLI subcommand.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .bounds import evaluate_value
-from .controller import synthesize_wdrc
-from .estimator import BeliefState
-from .model import CostSpec, GaussianSpec, LinearSystem, MomentPair, NominalDistribution
+from .controller import ControllerMode, WdrcController, synthesize_wdrc
+from .errors import ScheduleMismatch
+from .estimator import BeliefState, init_belief, predict, update
+from .model import (
+    CostSpec,
+    LinearSystem,
+    MomentPair,
+    NominalDistribution,
+    Realization,
+    ScenarioSpec,
+    draw_realization,
+)
 from .psdmath import gelbrich_dist_sq, symmetrize, trace_sqrt_product, transport_map
 from .riccati import backward_pass
 from .worstcase import (
@@ -24,6 +37,7 @@ from .worstcase import (
     cov_gradient,
     cov_objective,
     solve_worst_case_cov,
+    worst_case_mean,
 )
 
 __all__ = [
@@ -34,6 +48,11 @@ __all__ = [
     "gaussian_w2_quadrature",
     "worst_cov_no_obs",
     "t1_scalar_saddle",
+    "WorstCaseStage",
+    "SimulationTrace",
+    "control_input",
+    "run_closed_loop",
+    "trace_cost",
     "run_oracle_suite",
 ]
 
@@ -203,6 +222,176 @@ def t1_scalar_saddle(
         vals = np.array([stage_value(u) for u in us])
         k = int(np.argmin(vals))
     return float(vals[k])
+
+
+# Largest belief-covariance deviation tolerated between a run's filter
+# and the precomputed schedule before declaring them out of sync.
+_SCHEDULE_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class WorstCaseStage:
+    """Realized worst-case moments of one stage of one run."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    z_tilde: float
+    iterations: int
+    converged: bool
+
+
+@dataclass(frozen=True)
+class SimulationTrace:
+    """Complete record of one closed-loop run.
+
+    Attributes:
+        states: True states, ``(T + 1, n_x)``.
+        inputs: Applied inputs, ``(T, n_u)``.
+        observations: Measurements, ``(T + 1, n_y)``.
+        belief_means: Filter means after each update, ``(T + 1, n_x)``.
+        belief_covs: Filter covariances, ``(T + 1, n_x, n_x)``.
+        worst_case: Per-stage adversarial moments (robust mode only).
+        realized_cost: Accumulated quadratic cost of the run.
+        run: Run index that keyed the randomness.
+        seed: Master seed the randomness derived from.
+    """
+
+    states: np.ndarray
+    inputs: np.ndarray
+    observations: np.ndarray
+    belief_means: np.ndarray
+    belief_covs: np.ndarray
+    worst_case: tuple[WorstCaseStage, ...] | None
+    realized_cost: float
+    run: int
+    seed: int
+
+
+def control_input(K_t: np.ndarray, L_t: np.ndarray, belief: BeliefState) -> np.ndarray:
+    """Affine control law ``u = K x_bar + L`` on the belief mean."""
+    return K_t @ belief.mean + L_t
+
+
+def run_closed_loop(
+    mode: ControllerMode,
+    scenario: ScenarioSpec,
+    sys: LinearSystem,
+    cost: CostSpec,
+    run: int = 0,
+    realization: Realization | None = None,
+) -> SimulationTrace:
+    """Simulate one run of the closed loop under the true distributions.
+
+    Args:
+        mode: Synthesized controller (robust or baseline).
+        scenario: True distributions and master seed.
+        sys: Plant matrices.
+        cost: Quadratic cost and horizon.
+        run: Run index keying this run's randomness.
+        realization: Optional pre-drawn randomness; defaults to the
+            realization determined by ``(scenario.seed, run)``.
+
+    Returns:
+        The full trace, including the realized cost.
+    """
+    T = cost.horizon
+    robust = isinstance(mode, WdrcController)
+    if mode.horizon != T:
+        raise ValueError(
+            f"controller synthesized for horizon {mode.horizon}, cost has {T}"
+        )
+    if realization is None:
+        realization = draw_realization(scenario, sys, T, run)
+
+    states = np.zeros((T + 1, sys.n_x))
+    inputs = np.zeros((T, sys.n_u))
+    observations = np.zeros((T + 1, sys.n_y))
+    belief_means = np.zeros((T + 1, sys.n_x))
+    belief_covs = np.zeros((T + 1, sys.n_x, sys.n_x))
+    wc_stages: list[WorstCaseStage] = []
+
+    x = realization.x0
+    states[0] = x
+    y = sys.C @ x + realization.v[0]
+    observations[0] = y
+    belief = init_belief(scenario.initial_state, y, sys)
+    if robust:
+        _check_schedule(belief.cov, mode.schedule.post_covs[0], 0)
+    belief_means[0], belief_covs[0] = belief.mean, belief.cov
+
+    realized = 0.0
+    for t in range(T):
+        u = control_input(mode.K[t], mode.L[t], belief)
+        inputs[t] = u
+        realized += float(x @ cost.Q @ x) + float(u @ cost.R @ u)
+
+        if robust:
+            solve = mode.schedule.solves[t]
+            w_mean = worst_case_mean(
+                sys,
+                mode.solution.lam,
+                mode.solution.P[t + 1],
+                mode.solution.r[t + 1],
+                belief.mean,
+                u,
+                mode.nominal.mean(t),
+            )
+            w_cov = solve.cov
+            wc_stages.append(
+                WorstCaseStage(
+                    mean=w_mean,
+                    cov=w_cov,
+                    z_tilde=solve.z_tilde,
+                    iterations=solve.iterations,
+                    converged=solve.converged,
+                )
+            )
+        else:
+            w_mean = mode.nominal.mean(t)
+            w_cov = mode.nominal.cov(t)
+
+        x = sys.A @ x + sys.B @ u + realization.w[t]
+        states[t + 1] = x
+        y = sys.C @ x + realization.v[t + 1]
+        observations[t + 1] = y
+
+        belief = update(predict(belief, u, w_mean, w_cov, sys), y, sys)
+        if robust:
+            _check_schedule(belief.cov, mode.schedule.post_covs[t + 1], t + 1)
+        belief_means[t + 1], belief_covs[t + 1] = belief.mean, belief.cov
+
+    realized += float(x @ cost.Q_f @ x)
+    return SimulationTrace(
+        states=states,
+        inputs=inputs,
+        observations=observations,
+        belief_means=belief_means,
+        belief_covs=belief_covs,
+        worst_case=tuple(wc_stages) if robust else None,
+        realized_cost=realized,
+        run=run,
+        seed=scenario.seed,
+    )
+
+
+def _check_schedule(cov: np.ndarray, expected: np.ndarray, t: int) -> None:
+    drift = float(np.max(np.abs(cov - expected)))
+    if drift > _SCHEDULE_TOL:
+        raise ScheduleMismatch(
+            f"filter covariance at stage {t} deviates from the schedule "
+            f"by {drift:.3e}; the schedule was built for a different "
+            "initial belief or scenario"
+        )
+
+
+def trace_cost(trace: SimulationTrace, cost: CostSpec) -> float:
+    """Recompute the realized cost of a trace from its states and inputs."""
+    total = 0.0
+    for t in range(trace.inputs.shape[0]):
+        x, u = trace.states[t], trace.inputs[t]
+        total += float(x @ cost.Q @ x) + float(u @ cost.R @ u)
+    x_T = trace.states[-1]
+    return total + float(x_T @ cost.Q_f @ x_T)
 
 
 def _random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

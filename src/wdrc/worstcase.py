@@ -47,7 +47,6 @@ __all__ = [
     "CovObjectiveContext",
     "SolverOptions",
     "CovSolve",
-    "WorstCaseStage",
     "WorstCaseSchedule",
     "worst_case_mean",
     "cov_objective",
@@ -115,17 +114,6 @@ class CovSolve:
     iterations: int
     converged: bool
     trace: tuple[tuple[float, float], ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class WorstCaseStage:
-    """Realized worst-case moments of one stage of one run."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    z_tilde: float
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -426,9 +414,7 @@ def forward_schedule(
     sol: RiccatiSolution,
     nominal: NominalDistribution,
     p0_cov: np.ndarray,
-    opts: SolverOptions = SolverOptions(),
     warm_start: bool = True,
-    strict: bool = False,
 ) -> WorstCaseSchedule:
     """Solve the worst-case covariance path forward in time.
 
@@ -439,10 +425,8 @@ def forward_schedule(
     memoized at an absolute key resolution of 1e-10.  ``warm_start``
     seeds each stage's ascent at the previous maximizer, which does not
     change the maximum of the concave objective but typically cuts the
-    iteration count sharply.  With ``strict`` a stage that exhausts its
-    iteration budget raises :class:`~wdrc.errors.Diverged` immediately
-    instead of finishing the remaining stages with a ``converged =
-    False`` flag.
+    iteration count sharply.  The first stage whose solve does not
+    converge raises :class:`~wdrc.errors.Diverged`.
     """
     T = sol.horizon
     n = sys.n_x
@@ -467,12 +451,12 @@ def forward_schedule(
         solve = memo.get(key)
         if solve is None:
             init = prev_cov if warm_start else None
-            solve = solve_worst_case_cov(ctx, opts, init=init)
+            solve = solve_worst_case_cov(ctx, init=init)
             memo[key] = solve
-        if strict and not solve.converged:
+        if not solve.converged:
             raise Diverged(
                 f"worst-case covariance at stage {t} did not converge "
-                f"within {opts.max_iter} iterations"
+                f"after {solve.iterations} iterations"
             )
         solves.append(solve)
         prev_cov = solve.cov

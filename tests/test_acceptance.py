@@ -372,7 +372,7 @@ def test_certificate_and_calibration_optimality(gaussian_campaign):
     finite = 0
     for lam in np.geomspace(lam_min, 1e6, 100):
         try:
-            ctrl = synthesize_wdrc(sys_, cost, nominal, float(lam), p0, strict=True)
+            ctrl = synthesize_wdrc(sys_, cost, nominal, float(lam), p0)
         except (PenaltyTooSmall, Diverged):
             continue
         bound = certified_bound(ctrl, sys_, cost, x0_dist, cfg.theta, y0).bound

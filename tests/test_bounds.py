@@ -14,7 +14,7 @@ from wdrc.bounds import (
     performance_ratio,
     reference_belief,
 )
-from wdrc.controller import synthesize_wdrc
+from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import DegenerateLQ, NoFeasibleLambda
 from wdrc.estimator import BeliefState, initial_posterior_cov, kalman_gain
 from wdrc.model import (
@@ -152,7 +152,7 @@ def test_certificate_reuses_supplied_controller(
 ):
     params = RobustnessParams(theta=0.1, lam=5.0)
     p0 = initial_posterior_cov(short_scenario.initial_state, plant)
-    ctrl = synthesize_wdrc(plant, short_cost, short_nominal, 5.0, p0, strict=True)
+    ctrl = synthesize_wdrc(plant, short_cost, short_nominal, 5.0, p0)
     with_ctrl = performance_ratio(
         plant, short_cost, short_nominal, short_scenario, params, wdrc_ctrl=ctrl
     )
@@ -188,9 +188,9 @@ def test_degenerate_baseline_is_rejected(plant, short_cost):
 
 
 def test_lqg_value_terms_are_nonnegative(plant, short_cost, short_nominal, short_scenario):
-    ctrl, path = lqg_value_terms(
-        plant, short_cost, short_nominal, short_scenario.initial_state
-    )
+    p0 = initial_posterior_cov(short_scenario.initial_state, plant)
+    ctrl = lqg_gains(plant, short_cost, short_nominal, p0)
+    path = lqg_value_terms(ctrl)
     assert path.shape == (short_cost.horizon,)
     assert (path >= 0.0).all()
     assert ctrl.horizon == short_cost.horizon

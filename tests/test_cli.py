@@ -112,6 +112,24 @@ def test_infeasible_penalty_exits_with_solver_code(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_unconverged_stage_exits_with_solver_code(
+    config_path, tmp_path, capsys, monkeypatch
+):
+    import dataclasses
+
+    import wdrc.worstcase
+
+    solve = wdrc.worstcase.solve_worst_case_cov
+    monkeypatch.setattr(
+        wdrc.worstcase,
+        "solve_worst_case_cov",
+        lambda *a, **k: dataclasses.replace(solve(*a, **k), converged=False),
+    )
+    code = main(["simulate", "-c", config_path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert "stage 0 did not converge" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_with_io_code(config_path, capsys):
     code = main(
         ["simulate", "-c", config_path, "--runs", "2", "--out", "/dev/null/x"]

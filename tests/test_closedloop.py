@@ -38,8 +38,8 @@ def setup(request):
     scen = cfg.scenario
     nominal = estimate_nominal(draw_nominal_samples(scen, cfg.cost.horizon))
     p0 = initial_posterior_cov(scen.initial_state, cfg.sys)
-    wdrc = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 4.0, p0, strict=True)
-    lqg = lqg_gains(cfg.sys, cfg.cost, nominal)
+    wdrc = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 4.0, p0)
+    lqg = lqg_gains(cfg.sys, cfg.cost, nominal, p0)
     rng = np.random.default_rng(17)
     x0 = scen.initial_state.sample(rng, 2000)
     noise = GaussianSpec(np.zeros(cfg.sys.n_y), cfg.sys.M).sample(rng, 2000)

@@ -1,20 +1,14 @@
-"""Policy synthesis and the single-run closed-loop simulator."""
+"""Policy synthesis and the reference single-run closed-loop simulator."""
 
 import json
 
 import numpy as np
 import pytest
 
-from wdrc.controller import (
-    control_input,
-    lqg_gains,
-    run_closed_loop,
-    synthesize_wdrc,
-    trace_cost,
-    write_trace,
-)
+from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import ScheduleMismatch
-from wdrc.estimator import BeliefState, initial_posterior_cov
+from wdrc.estimator import BeliefState, covariance_path, initial_posterior_cov
+from wdrc.harness import trace_run, write_trace
 from wdrc.model import (
     GaussianSpec,
     NominalDistribution,
@@ -22,7 +16,7 @@ from wdrc.model import (
     draw_realization,
     estimate_nominal,
 )
-from wdrc.oracles import lqr_gains
+from wdrc.oracles import control_input, lqr_gains, run_closed_loop, trace_cost
 from wdrc.psdmath import MomentPair
 
 
@@ -36,25 +30,36 @@ def nominal(gaussian_scenario, quad_cost):
 @pytest.fixture(scope="module")
 def wdrc_ctrl(plant, quad_cost, nominal, gaussian_scenario):
     p0 = initial_posterior_cov(gaussian_scenario.initial_state, plant)
-    return synthesize_wdrc(plant, quad_cost, nominal, 4.0, p0, strict=True)
+    return synthesize_wdrc(plant, quad_cost, nominal, 4.0, p0)
 
 
 @pytest.fixture(scope="module")
-def lqg_ctrl(plant, quad_cost, nominal):
-    return lqg_gains(plant, quad_cost, nominal)
+def lqg_ctrl(plant, quad_cost, nominal, gaussian_scenario):
+    p0 = initial_posterior_cov(gaussian_scenario.initial_state, plant)
+    return lqg_gains(plant, quad_cost, nominal, p0)
 
 
 def test_lqg_zero_mean_matches_regulator(plant, quad_cost):
     zero = NominalDistribution(
         (MomentPair(np.zeros(2), 0.01 * np.eye(2)),) * quad_cost.horizon
     )
-    ctrl = lqg_gains(plant, quad_cost, zero)
+    ctrl = lqg_gains(plant, quad_cost, zero, np.eye(2))
     P_ref, K_ref = lqr_gains(plant, quad_cost)
     assert np.allclose(ctrl.P, P_ref, atol=1e-12)
     assert np.allclose(ctrl.K, K_ref, atol=1e-12)
     assert np.allclose(ctrl.r, 0.0)
     assert np.allclose(ctrl.L, 0.0)
     assert np.allclose(ctrl.z, 0.0)
+
+
+def test_lqg_carries_nominal_filter_path(
+    plant, quad_cost, nominal, gaussian_scenario, lqg_ctrl
+):
+    p0 = initial_posterior_cov(gaussian_scenario.initial_state, plant)
+    feed = np.stack([nominal.cov(t) for t in range(quad_cost.horizon)])
+    _, post_covs, gains = covariance_path(p0, feed, plant)
+    assert np.array_equal(lqg_ctrl.post_covs, post_covs)
+    assert np.array_equal(lqg_ctrl.gains, gains)
 
 
 def test_lqg_value_satisfies_one_step_recursion(plant, quad_cost, lqg_ctrl):
@@ -138,7 +143,7 @@ def test_huge_penalty_reduces_to_lqg(
     plant, quad_cost, nominal, gaussian_scenario, lqg_ctrl
 ):
     p0 = initial_posterior_cov(gaussian_scenario.initial_state, plant)
-    robust = synthesize_wdrc(plant, quad_cost, nominal, 1e8, p0, strict=True)
+    robust = synthesize_wdrc(plant, quad_cost, nominal, 1e8, p0)
     assert np.allclose(robust.K, lqg_ctrl.K, atol=1e-6)
     assert np.allclose(robust.L, lqg_ctrl.L, atol=1e-6)
     for run in range(3):
@@ -167,7 +172,7 @@ def test_worst_case_stages_follow_schedule(
 def test_schedule_mismatch_is_detected(plant, quad_cost, nominal, gaussian_scenario):
     other_x0 = GaussianSpec(np.array([-1.0, -1.0]), 0.5 * np.eye(2))
     p0_other = initial_posterior_cov(other_x0, plant)
-    ctrl = synthesize_wdrc(plant, quad_cost, nominal, 4.0, p0_other, strict=True)
+    ctrl = synthesize_wdrc(plant, quad_cost, nominal, 4.0, p0_other)
     with pytest.raises(ScheduleMismatch):
         run_closed_loop(ctrl, gaussian_scenario, plant, quad_cost, run=0)
 
@@ -185,7 +190,7 @@ def test_horizon_mismatch_is_rejected(
 def test_write_trace_round_trips(
     tmp_path, wdrc_ctrl, plant, quad_cost, gaussian_scenario
 ):
-    trace = run_closed_loop(wdrc_ctrl, gaussian_scenario, plant, quad_cost, run=1)
+    trace = trace_run(wdrc_ctrl, gaussian_scenario, plant, quad_cost, run=1)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     lines = path.read_text().splitlines()
@@ -201,7 +206,7 @@ def test_write_trace_round_trips(
         "worst_case_mean",
         "worst_case_cov",
     }
-    assert np.allclose(first["state"], trace.states[0])
+    assert np.allclose(first["state"], trace["state"][0])
     last = json.loads(lines[-1])
     assert "input" not in last
-    assert np.allclose(last["state"], trace.states[-1])
+    assert np.allclose(last["state"], trace["state"][-1])

@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
-from wdrc.controller import lqg_gains, run_closed_loop, synthesize_wdrc
+from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import ConfigError
 from wdrc.estimator import initial_posterior_cov
 from wdrc.harness import (
@@ -19,8 +20,10 @@ from wdrc.harness import (
     paired_std_z,
     run_campaign,
     simulate_paired,
+    trace_run,
 )
 from wdrc.model import draw_nominal_samples, estimate_nominal
+from wdrc.oracles import run_closed_loop
 
 
 def base_config() -> dict:
@@ -72,7 +75,6 @@ def test_valid_config_parses():
     assert cfg.cost.horizon == 12
     assert cfg.lam == 4.0
     assert cfg.runs == 8
-    assert cfg.paired is True
     assert np.allclose(cfg.scenario.noise_cov, cfg.sys.M)
     assert cfg.echo == base_config()
 
@@ -83,6 +85,22 @@ def test_lam_auto_maps_to_none():
     assert config_from_dict(raw).lam is None
     del raw["robustness"]["lam"]
     assert config_from_dict(raw).lam is None
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("4e0", 4.0), ("1e1", 10.0), ("abc", None), (".inf", None), ("0e0", None)],
+)
+def test_lam_accepts_yaml_exponent_forms(text, value):
+    """YAML 1.1 reads ``4e0`` as a string; it is still a number."""
+    raw = base_config()
+    raw["robustness"] = yaml.safe_load(f"{{theta: 0.1, lam: {text}}}")
+    if value is not None:
+        assert config_from_dict(raw).lam == value
+        return
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field == "robustness.lam"
 
 
 @pytest.mark.parametrize(
@@ -268,8 +286,8 @@ def small_setup():
         draw_nominal_samples(cfg.scenario, cfg.cost.horizon)
     )
     p0 = initial_posterior_cov(cfg.scenario.initial_state, cfg.sys)
-    wdrc_ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 4.0, p0, strict=True)
-    lqg_ctrl = lqg_gains(cfg.sys, cfg.cost, nominal)
+    wdrc_ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 4.0, p0)
+    lqg_ctrl = lqg_gains(cfg.sys, cfg.cost, nominal, p0)
     return cfg, wdrc_ctrl, lqg_ctrl
 
 
@@ -279,10 +297,21 @@ def test_batched_rollouts_match_single_runs(small_setup):
         wdrc_ctrl, lqg_ctrl, cfg.scenario, cfg.sys, cfg.cost, runs=6
     )
     for run in range(6):
-        tr_w = run_closed_loop(wdrc_ctrl, cfg.scenario, cfg.sys, cfg.cost, run)
-        tr_l = run_closed_loop(lqg_ctrl, cfg.scenario, cfg.sys, cfg.cost, run)
-        assert wdrc_costs[run] == pytest.approx(tr_w.realized_cost, rel=1e-10)
-        assert lqg_costs[run] == pytest.approx(tr_l.realized_cost, rel=1e-10)
+        for ctrl, costs in ((wdrc_ctrl, wdrc_costs), (lqg_ctrl, lqg_costs)):
+            ref = run_closed_loop(ctrl, cfg.scenario, cfg.sys, cfg.cost, run)
+            assert costs[run] == pytest.approx(ref.realized_cost, rel=1e-10)
+            # The stage record of the same loop on a batch of one.
+            got = trace_run(ctrl, cfg.scenario, cfg.sys, cfg.cost, run)
+            assert got["state"] == pytest.approx(ref.states, rel=1e-10)
+            assert got["input"] == pytest.approx(ref.inputs, rel=1e-10)
+            assert got["belief_mean"] == pytest.approx(ref.belief_means, rel=1e-10)
+            assert got["belief_cov"] == pytest.approx(ref.belief_covs, rel=1e-10)
+            if ctrl is wdrc_ctrl:
+                wc_means = np.stack([stage.mean for stage in ref.worst_case])
+                assert got["worst_case_mean"] == pytest.approx(wc_means, rel=1e-10)
+            else:
+                assert "worst_case_mean" not in got
+                assert np.array_equal(ref.belief_covs, lqg_ctrl.post_covs)
 
 
 def test_worker_count_does_not_change_results(small_setup):

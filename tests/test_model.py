@@ -14,7 +14,6 @@ from wdrc.model import (
     draw_nominal_samples,
     draw_realization,
     estimate_nominal,
-    sample_disturbance,
     split_stream,
     stationary_nominal,
 )
@@ -115,14 +114,6 @@ def test_split_stream_reproducible_and_keyed():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
-
-
-def test_sequential_draws_match_bulk():
-    spec = GaussianSpec(np.zeros(2), np.eye(2))
-    bulk = spec.sample(split_stream(0, 3), 5)
-    rng = split_stream(0, 3)
-    seq = np.stack([sample_disturbance(spec, t, rng) for t in range(5)])
-    assert np.array_equal(bulk, seq)
 
 
 def test_draw_realization_reproducible(plant, gaussian_scenario):

@@ -207,7 +207,7 @@ def test_solver_reaches_interior_maximizer_at_feasibility_boundary():
         nearby = solve.cov + 1e-2 * scale * random_psd(rng, 2, jitter=0.0)
         assert cov_objective(nearby, ctx) <= solve.z_tilde + tol
 
-    ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0, opts, strict=True)
+    ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
     assert all(s.converged for s in ctrl.schedule.solves)
 
 
