@@ -28,13 +28,17 @@ the premium paid for robustness.
 ``calibrate_lambda`` picks the design penalty that minimizes the bound
 by a coarse log-grid scan followed by golden-section refinement,
 falling back to the best scanned point if refinement does not improve
-on it.
+on it.  The scan's worst-case forward passes run as one stacked pass
+over all its penalties (:func:`wdrc.worstcase.forward_schedules`);
+backward passes, certificates and the golden section run per penalty.
+The controller at the chosen penalty comes with the result, so callers
+need not synthesize it again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +63,8 @@ from .model import (
     ScenarioSpec,
     split_stream,
 )
-from .riccati import min_feasible_lambda
+from .riccati import backward_pass, min_feasible_lambda
+from .worstcase import forward_schedules
 
 __all__ = [
     "CostCertificate",
@@ -117,12 +122,14 @@ class CalibrationResult:
         hit_upper: True when the search ended at the bracket's upper
             edge (the bound kept decreasing, as with ``theta = 0``).
         evaluations: All ``(lam, objective)`` pairs evaluated.
+        controller: The robust controller synthesized at ``lam``.
     """
 
     lam: float
     objective: float
     hit_upper: bool
     evaluations: tuple[tuple[float, float], ...]
+    controller: WdrcController = field(compare=False, repr=False)
 
 
 def evaluate_value(sol, z_tilde_path: np.ndarray, b0: BeliefState) -> float:
@@ -299,25 +306,43 @@ def performance_ratio(
     )
 
 
-def _bound_objective(
+def _synthesize(
     sys: LinearSystem,
     cost: CostSpec,
     nominal: NominalDistribution,
-    x0_dist: DistributionSpec,
-    theta: float,
-    y0_samples: np.ndarray,
+    lam: float,
     p0: np.ndarray,
-):
-    """Build ``g(lam)``, treating infeasible or stalled solves as infinite."""
+) -> WdrcController | None:
+    """The robust controller at ``lam``; None where the penalty is
+    infeasible or a worst-case stage does not converge."""
+    try:
+        return synthesize_wdrc(sys, cost, nominal, lam, p0)
+    except (PenaltyTooSmall, Diverged):
+        return None
 
-    def g(lam: float) -> float:
+
+def _synthesize_stacked(
+    sys: LinearSystem,
+    cost: CostSpec,
+    nominal: NominalDistribution,
+    lams: list[float],
+    p0: np.ndarray,
+) -> list[WdrcController | None]:
+    """:func:`_synthesize` at every penalty, with one stacked forward pass."""
+    sols = {}
+    for i, lam in enumerate(lams):
         try:
-            ctrl = synthesize_wdrc(sys, cost, nominal, lam, p0)
-        except (PenaltyTooSmall, Diverged):
-            return math.inf
-        return certified_bound(ctrl, sys, cost, x0_dist, theta, y0_samples).bound
-
-    return g
+            sols[i] = backward_pass(sys, cost, nominal, lam)
+        except PenaltyTooSmall:
+            pass
+    ctrls: list[WdrcController | None] = [None] * len(lams)
+    schedules = forward_schedules(sys, list(sols.values()), nominal, p0)
+    for (i, sol), schedule in zip(sols.items(), schedules):
+        if not isinstance(schedule, Diverged):
+            ctrls[i] = WdrcController(
+                solution=sol, schedule=schedule, nominal=nominal
+            )
+    return ctrls
 
 
 def calibrate_lambda(
@@ -333,14 +358,15 @@ def calibrate_lambda(
 
     The objective at ``lam`` is :func:`certified_bound` of the robust
     controller synthesized at ``lam``, the same number
-    :func:`performance_ratio` reports.  The search runs over
-    ``[lam_min, lam_cap]`` in log space, where ``lam_min`` is the
-    bisected feasibility boundary: a coarse scan locates the basin,
-    golden-section refines it to ``1e-3`` in ``log lam`` (the bound is
-    flat to about ``1e-7`` relative there), and the better of the two
-    wins.  Measurement samples for the value average are drawn once and
-    shared across all evaluations, so the objective is a fixed
-    deterministic function during the search.
+    :func:`performance_ratio` reports; a penalty that is infeasible or
+    whose worst-case schedule does not converge scores infinity.  The
+    search runs over ``[lam_min, lam_cap]`` in log space, where
+    ``lam_min`` is the bisected feasibility boundary: a coarse scan
+    locates the basin, golden-section refines it to ``1e-3`` in ``log
+    lam`` (the bound is flat to about ``1e-7`` relative there), and the
+    better of the two wins.  Measurement samples for the value average
+    are drawn once and shared across all evaluations, so the objective
+    is a fixed deterministic function during the search.
 
     Raises:
         NoFeasibleLambda: If no penalty in the bracket yields a finite
@@ -350,29 +376,40 @@ def calibrate_lambda(
     lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * lam_cap, hi=lam_cap)
     y0 = _y0_samples(x0_dist, sys, scenario.seed, MC_SAMPLES)
     p0 = initial_posterior_cov(x0_dist, sys)
-    g = _bound_objective(sys, cost, nominal, x0_dist, theta, y0, p0)
 
     evaluations: list[tuple[float, float]] = []
 
-    def eval_log(s: float) -> float:
-        val = g(math.exp(s))
+    def score(s: float, ctrl: WdrcController | None):
+        val = (
+            math.inf
+            if ctrl is None
+            else certified_bound(ctrl, sys, cost, x0_dist, theta, y0).bound
+        )
         evaluations.append((math.exp(s), val))
-        return val
+        return val, ctrl
 
     lo, hi = math.log(lam_min), math.log(lam_cap)
     grid = np.linspace(lo, hi, scan_points)
-    scanned = np.array([eval_log(s) for s in grid])
+    ctrls = _synthesize_stacked(sys, cost, nominal, [math.exp(s) for s in grid], p0)
+    scanned = np.array([score(s, ctrl)[0] for s, ctrl in zip(grid, ctrls)])
     if not np.isfinite(scanned).any():
         raise NoFeasibleLambda(
             f"guaranteed bound is infinite throughout [{lam_min}, {lam_cap}]"
         )
     best = int(np.argmin(scanned))
+    scan_ctrl = ctrls[best]
+    del ctrls  # only the scan's winner is kept through the refinement
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, scan_points - 1)]
-    s_star, g_star = _golden_min(eval_log, a, b, tol=1e-3)
+    s_star, (g_star, ctrl) = _golden_min(
+        lambda s: score(s, _synthesize(sys, cost, nominal, math.exp(s), p0)),
+        a,
+        b,
+        tol=1e-3,
+    )
     if scanned[best] < g_star:
-        s_star, g_star = grid[best], float(scanned[best])
+        s_star, g_star, ctrl = grid[best], float(scanned[best]), scan_ctrl
 
     hit_upper = best >= scan_points - 1 and s_star >= hi - 1e-6
     return CalibrationResult(
@@ -380,17 +417,22 @@ def calibrate_lambda(
         objective=g_star,
         hit_upper=hit_upper,
         evaluations=tuple(evaluations),
+        controller=ctrl,
     )
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimization on ``[a, b]``; returns ``(x, f(x))``."""
+def _golden_min(f, a: float, b: float, tol: float):
+    """Golden-section minimization on ``[a, b]``.
+
+    ``f`` returns ``(value, payload)`` pairs; the result is ``(x,
+    f(x))`` at the best point found.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
-        if fc <= fd:
+        if fc[0] <= fd[0]:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
@@ -398,4 +440,4 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+    return (c, fc) if fc[0] <= fd[0] else (d, fd)

@@ -72,8 +72,12 @@ def _write_json(payload: dict, out: str | None) -> None:
 def cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
     scenario, nominal, p0 = prepare(cfg, args.seed)
-    lam, _ = resolve_lam(cfg, scenario, nominal, args.lam)
-    ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
+    lam, calibration = resolve_lam(cfg, scenario, nominal, args.lam)
+    ctrl = (
+        calibration.controller
+        if calibration is not None
+        else synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
+    )
     sol = ctrl.solution
     payload = {
         "lam": lam,

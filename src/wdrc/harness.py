@@ -306,7 +306,8 @@ def resolve_lam(
     override: float | None = None,
 ) -> tuple[float, CalibrationResult | None]:
     """The penalty (``override``, else the config's, else calibrated)
-    and the calibration that chose it, if one ran."""
+    and the calibration that chose it, if one ran; the calibration
+    carries the controller at that penalty."""
     if override is not None:
         return float(override), None
     if cfg.lam is not None:
@@ -508,7 +509,11 @@ def run_campaign(
     wdrc_ctrl = None
     if mode in ("wdrc", "both"):
         lam, calibration = resolve_lam(cfg, scenario, nominal)
-        wdrc_ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
+        wdrc_ctrl = (
+            calibration.controller
+            if calibration is not None
+            else synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
+        )
         certificate = performance_ratio(
             cfg.sys,
             cfg.cost,

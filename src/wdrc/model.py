@@ -10,7 +10,7 @@ order or worker layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -138,15 +138,23 @@ class RobustnessParams:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Gaussian distribution descriptor with possibly singular covariance."""
+    """Gaussian distribution descriptor with possibly singular covariance.
+
+    ``factor`` is the PSD square root of the covariance, computed once
+    on construction and used by every draw.
+    """
 
     mean_vec: np.ndarray
     cov_mat: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pair = MomentPair(self.mean_vec, self.cov_mat)
+        factor = psd_sqrt(pair.cov)
+        factor.flags.writeable = False
         object.__setattr__(self, "mean_vec", pair.mean)
         object.__setattr__(self, "cov_mat", pair.cov)
+        object.__setattr__(self, "factor", factor)
 
     @property
     def dim(self) -> int:
@@ -162,10 +170,9 @@ class GaussianSpec:
         return MomentPair(self.mean_vec, self.cov_mat)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` vectors as rows, via a PSD factor of the covariance."""
-        factor = psd_sqrt(self.cov_mat)
+        """Draw ``size`` vectors as rows, via the PSD factor of the covariance."""
         z = rng.standard_normal((size, self.dim))
-        return self.mean_vec + z @ factor.T
+        return self.mean_vec + z @ self.factor.T
 
 
 @dataclass(frozen=True)
@@ -284,6 +291,8 @@ class ScenarioSpec:
         sample_count: Number of disturbance samples used to estimate
             the nominal moments.
         seed: Master seed for all randomness derived from the scenario.
+        noise: Zero-mean Gaussian law of the measurement noise with
+            covariance ``noise_cov``, built once for every run's draw.
     """
 
     true_disturbance: DistributionSpec
@@ -291,6 +300,7 @@ class ScenarioSpec:
     noise_cov: np.ndarray
     sample_count: int
     seed: int = 0
+    noise: GaussianSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         noise = require_psd(np.asarray(self.noise_cov, dtype=float), "noise_cov")
@@ -298,6 +308,9 @@ class ScenarioSpec:
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         object.__setattr__(self, "noise_cov", noise)
+        object.__setattr__(
+            self, "noise", GaussianSpec(np.zeros(noise.shape[0]), noise)
+        )
 
 
 def split_stream(seed: int, *key: int) -> np.random.Generator:
@@ -354,9 +367,13 @@ def draw_realization(
     then all disturbances, then all noises), so a realization is fully
     determined by ``(scenario.seed, run)``.
     """
+    if scenario.noise.dim != sys.n_y:
+        raise DimMismatch(
+            f"noise_cov is {scenario.noise.dim}x{scenario.noise.dim}, "
+            f"plant has {sys.n_y} outputs"
+        )
     rng = split_stream(scenario.seed, STREAM_RUN, run)
     x0 = scenario.initial_state.sample(rng, 1)[0]
     w = scenario.true_disturbance.sample(rng, horizon)
-    noise = GaussianSpec(np.zeros(sys.n_y), scenario.noise_cov)
-    v = noise.sample(rng, horizon + 1)
+    v = scenario.noise.sample(rng, horizon + 1)
     return Realization(x0=x0, w=w, v=v)

@@ -5,11 +5,15 @@ matrices, and the squared Gelbrich distance between mean/covariance
 pairs.  All decompositions of symmetric matrices go through
 ``numpy.linalg.eigh``; eigenvalues within a scale-aware tolerance of
 zero are clamped to zero instead of being rejected.
+
+``symmetrize``, ``psd_sqrt``, ``trace_sqrt_product`` and
+``transport_map`` also accept stacks of matrices, ``(..., n, n)``, and
+then work matrix by matrix; each stacked result has the same bits as
+the call on that matrix alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +37,30 @@ __all__ = [
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part ``(m + m.T) / 2`` as a new array."""
+    """Return the symmetric part ``(m + m.T) / 2`` as a new array.
+
+    A stack ``(..., n, n)`` is symmetrized matrix by matrix.
+    """
     m = np.asarray(m, dtype=float)
     require_square(m)
-    return (m + m.T) / 2.0
+    return (m + m.mT) / 2.0
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> None:
-    """Raise :class:`DimMismatch` unless ``m`` is a square 2-D array."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Raise :class:`DimMismatch` unless ``m`` is a square matrix or a
+    stack of square matrices."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatch(f"{name} must be square, got shape {m.shape}")
 
 
-def psd_tolerance(m: np.ndarray) -> float:
-    """Scale-aware eigenvalue tolerance ``1e-9 * (1 + max |diag|)``."""
-    diag = np.abs(np.diagonal(m))
+def psd_tolerance(m: np.ndarray) -> float | np.ndarray:
+    """Scale-aware eigenvalue tolerance ``1e-9 * (1 + max |diag|)``.
+
+    One value per matrix of a stack ``(..., n, n)``.
+    """
+    diag = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
+    if m.ndim > 2:
+        return 1e-9 * (1.0 + diag.max(axis=-1, initial=0.0))
     peak = float(diag.max()) if diag.size else 0.0
     return 1e-9 * (1.0 + peak)
 
@@ -91,7 +104,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     ``-tol`` raises :class:`NotPSD`.
 
     Args:
-        m: Symmetric PSD matrix.
+        m: Symmetric PSD matrix, or a stack of them.
 
     Returns:
         Symmetric PSD matrix ``s`` with ``s @ s`` equal to ``m`` up to
@@ -99,39 +112,54 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """
     sym = symmetrize(m)
     vals, vecs = np.linalg.eigh(sym)
-    tol = psd_tolerance(sym)
-    if vals[0] < -tol:
-        raise NotPSD(f"matrix has eigenvalue {vals[0]:.6g} below tolerance")
+    low = vals[..., 0] < -psd_tolerance(sym)
+    if np.count_nonzero(low):
+        worst = float(vals[..., 0][low].min())
+        raise NotPSD(f"matrix has eigenvalue {worst:.6g} below tolerance")
     vals = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(vals)) @ vecs.T
+    root = (vecs * np.sqrt(vals)[..., None, :]) @ vecs.mT
     return symmetrize(root)
 
 
-def _clamped_det2(m: np.ndarray) -> float:
-    """Determinant of a 2x2 PSD matrix, clamped at zero for roundoff."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return max(float(det), 0.0)
+def _clamped_det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of 2x2 PSD matrices, clamped at zero for roundoff."""
+    diag_products = m[..., 0, :] * m[..., 1, ::-1]
+    return np.maximum(diag_products[..., 0] - diag_products[..., 1], 0.0)
 
 
-def trace_sqrt_product(a: np.ndarray, b: np.ndarray) -> float:
+def _sqrt_product2(a: np.ndarray, b: np.ndarray):
+    """``trace_sqrt_product`` of 2x2 matrices, with ``sqrt(det a det b)``
+    and ``det a`` (both clamped at zero), which the transport map reuses."""
+    ab = a @ b
+    det_a = _clamped_det2(a)
+    gm = np.sqrt(det_a * _clamped_det2(b))
+    cross = ab[..., 0, 0] + ab[..., 1, 1]
+    return np.sqrt(np.maximum(cross + 2.0 * gm, 0.0)), gm, det_a
+
+
+def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+
+
+def trace_sqrt_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Compute ``tr[(a^{1/2} b a^{1/2})^{1/2}]`` for PSD ``a``, ``b``.
 
     The value equals the sum of square roots of the eigenvalues of
     ``a @ b``, which gives closed forms in one and two dimensions; the
-    general case falls back to eigendecompositions.
+    general case falls back to eigendecompositions.  Stacks of
+    matrices give one value per matrix.
     """
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    n = a.shape[0]
+    _same_shape(a, b)
+    n = a.shape[-1]
     if n == 1:
-        return math.sqrt(max(a[0, 0] * b[0, 0], 0.0))
-    if n == 2:
-        cross = float(np.trace(a @ b))
-        gm = math.sqrt(_clamped_det2(a) * _clamped_det2(b))
-        return math.sqrt(max(cross + 2.0 * gm, 0.0))
-    root = psd_sqrt(a)
-    inner = psd_sqrt(root @ b @ root)
-    return float(np.trace(inner))
+        val = np.sqrt(np.maximum(a[..., 0, 0] * b[..., 0, 0], 0.0))
+    elif n == 2:
+        val = _sqrt_product2(a, b)[0]
+    else:
+        root = psd_sqrt(a)
+        val = psd_sqrt(root @ b @ root).trace(axis1=-2, axis2=-1)
+    return val if a.ndim > 2 else float(val)
 
 
 def transport_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,35 +168,40 @@ def transport_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Requires ``a`` positive definite.  The result ``t`` is the symmetric
     PSD matrix satisfying ``t @ a @ t == b``; it is the gradient of
     ``tr[(a^{1/2} b a^{1/2})^{1/2}]`` with respect to ``a`` up to a
-    factor of one half.
+    factor of one half.  Stacks of matrices are mapped pair by pair.
     """
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    n = a.shape[0]
+    _same_shape(a, b)
+    n = a.shape[-1]
     if n == 1:
-        if a[0, 0] <= 0.0:
+        if np.count_nonzero(a <= 0.0):
             raise NotPSD("transport map requires positive definite input")
-        return np.array([[math.sqrt(max(b[0, 0], 0.0) / a[0, 0])]])
+        return np.sqrt(np.maximum(b, 0.0) / a)
     if n == 2:
-        scale = trace_sqrt_product(a, b)
-        if scale <= 0.0:
-            return np.zeros_like(a)
-        det_a = _clamped_det2(a)
-        if det_a <= 0.0:
+        scale, gm, det_a = _sqrt_product2(a, b)
+        dead = scale <= 0.0
+        if np.count_nonzero(dead):
+            # A zero cross term maps to zero; the rest are mapped alone.
+            out = np.zeros_like(a)
+            if np.count_nonzero(dead) < dead.size:
+                out[~dead] = transport_map(a[~dead], b[~dead])
+            return out
+        if np.count_nonzero(det_a <= 0.0):
             raise NotPSD("transport map requires positive definite input")
-        gm = math.sqrt(det_a * _clamped_det2(b))
-        inv_a = np.array(
-            [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]
-        ) / det_a
-        return symmetrize((b + gm * inv_a) / scale)
+        inv_a = a[..., ::-1, ::-1].mT * _ADJUGATE_SIGNS / det_a[..., None, None]
+        return symmetrize(
+            (b + gm[..., None, None] * inv_a) / scale[..., None, None]
+        )
     root = psd_sqrt(a)
     vals, vecs = np.linalg.eigh(root)
-    tol = psd_tolerance(root)
-    if vals[0] <= tol:
+    if np.count_nonzero(vals[..., 0] <= psd_tolerance(root)):
         raise NotPSD("transport map requires positive definite input")
-    inv_root = (vecs / vals) @ vecs.T
+    inv_root = (vecs / vals[..., None, :]) @ vecs.mT
     inner = psd_sqrt(root @ b @ root)
     return symmetrize(inv_root @ inner @ inv_root)
+
+
+# ``a[::-1, ::-1].T`` times these signs is the adjugate of a 2x2 ``a``.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def bures_sq(a: np.ndarray, b: np.ndarray) -> float:

@@ -24,6 +24,15 @@ which the objective is nearly flat, where plain ascent crawls.
 The maximization is bounded only when the penalty is large enough; if
 iterates grow without bound the solver raises
 :class:`~wdrc.errors.Diverged` instead of silently returning.
+
+:func:`forward_schedules` solves the paths of several penalties in one
+pass.  At each stage their problems are stacked on a leading axis, and
+the private helpers (objective, gradient, projection, fixed point) work
+on the whole stack; a problem the stack does not settle goes to the
+single-problem solver, which runs the same helpers on a stack of one.
+The stacked numpy calls give each matrix the bits of the call on it
+alone, so a penalty's path out of the stack equals its path alone, and
+:func:`forward_schedule` is the pass on a stack of one.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ __all__ = [
     "cov_gradient",
     "solve_worst_case_cov",
     "forward_schedule",
+    "forward_schedules",
     "mean_affine",
 ]
 
@@ -76,6 +86,23 @@ class CovObjectiveContext:
     Sigma_hat: np.ndarray
     P_bar: np.ndarray
     sys: LinearSystem
+    # The problem as a stack of one, derived once for every evaluation.
+    _stage: "_Stage" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        S_next, P_next, Sigma_hat, P_bar = (
+            np.asarray(a, dtype=float)[None]
+            for a in (self.S_next, self.P_next, self.Sigma_hat, self.P_bar)
+        )
+        stage = _Stage(
+            self.sys,
+            S_next,
+            P_next,
+            np.array([self.lam], dtype=float),
+            Sigma_hat,
+            self.sys.A @ P_bar @ self.sys.A.T,
+        )
+        object.__setattr__(self, "_stage", stage)
 
 
 @dataclass(frozen=True)
@@ -172,38 +199,78 @@ def worst_case_mean(
     return np.linalg.solve(shifted, r_next + P_next @ drift + lam * w_hat)
 
 
-def _predicted_posterior(Sigma: np.ndarray, ctx: CovObjectiveContext):
-    """Posterior covariance, gain, and prior after predicting with ``Sigma``."""
-    sys = ctx.sys
-    G = symmetrize(sys.A @ ctx.P_bar @ sys.A.T + Sigma)
+class _Stage:
+    """Covariance problems of one stage, stacked on a leading axis.
+
+    Besides each problem's data it holds what every evaluation reuses:
+    the predicted covariance before the disturbance, ``A P_bar A'``,
+    the linear coefficient ``P_next - lam I``, its negative as the
+    stationarity map starts it, and the eigenvalue floor of the
+    iterates.
+    """
+
+    __slots__ = (
+        "sys", "eye", "S_next", "P_next", "Sigma_hat", "lam", "lam_m",
+        "prior_base", "shifted", "gap_base", "floor",
+    )
+    _STACKED = __slots__[2:]
+
+    def __init__(self, sys, S_next, P_next, lam, Sigma_hat, prior_base):
+        self.sys = sys
+        self.eye = np.eye(sys.n_x)
+        self.S_next, self.P_next, self.Sigma_hat = S_next, P_next, Sigma_hat
+        self.lam = lam
+        self.lam_m = lam[:, None, None]
+        lam_eye = self.lam_m * self.eye
+        self.prior_base = prior_base
+        self.shifted = P_next - lam_eye
+        self.gap_base = lam_eye - P_next
+        self.floor = 1e-10 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
+
+    def take(self, keep: np.ndarray) -> "_Stage":
+        """The problems selected by the boolean mask ``keep``."""
+        sub = object.__new__(_Stage)
+        sub.sys, sub.eye = self.sys, self.eye
+        for name in self._STACKED:
+            setattr(sub, name, getattr(self, name)[keep])
+        return sub
+
+
+def _gain(Sigma: np.ndarray, prior_base: np.ndarray, sys: LinearSystem):
+    """Measurement gains and priors after predicting with ``Sigma``.
+
+    ``prior_base`` is ``A P_bar A'``, the prior before the disturbance.
+    """
+    G = symmetrize(prior_base + Sigma)
     innov = symmetrize(sys.C @ G @ sys.C.T + sys.M)
     try:
-        gain = np.linalg.solve(innov, sys.C @ G).T
+        return np.linalg.solve(innov, sys.C @ G).mT, G
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
-    post = symmetrize(G - gain @ sys.C @ G)
-    return post, gain, G
 
 
-def _objective(Sigma: np.ndarray, ctx: CovObjectiveContext) -> float:
-    post, _, _ = _predicted_posterior(Sigma, ctx)
-    shifted = ctx.P_next - ctx.lam * np.eye(Sigma.shape[0])
-    return float(
-        np.trace(ctx.S_next @ post)
-        + np.trace(shifted @ Sigma)
-        + 2.0 * ctx.lam * trace_sqrt_product(Sigma, ctx.Sigma_hat)
+def _objective(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+    gain, G = _gain(Sigma, st.prior_base, st.sys)
+    post = symmetrize(G - gain @ st.sys.C @ G)
+    return (
+        (st.S_next @ post).trace(axis1=1, axis2=2)
+        + (st.shifted @ Sigma).trace(axis1=1, axis2=2)
+        + 2.0 * st.lam * trace_sqrt_product(Sigma, st.Sigma_hat)
     )
 
 
-def _gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
-    sys = ctx.sys
-    _, gain, _ = _predicted_posterior(Sigma, ctx)
-    closed = np.eye(Sigma.shape[0]) - gain @ sys.C
+def _closed(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+    """``I - K C`` with ``K`` the measurement gain after predicting with ``Sigma``."""
+    gain, _ = _gain(Sigma, st.prior_base, st.sys)
+    return st.eye - gain @ st.sys.C
+
+
+def _gradient(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+    closed = _closed(Sigma, st)
     grad = (
-        ctx.P_next
-        - ctx.lam * np.eye(Sigma.shape[0])
-        + ctx.lam * transport_map(Sigma, ctx.Sigma_hat)
-        + closed.T @ ctx.S_next @ closed
+        st.shifted
+        + st.lam_m * transport_map(Sigma, st.Sigma_hat)
+        + closed.mT @ st.S_next @ closed
     )
     return symmetrize(grad)
 
@@ -213,7 +280,7 @@ def cov_objective(Sigma: np.ndarray, ctx: CovObjectiveContext) -> float:
     Sigma = symmetrize(Sigma)
     if float(np.linalg.eigvalsh(Sigma)[0]) < -psd_tolerance(Sigma):
         raise NotPSD("candidate covariance is not PSD")
-    return _objective(Sigma, ctx)
+    return float(_objective(Sigma[None], ctx._stage)[0])
 
 
 def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
@@ -228,21 +295,28 @@ def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
     Sigma = symmetrize(Sigma)
     if float(np.linalg.eigvalsh(Sigma)[0]) <= 0.0:
         raise NotPD("gradient requires a positive definite covariance")
-    return _gradient(Sigma, ctx)
+    return _gradient(Sigma[None], ctx._stage)[0]
 
 
-def _project(m: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp eigenvalues of the symmetric part at ``floor``."""
-    vals, vecs = np.linalg.eigh(symmetrize(m))
-    if vals[0] >= floor:
-        return symmetrize(m)
-    vals = np.clip(vals, floor, None)
-    return symmetrize((vecs * vals) @ vecs.T)
+def _project(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues of each symmetric part at its ``floor``."""
+    sym = symmetrize(m)
+    vals, vecs = np.linalg.eigh(sym)
+    ok = vals[:, 0] >= floor
+    if np.count_nonzero(ok) < ok.size:
+        low = ~ok
+        vals, vecs = np.clip(vals[low], floor[low, None], None), vecs[low]
+        sym[low] = symmetrize((vecs * vals[:, None, :]) @ vecs.mT)
+    return sym
+
+
+# The stack loops test their masks with ``np.count_nonzero``, which costs
+# a fraction of ``ndarray.any`` on arrays this small.
 
 
 def _fixed_point(
-    ctx: CovObjectiveContext, Sigma: np.ndarray, floor: float, opts: SolverOptions
-) -> tuple[np.ndarray, int] | None:
+    st: _Stage, Sigma: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the stationarity map of the covariance objective.
 
     At an interior maximizer the transport factor ``T`` (``T Sigma T =
@@ -251,33 +325,72 @@ def _fixed_point(
     and inverts the relation: ``Sigma <- T^{-1} Sigma_hat T^{-1}``.
     The map is not an ascent method, but its fixed point is the unique
     interior stationary point, and it contracts rapidly whenever the
-    penalty dominates the continuation coefficients.
+    penalty dominates the continuation coefficients.  Each problem of
+    the stack stops on its own.
 
     Returns:
-        ``(iterate, passes)``, or ``None`` when the map is undefined
-        (the shifted coefficient matrix loses definiteness, hinting at
-        a boundary maximizer or an unbounded problem).
+        ``(iterates, passes)``; ``passes`` is 0 where the map is
+        undefined (the shifted coefficient matrix loses definiteness,
+        hinting at a boundary maximizer or an unbounded problem) and
+        the iterate there is meaningless.
     """
-    n = Sigma.shape[0]
-    sys = ctx.sys
-    for k in range(opts.fp_max_iter):
-        _, gain, _ = _predicted_posterior(Sigma, ctx)
-        closed = np.eye(n) - gain @ sys.C
-        gap = symmetrize(
-            ctx.lam * np.eye(n) - ctx.P_next - closed.T @ ctx.S_next @ closed
-        )
-        if float(np.linalg.eigvalsh(gap)[0]) <= ctx.lam * 1e-12:
-            return None
-        tm = gap / ctx.lam
-        nxt = symmetrize(np.linalg.solve(tm, np.linalg.solve(tm, ctx.Sigma_hat).T))
-        nxt = _project(nxt, floor)
-        delta = float(np.abs(nxt - Sigma).max())
+    result = np.empty_like(Sigma)
+    passes = np.zeros(Sigma.shape[0], dtype=int)
+    idx = np.arange(Sigma.shape[0])
+    for k in range(1, max_iter + 1):
+        closed = _closed(Sigma, st)
+        gap = symmetrize(st.gap_base - closed.mT @ st.S_next @ closed)
+        undefined = np.linalg.eigvalsh(gap)[:, 0] <= st.lam * 1e-12
+        if np.count_nonzero(undefined):
+            keep = ~undefined
+            if not np.count_nonzero(keep):
+                return result, passes
+            idx, Sigma, gap, st = idx[keep], Sigma[keep], gap[keep], st.take(keep)
+        tm = gap / st.lam_m
+        nxt = symmetrize(np.linalg.solve(tm, np.linalg.solve(tm, st.Sigma_hat).mT))
+        nxt = _project(nxt, st.floor)
+        delta = np.abs(nxt - Sigma).max(axis=(1, 2))
         Sigma = nxt
-        if delta <= 1e-14 * (1.0 + float(np.abs(Sigma).max())):
-            return Sigma, k + 1
-        if not np.isfinite(delta):
-            return None
-    return Sigma, opts.fp_max_iter
+        done = delta <= 1e-14 * (1.0 + np.abs(Sigma).max(axis=(1, 2)))
+        finite = np.isfinite(delta)
+        if np.count_nonzero(done) or np.count_nonzero(finite) < finite.size:
+            result[idx[done]] = Sigma[done]
+            passes[idx[done]] = k
+            keep = finite & ~done
+            if not np.count_nonzero(keep):
+                return result, passes
+            idx, Sigma, st = idx[keep], Sigma[keep], st.take(keep)
+    result[idx] = Sigma
+    passes[idx] = max_iter
+    return result, passes
+
+
+def _adopted(f_new, f_cur):
+    """Whether a fixed point's value loses no more than rounding noise.
+
+    A warm start at the neighboring stage's maximizer can tie with the
+    fixed point to within eps while having a far worse stationarity
+    residual, so ties go to the fixed point.
+    """
+    return f_new >= f_cur - 64.0 * np.finfo(float).eps * (1.0 + np.abs(f_cur))
+
+
+def _stationarity(
+    Sigma: np.ndarray, st: _Stage, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and unit-step projected-gradient residual of each problem."""
+    grad = _gradient(Sigma, st)
+    probe = _project(Sigma + step * grad, st.floor)
+    d = (probe - Sigma).reshape(Sigma.shape[0], -1)
+    return grad, np.sqrt(np.vecdot(d, d)) / step
+
+
+def _tolerance(st: _Stage, opts: SolverOptions) -> np.ndarray:
+    """Residual tolerance: ``tol_scale`` times the coefficient scale."""
+    scale = st.lam + (
+        np.abs(st.P_next).max(axis=(1, 2)) + np.abs(st.S_next).max(axis=(1, 2))
+    )
+    return opts.tol_scale * scale
 
 
 def solve_worst_case_cov(
@@ -309,30 +422,28 @@ def solve_worst_case_cov(
         SingularInnovation: If the predicted innovation covariance is
             singular.
     """
-    floor = 1e-10 * (1.0 + float(np.trace(ctx.Sigma_hat)))
+    st = ctx._stage
+    floor = st.floor
     growth_cap = 1e12 * (1.0 + float(np.trace(ctx.Sigma_hat)))
-    res_scale = ctx.lam + float(np.abs(ctx.P_next).max() + np.abs(ctx.S_next).max())
-    Sigma = _project(ctx.Sigma_hat if init is None else init, floor)
-    f_cur = _objective(Sigma, ctx)
+    tol = _tolerance(st, opts)[0]
+    start = st.Sigma_hat if init is None else np.asarray(init, dtype=float)[None]
+    Sigma = _project(start, floor)
+    f_cur = _objective(Sigma, st)[0]
     step = opts.step0
     trace: list[tuple[float, float]] = []
     iterations = 0
     converged = False
 
     def adopt_fixed_point() -> bool:
-        # Adopt the fixed point's iterate unless it loses objective value
-        # by more than rounding noise (a warm start at the neighboring
-        # stage's maximizer can tie to within eps while having a far
-        # worse stationarity residual).  False when the map is undefined.
+        # False when the map is undefined.
         nonlocal Sigma, f_cur, iterations
-        fp = _fixed_point(ctx, Sigma, floor, opts)
-        if fp is None:
+        fp, passes = _fixed_point(st, Sigma, opts.fp_max_iter)
+        if not passes[0]:
             return False
-        fp_sigma, fp_iters = fp
-        f_fp = _objective(fp_sigma, ctx)
-        if f_fp >= f_cur - 64.0 * np.finfo(float).eps * (1.0 + abs(f_cur)):
-            Sigma, f_cur = fp_sigma, f_fp
-            iterations += fp_iters
+        f_fp = _objective(fp, st)[0]
+        if _adopted(f_fp, f_cur):
+            Sigma, f_cur = fp, f_fp
+            iterations += int(passes[0])
         return True
 
     # Where the map is undefined at the start (the gain there leaves the
@@ -344,12 +455,11 @@ def solve_worst_case_cov(
     ascent_steps = 0
 
     for _ in range(opts.max_iter):
-        grad = _gradient(Sigma, ctx)
-        probe = _project(Sigma + opts.step0 * grad, floor)
-        residual = float(np.linalg.norm(probe - Sigma)) / opts.step0
+        grad, residual = _stationarity(Sigma, st, opts.step0)
+        residual = float(residual[0])
         if opts.record_trace:
-            trace.append((f_cur, residual))
-        if residual < opts.tol_scale * res_scale:
+            trace.append((float(f_cur), residual))
+        if residual < tol:
             converged = True
             break
 
@@ -360,11 +470,11 @@ def solve_worst_case_cov(
         accepted = False
         while step >= 1e-20 * opts.step0:
             cand = _project(Sigma + step * grad, floor)
-            gap = float(np.tensordot(grad, cand - Sigma))
+            gap = float(np.tensordot(grad[0], cand[0] - Sigma[0]))
             if gap <= 0.0:
                 step *= opts.backtrack
                 continue
-            f_cand = _objective(cand, ctx)
+            f_cand = _objective(cand, st)[0]
             if f_cand >= f_cur + opts.armijo * gap:
                 Sigma, f_cur = cand, f_cand
                 accepted = True
@@ -386,7 +496,7 @@ def solve_worst_case_cov(
                 f"{residual:.3e} above tolerance"
             )
         iterations += 1
-        if float(np.trace(Sigma)) > growth_cap or not np.isfinite(f_cur):
+        if float(np.trace(Sigma[0])) > growth_cap or not np.isfinite(f_cur):
             raise Diverged("worst-case covariance grew without bound")
         ascent_steps += 1
         if ascent_steps == retry_at:
@@ -394,19 +504,165 @@ def solve_worst_case_cov(
             adopt_fixed_point()
 
     return CovSolve(
-        cov=Sigma,
-        z_tilde=f_cur,
+        cov=Sigma[0],
+        z_tilde=float(f_cur),
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),
     )
 
 
-def _memo_key(arrays: Sequence[np.ndarray]) -> bytes:
-    """Quantize stage data at absolute resolution 1e-10 for memoization."""
-    return b"".join(
-        np.round(np.asarray(a, dtype=float) * 1e10).tobytes() for a in arrays
-    )
+def _settle(
+    st: _Stage, init: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`solve_worst_case_cov` does before its first ascent step.
+
+    Projects the starts, runs the fixed point, adopts it by the
+    solver's rule and checks stationarity there, for the whole stack.
+
+    Returns:
+        ``(settled, covs, values, passes)``: where ``settled`` holds,
+        the solver would return ``covs``, ``values`` and ``passes``
+        unchanged as a converged solve with no ascent step.
+    """
+    opts = SolverOptions()
+    Sigma = _project(init, st.floor)
+    f_cur = _objective(Sigma, st)
+    fp, passes = _fixed_point(st, Sigma, opts.fp_max_iter)
+    defined = passes > 0
+    if np.count_nonzero(defined) < defined.size:
+        fp = np.where(defined[:, None, None], fp, Sigma)
+    f_fp = _objective(fp, st)
+    adopted = defined & _adopted(f_fp, f_cur)
+    _, residual = _stationarity(fp, st, opts.step0)
+    settled = adopted & (residual < _tolerance(st, opts))
+    return settled, fp, f_fp, passes
+
+
+def _memo_keys(
+    S_next: np.ndarray, P_next: np.ndarray, Sigma_hat: np.ndarray, P_bar: np.ndarray
+) -> list[bytes]:
+    """One key per stacked problem: its stage data quantized at absolute
+    resolution 1e-10, for memoization."""
+    S_next, P_next, P_bar = (np.round(a * 1e10) for a in (S_next, P_next, P_bar))
+    shared = np.round(Sigma_hat * 1e10).tobytes()
+    return [
+        S_next[j].tobytes() + P_next[j].tobytes() + shared + P_bar[j].tobytes()
+        for j in range(P_bar.shape[0])
+    ]
+
+
+def forward_schedules(
+    sys: LinearSystem,
+    sols: Sequence[RiccatiSolution],
+    nominal: NominalDistribution,
+    p0_cov: np.ndarray,
+) -> list[WorstCaseSchedule | Diverged]:
+    """Worst-case covariance paths of several penalties in one pass.
+
+    Each penalty's path is the one :func:`forward_schedule` gives for
+    it alone, bit for bit.  Stage by stage, the problems a penalty's
+    memo does not hold are stacked and settled together (fixed point,
+    adoption, first stationarity check); a problem the stack does not
+    settle goes, from the same start, to :func:`solve_worst_case_cov`.
+
+    Returns:
+        For each solution in order, its schedule or the
+        :class:`~wdrc.errors.Diverged` that ended it; a penalty drops
+        out of the pass at its first unconverged stage.
+    """
+    if not sols:
+        return []
+    k, T, n = len(sols), sols[0].horizon, sys.n_x
+    lams = np.array([sol.lam for sol in sols], dtype=float)
+    S = np.stack([sol.S for sol in sols])
+    P = np.stack([sol.P for sol in sols])
+    post_covs = np.zeros((k, T + 1, n, n))
+    prior_covs = np.zeros((k, T, n, n))
+    gains = np.zeros((k, T, n, sys.n_y))
+    post_covs[:, 0] = symmetrize(p0_cov)
+    solves: list[list[CovSolve]] = [[] for _ in sols]
+    memos: list[dict[bytes, CovSolve]] = [{} for _ in sols]
+    failed: dict[int, Diverged] = {}
+    live = list(range(k))
+    # Index of the live penalties: a slice (no gather) while all are live.
+    sel: slice | list[int] = slice(None)
+
+    for t in range(T):
+        Sigma_hat = nominal.cov(t)
+        P_bar = post_covs[sel, t]
+        prior_base = sys.A @ P_bar @ sys.A.T
+        S_t, P_t = S[sel, t + 1], P[sel, t + 1]
+        keys = _memo_keys(S_t, P_t, Sigma_hat, P_bar)
+        miss = [j for j, i in enumerate(live) if keys[j] not in memos[i]]
+        if miss:
+            sub = slice(None) if len(miss) == len(live) else miss
+            st = _Stage(
+                sys, S_t[sub], P_t[sub], lams[sel][sub],
+                Sigma_hat[None].repeat(len(miss), axis=0), prior_base[sub],
+            )
+            init = st.Sigma_hat if t == 0 else covs[sub]
+            settled, maxima, values, passes = _settle(st, init)
+            for q, j in enumerate(miss):
+                i = live[j]
+                if settled[q]:
+                    solve = CovSolve(
+                        cov=maxima[q],
+                        z_tilde=float(values[q]),
+                        iterations=int(passes[q]),
+                        converged=True,
+                    )
+                else:
+                    ctx = CovObjectiveContext(
+                        S_next=S[i, t + 1], P_next=P[i, t + 1], lam=sols[i].lam,
+                        Sigma_hat=Sigma_hat, P_bar=post_covs[i, t], sys=sys,
+                    )
+                    try:
+                        solve = solve_worst_case_cov(
+                            ctx, init=solves[i][-1].cov if t else None
+                        )
+                    except Diverged as exc:
+                        failed[i] = exc
+                        continue
+                memos[i][keys[j]] = solve
+
+        for j, i in enumerate(live):
+            if i in failed:
+                continue
+            solve = memos[i][keys[j]]
+            if solve.converged:
+                solves[i].append(solve)
+            else:
+                failed[i] = Diverged(
+                    f"worst-case covariance at stage {t} did not converge "
+                    f"after {solve.iterations} iterations"
+                )
+        if failed.keys() & live:
+            keep = [j for j, i in enumerate(live) if i not in failed]
+            live = [live[j] for j in keep]
+            sel, prior_base = live, prior_base[keep]
+            if not live:
+                break
+
+        # This stage's maximizers are the next stage's starting points.
+        covs = np.stack([solves[i][t].cov for i in live])
+        gain, prior = _gain(covs, prior_base, sys)
+        closed = np.eye(n) - gain @ sys.C
+        prior_covs[sel, t] = prior
+        post_covs[sel, t + 1] = symmetrize(
+            closed @ prior @ closed.mT + gain @ sys.M @ gain.mT
+        )
+        gains[sel, t] = gain
+
+    return [
+        failed[i] if i in failed else WorstCaseSchedule(
+            solves=tuple(solves[i]),
+            post_covs=post_covs[i],
+            prior_covs=prior_covs[i],
+            gains=gains[i],
+        )
+        for i in range(k)
+    ]
 
 
 def forward_schedule(
@@ -414,7 +670,6 @@ def forward_schedule(
     sol: RiccatiSolution,
     nominal: NominalDistribution,
     p0_cov: np.ndarray,
-    warm_start: bool = True,
 ) -> WorstCaseSchedule:
     """Solve the worst-case covariance path forward in time.
 
@@ -422,59 +677,18 @@ def forward_schedule(
     the covariance problem, predicts through the dynamics with the
     maximizer, and measurement-updates to the next posterior.  Stages
     whose data repeats (after the recursions reach steady state) are
-    memoized at an absolute key resolution of 1e-10.  ``warm_start``
-    seeds each stage's ascent at the previous maximizer, which does not
-    change the maximum of the concave objective but typically cuts the
-    iteration count sharply.  The first stage whose solve does not
-    converge raises :class:`~wdrc.errors.Diverged`.
+    memoized at an absolute key resolution of 1e-10.  Each stage's
+    solve starts at the previous maximizer, which does not change the
+    maximum of the concave objective but typically cuts the iteration
+    count sharply.  The first stage whose solve does not converge
+    raises :class:`~wdrc.errors.Diverged`.
+
+    This is :func:`forward_schedules` on a stack of one.
     """
-    T = sol.horizon
-    n = sys.n_x
-    solves: list[CovSolve] = []
-    post_covs = np.zeros((T + 1, n, n))
-    prior_covs = np.zeros((T, n, n))
-    gains = np.zeros((T, n, sys.n_y))
-    post_covs[0] = symmetrize(p0_cov)
-    memo: dict[bytes, CovSolve] = {}
-    prev_cov: np.ndarray | None = None
-
-    for t in range(T):
-        ctx = CovObjectiveContext(
-            S_next=sol.S[t + 1],
-            P_next=sol.P[t + 1],
-            lam=sol.lam,
-            Sigma_hat=nominal.cov(t),
-            P_bar=post_covs[t],
-            sys=sys,
-        )
-        key = _memo_key((ctx.S_next, ctx.P_next, ctx.Sigma_hat, ctx.P_bar))
-        solve = memo.get(key)
-        if solve is None:
-            init = prev_cov if warm_start else None
-            solve = solve_worst_case_cov(ctx, init=init)
-            memo[key] = solve
-        if not solve.converged:
-            raise Diverged(
-                f"worst-case covariance at stage {t} did not converge "
-                f"after {solve.iterations} iterations"
-            )
-        solves.append(solve)
-        prev_cov = solve.cov
-
-        _, gain, prior = _predicted_posterior(solve.cov, ctx)
-        closed = np.eye(n) - gain @ sys.C
-        prior_covs[t] = prior
-        post_covs[t + 1] = symmetrize(
-            closed @ prior @ closed.T + gain @ sys.M @ gain.T
-        )
-        gains[t] = gain
-
-    return WorstCaseSchedule(
-        solves=tuple(solves),
-        post_covs=post_covs,
-        prior_covs=prior_covs,
-        gains=gains,
-    )
+    (schedule,) = forward_schedules(sys, [sol], nominal, p0_cov)
+    if isinstance(schedule, Diverged):
+        raise schedule
+    return schedule
 
 
 def mean_affine(

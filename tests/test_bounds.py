@@ -1,12 +1,17 @@
 """Value evaluation, cost certificates, and penalty calibration."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wdrc.bounds import (
+    MC_SAMPLES,
+    _y0_samples,
     calibrate_lambda,
+    certified_bound,
     evaluate_value,
     expected_value,
     guaranteed_cost,
@@ -15,8 +20,9 @@ from wdrc.bounds import (
     reference_belief,
 )
 from wdrc.controller import lqg_gains, synthesize_wdrc
-from wdrc.errors import DegenerateLQ, NoFeasibleLambda
+from wdrc.errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
 from wdrc.estimator import BeliefState, initial_posterior_cov, kalman_gain
+from wdrc.harness import load_config, prepare
 from wdrc.model import (
     CostSpec,
     GaussianSpec,
@@ -28,6 +34,7 @@ from wdrc.model import (
     estimate_nominal,
 )
 from wdrc.psdmath import MomentPair
+from wdrc.riccati import min_feasible_lambda
 
 
 @dataclass(frozen=True)
@@ -279,3 +286,67 @@ def test_no_feasible_penalty_raises(short_scenario):
         calibrate_lambda(
             wild, cost, nominal, scenario, theta=0.1, lam_cap=5.0, scan_points=5
         )
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _bundled(name: str, seed: int | None):
+    cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+    if name == "uniform":
+        cfg = replace(cfg, per_stage_nominal=True)
+    scenario, nominal, p0 = prepare(cfg, seed)
+    return cfg, scenario, nominal, p0
+
+
+def _bound_at(cfg, scenario, nominal, p0, lam: float, y0) -> float:
+    """The calibration objective at ``lam``, one penalty at a time."""
+    try:
+        ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
+    except (PenaltyTooSmall, Diverged):
+        return math.inf
+    return certified_bound(
+        ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta, y0
+    ).bound
+
+
+@pytest.mark.parametrize("name", ["gaussian", "uniform"])
+@pytest.mark.parametrize("seed", [None, 12])
+def test_stacked_scan_equals_objective_per_penalty(name, seed):
+    """The scan's values, from one stacked forward pass, are the
+    objective evaluated penalty by penalty, bit for bit; its first point
+    is the smallest feasible penalty."""
+    cfg, scenario, nominal, p0 = _bundled(name, seed)
+    cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    scan = cal.evaluations[:33]
+    lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
+    grid = np.linspace(math.log(lam_min), math.log(1e6), 33)
+    assert [lam for lam, _ in scan] == [math.exp(s) for s in grid]
+    y0 = _y0_samples(scenario.initial_state, cfg.sys, scenario.seed, MC_SAMPLES)
+    expected = [_bound_at(cfg, scenario, nominal, p0, lam, y0) for lam, _ in scan]
+    assert [val for _, val in scan] == expected
+    assert math.isfinite(scan[0][1])
+
+
+def test_scan_scores_a_diverging_penalty_infinite(monkeypatch):
+    """A penalty whose stage raises ``Diverged`` in the stacked scan
+    scores infinity; every other scanned penalty keeps its value."""
+    import wdrc.worstcase
+
+    cfg, scenario, nominal, _ = _bundled("gaussian", None)
+    before = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    refused = set()
+
+    def refuse(ctx, *args, **kwargs):
+        refused.add(ctx.lam)
+        raise Diverged("refused")
+
+    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", refuse)
+    after = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    lam_min = before.evaluations[0][0]
+    assert lam_min in refused
+    for (lam, old), (lam_after, new) in zip(
+        before.evaluations[:33], after.evaluations[:33]
+    ):
+        assert lam == lam_after
+        assert new == (math.inf if lam in refused else old)

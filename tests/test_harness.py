@@ -18,6 +18,7 @@ from wdrc.harness import (
     load_config,
     paired_mean_z,
     paired_std_z,
+    prepare,
     run_campaign,
     simulate_paired,
     trace_run,
@@ -352,6 +353,41 @@ def test_campaign_populates_result(campaign):
     assert campaign.certificate.lam == 4.0
     assert campaign.wdrc.count == 8 and campaign.lqg.count == 8
     assert campaign.wdrc_ctrl is not None and campaign.lqg_ctrl is not None
+
+
+def test_calibrated_campaign_synthesizes_only_in_refinement(monkeypatch):
+    """With ``lam: auto`` the robust controller comes from calibration:
+    the stacked scan synthesizes without ``synthesize_wdrc``, each
+    golden-section step calls it once, and the campaign reuses the
+    controller at the calibrated penalty instead of synthesizing again."""
+    import wdrc.bounds
+    import wdrc.harness
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return synthesize_wdrc(*args, **kwargs)
+
+    for module in (wdrc.bounds, wdrc.harness):
+        monkeypatch.setattr(module, "synthesize_wdrc", counted)
+    raw = base_config()
+    raw["robustness"]["lam"] = "auto"
+    cfg = config_from_dict(raw)
+    result = run_campaign(cfg, runs=4)
+    evaluations = result.calibration.evaluations
+    assert len(calls) == len(evaluations) - 33
+    assert calls == [lam for lam, _ in evaluations[33:]]
+
+    _, nominal, p0 = prepare(cfg)
+    fresh = synthesize_wdrc(cfg.sys, cfg.cost, nominal, result.lam, p0)
+    assert result.wdrc_ctrl is result.calibration.controller
+    assert result.wdrc_ctrl.solution.lam == result.lam
+    assert np.array_equal(result.wdrc_ctrl.solution.K, fresh.solution.K)
+    assert np.array_equal(result.wdrc_ctrl.schedule.post_covs, fresh.schedule.post_covs)
+    for mine, theirs in zip(result.wdrc_ctrl.schedule.solves, fresh.schedule.solves):
+        assert np.array_equal(mine.cov, theirs.cov)
+        assert mine.z_tilde == theirs.z_tilde
 
 
 def test_campaign_seed_and_run_overrides():

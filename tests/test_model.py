@@ -5,6 +5,7 @@ import pytest
 
 from wdrc.errors import DimMismatch, EmptySamples, NotPD, NotPSD
 from wdrc.model import (
+    STREAM_RUN,
     CostSpec,
     GaussianSpec,
     LinearSystem,
@@ -17,6 +18,7 @@ from wdrc.model import (
     split_stream,
     stationary_nominal,
 )
+from wdrc.psdmath import psd_sqrt
 
 
 def test_linear_system_dims(plant):
@@ -126,6 +128,34 @@ def test_draw_realization_reproducible(plant, gaussian_scenario):
     assert not np.array_equal(r1.w, r3.w)
     assert r1.w.shape == (10, 2)
     assert r1.v.shape == (11, 1)
+
+
+def test_draws_use_factors_computed_once(plant, gaussian_scenario):
+    """Gaussian draws go through the factor computed on construction,
+    and a run's noise through the scenario's noise law; both give the
+    draws of a factor and a noise law built afresh for every draw."""
+    spec = gaussian_scenario.true_disturbance
+    assert np.array_equal(spec.factor, psd_sqrt(spec.cov_mat))
+    rng, ref = split_stream(5, 1), split_stream(5, 1)
+    z = ref.standard_normal((4, 2))
+    assert np.array_equal(
+        spec.sample(rng, 4), spec.mean_vec + z @ psd_sqrt(spec.cov_mat).T
+    )
+
+    real = draw_realization(gaussian_scenario, plant, 10, run=3)
+    rng = split_stream(gaussian_scenario.seed, STREAM_RUN, 3)
+    gaussian_scenario.initial_state.sample(rng, 1)
+    gaussian_scenario.true_disturbance.sample(rng, 10)
+    noise = GaussianSpec(np.zeros(plant.n_y), gaussian_scenario.noise_cov)
+    assert np.array_equal(real.v, noise.sample(rng, 11))
+
+
+def test_realization_rejects_noise_of_wrong_dimension(plant, gaussian_scenario):
+    from dataclasses import replace
+
+    scenario = replace(gaussian_scenario, noise_cov=np.eye(2))
+    with pytest.raises(DimMismatch):
+        draw_realization(scenario, plant, 10, run=0)
 
 
 def test_nominal_samples_shared_by_default(gaussian_scenario):

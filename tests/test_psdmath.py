@@ -135,3 +135,23 @@ def test_moment_pair_symmetrizes_cov():
     cov = np.array([[1.0, 0.3 + 1e-12], [0.3, 1.0]])
     pair = MomentPair(np.zeros(2), cov)
     assert np.array_equal(pair.cov, pair.cov.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_primitives_match_single_calls_bitwise(n):
+    rng = np.random.default_rng(50 + n)
+    a = np.stack([random_psd(rng, n) for _ in range(7)])
+    b = np.stack([random_psd(rng, n) for _ in range(7)])
+    b[3] = 0.0  # a zero cross term maps to zero
+    m = rng.standard_normal((7, n, n))
+    sym = symmetrize(m)
+    tsp = trace_sqrt_product(a, b)
+    tmap = transport_map(a, b)
+    assert tsp.shape == (7,) and tmap.shape == (7, n, n)
+    for k in range(7):
+        assert np.array_equal(sym[k], symmetrize(m[k]))
+        single = trace_sqrt_product(a[k], b[k])
+        assert isinstance(single, float)
+        assert tsp[k] == single
+        assert np.array_equal(tmap[k], transport_map(a[k], b[k]))
+    assert not tmap[3].any()

@@ -15,6 +15,7 @@ from wdrc.model import (
     GaussianSpec,
     LinearSystem,
     NominalDistribution,
+    ScenarioSpec,
     draw_nominal_samples,
     estimate_nominal,
 )
@@ -27,6 +28,7 @@ from wdrc.worstcase import (
     cov_gradient,
     cov_objective,
     forward_schedule,
+    forward_schedules,
     mean_affine,
     solve_worst_case_cov,
     worst_case_mean,
@@ -287,13 +289,19 @@ def test_warm_start_changes_nothing(plant, quad_cost, gaussian_scenario):
     )
     sol = backward_pass(plant, quad_cost, nominal, 4.0)
     p0 = initial_posterior_cov(gaussian_scenario.initial_state, plant)
-    warm = forward_schedule(plant, sol, nominal, p0, warm_start=True)
-    cold = forward_schedule(plant, sol, nominal, p0, warm_start=False)
+    warm = forward_schedule(plant, sol, nominal, p0)
     for t in range(quad_cost.horizon):
-        assert np.allclose(warm.solves[t].cov, cold.solves[t].cov, atol=1e-6)
-        assert warm.solves[t].z_tilde == pytest.approx(
-            cold.solves[t].z_tilde, rel=1e-8
+        ctx = CovObjectiveContext(
+            S_next=sol.S[t + 1],
+            P_next=sol.P[t + 1],
+            lam=sol.lam,
+            Sigma_hat=nominal.cov(t),
+            P_bar=warm.post_covs[t],
+            sys=plant,
         )
+        cold = solve_worst_case_cov(ctx)
+        assert np.allclose(warm.solves[t].cov, cold.cov, atol=1e-6)
+        assert warm.solves[t].z_tilde == pytest.approx(cold.z_tilde, rel=1e-8)
 
 
 def test_schedule_memoizes_steady_state(plant, quad_cost, gaussian_scenario):
@@ -307,3 +315,116 @@ def test_schedule_memoizes_steady_state(plant, quad_cost, gaussian_scenario):
     schedule = forward_schedule(plant, sol, nominal, p0)
     unique = len({id(s) for s in schedule.solves})
     assert unique < quad_cost.horizon
+
+
+def _plant(n: int) -> LinearSystem:
+    if n == 2:
+        return LinearSystem(
+            A=np.array([[0.518, 0.266], [0.405, 0.806]]),
+            B=np.array([[-2.972], [-2.271]]),
+            C=np.array([[1.023, 1.955]]),
+            M=np.array([[0.2]]),
+        )
+    rng = np.random.default_rng(40 + n)
+    return LinearSystem(
+        A=0.9 * rng.standard_normal((n, n)) / np.sqrt(n),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((1, n)),
+        M=np.array([[0.2]]),
+    )
+
+
+def _same_schedule(a, b) -> None:
+    """Equal bit for bit, including which stages share a memoized solve."""
+    assert len(a.solves) == len(b.solves)
+    for sa, sb in zip(a.solves, b.solves):
+        assert np.array_equal(sa.cov, sb.cov)
+        assert sa.z_tilde == sb.z_tilde
+        assert sa.iterations == sb.iterations
+        assert sa.converged == sb.converged
+
+    def shares(s):
+        first = {}
+        return [first.setdefault(id(x), t) for t, x in enumerate(s.solves)]
+
+    assert shares(a) == shares(b)
+    for name in ("post_covs", "prior_covs", "gains"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("per_stage", [False, True])
+def test_stacked_pass_matches_single_penalty_passes(n, per_stage, monkeypatch):
+    """Each penalty's path out of the stacked pass is the one it gets
+    alone, including the smallest feasible penalty, whose first stage
+    the stack leaves to the single-problem solver."""
+    import wdrc.worstcase
+
+    sys = _plant(n)
+    cost = CostSpec(Q=np.eye(n), Q_f=np.eye(n), R=np.eye(1), horizon=30)
+    scenario = ScenarioSpec(
+        true_disturbance=GaussianSpec(np.full(n, 0.01), 0.01 * np.eye(n)),
+        initial_state=GaussianSpec(-np.ones(n), 0.001 * np.eye(n)),
+        noise_cov=np.array([[0.2]]),
+        sample_count=5,
+        seed=4,
+    )
+    nominal = estimate_nominal(
+        draw_nominal_samples(scenario, cost.horizon, per_stage=per_stage)
+    )
+    p0 = initial_posterior_cov(scenario.initial_state, sys)
+    lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
+    sols = [
+        backward_pass(sys, cost, nominal, lam)
+        for lam in np.exp(np.linspace(np.log(lam_min), np.log(1e6), 9))
+    ]
+
+    single_calls = []
+    solve = wdrc.worstcase.solve_worst_case_cov
+
+    def counted(ctx, *args, **kwargs):
+        single_calls.append(ctx.lam)
+        return solve(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", counted)
+    stacked = forward_schedules(sys, sols, nominal, p0)
+    if n == 2:
+        assert sols[0].lam in single_calls
+    assert len(single_calls) < len(sols) * cost.horizon // 4
+
+    for sol, schedule in zip(sols, stacked):
+        try:
+            alone = forward_schedule(sys, sol, nominal, p0)
+        except Diverged as exc:
+            assert isinstance(schedule, Diverged)
+            assert str(schedule) == str(exc)
+            continue
+        _same_schedule(schedule, alone)
+
+
+def test_stacked_pass_drops_a_diverging_penalty(monkeypatch):
+    """A penalty whose stage raises ``Diverged`` leaves the pass; the
+    others keep the paths they get alone."""
+    import wdrc.worstcase
+
+    cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
+    nominal = estimate_nominal(draw_nominal_samples(cfg.scenario, cfg.cost.horizon))
+    p0 = initial_posterior_cov(cfg.scenario.initial_state, cfg.sys)
+    lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
+    sols = [
+        backward_pass(cfg.sys, cfg.cost, nominal, lam)
+        for lam in (lam_min, 2.5, 4.0, 1e3)
+    ]
+    alone = [forward_schedule(cfg.sys, sol, nominal, p0) for sol in sols]
+
+    def refuse(ctx, *args, **kwargs):
+        raise Diverged(f"refused at lam {ctx.lam}")
+
+    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", refuse)
+    stacked = forward_schedules(cfg.sys, sols, nominal, p0)
+    assert isinstance(stacked[0], Diverged)
+    assert str(stacked[0]) == f"refused at lam {lam_min}"
+    for schedule, reference in zip(stacked[1:], alone[1:]):
+        _same_schedule(schedule, reference)
+    with pytest.raises(Diverged, match="refused"):
+        forward_schedule(cfg.sys, sols[0], nominal, p0)
