@@ -31,8 +31,8 @@ falling back to the best scanned point if refinement does not improve
 on it.  The scan's worst-case forward passes run as one stacked pass
 over all its penalties (:func:`wdrc.worstcase.forward_schedules`);
 backward passes, certificates and the golden section run per penalty.
-The controller at the chosen penalty comes with the result, so callers
-need not synthesize it again.
+The controller at the chosen penalty and its certificate come with the
+result, so callers need not synthesize or certify it again.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ class CalibrationResult:
             edge (the bound kept decreasing, as with ``theta = 0``).
         evaluations: All ``(lam, objective)`` pairs evaluated.
         controller: The robust controller synthesized at ``lam``.
+        dual: Its :func:`certified_bound`, whose ``bound`` is
+            ``objective``.
     """
 
     lam: float
@@ -130,6 +132,7 @@ class CalibrationResult:
     hit_upper: bool
     evaluations: tuple[tuple[float, float], ...]
     controller: WdrcController = field(compare=False, repr=False)
+    dual: DualBound = field(compare=False, repr=False)
 
 
 def evaluate_value(sol, z_tilde_path: np.ndarray, b0: BeliefState) -> float:
@@ -254,6 +257,7 @@ def performance_ratio(
     params: RobustnessParams,
     wdrc_ctrl: WdrcController | None = None,
     lqg_ctrl: LqgController | None = None,
+    dual: DualBound | None = None,
 ) -> CostCertificate:
     """Certificate comparing the robust bound with the baseline value.
 
@@ -267,6 +271,9 @@ def performance_ratio(
             ``params.lam``; synthesized here when omitted.
         lqg_ctrl: Optional pre-synthesized baseline controller;
             synthesized here when omitted.
+        dual: Optional :func:`certified_bound` of ``wdrc_ctrl`` at
+            ``params.theta``, as calibration returns it; computed here
+            when omitted.
 
     Raises:
         DegenerateLQ: If the baseline value is not strictly positive,
@@ -291,7 +298,8 @@ def performance_ratio(
     if not math.isfinite(j_lq) or j_lq <= 0.0:
         raise DegenerateLQ(f"baseline value {j_lq} is not strictly positive")
 
-    dual = certified_bound(ctrl, sys, cost, x0_dist, params.theta, y0)
+    if dual is None:
+        dual = certified_bound(ctrl, sys, cost, x0_dist, params.theta, y0)
     return CostCertificate(
         lam=params.lam,
         theta=params.theta,
@@ -380,36 +388,38 @@ def calibrate_lambda(
     evaluations: list[tuple[float, float]] = []
 
     def score(s: float, ctrl: WdrcController | None):
-        val = (
-            math.inf
+        dual = (
+            None
             if ctrl is None
-            else certified_bound(ctrl, sys, cost, x0_dist, theta, y0).bound
+            else certified_bound(ctrl, sys, cost, x0_dist, theta, y0)
         )
+        val = math.inf if dual is None else dual.bound
         evaluations.append((math.exp(s), val))
-        return val, ctrl
+        return val, (ctrl, dual)
 
     lo, hi = math.log(lam_min), math.log(lam_cap)
     grid = np.linspace(lo, hi, scan_points)
     ctrls = _synthesize_stacked(sys, cost, nominal, [math.exp(s) for s in grid], p0)
-    scanned = np.array([score(s, ctrl)[0] for s, ctrl in zip(grid, ctrls)])
+    scored = [score(s, ctrl) for s, ctrl in zip(grid, ctrls)]
+    scanned = np.array([val for val, _ in scored])
     if not np.isfinite(scanned).any():
         raise NoFeasibleLambda(
             f"guaranteed bound is infinite throughout [{lam_min}, {lam_cap}]"
         )
     best = int(np.argmin(scanned))
-    scan_ctrl = ctrls[best]
-    del ctrls  # only the scan's winner is kept through the refinement
+    scan_best = scored[best][1]
+    del ctrls, scored  # only the scan's winner is kept through the refinement
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, scan_points - 1)]
-    s_star, (g_star, ctrl) = _golden_min(
+    s_star, (g_star, (ctrl, dual)) = _golden_min(
         lambda s: score(s, _synthesize(sys, cost, nominal, math.exp(s), p0)),
         a,
         b,
         tol=1e-3,
     )
     if scanned[best] < g_star:
-        s_star, g_star, ctrl = grid[best], float(scanned[best]), scan_ctrl
+        s_star, g_star, (ctrl, dual) = grid[best], float(scanned[best]), scan_best
 
     hit_upper = best >= scan_points - 1 and s_star >= hi - 1e-6
     return CalibrationResult(
@@ -418,6 +428,7 @@ def calibrate_lambda(
         hit_upper=hit_upper,
         evaluations=tuple(evaluations),
         controller=ctrl,
+        dual=dual,
     )
 
 

@@ -234,6 +234,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if "noise_cov" in scen
         else np.array(sys.M)
     )
+    if noise_cov.shape != (sys.n_y, sys.n_y):
+        raise ConfigError(
+            f"noise_cov has shape {noise_cov.shape}, plant has {sys.n_y} outputs",
+            "scenario.noise_cov",
+        )
     scenario = ScenarioSpec(
         true_disturbance=_distribution(
             _entry(scen, "true_disturbance", "scenario"),
@@ -307,7 +312,7 @@ def resolve_lam(
 ) -> tuple[float, CalibrationResult | None]:
     """The penalty (``override``, else the config's, else calibrated)
     and the calibration that chose it, if one ran; the calibration
-    carries the controller at that penalty."""
+    carries the controller at that penalty and its certificate."""
     if override is not None:
         return float(override), None
     if cfg.lam is not None:
@@ -522,6 +527,7 @@ def run_campaign(
             RobustnessParams(lam=lam, theta=cfg.theta),
             wdrc_ctrl=wdrc_ctrl,
             lqg_ctrl=lqg_ctrl,
+            dual=calibration.dual if calibration is not None else None,
         )
     if mode == "wdrc":
         lqg_ctrl = None

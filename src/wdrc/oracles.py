@@ -7,6 +7,13 @@ loop (:func:`run_closed_loop`) for the batched rollouts.  Tests compare
 the fast implementations against these slow routes;
 ``run_oracle_suite`` bundles the same comparisons behind the ``oracle``
 CLI subcommand.
+
+The grid searches (:func:`grid_max`, :func:`bracket_max`) take
+vectorized objectives: ``f`` maps a 1-D array of points to the array of
+its values there, and each pass evaluates its whole grid in one call.
+Elementwise numpy arithmetic, and :func:`~wdrc.worstcase.cov_objective`
+on a stack, give every point the bits of its evaluation alone, so the
+grids return what a point-by-point loop would.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .bounds import evaluate_value
 from .controller import ControllerMode, WdrcController, synthesize_wdrc
@@ -77,28 +84,36 @@ def lqr_gains(sys: LinearSystem, cost: CostSpec) -> tuple[np.ndarray, np.ndarray
 
 
 def grid_max(f, lo: float, hi: float, points: int = 10001, refinements: int = 2):
-    """Maximize a scalar function by gridding, zooming in twice.
+    """Maximize a scalar function by gridding, then zooming in on the
+    argmax ``refinements`` times.
+
+    ``f`` maps a 1-D array of points to the array of its values there;
+    each pass calls it once, on the pass's whole grid.
 
     Returns:
         ``(argmax, max)`` after the final refinement pass.
     """
     xs = np.linspace(lo, hi, points)
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     k = int(np.argmax(vals))
     for _ in range(refinements):
         lo = xs[max(k - 1, 0)]
         hi = xs[min(k + 1, points - 1)]
         xs = np.linspace(lo, hi, points)
-        vals = np.array([f(x) for x in xs])
+        vals = f(xs)
         k = int(np.argmax(vals))
     return float(xs[k]), float(vals[k])
 
 
 def bracket_max(f, lo: float, hi: float, grow: float = 4.0, max_iter: int = 60):
-    """Expand ``hi`` until the coarse argmax of ``f`` is interior."""
+    """Expand ``hi`` until the coarse argmax of ``f`` is interior.
+
+    ``f`` maps a 1-D array of points to the array of its values there;
+    each 257-point pass calls it once.
+    """
     for _ in range(max_iter):
         xs = np.linspace(lo, hi, 257)
-        vals = np.array([f(x) for x in xs])
+        vals = f(xs)
         if int(np.argmax(vals)) < xs.size - 1:
             return hi
         hi *= grow
@@ -137,8 +152,8 @@ def gaussian_w2_quadrature(
     nothing but the definition of the distance on the line.
     """
     u = (np.arange(points) + 0.5) / points
-    qa = mean_a + std_a * stats.norm.ppf(u)
-    qb = mean_b + std_b * stats.norm.ppf(u)
+    qa = mean_a + std_a * ndtri(u)
+    qb = mean_b + std_b * ndtri(u)
     return float(np.mean((qa - qb) ** 2))
 
 
@@ -160,6 +175,25 @@ def worst_cov_no_obs(
         raise ValueError("no interior maximizer: lam I - P - S is not PD")
     inv = np.linalg.inv(gap)
     return symmetrize(lam * lam * inv @ sigma_hat @ inv)
+
+
+# The saddle's terms square by multiplying, which rounds the same on a
+# numpy scalar as on an array (``** 2`` on a numpy scalar goes through
+# the C library's ``pow``, which can differ in the last bit).
+def _saddle_var_term(
+    v: np.ndarray, q_f: float, lam: float, sigma_hat: float
+) -> np.ndarray:
+    """Penalized value of the disturbance variances ``v``."""
+    gap = np.sqrt(v) - np.sqrt(sigma_hat)
+    return q_f * v - lam * (gap * gap)
+
+
+def _saddle_mean_term(
+    w: np.ndarray, m: float, q_f: float, lam: float, w_hat: float
+) -> np.ndarray:
+    """Penalized value of the disturbance means ``w`` after drift ``m``."""
+    shifted, gap = m + w, w - w_hat
+    return q_f * (shifted * shifted) - lam * (gap * gap)
 
 
 def t1_scalar_saddle(
@@ -187,13 +221,15 @@ def t1_scalar_saddle(
                 + max_w_var ( q_f w_var
                               - lam (sqrt(w_var) - sqrt(sigma_hat))^2 ) ]
 
-    which requires ``lam > q_f`` for the inner maxima to exist.
+    which requires ``lam > q_f`` for the inner maxima to exist.  The
+    inner grids are evaluated a pass at a time; the outer loop over
+    ``u`` stays a loop, so no array grows beyond ``grid_points``.
     """
     if lam <= q_f:
         raise ValueError("inner maximization unbounded: need lam > q_f")
 
-    def var_term(v: float) -> float:
-        return q_f * v - lam * (np.sqrt(v) - np.sqrt(sigma_hat)) ** 2
+    def var_term(v: np.ndarray) -> np.ndarray:
+        return _saddle_var_term(v, q_f, lam, sigma_hat)
 
     v_hi = bracket_max(var_term, 0.0, max(4.0 * sigma_hat, 1.0))
     _, var_star = grid_max(var_term, 0.0, v_hi, grid_points)
@@ -205,8 +241,8 @@ def t1_scalar_saddle(
     def stage_value(u: float) -> float:
         m = a * x0 + b * u
 
-        def mean_term(w: float) -> float:
-            return q_f * (m + w) ** 2 - lam * (w - w_hat) ** 2
+        def mean_term(w: np.ndarray) -> np.ndarray:
+            return _saddle_mean_term(w, m, q_f, lam, w_hat)
 
         w_lo, w_hi_ = w_hat - span - abs(m), w_hat + span + abs(m)
         _, mean_star = grid_max(mean_term, w_lo, w_hi_, grid_points, refinements=3)
@@ -483,8 +519,8 @@ def run_oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
         ctx = _random_ctx(rng, 1, 1)
         solve = solve_worst_case_cov(ctx, SolverOptions())
 
-        def f(v: float) -> float:
-            return cov_objective(np.array([[max(v, 1e-12)]]), ctx)
+        def f(v: np.ndarray) -> np.ndarray:
+            return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
 
         hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
         v_star, f_star = grid_max(f, 0.0, hi)

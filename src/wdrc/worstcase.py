@@ -228,7 +228,8 @@ class _Stage:
         self.floor = 1e-10 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
 
     def take(self, keep: np.ndarray) -> "_Stage":
-        """The problems selected by the boolean mask ``keep``."""
+        """The problems selected by ``keep``, a boolean mask or an index
+        array (which may repeat a problem)."""
         sub = object.__new__(_Stage)
         sub.sys, sub.eye = self.sys, self.eye
         for name in self._STACKED:
@@ -275,12 +276,33 @@ def _gradient(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
     return symmetrize(grad)
 
 
-def cov_objective(Sigma: np.ndarray, ctx: CovObjectiveContext) -> float:
-    """Evaluate the stage objective at a PSD candidate covariance."""
+def cov_objective(
+    Sigma: np.ndarray, ctx: CovObjectiveContext
+) -> float | np.ndarray:
+    """Evaluate the stage objective at a PSD candidate covariance.
+
+    ``Sigma`` is one ``(n, n)`` candidate, which gives a float, or a
+    stack ``(k, n, n)``, which gives one value per candidate, as in
+    :mod:`wdrc.psdmath`.  Every candidate of a stack is evaluated
+    against its own copy of the context's problem, so each value has
+    the bits of the call on that candidate alone.
+
+    Raises:
+        NotPSD: If any candidate has an eigenvalue below
+            ``-psd_tolerance`` of that candidate.
+    """
     Sigma = symmetrize(Sigma)
-    if float(np.linalg.eigvalsh(Sigma)[0]) < -psd_tolerance(Sigma):
+    stacked = Sigma.ndim > 2
+    if not stacked:
+        Sigma = Sigma[None]
+    low = np.linalg.eigvalsh(Sigma)[:, 0] < -psd_tolerance(Sigma)
+    if np.count_nonzero(low):
         raise NotPSD("candidate covariance is not PSD")
-    return float(_objective(Sigma[None], ctx._stage)[0])
+    st = ctx._stage
+    if Sigma.shape[0] > 1:
+        st = st.take(np.zeros(Sigma.shape[0], dtype=int))
+    values = _objective(Sigma, st)
+    return values if stacked else float(values[0])
 
 
 def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:

@@ -212,8 +212,8 @@ def test_scalar_solver_and_one_step_value_match_grids():
         ctx = _random_context(rng, 1, 1)
         solve = solve_worst_case_cov(ctx, SolverOptions())
 
-        def f(v: float) -> float:
-            return cov_objective(np.array([[max(v, 1e-12)]]), ctx)
+        def f(v: np.ndarray) -> np.ndarray:
+            return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
 
         hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
         v_star, f_star = grid_max(f, 0.0, hi, points=10001, refinements=2)

@@ -1,11 +1,16 @@
 """Exit codes and output artifacts of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import wdrc
 from test_harness import base_config
 from wdrc.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 
@@ -100,6 +105,41 @@ def test_malformed_config_exits_with_config_code(tmp_path, capsys):
     path.write_text(yaml.safe_dump(raw))
     assert main(["simulate", "-c", str(path)]) == EXIT_CONFIG
     assert "plant.A" in capsys.readouterr().err
+
+
+def test_noise_cov_of_wrong_size_exits_with_config_code(tmp_path, capsys):
+    raw = base_config()
+    raw["scenario"]["noise_cov"] = [[0.2, 0.0], [0.0, 0.2]]
+    path = tmp_path / "wide_noise.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["simulate", "-c", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "scenario.noise_cov" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_imports_leave_scipy_and_the_oracles_unloaded():
+    """The CLI loads neither scipy nor the oracles until ``wdrc oracle``
+    runs, and the oracles need ``scipy.special`` only, not
+    ``scipy.stats``."""
+    code = (
+        "import sys\n"
+        "import wdrc.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "assert 'wdrc.oracles' not in sys.modules\n"
+        "import wdrc.oracles\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    src = str(Path(wdrc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_infeasible_penalty_exits_with_solver_code(tmp_path, capsys):

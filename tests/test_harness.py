@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from wdrc.bounds import certified_bound
 from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import ConfigError
 from wdrc.estimator import initial_posterior_cov
@@ -176,6 +177,15 @@ def test_dimension_cross_checks():
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.field == "scenario.initial_state"
+
+
+@pytest.mark.parametrize("noise_cov", [[[0.2, 0.0], [0.0, 0.2]], [[0.2, 0.1]], [0.2]])
+def test_noise_cov_must_match_plant_outputs(noise_cov):
+    raw = base_config()
+    raw["scenario"]["noise_cov"] = noise_cov
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field == "scenario.noise_cov"
 
 
 def test_non_numeric_matrix_is_rejected():
@@ -388,6 +398,28 @@ def test_calibrated_campaign_synthesizes_only_in_refinement(monkeypatch):
     for mine, theirs in zip(result.wdrc_ctrl.schedule.solves, fresh.schedule.solves):
         assert np.array_equal(mine.cov, theirs.cov)
         assert mine.z_tilde == theirs.z_tilde
+
+
+def test_calibrated_campaign_certifies_only_in_calibration(monkeypatch):
+    """The campaign's certificate is the calibration's: every
+    ``certified_bound`` call is one of the calibration's evaluations."""
+    import wdrc.bounds
+
+    calls = []
+
+    def counted(ctrl, *args, **kwargs):
+        calls.append(ctrl.solution.lam)
+        return certified_bound(ctrl, *args, **kwargs)
+
+    monkeypatch.setattr(wdrc.bounds, "certified_bound", counted)
+    raw = base_config()
+    raw["robustness"]["lam"] = "auto"
+    result = run_campaign(config_from_dict(raw), runs=4)
+    evaluations = result.calibration.evaluations
+    assert all(np.isfinite(value) for _, value in evaluations)
+    assert calls == [lam for lam, _ in evaluations]
+    assert result.certificate.guaranteed_bound == result.calibration.objective
+    assert result.certificate.kappa == result.calibration.dual.kappa
 
 
 def test_campaign_seed_and_run_overrides():

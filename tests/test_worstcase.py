@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_psd
 from wdrc.controller import synthesize_wdrc
-from wdrc.errors import Diverged
+from wdrc.errors import Diverged, NotPSD
 from wdrc.estimator import initial_posterior_cov, kalman_gain, update, BeliefState, predict
 from wdrc.harness import load_config
 from wdrc.model import (
@@ -102,14 +102,41 @@ def test_solver_beats_every_random_probe():
             )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_objective_equals_per_matrix_calls(n):
+    """A stack of candidates gets, value by value, the bits of the
+    call on each candidate alone, for every measurement count."""
+    rng = np.random.default_rng(30 + n)
+    for n_y in range(1, n + 1):
+        ctx = _context(rng, n, n_y)
+        top = rng.standard_normal(n)
+        stack = np.stack(
+            [random_psd(rng, n) for _ in range(6)]
+            + [np.outer(top, top), np.zeros((n, n)), ctx.Sigma_hat]
+        )
+        values = cov_objective(stack, ctx)
+        singles = [cov_objective(m, ctx) for m in stack]
+        assert all(type(v) is float for v in singles)
+        assert values.shape == (stack.shape[0],)
+        assert np.array_equal(values, singles)
+
+
+def test_stacked_objective_rejects_a_non_psd_member():
+    rng = np.random.default_rng(33)
+    ctx = _context(rng, 2, 1)
+    stack = np.stack([random_psd(rng, 2), np.diag([1.0, -0.5]), random_psd(rng, 2)])
+    with pytest.raises(NotPSD):
+        cov_objective(stack, ctx)
+
+
 def test_scalar_solver_matches_grid():
     rng = np.random.default_rng(24)
     for _ in range(6):
         ctx = _context(rng, 1, 1)
         solve = solve_worst_case_cov(ctx)
 
-        def f(v: float) -> float:
-            return cov_objective(np.array([[max(v, 1e-12)]]), ctx)
+        def f(v: np.ndarray) -> np.ndarray:
+            return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
 
         hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
         v_star, f_star = grid_max(f, 0.0, hi)
