@@ -28,17 +28,23 @@ the premium paid for robustness.
 ``calibrate_lambda`` picks the design penalty that minimizes the bound
 by a coarse log-grid scan followed by golden-section refinement,
 falling back to the best scanned point if refinement does not improve
-on it.  The scan's worst-case forward passes run as one stacked pass
-over all its penalties (:func:`wdrc.worstcase.forward_schedules`);
-backward passes, certificates and the golden section run per penalty.
-The controller at the chosen penalty and its certificate come with the
-result, so callers need not synthesize or certify it again.
+on it.  Penalties are synthesized in stacks: the backward passes
+(:func:`wdrc.riccati.backward_passes`) and the worst-case forward
+passes (:func:`wdrc.worstcase.forward_schedules`) of all the scan's
+penalties run as one stacked pass each, and the golden section passes
+the points of its next few steps, under every outcome of their
+comparisons, as one stack.  Certificates run per penalty, and only for
+the points the search consumes.  The controller at the chosen penalty
+and its certificate come with the result, so callers need not
+synthesize or certify it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +69,7 @@ from .model import (
     ScenarioSpec,
     split_stream,
 )
-from .riccati import backward_pass, min_feasible_lambda
+from .riccati import backward_passes, min_feasible_lambda
 from .worstcase import forward_schedules
 
 __all__ = [
@@ -121,7 +127,11 @@ class CalibrationResult:
         objective: Certified bound at ``lam``.
         hit_upper: True when the search ended at the bracket's upper
             edge (the bound kept decreasing, as with ``theta = 0``).
-        evaluations: All ``(lam, objective)`` pairs evaluated.
+        evaluations: The ``(lam, objective)`` pairs the search
+            consumed, in order: the scan's, then the golden section's.
+            Points the golden section synthesized ahead but did not
+            reach are not certified and not listed, so the trace is
+            that of the one-point-at-a-time search.
         controller: The robust controller synthesized at ``lam``.
         dual: Its :func:`certified_bound`, whose ``bound`` is
             ``objective``.
@@ -227,9 +237,29 @@ def certified_bound(
     :func:`expected_value`, and the measurement noise follows the
     plant's ``M``.  A pure function of its arguments.
     """
-    loop = closed_loop(policy_feed(ctrl, sys, x0_dist), sys, cost)
+    return _certifier(sys, cost, x0_dist, theta, y0_samples)(ctrl)
+
+
+def _certifier(
+    sys: LinearSystem,
+    cost: CostSpec,
+    x0_dist: DistributionSpec,
+    theta: float,
+    y0_samples: np.ndarray,
+) -> Callable[[WdrcController], DualBound]:
+    """:func:`certified_bound` as a function of the controller alone.
+
+    The stage-0 moments and the initial Kalman gain do not depend on the
+    controller, so they are computed once here for every certificate.
+    """
+    init_gain = kalman_gain(x0_dist.cov(), sys)
     z0 = initial_moments(x0_dist, sys, sys.M, y0_samples)
-    return dual_bound(loop, z0, ctrl.nominal, sys.M, theta)
+
+    def certify(ctrl: WdrcController) -> DualBound:
+        feed = policy_feed(ctrl, sys, x0_dist, init_gain)
+        return dual_bound(closed_loop(feed, sys, cost), z0, ctrl.nominal, sys.M, theta)
+
+    return certify
 
 
 def lqg_value_terms(ctrl: LqgController) -> np.ndarray:
@@ -314,21 +344,6 @@ def performance_ratio(
     )
 
 
-def _synthesize(
-    sys: LinearSystem,
-    cost: CostSpec,
-    nominal: NominalDistribution,
-    lam: float,
-    p0: np.ndarray,
-) -> WdrcController | None:
-    """The robust controller at ``lam``; None where the penalty is
-    infeasible or a worst-case stage does not converge."""
-    try:
-        return synthesize_wdrc(sys, cost, nominal, lam, p0)
-    except (PenaltyTooSmall, Diverged):
-        return None
-
-
 def _synthesize_stacked(
     sys: LinearSystem,
     cost: CostSpec,
@@ -336,20 +351,22 @@ def _synthesize_stacked(
     lams: list[float],
     p0: np.ndarray,
 ) -> list[WdrcController | None]:
-    """:func:`_synthesize` at every penalty, with one stacked forward pass."""
-    sols = {}
-    for i, lam in enumerate(lams):
-        try:
-            sols[i] = backward_pass(sys, cost, nominal, lam)
-        except PenaltyTooSmall:
-            pass
-    ctrls: list[WdrcController | None] = [None] * len(lams)
-    schedules = forward_schedules(sys, list(sols.values()), nominal, p0)
-    for (i, sol), schedule in zip(sols.items(), schedules):
-        if not isinstance(schedule, Diverged):
-            ctrls[i] = WdrcController(
-                solution=sol, schedule=schedule, nominal=nominal
-            )
+    """The robust controller at every penalty, from one stacked backward
+    pass and one stacked forward pass; None where the penalty is
+    infeasible or a worst-case stage does not converge."""
+    sols = backward_passes(sys, cost, nominal, lams)
+    feasible = [sol for sol in sols if not isinstance(sol, PenaltyTooSmall)]
+    schedules = iter(forward_schedules(sys, feasible, nominal, p0))
+    ctrls: list[WdrcController | None] = []
+    for sol in sols:
+        if isinstance(sol, PenaltyTooSmall):
+            ctrls.append(None)
+            continue
+        schedule = next(schedules)
+        ctrls.append(
+            None if isinstance(schedule, Diverged)
+            else WdrcController(solution=sol, schedule=schedule, nominal=nominal)
+        )
     return ctrls
 
 
@@ -376,6 +393,13 @@ def calibrate_lambda(
     are drawn once and shared across all evaluations, so the objective
     is a fixed deterministic function during the search.
 
+    Controllers are synthesized in stacks (:func:`_synthesize_stacked`):
+    the scan's penalties in one, and the golden section's points a few
+    steps ahead in each (:func:`_golden_min`).  A point is certified
+    only once the search consumes it, so the certificates, the
+    ``evaluations`` trace and the result are those of the
+    one-point-at-a-time search.
+
     Raises:
         NoFeasibleLambda: If no penalty in the bracket yields a finite
             objective.
@@ -384,23 +408,24 @@ def calibrate_lambda(
     lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * lam_cap, hi=lam_cap)
     y0 = _y0_samples(x0_dist, sys, scenario.seed, MC_SAMPLES)
     p0 = initial_posterior_cov(x0_dist, sys)
+    certify = _certifier(sys, cost, x0_dist, theta, y0)
 
     evaluations: list[tuple[float, float]] = []
 
     def score(s: float, ctrl: WdrcController | None):
-        dual = (
-            None
-            if ctrl is None
-            else certified_bound(ctrl, sys, cost, x0_dist, theta, y0)
-        )
+        dual = None if ctrl is None else certify(ctrl)
         val = math.inf if dual is None else dual.bound
         evaluations.append((math.exp(s), val))
         return val, (ctrl, dual)
 
+    def synthesize(points):
+        lams = [math.exp(s) for s in points]
+        ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
+        return [partial(score, s, ctrl) for s, ctrl in zip(points, ctrls)]
+
     lo, hi = math.log(lam_min), math.log(lam_cap)
     grid = np.linspace(lo, hi, scan_points)
-    ctrls = _synthesize_stacked(sys, cost, nominal, [math.exp(s) for s in grid], p0)
-    scored = [score(s, ctrl) for s, ctrl in zip(grid, ctrls)]
+    scored = [g() for g in synthesize(grid)]
     scanned = np.array([val for val, _ in scored])
     if not np.isfinite(scanned).any():
         raise NoFeasibleLambda(
@@ -408,16 +433,11 @@ def calibrate_lambda(
         )
     best = int(np.argmin(scanned))
     scan_best = scored[best][1]
-    del ctrls, scored  # only the scan's winner is kept through the refinement
+    del scored  # only the scan's winner is kept through the refinement
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, scan_points - 1)]
-    s_star, (g_star, (ctrl, dual)) = _golden_min(
-        lambda s: score(s, _synthesize(sys, cost, nominal, math.exp(s), p0)),
-        a,
-        b,
-        tol=1e-3,
-    )
+    s_star, (g_star, (ctrl, dual)) = _golden_min(synthesize, a, b, tol=1e-3)
     if scanned[best] < g_star:
         s_star, g_star, (ctrl, dual) = grid[best], float(scanned[best]), scan_best
 
@@ -432,23 +452,81 @@ def calibrate_lambda(
     )
 
 
-def _golden_min(f, a: float, b: float, tol: float):
-    """Golden-section minimization on ``[a, b]``.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps evaluated per call of the objective.  The points
+# of the next steps form a binary tree over the outcomes of their
+# comparisons, 2^_LOOKAHEAD - 1 points per call; a stacked pass over 7
+# penalties costs little more than over 1, while deeper trees waste most
+# of their points.
+_LOOKAHEAD = 3
 
-    ``f`` returns ``(value, payload)`` pairs; the result is ``(x,
-    f(x))`` at the best point found.
+
+def _golden_step(state: tuple, keep_left: bool) -> tuple[tuple, float]:
+    """One golden-section step on ``state = (a, b, c, d)``: keep ``[a,
+    d]`` when ``keep_left`` (``f(c) <= f(d)``), else ``[c, b]``.  Returns
+    the new state and the point it adds."""
+    a, b, c, d = state
+    if keep_left:
+        b, d = d, c
+        c = b - _INVPHI * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
+    d = a + _INVPHI * (b - a)
+    return (a, b, c, d), d
+
+
+def _golden_plan(state: tuple, tol: float, depth: int) -> list[float]:
+    """The points the next ``depth`` steps from ``state`` can add,
+    whichever way their comparisons go."""
+    points = []
+    frontier = [state]
+    for _ in range(depth):
+        nxt = []
+        for a, b, c, d in frontier:
+            if b - a > tol:
+                for keep_left in (True, False):
+                    step, x = _golden_step((a, b, c, d), keep_left)
+                    points.append(x)
+                    nxt.append(step)
+        frontier = nxt
+    return points
+
+
+def _golden_min(f, a: float, b: float, tol: float):
+    """Golden-section minimization on ``[a, b]``, evaluated ahead.
+
+    ``f`` maps a list of points to one zero-argument callable per point,
+    which returns that point's ``(value, payload)``; the result is ``(x,
+    (value, payload))`` at the best point found.  Whenever the search
+    needs a point it has not passed to ``f``, it passes that point
+    together with every point the following ``_LOOKAHEAD - 1`` steps can
+    add, whichever way their comparisons go.  It calls back only the
+    points the plain one-point-at-a-time search evaluates, in the same
+    order and from the same arithmetic, so it returns what that search
+    returns; it passes no point twice while the point stays within
+    reach, and it holds the callables of the points it can still reach,
+    no others.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    held = {}
+
+    def consume(points: list[float], state: tuple) -> list:
+        # The values at ``points``, needed at ``state``; afterwards
+        # ``held`` keeps the callables of the points the next steps add.
+        nonlocal held
+        reach = _golden_plan(state, tol, _LOOKAHEAD - 1)
+        if any(p not in held for p in points):
+            new = [p for p in dict.fromkeys([*points, *reach]) if p not in held]
+            held.update(zip(new, f(new)))
+        values = [held[p]() for p in points]
+        held = {p: held[p] for p in reach if p in held}
+        return values
+
+    fc, fd = consume([c, d], (a, b, c, d))
     while b - a > tol:
-        if fc[0] <= fd[0]:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        keep_left = fc[0] <= fd[0]
+        (a, b, c, d), x = _golden_step((a, b, c, d), keep_left)
+        (fx,) = consume([x], (a, b, c, d))
+        fc, fd = (fx, fc) if keep_left else (fd, fx)
     return (c, fc) if fc[0] <= fd[0] else (d, fd)

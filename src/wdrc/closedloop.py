@@ -116,10 +116,18 @@ class DualBound(NamedTuple):
 
 
 def policy_feed(
-    mode: ControllerMode, sys: LinearSystem, x0_dist: DistributionSpec
+    mode: ControllerMode,
+    sys: LinearSystem,
+    x0_dist: DistributionSpec,
+    init_gain: np.ndarray | None = None,
 ) -> PolicyFeed:
-    """Gains and filter inputs the deployed loop runs with."""
-    init_gain = kalman_gain(x0_dist.cov(), sys)
+    """Gains and filter inputs the deployed loop runs with.
+
+    ``init_gain`` is the initial Kalman gain of ``x0_dist``, computed
+    here when omitted.
+    """
+    if init_gain is None:
+        init_gain = kalman_gain(x0_dist.cov(), sys)
     if isinstance(mode, WdrcController):
         return PolicyFeed(
             K=mode.solution.K,
@@ -492,7 +500,9 @@ def dual_bound(
     (:func:`_slope_model`) predicts the root; exact evaluations of
     ``W_kappa`` and its slope then confirm it to ``|h| <= 1e-5 / (theta
     sqrt(T))`` (within about ``1e-11`` relative of the minimum), taking
-    model-Newton steps kept inside a bracket otherwise.  The bound is the
+    model-Newton steps kept inside a bracket otherwise, and
+    Illinois-safeguarded secant steps on the exact ``(kappa, h)`` ends
+    once exact evaluations bracket the root.  The bound is the
     smallest over the exactly evaluated multipliers, each a valid bound,
     and a pure function of the inputs.  With ``theta = 0`` the infimum is
     the limit ``kappa -> inf``, the exact nominal cost.
@@ -512,29 +522,42 @@ def dual_bound(
     target = 1.0 / (theta * math.sqrt(T))
     poles, weights = _slope_model(terms)
     model_lo = float(poles.max())
-    # Bracket: W is unbounded or h < 0 at lo, h >= 0 at hi.
+    # Bracket: W is unbounded or h < 0 at lo, h >= 0 at hi; h_lo and h_hi
+    # are h there where an exact evaluation gave it finite.
     floor = lo = float(terms.nu.max())
-    hi = math.inf
+    hi = h_lo = h_hi = math.inf
     kappa = max(_model_root(poles, weights, target), floor * (1.0 + 1e-9))
     best = (math.inf, math.nan, math.nan)
+    moved = 0  # the end the previous evaluation moved: -1 lo, 1 hi
     for _ in range(100):
         value, slope = _evaluate(terms, kappa)
         bound = kappa * T * theta * theta + value
         if bound < best[0]:
             best = (bound, kappa, value)
         if not math.isfinite(value):
-            lo = kappa
+            lo, h_lo, moved = kappa, math.inf, 0
             kappa = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * kappa - floor
             continue
         h = 1.0 / math.sqrt(-slope) - target if slope < 0.0 else math.inf
+        # Illinois: when the same end moves twice in a row, the other
+        # end's h is halved, so the secant does not creep toward the
+        # root from one side.
         if h < 0.0:
-            lo = kappa
+            if moved < 0:
+                h_hi *= 0.5
+            lo, h_lo, moved = kappa, h, -1
         else:
-            hi = kappa
+            if moved > 0:
+                h_lo *= 0.5
+            hi, h_hi, moved = kappa, h, 1
         if abs(h) <= 1e-5 * target:
             break
         nxt = math.nan
-        if kappa > model_lo and math.isfinite(h):
+        if math.isfinite(h_lo) and math.isfinite(h_hi):
+            # Exact ends on both sides: the model's pole can sit close to
+            # the root, where its steps alternate around it and crawl.
+            nxt = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
+        elif kappa > model_lo and math.isfinite(h):
             nxt = kappa - _model_step(poles, weights, kappa, h)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * kappa - floor

@@ -23,11 +23,17 @@ with the affine control gains
 The synthesis is valid only when ``lam I - P_t`` is positive definite
 at every stage ``t = 1..T``; violations raise
 :class:`~wdrc.errors.PenaltyTooSmall`.
+
+:func:`backward_passes` runs the recursion for several penalties at
+once, on stacks with the penalty on the leading axis, and
+:func:`backward_pass` is its stack of one, so the recursion is written
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +45,7 @@ __all__ = [
     "RiccatiSolution",
     "PenaltyFeasibility",
     "backward_pass",
+    "backward_passes",
     "check_penalty",
     "min_feasible_lambda",
 ]
@@ -104,6 +111,8 @@ def backward_pass(
 ) -> RiccatiSolution:
     """Run the backward recursion and assemble gains.
 
+    This is :func:`backward_passes` on a stack of one.
+
     Args:
         sys: Plant matrices.
         cost: Quadratic stage and terminal weights with the horizon.
@@ -119,69 +128,117 @@ def backward_pass(
             at any stage ``t >= 1``.
         SingularMatrix: If a stage system is numerically singular.
     """
+    (sol,) = backward_passes(sys, cost, nominal, [lam])
+    if isinstance(sol, PenaltyTooSmall):
+        raise sol
+    return sol
+
+
+def backward_passes(
+    sys: LinearSystem,
+    cost: CostSpec,
+    nominal: NominalDistribution,
+    lams: Sequence[float],
+) -> list[RiccatiSolution | PenaltyTooSmall]:
+    """Backward passes of several penalties in one stacked recursion.
+
+    The penalties' stage systems are stacked on a leading axis, and
+    every stacked numpy call gives each penalty the bits of the call on
+    it alone (dot products go through ``np.vecdot``, which matches the
+    1-D ``a @ b``), so each solution equals its pass alone.
+
+    Returns:
+        For each penalty in order, its solution or the
+        :class:`~wdrc.errors.PenaltyTooSmall` its pass alone raises; a
+        penalty leaves the stack at its first stage with a non-positive
+        margin.
+
+    Raises:
+        SingularMatrix: If a stage system of any penalty is numerically
+            singular.
+    """
     A, B = sys.A, sys.B
     n, n_u, T = sys.n_x, sys.n_u, cost.horizon
     if nominal.horizon < T:
         raise ValueError(
             f"nominal covers {nominal.horizon} stages, horizon is {T}"
         )
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    lam = np.array(lams, dtype=float)
+    for value in lams:
+        if value <= 0.0:
+            raise ValueError(f"lam must be positive, got {value}")
 
-    Phi = symmetrize(B @ np.linalg.solve(cost.R, B.T) - np.eye(n) / lam)
-    P = np.zeros((T + 1, n, n))
-    S = np.zeros((T + 1, n, n))
-    r = np.zeros((T + 1, n))
-    z = np.zeros(T + 1)
-    K = np.zeros((T, n_u, n))
-    L = np.zeros((T, n_u))
+    k = lam.size
+    Phi = symmetrize(
+        B @ np.linalg.solve(cost.R, B.T) - np.eye(n) / lam[:, None, None]
+    )
+    P = np.zeros((k, T + 1, n, n))
+    S = np.zeros((k, T + 1, n, n))
+    r = np.zeros((k, T + 1, n))
+    z = np.zeros((k, T + 1))
+    K = np.zeros((k, T, n_u, n))
+    L = np.zeros((k, T, n_u))
+    failed: dict[int, PenaltyTooSmall] = {}
+    live = np.arange(k)
+    # Index of the live penalties: a slice (no gather) while all are live.
+    sel: slice | np.ndarray = slice(None)
 
-    P[T] = cost.Q_f
-    _check_stage_margin(P[T], lam, T)
+    def check_margins(t: int) -> None:
+        nonlocal live, sel
+        margin = lam[sel] - np.linalg.eigvalsh(P[sel, t])[:, -1]
+        low = margin <= 0.0
+        if np.count_nonzero(low):
+            for i, m in zip(live[low], margin[low]):
+                failed[int(i)] = PenaltyTooSmall(stage=t, margin=float(m))
+            live = sel = live[~low]
+
+    P[:, T] = cost.Q_f
+    check_margins(T)
 
     for t in range(T - 1, -1, -1):
-        P_next, r_next = P[t + 1], r[t + 1]
+        if not live.size:
+            break
+        P_next, r_next, Phi_t = P[sel, t + 1], r[sel, t + 1], Phi[sel]
         w_hat = nominal.mean(t)
         sigma_hat = nominal.cov(t)
 
-        lhs = np.eye(n) + P_next @ Phi
+        lhs = np.eye(n) + P_next @ Phi_t
         # One factorization serves P, S, r, z, K, and L at this stage.
         rhs = np.concatenate(
             [
                 P_next @ A,
-                (r_next + P_next @ w_hat)[:, None],
-                r_next[:, None],
+                (r_next + P_next @ w_hat)[:, :, None],
+                r_next[:, :, None],
             ],
-            axis=1,
+            axis=2,
         )
         sol = _solve_stage(lhs, rhs, t)
-        ric = sol[:, :n]           # (I + P Phi)^-1 P A
-        vec = sol[:, n]            # (I + P Phi)^-1 (r + P w_hat)
-        d_r = sol[:, n + 1]        # (I + P Phi)^-1 r
+        ric = sol[:, :, :n]           # (I + P Phi)^-1 P A
+        vec = sol[:, :, n : n + 1]    # (I + P Phi)^-1 (r + P w_hat)
+        d_r = sol[:, :, n + 1]        # (I + P Phi)^-1 r
 
-        P[t] = symmetrize(cost.Q + A.T @ ric)
-        S[t] = symmetrize(cost.Q + A.T @ (P_next @ A) - P[t])
-        r[t] = A.T @ vec
-        K[t] = -np.linalg.solve(cost.R, B.T @ ric)
-        L[t] = -np.linalg.solve(cost.R, B.T @ vec)
+        P[sel, t] = symmetrize(cost.Q + A.T @ ric)
+        S[sel, t] = symmetrize(cost.Q + A.T @ (P_next @ A) - P[sel, t])
+        r[sel, t] = (A.T @ vec)[:, :, 0]
+        K[sel, t] = -np.linalg.solve(cost.R, B.T @ ric)
+        L[sel, t] = -np.linalg.solve(cost.R, B.T @ vec)[:, :, 0]
 
-        z[t] = (
-            z[t + 1]
-            + float((2.0 * w_hat - Phi @ r_next) @ d_r)
-            + float(w_hat @ (vec - d_r))
-            - lam * float(np.trace(sigma_hat))
+        drift = 2.0 * w_hat - (Phi_t @ r_next[:, :, None])[:, :, 0]
+        z[sel, t] = (
+            z[sel, t + 1]
+            + np.vecdot(drift, d_r)
+            + np.vecdot(w_hat, vec[:, :, 0] - d_r)
+            - lam[sel] * float(np.trace(sigma_hat))
         )
         if t >= 1:
-            _check_stage_margin(P[t], lam, t)
+            check_margins(t)
 
-    return RiccatiSolution(P=P, S=S, r=r, z=z, K=K, L=L, Phi=Phi, lam=lam)
-
-
-def _check_stage_margin(P_t: np.ndarray, lam: float, t: int) -> float:
-    margin = lam - float(np.linalg.eigvalsh(P_t)[-1])
-    if margin <= 0.0:
-        raise PenaltyTooSmall(stage=t, margin=margin)
-    return margin
+    return [
+        failed[i] if i in failed else RiccatiSolution(
+            P=P[i], S=S[i], r=r[i], z=z[i], K=K[i], L=L[i], Phi=Phi[i], lam=lams[i]
+        )
+        for i in range(k)
+    ]
 
 
 def check_penalty(

@@ -725,17 +725,18 @@ def mean_affine(
         h_t = (lam I - P_{t+1})^{-1}
               (r_{t+1} + P_{t+1} B L_t + lam w_hat_t).
 
+    All stages are solved in two stacked ``solve`` calls, which give
+    each stage the bits of its own solves.
+
     Returns:
         Arrays ``H`` of shape ``(T, n, n)`` and ``h`` of ``(T, n)``.
     """
     T, n = sol.horizon, sys.n_x
-    H = np.zeros((T, n, n))
-    h = np.zeros((T, n))
-    for t in range(T):
-        shifted = sol.lam * np.eye(n) - sol.P[t + 1]
-        H[t] = np.linalg.solve(shifted, sol.P[t + 1] @ (sys.A + sys.B @ sol.K[t]))
-        h[t] = np.linalg.solve(
-            shifted,
-            sol.r[t + 1] + sol.P[t + 1] @ (sys.B @ sol.L[t]) + sol.lam * nominal.mean(t),
-        )
+    P_next = sol.P[1:]
+    shifted = sol.lam * np.eye(n) - P_next
+    H = np.linalg.solve(shifted, P_next @ (sys.A + sys.B @ sol.K))
+    w_hat = np.stack([nominal.mean(t) for t in range(T)])
+    offset = (P_next @ (sys.B @ sol.L[:, :, None]))[:, :, 0]
+    rhs = sol.r[1:] + offset + sol.lam * w_hat
+    h = np.linalg.solve(shifted, rhs[:, :, None])[:, :, 0]
     return H, h

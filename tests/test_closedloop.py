@@ -193,3 +193,34 @@ def test_dual_bound_recovers_from_poor_model_roots(setup, monkeypatch):
         again = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta, y0)
         assert again.bound == pytest.approx(cert.bound, rel=1e-10)
         assert again.kappa == pytest.approx(cert.kappa, rel=1e-4)
+
+
+def test_dual_bound_steps_by_secant_next_to_a_pole(monkeypatch):
+    """On ``gaussian.yaml`` at scenario seed 2813 and ``lam = 3.1679`` the
+    top Ritz pole (3.3012) sits just below the root (3.3111), where
+    model-Newton steps alternate around the root and shrink ``|h|`` only
+    about 0.7x per step (41 exact evaluations).  Once exact evaluations
+    bracket the root, secant steps settle it in a few, at the same
+    bound."""
+    import wdrc.closedloop as closedloop
+    from wdrc.bounds import MC_SAMPLES, _y0_samples
+    from wdrc.harness import prepare
+
+    cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
+    scenario, nominal, p0 = prepare(cfg, 2813)
+    ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 3.1679, p0)
+    y0 = _y0_samples(scenario.initial_state, cfg.sys, scenario.seed, MC_SAMPLES)
+    evaluations = []
+    evaluate = closedloop._evaluate
+
+    def counted(terms, kappa):
+        evaluations.append(kappa)
+        return evaluate(terms, kappa)
+
+    monkeypatch.setattr(closedloop, "_evaluate", counted)
+    cert = certified_bound(
+        ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta, y0
+    )
+    assert len(evaluations) <= 8
+    # The bound the model-Newton search reached in 41 evaluations.
+    assert cert.bound == pytest.approx(7.447769955488419, rel=1e-9)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from wdrc.bounds import certified_bound
+from wdrc.bounds import calibrate_lambda
+from wdrc.closedloop import policy_feed
 from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import ConfigError
 from wdrc.estimator import initial_posterior_cov
@@ -365,11 +366,11 @@ def test_campaign_populates_result(campaign):
     assert campaign.wdrc_ctrl is not None and campaign.lqg_ctrl is not None
 
 
-def test_calibrated_campaign_synthesizes_only_in_refinement(monkeypatch):
-    """With ``lam: auto`` the robust controller comes from calibration:
-    the stacked scan synthesizes without ``synthesize_wdrc``, each
-    golden-section step calls it once, and the campaign reuses the
-    controller at the calibrated penalty instead of synthesizing again."""
+def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
+    """With ``lam: auto`` the robust controller comes from calibration,
+    which synthesizes every penalty in stacked passes and never calls
+    ``synthesize_wdrc``; the campaign reuses the controller at the
+    calibrated penalty, bitwise equal to a fresh synthesis."""
     import wdrc.bounds
     import wdrc.harness
 
@@ -385,39 +386,53 @@ def test_calibrated_campaign_synthesizes_only_in_refinement(monkeypatch):
     raw["robustness"]["lam"] = "auto"
     cfg = config_from_dict(raw)
     result = run_campaign(cfg, runs=4)
-    evaluations = result.calibration.evaluations
-    assert len(calls) == len(evaluations) - 33
-    assert calls == [lam for lam, _ in evaluations[33:]]
+    assert calls == []
 
     _, nominal, p0 = prepare(cfg)
     fresh = synthesize_wdrc(cfg.sys, cfg.cost, nominal, result.lam, p0)
     assert result.wdrc_ctrl is result.calibration.controller
     assert result.wdrc_ctrl.solution.lam == result.lam
-    assert np.array_equal(result.wdrc_ctrl.solution.K, fresh.solution.K)
-    assert np.array_equal(result.wdrc_ctrl.schedule.post_covs, fresh.schedule.post_covs)
+    for field in ("P", "S", "r", "z", "K", "L", "Phi"):
+        assert np.array_equal(
+            getattr(result.wdrc_ctrl.solution, field), getattr(fresh.solution, field)
+        )
+    for field in ("post_covs", "prior_covs", "gains"):
+        assert np.array_equal(
+            getattr(result.wdrc_ctrl.schedule, field), getattr(fresh.schedule, field)
+        )
     for mine, theirs in zip(result.wdrc_ctrl.schedule.solves, fresh.schedule.solves):
         assert np.array_equal(mine.cov, theirs.cov)
         assert mine.z_tilde == theirs.z_tilde
 
 
 def test_calibrated_campaign_certifies_only_in_calibration(monkeypatch):
-    """The campaign's certificate is the calibration's: every
-    ``certified_bound`` call is one of the calibration's evaluations."""
+    """Every certificate is one of the calibration's evaluations: each
+    evaluation the search consumed is certified once, in order, the
+    points it evaluated ahead but did not consume are not certified, and
+    the campaign certifies nothing after calibration."""
     import wdrc.bounds
+    import wdrc.harness
 
     calls = []
 
-    def counted(ctrl, *args, **kwargs):
+    def certifying(ctrl, *args, **kwargs):
         calls.append(ctrl.solution.lam)
-        return certified_bound(ctrl, *args, **kwargs)
+        return policy_feed(ctrl, *args, **kwargs)
 
-    monkeypatch.setattr(wdrc.bounds, "certified_bound", counted)
+    def calibrating(*args, **kwargs):
+        result = calibrate_lambda(*args, **kwargs)
+        calls.append("calibrated")
+        return result
+
+    # Every certificate builds the loop's feed through ``bounds.policy_feed``.
+    monkeypatch.setattr(wdrc.bounds, "policy_feed", certifying)
+    monkeypatch.setattr(wdrc.harness, "calibrate_lambda", calibrating)
     raw = base_config()
     raw["robustness"]["lam"] = "auto"
     result = run_campaign(config_from_dict(raw), runs=4)
     evaluations = result.calibration.evaluations
     assert all(np.isfinite(value) for _, value in evaluations)
-    assert calls == [lam for lam, _ in evaluations]
+    assert calls == [lam for lam, _ in evaluations] + ["calibrated"]
     assert result.certificate.guaranteed_bound == result.calibration.objective
     assert result.certificate.kappa == result.calibration.dual.kappa
 

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from conftest import random_psd
 from wdrc.errors import NoFeasibleLambda, PenaltyTooSmall
 from wdrc.model import CostSpec, LinearSystem, NominalDistribution
 from wdrc.oracles import lqr_gains
-from wdrc.psdmath import MomentPair
-from wdrc.riccati import backward_pass, check_penalty, min_feasible_lambda
+from wdrc.psdmath import MomentPair, symmetrize
+from wdrc.riccati import (
+    backward_pass,
+    backward_passes,
+    check_penalty,
+    min_feasible_lambda,
+)
 
 SCALAR_SYS = LinearSystem(
     A=np.array([[1.0]]), B=np.array([[1.0]]), C=np.array([[1.0]]), M=np.array([[1.0]])
@@ -132,3 +138,99 @@ def test_min_feasible_lambda_exhausted_bracket():
     )
     with pytest.raises(NoFeasibleLambda):
         min_feasible_lambda(sys, cost, lo=1e-3, hi=1e-2)
+
+
+def _reference_pass(sys, cost, nominal, lam):
+    """The backward recursion one penalty and one stage at a time, with
+    the margin check of every stage ``t >= 1`` and of ``T``."""
+    A, B = sys.A, sys.B
+    n, n_u, T = sys.n_x, sys.n_u, cost.horizon
+    Phi = symmetrize(B @ np.linalg.solve(cost.R, B.T) - np.eye(n) / lam)
+    P, S = np.zeros((T + 1, n, n)), np.zeros((T + 1, n, n))
+    r, z = np.zeros((T + 1, n)), np.zeros(T + 1)
+    K, L = np.zeros((T, n_u, n)), np.zeros((T, n_u))
+    P[T] = cost.Q_f
+
+    def check(t):
+        margin = lam - float(np.linalg.eigvalsh(P[t])[-1])
+        if margin <= 0.0:
+            raise PenaltyTooSmall(stage=t, margin=margin)
+
+    check(T)
+    for t in range(T - 1, -1, -1):
+        P_next, r_next, w_hat = P[t + 1], r[t + 1], nominal.mean(t)
+        lhs = np.eye(n) + P_next @ Phi
+        rhs = np.concatenate(
+            [P_next @ A, (r_next + P_next @ w_hat)[:, None], r_next[:, None]],
+            axis=1,
+        )
+        sol = np.linalg.solve(lhs, rhs)
+        ric, vec, d_r = sol[:, :n], sol[:, n], sol[:, n + 1]
+        P[t] = symmetrize(cost.Q + A.T @ ric)
+        S[t] = symmetrize(cost.Q + A.T @ (P_next @ A) - P[t])
+        r[t] = A.T @ vec
+        K[t] = -np.linalg.solve(cost.R, B.T @ ric)
+        L[t] = -np.linalg.solve(cost.R, B.T @ vec)
+        z[t] = (
+            z[t + 1]
+            + float((2.0 * w_hat - Phi @ r_next) @ d_r)
+            + float(w_hat @ (vec - d_r))
+            - lam * float(np.trace(nominal.cov(t)))
+        )
+        if t >= 1:
+            check(t)
+    return dict(P=P, S=S, r=r, z=z, K=K, L=L, Phi=Phi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("per_stage", [False, True])
+def test_stacked_passes_match_reference_per_penalty(n, per_stage):
+    """Each penalty's solution out of the stack equals the reference
+    recursion run on it alone, bit for bit, and a penalty that fails
+    fails at the same stage with the same margin."""
+    rng = np.random.default_rng(70 + n)
+    sys = LinearSystem(
+        A=0.9 * rng.standard_normal((n, n)) / np.sqrt(n),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((1, n)),
+        M=np.array([[0.2]]),
+    )
+    cost = CostSpec(Q=np.eye(n), Q_f=np.eye(n), R=np.eye(1), horizon=20)
+    stages = [
+        MomentPair(0.1 * rng.standard_normal(n), 0.05 * random_psd(rng, n))
+        for _ in range(cost.horizon if per_stage else 1)
+    ]
+    nominal = NominalDistribution(
+        tuple(stages) if per_stage else (stages[0],) * cost.horizon
+    )
+    lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
+    # 0.5 fails at stage T; halfway between 1 = eig(Q_f) and lam_min inside.
+    lams = [lam_min, 0.9 * lam_min, 0.5 * (1.0 + lam_min), 0.5, 1.5 * lam_min, 1e6]
+
+    failed_inside = False
+    for lam, got in zip(lams, backward_passes(sys, cost, nominal, lams)):
+        try:
+            want = _reference_pass(sys, cost, nominal, lam)
+        except PenaltyTooSmall as exc:
+            assert isinstance(got, PenaltyTooSmall)
+            assert (got.stage, got.margin) == (exc.stage, exc.margin)
+            failed_inside |= 1 <= exc.stage < cost.horizon
+            continue
+        assert not isinstance(got, PenaltyTooSmall)
+        assert got.lam == lam
+        for field, value in want.items():
+            assert np.array_equal(getattr(got, field), value), field
+    assert failed_inside
+    assert not isinstance(backward_passes(sys, cost, nominal, [lam_min])[0], Exception)
+
+
+def test_single_pass_raises_what_the_stack_returns(plant, quad_cost):
+    nominal = NominalDistribution(
+        (MomentPair(np.zeros(2), 0.01 * np.eye(2)),) * quad_cost.horizon
+    )
+    (failed,) = backward_passes(plant, quad_cost, nominal, [1.1])
+    with pytest.raises(PenaltyTooSmall) as info:
+        backward_pass(plant, quad_cost, nominal, 1.1)
+    assert (info.value.stage, info.value.margin) == (failed.stage, failed.margin)
+    with pytest.raises(ValueError):
+        backward_passes(plant, quad_cost, nominal, [5.0, 0.0])

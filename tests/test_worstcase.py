@@ -284,6 +284,32 @@ def test_mean_affine_matches_pointwise(plant, quad_cost):
             assert np.allclose(H[t] @ x_bar + h[t], direct, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mean_affine_equals_per_stage_loop(n):
+    """The stacked solves give each stage the bits of its own solves."""
+    rng = np.random.default_rng(90 + n)
+    sys = _plant(n)
+    cost = CostSpec(Q=np.eye(n), Q_f=np.eye(n), R=np.eye(1), horizon=25)
+    nominal = NominalDistribution(
+        tuple(
+            MomentPair(0.1 * rng.standard_normal(n), 0.01 * random_psd(rng, n))
+            for _ in range(cost.horizon)
+        )
+    )
+    lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
+    for lam in (lam_min, 3.0 * lam_min, 1e4):
+        sol = backward_pass(sys, cost, nominal, lam)
+        H, h = mean_affine(sys, sol, nominal)
+        for t in range(cost.horizon):
+            shifted = lam * np.eye(n) - sol.P[t + 1]
+            drift = sol.P[t + 1] @ (sys.A + sys.B @ sol.K[t])
+            offset = sol.r[t + 1] + sol.P[t + 1] @ (sys.B @ sol.L[t])
+            assert np.array_equal(H[t], np.linalg.solve(shifted, drift))
+            assert np.array_equal(
+                h[t], np.linalg.solve(shifted, offset + lam * nominal.mean(t))
+            )
+
+
 def test_forward_schedule_posteriors_match_filter(plant, quad_cost, gaussian_scenario):
     from wdrc.model import draw_nominal_samples, estimate_nominal
 
