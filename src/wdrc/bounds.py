@@ -249,14 +249,14 @@ def _certifier(
 ) -> Callable[[WdrcController], DualBound]:
     """:func:`certified_bound` as a function of the controller alone.
 
-    The stage-0 moments and the initial Kalman gain do not depend on the
-    controller, so they are computed once here for every certificate.
+    The stage-0 moments, averaged over ``y0_samples``, do not depend on
+    the controller, so they are computed once here for every
+    certificate.
     """
-    init_gain = kalman_gain(x0_dist.cov(), sys)
     z0 = initial_moments(x0_dist, sys, sys.M, y0_samples)
 
     def certify(ctrl: WdrcController) -> DualBound:
-        feed = policy_feed(ctrl, sys, x0_dist, init_gain)
+        feed = policy_feed(ctrl, sys, x0_dist)
         return dual_bound(closed_loop(feed, sys, cost), z0, ctrl.nominal, sys.M, theta)
 
     return certify

@@ -116,18 +116,10 @@ class DualBound(NamedTuple):
 
 
 def policy_feed(
-    mode: ControllerMode,
-    sys: LinearSystem,
-    x0_dist: DistributionSpec,
-    init_gain: np.ndarray | None = None,
+    mode: ControllerMode, sys: LinearSystem, x0_dist: DistributionSpec
 ) -> PolicyFeed:
-    """Gains and filter inputs the deployed loop runs with.
-
-    ``init_gain`` is the initial Kalman gain of ``x0_dist``, computed
-    here when omitted.
-    """
-    if init_gain is None:
-        init_gain = kalman_gain(x0_dist.cov(), sys)
+    """Gains and filter inputs the deployed loop runs with."""
+    init_gain = kalman_gain(x0_dist.cov(), sys)
     if isinstance(mode, WdrcController):
         return PolicyFeed(
             K=mode.solution.K,

@@ -415,6 +415,37 @@ def test_stacked_scan_equals_objective_per_penalty(name, seed):
     assert np.array_equal(cal.controller.schedule.gains, fresh.schedule.gains)
 
 
+@pytest.mark.parametrize("name", ["gaussian", "uniform"])
+def test_calibration_schedules_converge_and_memoize_stationary_stages(
+    name, monkeypatch
+):
+    """Every schedule the calibration's stacked passes return has only
+    converged stages; with the stationary gaussian nominal the stages
+    that reach steady state share a memoized solve, and with the
+    per-stage uniform nominal no two stages share one."""
+    import wdrc.bounds
+
+    stacked, schedules = wdrc.bounds.forward_schedules, []
+
+    def recording(*args, **kwargs):
+        out = stacked(*args, **kwargs)
+        schedules.extend(s for s in out if not isinstance(s, Diverged))
+        return out
+
+    monkeypatch.setattr(wdrc.bounds, "forward_schedules", recording)
+    cfg, scenario, nominal, _ = _bundled(name, None)
+    cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    assert any(s is cal.controller.schedule for s in schedules)
+    stages = sum(len(s.solves) for s in schedules)
+    unique = sum(len({id(x) for x in s.solves}) for s in schedules)
+    assert all(x.converged for s in schedules for x in s.solves)
+    assert stages == cfg.cost.horizon * len(schedules)
+    if name == "gaussian":
+        assert unique < stages
+    else:
+        assert unique == stages
+
+
 def test_scan_scores_a_diverging_penalty_infinite(monkeypatch):
     """A penalty whose stage raises ``Diverged`` in the stacked scan
     scores infinity; every other scanned penalty keeps its value."""

@@ -17,9 +17,11 @@ the tree) on the configs of this repository:
   exit code and its JSON;
 - ``wdrc oracle --seed 0`` to ``--seed 5``: exit code and stdout.
 
-One line per output says whether it is identical.  The exit status is 1
-if any output differs and 0 otherwise; a refactor that must keep the
-reports byte-identical passes only with 0.
+One line per output says whether it is identical.  Every command is
+expected to succeed, so a nonzero exit on either side is reported as a
+failure even when both sides fail alike.  The exit status is 1 if any
+command fails or any output differs and 0 otherwise; a refactor that
+must keep the reports byte-identical passes only with 0.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def main(argv=None) -> int:
     parser.add_argument("head_src", help="source tree compared against it")
     args = parser.parse_args(argv)
 
-    differing = 0
+    differing = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {}
         for side in ("base", "head"):
@@ -112,12 +114,17 @@ def main(argv=None) -> int:
             ]
             for label, base_future, head_future in futures:
                 base, head = base_future.result(), head_future.result()
+                for side, outputs in (("base", base), ("head", head)):
+                    if outputs["exit"] != b"0":
+                        failed += 1
+                        code = outputs["exit"].decode()
+                        print(f"FAILED     {label}: {side} exited with {code}")
                 for name in base:
                     same = base[name] == head[name]
                     differing += not same
                     print(f"{'identical' if same else 'DIFFERS  '}  {label}: {name}")
-    print(f"{differing} output(s) differ")
-    return 1 if differing else 0
+    print(f"{failed} run(s) failed, {differing} output(s) differ")
+    return 1 if failed or differing else 0
 
 
 if __name__ == "__main__":
