@@ -52,6 +52,9 @@ def _check_overrides(args) -> None:
     runs = getattr(args, "runs", None)
     if runs is not None and runs < 1:
         raise ConfigError(f"must be >= 1, got {runs}", "--runs")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"must be >= 1, got {jobs}", "--jobs")
     trace_run = getattr(args, "trace_run", None)
     if trace_run is not None and trace_run < 0:
         raise ConfigError(f"must be >= 0, got {trace_run}", "--trace-run")

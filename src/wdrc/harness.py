@@ -37,7 +37,7 @@ from .controller import (
     lqg_gains,
     synthesize_wdrc,
 )
-from .errors import ConfigError
+from .errors import ConfigError, WdrcError
 from .estimator import initial_posterior_cov
 from .model import (
     CostSpec,
@@ -49,7 +49,7 @@ from .model import (
     ScenarioSpec,
     UniformSpec,
     draw_nominal_samples,
-    draw_realization,
+    draw_realizations,
     estimate_nominal,
 )
 
@@ -185,15 +185,19 @@ def _distribution(raw: Any, path: str) -> DistributionSpec:
         raise ConfigError("expected a mapping", path)
     kind = raw.get("type")
     if kind == "gaussian":
-        return GaussianSpec(
-            mean_vec=_matrix(raw, "mean", path), cov_mat=_matrix(raw, "cov", path)
+        make, keys = GaussianSpec, ("mean", "cov")
+    elif kind == "uniform":
+        make, keys = UniformSpec, ("lo", "hi")
+    else:
+        raise ConfigError(
+            f"unknown distribution type {kind!r} (expected gaussian or uniform)",
+            f"{path}.type",
         )
-    if kind == "uniform":
-        return UniformSpec(lo=_matrix(raw, "lo", path), hi=_matrix(raw, "hi", path))
-    raise ConfigError(
-        f"unknown distribution type {kind!r} (expected gaussian or uniform)",
-        f"{path}.type",
-    )
+    args = [_matrix(raw, key, path) for key in keys]
+    try:
+        return make(*args)
+    except (ValueError, WdrcError) as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -379,13 +383,11 @@ def trace_run(
     worst-case moments (robust policy only) have one row fewer.  The
     covariances come from the controller, as no measurement moves them.
     """
-    real = draw_realization(scenario, sys, cost.horizon, run)
+    x0s, w, v = draw_realizations(scenario, sys, cost.horizon, run, 1)
     x0_dist = scenario.initial_state
     stages: list = []
     feed = policy_feed(ctrl, sys, x0_dist)
-    _roll_batch(
-        feed, sys, cost, x0_dist, real.x0[None], real.w[None], real.v[None], stages
-    )
+    _roll_batch(feed, sys, cost, x0_dist, x0s, w, v, stages)
 
     def column(k: int) -> np.ndarray:
         return np.stack([row[k][0] for row in stages if k < len(row)])
@@ -416,14 +418,7 @@ def write_trace(trace: dict[str, np.ndarray], path) -> None:
 def _simulate_chunk(args) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """Worker: paired rollouts for a contiguous block of run indices."""
     (start, count, wdrc_feed, lqg_feed, scenario, sys, cost) = args
-    T = cost.horizon
-    n, n_y = sys.n_x, sys.n_y
-    x0s = np.zeros((count, n))
-    w = np.zeros((count, T, n))
-    v = np.zeros((count, T + 1, n_y))
-    for i in range(count):
-        real = draw_realization(scenario, sys, T, start + i)
-        x0s[i], w[i], v[i] = real.x0, real.w, real.v
+    x0s, w, v = draw_realizations(scenario, sys, cost.horizon, start, count)
     x0_dist = scenario.initial_state
     wdrc_costs = (
         _roll_batch(wdrc_feed, sys, cost, x0_dist, x0s, w, v)
@@ -451,12 +446,13 @@ def simulate_paired(
 
     Both policies consume identical realizations per run index.  The
     result arrays are ordered by run index and do not depend on
-    ``jobs``.
+    ``jobs``, which must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     x0_dist = scenario.initial_state
     wdrc_feed = policy_feed(wdrc_ctrl, sys, x0_dist) if wdrc_ctrl else None
     lqg_feed = policy_feed(lqg_ctrl, sys, x0_dist) if lqg_ctrl else None
-    jobs = max(1, jobs)
     chunk = runs if jobs == 1 else max(1, math.ceil(runs / jobs))
     tasks = [
         (start, min(chunk, runs - start), wdrc_feed, lqg_feed, scenario, sys, cost)

@@ -6,6 +6,13 @@ disturbance moments that the controller sees.  Randomness is organized
 as one master seed split into independent substreams keyed by purpose
 and run index, so every draw is reproducible regardless of execution
 order or worker layout.
+
+Each law draws in two steps: its generator method fills standardized
+numbers (standard normals or unit-interval draws) and its affine map
+turns them into draws.  A campaign draws its runs with
+:func:`draw_realizations`, which keys one run stream after the other
+in blocks and maps each block's numbers in one call per law, bit for
+bit the per-run draws of :func:`draw_realization`.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ __all__ = [
     "split_stream",
     "draw_nominal_samples",
     "draw_realization",
+    "draw_realizations",
     "STREAM_NOMINAL",
     "STREAM_RUN",
     "STREAM_VALUE_MC",
@@ -169,10 +177,19 @@ class GaussianSpec:
     def moments(self) -> MomentPair:
         return MomentPair(self.mean_vec, self.cov_mat)
 
+    def unit_draws(self, rng: np.random.Generator):
+        """The generator method drawing this law's standard normals."""
+        return rng.standard_normal
+
+    def from_unit(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map standard normal rows to draws: ``mean + z @ factor.T``."""
+        out = np.matmul(z, self.factor.T, out=out)
+        out += self.mean_vec
+        return out
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` vectors as rows, via the PSD factor of the covariance."""
-        z = rng.standard_normal((size, self.dim))
-        return self.mean_vec + z @ self.factor.T
+        return self.from_unit(rng.standard_normal((size, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -187,6 +204,10 @@ class UniformSpec:
         hi = _frozen(np.asarray(self.hi, dtype=float).reshape(-1))
         if lo.shape != hi.shape:
             raise DimMismatch(f"lo has shape {lo.shape}, hi {hi.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        if not np.isfinite(width).all():
+            raise ValueError("uniform bounds must be finite, with a finite width")
         if np.any(lo > hi):
             raise ValueError("uniform bounds require lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -205,8 +226,19 @@ class UniformSpec:
     def moments(self) -> MomentPair:
         return MomentPair(self.mean(), self.cov())
 
+    def unit_draws(self, rng: np.random.Generator):
+        """The generator method drawing this law's unit-interval numbers."""
+        return rng.random
+
+    def from_unit(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map unit-interval draws into the box: ``lo + (hi - lo) * u``,
+        the arithmetic of ``Generator.uniform``."""
+        out = np.multiply(u, self.hi - self.lo, out=out)
+        out += self.lo
+        return out
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(size, self.dim))
+        return self.from_unit(rng.random((size, self.dim)))
 
 
 DistributionSpec = Union[GaussianSpec, UniformSpec]
@@ -307,6 +339,8 @@ class ScenarioSpec:
         noise.flags.writeable = False
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "noise_cov", noise)
         object.__setattr__(
             self, "noise", GaussianSpec(np.zeros(noise.shape[0]), noise)
@@ -363,17 +397,115 @@ def draw_realization(
 ) -> Realization:
     """Draw the run's initial state, disturbances, and measurement noises.
 
-    The draw order within the run substream is fixed (initial state,
-    then all disturbances, then all noises), so a realization is fully
-    determined by ``(scenario.seed, run)``.
+    The run's stream is ``split_stream(scenario.seed, STREAM_RUN, run)``
+    and its draw order is fixed (initial state, then all disturbances,
+    then all noises), so a realization is fully determined by
+    ``(scenario.seed, run)``.  This is :func:`draw_realizations` on a
+    batch of one.
+    """
+    x0s, w, v = draw_realizations(scenario, sys, horizon, run, 1)
+    return Realization(x0=x0s[0], w=w[0], v=v[0])
+
+
+# Runs per block of draw_realizations.  The block's standardized numbers
+# take about 1.2 MiB on the bundled configs; whole-chunk buffers instead
+# raised the peak memory of a 20,000-run gaussian campaign from 65 to
+# 88 MiB.
+_BLOCK = 1024
+_MASK32 = 0xFFFFFFFF
+
+
+def _run_keys(seed: int, runs: np.ndarray) -> np.ndarray:
+    """Philox keys of the run streams, ``(len(runs), 2)`` uint64.
+
+    Row ``i`` is ``SeedSequence(seed, spawn_key=(STREAM_RUN, runs[i]))
+    .generate_state(2, np.uint64)``, the key :func:`split_stream` gives
+    its Philox: numpy's entropy mixing and state generation, with its
+    constants, run once for all ``runs`` (uint64, below 2**64).  The
+    seed's words are shared; a run index adds one 32-bit word, and a
+    second one from 2**32 on.
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [STREAM_RUN, runs & _MASK32]
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    high = runs >> 32
+    if high.any():
+        pool = [np.where(high > 0, mix(p, hashmix(high)), p) for p in pool]
+    hash_const = 0x8B51F9DD
+    state = []
+    for p in pool:
+        p = p ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        p = p * hash_const & _MASK32
+        state.append(p ^ p >> 16)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def draw_realizations(
+    scenario: ScenarioSpec, sys: LinearSystem, horizon: int, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked draws of runs ``start .. start + count - 1``.
+
+    Returns ``(x0s, w, v)`` of shapes ``(count, n_x)``,
+    ``(count, horizon, n_x)`` and ``(count, horizon + 1, n_y)``; row
+    ``i`` is bitwise the realization :func:`draw_realization` gives run
+    ``start + i``.  Runs go in blocks of ``_BLOCK``: one vectorized pass
+    derives the block's stream keys, one Philox generator is re-keyed
+    per run through its ``state`` setter and fills the run's rows of the
+    block's buffers, and each law maps a whole buffer into the output
+    in one call.  A run's draw thus costs its stream and its samples
+    only.
+
+    Raises:
+        DimMismatch: If the noise law does not match the plant's outputs.
+        ValueError: If a run index lies outside ``[0, 2**64)``.
     """
     if scenario.noise.dim != sys.n_y:
         raise DimMismatch(
             f"noise_cov is {scenario.noise.dim}x{scenario.noise.dim}, "
             f"plant has {sys.n_y} outputs"
         )
-    rng = split_stream(scenario.seed, STREAM_RUN, run)
-    x0 = scenario.initial_state.sample(rng, 1)[0]
-    w = scenario.true_disturbance.sample(rng, horizon)
-    v = scenario.noise.sample(rng, horizon + 1)
-    return Realization(x0=x0, w=w, v=v)
+    if start < 0 or start + count > 2**64:
+        raise ValueError(f"run indices {start}..{start + count - 1} leave [0, 2**64)")
+    laws = (
+        (scenario.initial_state, 1),
+        (scenario.true_disturbance, horizon),
+        (scenario.noise, horizon + 1),
+    )
+    outs = [np.empty((count, rows, law.dim)) for law, rows in laws]
+    raws = [np.empty((min(count, _BLOCK), rows, law.dim)) for law, rows in laws]
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # counter and buffer of a fresh stream
+    rng = np.random.Generator(bitgen)
+    fills = [law.unit_draws(rng) for law, _ in laws]
+    for lo in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - lo)
+        runs = np.arange(start + lo, start + lo + n, dtype=np.uint64)
+        for i, key in enumerate(_run_keys(scenario.seed, runs).tolist()):
+            state["state"]["key"] = key
+            bitgen.state = state
+            for fill, raw in zip(fills, raws):
+                fill(out=raw[i])
+        for (law, _), raw, out in zip(laws, raws, outs):
+            law.from_unit(raw[:n], out=out[lo : lo + n])
+    x0s, w, v = outs
+    return x0s[:, 0], w, v

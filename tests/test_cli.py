@@ -118,6 +118,27 @@ def test_noise_cov_of_wrong_size_exits_with_config_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        {"type": "uniform", "lo": [0.5, -0.05], "hi": [0.05, 0.05]},
+        {"type": "uniform", "lo": [-0.05, -0.05], "hi": [float("inf"), 0.05]},
+        {"type": "uniform", "lo": [-0.05, -0.05], "hi": [0.05, 0.05, 0.05]},
+        {"type": "gaussian", "mean": [0.0, 0.0], "cov": [[0.01, 0.0], [0.0, -0.01]]},
+    ],
+    ids=["inverted", "infinite", "shapes", "not-psd"],
+)
+def test_bad_law_parameters_exit_with_config_code(law, tmp_path, capsys):
+    raw = base_config()
+    raw["scenario"]["true_disturbance"] = law
+    path = tmp_path / "bad_box.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["simulate", "-c", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "scenario.true_disturbance" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_imports_leave_scipy_and_the_oracles_unloaded():
     """The CLI loads neither scipy nor the oracles until ``wdrc oracle``
     runs, and the oracles need ``scipy.special`` only, not
@@ -194,6 +215,8 @@ def test_unwritable_output_exits_with_io_code(config_path, capsys):
         (["simulate", "--runs", "0"], "--runs"),
         (["synthesize", "--lam", "0"], "--lam"),
         (["synthesize", "--lam", "-1"], "--lam"),
+        (["simulate", "--jobs", "0"], "--jobs"),
+        (["simulate", "--jobs", "-2"], "--jobs"),
     ],
 )
 def test_out_of_range_overrides_exit_with_config_code(

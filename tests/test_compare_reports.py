@@ -1,6 +1,7 @@
 """The identity gate of ``tools/compare_reports.py``, on stubbed runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,30 @@ def test_gate_passes_only_identical_successful_runs(
     assert tool.main(["base", "head"]) == status
     out = capsys.readouterr().out
     assert ("FAILED" in out) == (base[0] != 0 or head[0] != 0)
+
+
+def test_a_file_written_on_one_side_only_differs(tool, monkeypatch, capsys):
+    outputs = {
+        "base": {"exit": b"0", "stdout": b""},
+        "head": {"exit": b"0", "stdout": b"", "trace_wdrc.jsonl": b"{}"},
+    }
+    monkeypatch.setattr(tool, "run", lambda src, work_dir, argv, out: outputs[src])
+    assert tool.main(["base", "head"]) == 1
+    assert "DIFFERS    calibrate x: trace_wdrc.jsonl" in capsys.readouterr().out
+
+
+def test_run_reads_every_file_of_the_report_directory(tool, monkeypatch, tmp_path):
+    def fake_run(cmd, cwd, **kwargs):
+        out = Path(cwd) / "out"
+        out.mkdir()
+        (out / "costs.csv").write_bytes(b"c")
+        (out / "trace_lqg.jsonl").write_bytes(b"t")
+        return subprocess.CompletedProcess(cmd, 0, b"ok", b"")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run("src", str(tmp_path), ["simulate"], "out") == {
+        "exit": b"0",
+        "stdout": b"ok",
+        "costs.csv": b"c",
+        "trace_lqg.jsonl": b"t",
+    }

@@ -1,5 +1,7 @@
 """Problem data types, sampling streams, and nominal estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from wdrc.model import (
     UniformSpec,
     draw_nominal_samples,
     draw_realization,
+    draw_realizations,
     estimate_nominal,
     split_stream,
     stationary_nominal,
 )
+from wdrc.model import _run_keys
 from wdrc.psdmath import psd_sqrt
 
 
@@ -77,6 +81,14 @@ def test_uniform_spec_moments_match_samples():
 def test_uniform_spec_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         UniformSpec(np.array([1.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (-1e308, 1e308)]
+)
+def test_uniform_spec_rejects_unbounded_boxes(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        UniformSpec(np.array([0.0, lo]), np.array([1.0, hi]))
 
 
 def test_estimate_nominal_small_sample_exact():
@@ -150,9 +162,76 @@ def test_draws_use_factors_computed_once(plant, gaussian_scenario):
     assert np.array_equal(real.v, noise.sample(rng, 11))
 
 
-def test_realization_rejects_noise_of_wrong_dimension(plant, gaussian_scenario):
-    from dataclasses import replace
+def _per_run_reference(scenario, horizon, start, count):
+    """Each run's stream from ``split_stream``, then each law's ``sample``
+    in draw order, stacked."""
+    x0s, ws, vs = [], [], []
+    for run in range(start, start + count):
+        rng = split_stream(scenario.seed, STREAM_RUN, run)
+        x0s.append(scenario.initial_state.sample(rng, 1)[0])
+        ws.append(scenario.true_disturbance.sample(rng, horizon))
+        vs.append(scenario.noise.sample(rng, horizon + 1))
+    return np.stack(x0s), np.stack(ws), np.stack(vs)
 
+
+def _uniform_scenario(seed):
+    return ScenarioSpec(
+        true_disturbance=UniformSpec(np.array([-0.05, -0.1]), np.array([0.05, 0.3])),
+        initial_state=UniformSpec(np.array([0.1, 0.2]), np.array([0.3, 0.5])),
+        noise_cov=np.array([[0.1]]),
+        sample_count=5,
+        seed=seed,
+    )
+
+
+def test_uniform_sample_is_generator_uniform():
+    """A uniform law's draws are those of ``Generator.uniform``."""
+    spec = _uniform_scenario(0).true_disturbance
+    rng, ref = split_stream(5, 1), split_stream(5, 1)
+    assert np.array_equal(spec.sample(rng, 7), ref.uniform(spec.lo, spec.hi, (7, 2)))
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform"])
+@pytest.mark.parametrize(
+    "start, count",
+    [(0, 1), (0, 1100), (1000, 1100), (2**32 - 700, 1300)],
+    ids=["one", "crosses-block", "unaligned-start", "crosses-2**32"],
+)
+def test_draw_realizations_equal_per_run_streams(
+    plant, gaussian_scenario, law, start, count
+):
+    scenario = gaussian_scenario if law == "gaussian" else _uniform_scenario(7)
+    got = draw_realizations(scenario, plant, 3, start, count)
+    want = _per_run_reference(scenario, 3, start, count)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    real = draw_realization(scenario, plant, 3, start + count - 1)
+    assert np.array_equal(real.x0, want[0][-1])
+    assert np.array_equal(real.w, want[1][-1])
+    assert np.array_equal(real.v, want[2][-1])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**130 + 7])
+def test_run_keys_equal_seed_sequence_states(seed):
+    """The vectorized key derivation is numpy's SeedSequence mixing, also
+    for a seed with more 32-bit words than the four-word pool and for
+    run indices that take a second word."""
+    runs = [0, 1, 1023, 1024, 99_999, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+    keys = _run_keys(seed, np.array(runs, dtype=np.uint64))
+    for run, key in zip(runs, keys):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_RUN, run))
+        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+
+def test_draw_realizations_rejects_runs_outside_uint64(plant, gaussian_scenario):
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        draw_realizations(gaussian_scenario, plant, 3, -1, 2)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        draw_realizations(gaussian_scenario, plant, 3, 2**64 - 1, 2)
+
+
+def test_realization_rejects_noise_of_wrong_dimension(plant, gaussian_scenario):
     scenario = replace(gaussian_scenario, noise_cov=np.eye(2))
     with pytest.raises(DimMismatch):
         draw_realization(scenario, plant, 10, run=0)
@@ -174,3 +253,5 @@ def test_scenario_validation(gaussian_scenario):
             noise_cov=np.array([[0.2]]),
             sample_count=0,
         )
+    with pytest.raises(ValueError, match="seed"):
+        replace(gaussian_scenario, seed=-1)

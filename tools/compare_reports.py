@@ -11,13 +11,20 @@ the tree) on the configs of this repository:
 
 - ``wdrc simulate`` on ``gaussian.yaml``, ``uniform.yaml`` and
   ``uniform.yaml`` with ``per_stage_nominal: true``, at the config's
-  seed and at ``--seed 12`` and ``--seed 13``: exit code, stdout,
-  ``costs.csv``, ``histogram.csv`` and ``summary.json``;
+  seed and at ``--seed 12`` and ``--seed 13``: exit code, stdout and
+  every file in the report directory (``costs.csv``, ``histogram.csv``
+  and ``summary.json``);
+- the edges of the blocked run sampler, the same way: ``wdrc simulate``
+  on ``gaussian.yaml`` with ``--runs 2500 --jobs 2``, whose second chunk
+  starts at run 1250, inside a sampling block, and on ``uniform.yaml``
+  with ``--dump-trace --trace-run 1777``, which adds the two trace
+  files;
 - ``wdrc calibrate`` on the same three configs at the config's seed:
   exit code and its JSON;
 - ``wdrc oracle --seed 0`` to ``--seed 5``: exit code and stdout.
 
-One line per output says whether it is identical.  Every command is
+One line per output says whether it is identical; a file written on one
+side only differs.  Every command is
 expected to succeed, so a nonzero exit on either side is reported as a
 failure even when both sides fail alike.  The exit status is 1 if any
 command fails or any output differs and 0 otherwise; a refactor that
@@ -36,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 import yaml
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPORTS = ("costs.csv", "histogram.csv", "summary.json")
 CONFIGS = ("gaussian", "uniform", "uniform-stagewise")
 SIM_SEEDS = (None, 12, 13)
 ORACLE_SEEDS = range(6)
@@ -66,6 +72,12 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
             if seed is not None:
                 argv += ["--seed", str(seed)]
             out.append((label, argv, out_dir))
+    for name, flags, out_dir in (
+        ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
+        ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
+    ):
+        argv = ["simulate", "--config", f"{name}.yaml", "--out", out_dir, *flags]
+        out.append((f"simulate {name} {' '.join(flags)}", argv, out_dir))
     for name in CONFIGS:
         out.append((f"calibrate {name}", ["calibrate", "--config", f"{name}.yaml"], None))
     for seed in ORACLE_SEEDS:
@@ -74,7 +86,8 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
 
 
 def run(src: str, work_dir: str, argv: list[str], out_dir: str | None) -> dict[str, bytes]:
-    """Run one command on one tree; its outputs by name."""
+    """Run one command on one tree; its outputs by name, with every file it
+    wrote to ``out_dir``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
         [sys.executable, "-m", "wdrc.cli", *argv],
@@ -82,12 +95,10 @@ def run(src: str, work_dir: str, argv: list[str], out_dir: str | None) -> dict[s
     )
     outputs = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout}
     if out_dir is not None:
-        for name in REPORTS:
-            path = os.path.join(work_dir, out_dir, name)
-            outputs[name] = b""
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    outputs[name] = fh.read()
+        out_path = os.path.join(work_dir, out_dir)
+        for name in sorted(os.listdir(out_path)) if os.path.isdir(out_path) else []:
+            with open(os.path.join(out_path, name), "rb") as fh:
+                outputs[name] = fh.read()
     return outputs
 
 
@@ -119,8 +130,8 @@ def main(argv=None) -> int:
                         failed += 1
                         code = outputs["exit"].decode()
                         print(f"FAILED     {label}: {side} exited with {code}")
-                for name in base:
-                    same = base[name] == head[name]
+                for name in [*base, *(n for n in head if n not in base)]:
+                    same = base.get(name) == head.get(name)
                     differing += not same
                     print(f"{'identical' if same else 'DIFFERS  '}  {label}: {name}")
     print(f"{failed} run(s) failed, {differing} output(s) differ")
