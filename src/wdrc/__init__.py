@@ -8,50 +8,10 @@ the adversary's covariances, and a simulation harness benchmarks the
 result against the nominal LQG policy on paired Monte-Carlo runs.
 """
 
-from .bounds import (
-    CalibrationResult,
-    CostCertificate,
-    calibrate_lambda,
-    certified_bound,
-    evaluate_value,
-    expected_value,
-    guaranteed_cost,
-    performance_ratio,
-)
-from .controller import (
-    LqgController,
-    WdrcController,
-    lqg_gains,
-    synthesize_wdrc,
-)
-from .errors import (
-    ConfigError,
-    DegenerateLQ,
-    DimMismatch,
-    Diverged,
-    EmptySamples,
-    NoFeasibleLambda,
-    NotPD,
-    NotPSD,
-    PenaltyTooSmall,
-    ScheduleMismatch,
-    SingularInnovation,
-    SingularMatrix,
-    WdrcError,
-)
-from .estimator import (
-    BeliefState,
-    covariance_path,
-    init_belief,
-    initial_posterior_cov,
-    kalman_gain,
-    predict,
-    update,
-)
+from .bounds import certified_bound, evaluate_value, guaranteed_cost
+from .controller import lqg_gains, synthesize_wdrc
+from .estimator import BeliefState, initial_posterior_cov, kalman_gain, predict, update
 from .harness import (
-    CampaignResult,
-    CostStatistics,
-    ExperimentConfig,
     emit_reports,
     load_config,
     paired_mean_z,
@@ -64,35 +24,12 @@ from .model import (
     GaussianSpec,
     LinearSystem,
     NominalDistribution,
-    RobustnessParams,
     ScenarioSpec,
-    UniformSpec,
-    draw_nominal_samples,
-    draw_realization,
     estimate_nominal,
-    split_stream,
-    stationary_nominal,
 )
-from .psdmath import MomentPair, bures_sq, gelbrich_dist_sq, psd_sqrt, transport_map
-from .riccati import (
-    PenaltyFeasibility,
-    RiccatiSolution,
-    backward_pass,
-    check_penalty,
-    min_feasible_lambda,
-)
-from .worstcase import (
-    CovObjectiveContext,
-    CovSolve,
-    SolverOptions,
-    WorstCaseSchedule,
-    cov_gradient,
-    cov_objective,
-    forward_schedule,
-    mean_affine,
-    solve_worst_case_cov,
-    worst_case_mean,
-)
+from .psdmath import gelbrich_dist_sq
+from .riccati import min_feasible_lambda
+from .worstcase import SolverOptions, mean_affine, solve_worst_case_cov
 
 __version__ = "0.1.0"
 
@@ -101,83 +38,36 @@ __all__ = [
     # model
     "LinearSystem",
     "CostSpec",
-    "RobustnessParams",
     "GaussianSpec",
-    "UniformSpec",
     "NominalDistribution",
     "ScenarioSpec",
     "estimate_nominal",
-    "stationary_nominal",
-    "draw_nominal_samples",
-    "draw_realization",
-    "split_stream",
     # psd math
-    "MomentPair",
-    "psd_sqrt",
-    "bures_sq",
     "gelbrich_dist_sq",
-    "transport_map",
     # riccati
-    "RiccatiSolution",
-    "PenaltyFeasibility",
-    "backward_pass",
-    "check_penalty",
     "min_feasible_lambda",
     # estimator
     "BeliefState",
-    "init_belief",
     "initial_posterior_cov",
     "predict",
     "update",
     "kalman_gain",
-    "covariance_path",
     # worst case
-    "CovObjectiveContext",
     "SolverOptions",
-    "CovSolve",
-    "WorstCaseSchedule",
-    "cov_objective",
-    "cov_gradient",
     "solve_worst_case_cov",
-    "forward_schedule",
-    "worst_case_mean",
     "mean_affine",
     # controller
-    "LqgController",
-    "WdrcController",
     "lqg_gains",
     "synthesize_wdrc",
     # bounds
-    "CostCertificate",
-    "CalibrationResult",
     "evaluate_value",
-    "expected_value",
     "guaranteed_cost",
     "certified_bound",
-    "performance_ratio",
-    "calibrate_lambda",
     # harness
-    "ExperimentConfig",
-    "CostStatistics",
-    "CampaignResult",
     "load_config",
     "run_campaign",
     "simulate_paired",
     "emit_reports",
     "paired_mean_z",
     "paired_std_z",
-    # errors
-    "WdrcError",
-    "ConfigError",
-    "DimMismatch",
-    "NotPSD",
-    "NotPD",
-    "EmptySamples",
-    "SingularMatrix",
-    "SingularInnovation",
-    "PenaltyTooSmall",
-    "NoFeasibleLambda",
-    "Diverged",
-    "DegenerateLQ",
-    "ScheduleMismatch",
 ]

@@ -6,11 +6,12 @@ initial belief ``(x_bar_0, P_bar_0)``, is
     J = x_bar_0' P_0 x_bar_0 + tr[(P_0 + S_0) P_bar_0]
         + 2 r_0' x_bar_0 + z_0 + sum_t z_tilde_t.
 
-Averaging over the first measurement gives the penalized game value
-``J_lam``.  It assumes the filter's mean is the true conditional mean
-under whatever law the adversary plays; the deployed filter predicts
-with the adversary's equilibrium mean instead, so ``lam T theta^2 +
-J_lam`` is not a bound on the deployed loop's cost.
+Its expectation over the first measurement, in closed form, is the
+penalized game value ``J_lam``.  It assumes the filter's mean is the
+true conditional mean under whatever law the adversary plays; the
+deployed filter predicts with the adversary's equilibrium mean instead,
+so ``lam T theta^2 + J_lam`` is not a bound on the deployed loop's
+cost.
 
 The certificate is the dual bound of the loop that is actually run
 (:mod:`wdrc.closedloop`): ``min_kappa kappa T theta^2 + W_kappa``, where
@@ -44,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -57,17 +57,14 @@ from .closedloop import (
 )
 from .controller import LqgController, WdrcController, lqg_gains, synthesize_wdrc
 from .errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
-from .estimator import BeliefState, initial_posterior_cov, kalman_gain
+from .estimator import BeliefState, initial_posterior_cov
 from .model import (
-    STREAM_VALUE_MC,
     CostSpec,
     DistributionSpec,
-    GaussianSpec,
     LinearSystem,
     NominalDistribution,
     RobustnessParams,
     ScenarioSpec,
-    split_stream,
 )
 from .riccati import backward_passes, min_feasible_lambda
 from .worstcase import forward_schedules
@@ -76,17 +73,13 @@ __all__ = [
     "CostCertificate",
     "CalibrationResult",
     "evaluate_value",
-    "expected_value",
     "guaranteed_cost",
     "certified_bound",
-    "reference_belief",
     "lqg_value_terms",
     "performance_ratio",
     "calibrate_lambda",
 ]
 
-# First measurements averaged by the value and the certificate.
-MC_SAMPLES = 10_000
 DEFAULT_LAMBDA_CAP = 1e6
 
 
@@ -100,21 +93,19 @@ class CostCertificate:
     ``theta = 0``, ``kappa`` is infinite and the bound is the exact
     nominal cost).  ``j_lambda`` is the penalized game value at the
     design penalty ``lam``; it prices an idealized filter and is not a
-    bound by itself.  ``j_lambda`` and ``j_lq`` average the respective
-    optimal values over the first measurement by Monte Carlo; the
-    ``_ref`` variants condition on the noiseless reference measurement
-    instead.  ``rho`` is ``guaranteed_bound / j_lq``.
+    bound by itself.  ``j_lambda`` and ``j_lq`` are the respective
+    optimal values in expectation over the first measurement, exact under
+    the initial-state law and the plant's measurement noise.  ``rho`` is
+    ``guaranteed_bound / j_lq``.
     """
 
     lam: float
     theta: float
     j_lambda: float
-    j_lambda_ref: float
     kappa: float
     w_kappa: float
     guaranteed_bound: float
     j_lq: float
-    j_lq_ref: float
     rho: float
 
 
@@ -167,49 +158,22 @@ def evaluate_value(sol, z_tilde_path: np.ndarray, b0: BeliefState) -> float:
     )
 
 
-def reference_belief(x0_dist: DistributionSpec, sys: LinearSystem) -> BeliefState:
-    """Belief after observing the noiseless average measurement.
-
-    With ``y_0 = C mean(x_0)`` the innovation vanishes, so the belief
-    mean equals the prior mean while the covariance contracts as usual.
-    """
-    return BeliefState(
-        mean=x0_dist.mean(), cov=initial_posterior_cov(x0_dist, sys)
-    )
-
-
-def _y0_samples(
-    x0_dist: DistributionSpec, sys: LinearSystem, seed: int, count: int
-) -> np.ndarray:
-    """Sample first measurements under the model's noise law."""
-    rng = split_stream(seed, STREAM_VALUE_MC)
-    x0 = x0_dist.sample(rng, count)
-    noise = GaussianSpec(np.zeros(sys.n_y), sys.M)
-    return x0 @ sys.C.T + noise.sample(rng, count)
-
-
-def expected_value(
-    sol,
-    z_tilde_path: np.ndarray,
-    x0_dist: DistributionSpec,
-    sys: LinearSystem,
-    y0_samples: np.ndarray,
+def _exact_value(
+    sol, z_tilde_path: np.ndarray, x0_dist: DistributionSpec, sys: LinearSystem
 ) -> float:
-    """Average the stage-0 value over sampled first measurements.
+    """Stage-0 value in expectation over the first measurement.
 
-    The belief covariance does not depend on the measurement, so only
-    the quadratic-in-mean part is averaged.
+    The belief covariance ``P_bar_0`` does not depend on the measurement
+    and the filter mean ``x_bar_0`` has mean ``E[x_0]``, so the value is
+    :func:`evaluate_value` at ``(E[x_0], P_bar_0)`` plus ``tr[P_0
+    Cov(x_bar_0)]``, with ``Cov(x_bar_0) = K_0 (C Sigma_0 C' + M) K_0'``
+    the filter-mean block of :func:`wdrc.closedloop.initial_moments`.
     """
-    base = reference_belief(x0_dist, sys)
-    mu = x0_dist.mean()
-    gain = kalman_gain(x0_dist.cov(), sys)
-    means = mu + (y0_samples - mu @ sys.C.T) @ gain.T
-    fixed = evaluate_value(sol, z_tilde_path, base)
-    quad = np.einsum("ij,jk,ik->i", means, sol.P[0], means)
-    quad_ref = float(mu @ sol.P[0] @ mu)
-    lin = 2.0 * (means @ sol.r[0])
-    lin_ref = 2.0 * float(sol.r[0] @ mu)
-    return fixed + float(np.mean(quad - quad_ref + lin - lin_ref))
+    n = sys.n_x
+    mean, cov = initial_moments(x0_dist, sys, sys.M)
+    belief = BeliefState(mean=mean[:n], cov=initial_posterior_cov(x0_dist, sys))
+    spread = float(np.trace(sol.P[0] @ cov[n:, n:]))
+    return evaluate_value(sol, z_tilde_path, belief) + spread
 
 
 def guaranteed_cost(lam: float, horizon: int, theta: float, j_lambda: float) -> float:
@@ -229,37 +193,16 @@ def certified_bound(
     cost: CostSpec,
     x0_dist: DistributionSpec,
     theta: float,
-    y0_samples: np.ndarray,
 ) -> DualBound:
     """Certified bound of the deployed robust loop, minimized over kappa.
 
-    The stage-0 belief is averaged over ``y0_samples`` as in
-    :func:`expected_value`, and the measurement noise follows the
-    plant's ``M``.  A pure function of its arguments.
+    The stage-0 moments are exact under the initial-state law and the
+    plant's measurement noise ``M``, which the loop's noise also
+    follows.  A pure function of its arguments.
     """
-    return _certifier(sys, cost, x0_dist, theta, y0_samples)(ctrl)
-
-
-def _certifier(
-    sys: LinearSystem,
-    cost: CostSpec,
-    x0_dist: DistributionSpec,
-    theta: float,
-    y0_samples: np.ndarray,
-) -> Callable[[WdrcController], DualBound]:
-    """:func:`certified_bound` as a function of the controller alone.
-
-    The stage-0 moments, averaged over ``y0_samples``, do not depend on
-    the controller, so they are computed once here for every
-    certificate.
-    """
-    z0 = initial_moments(x0_dist, sys, sys.M, y0_samples)
-
-    def certify(ctrl: WdrcController) -> DualBound:
-        feed = policy_feed(ctrl, sys, x0_dist)
-        return dual_bound(closed_loop(feed, sys, cost), z0, ctrl.nominal, sys.M, theta)
-
-    return certify
+    z0 = initial_moments(x0_dist, sys, sys.M)
+    feed = policy_feed(ctrl, sys, x0_dist)
+    return dual_bound(closed_loop(feed, sys, cost), z0, ctrl.nominal, sys.M, theta)
 
 
 def lqg_value_terms(ctrl: LqgController) -> np.ndarray:
@@ -315,31 +258,21 @@ def performance_ratio(
     if ctrl is None:
         ctrl = synthesize_wdrc(sys, cost, nominal, params.lam, p0)
     lqg = lqg_ctrl if lqg_ctrl is not None else lqg_gains(sys, cost, nominal, p0)
-    y0 = _y0_samples(x0_dist, sys, scenario.seed, MC_SAMPLES)
-    z_tilde = ctrl.schedule.z_tilde_path
-
-    ref = reference_belief(x0_dist, sys)
-    j_lambda_ref = evaluate_value(ctrl.solution, z_tilde, ref)
-    j_lambda = expected_value(ctrl.solution, z_tilde, x0_dist, sys, y0)
-
-    lq_path = lqg_value_terms(lqg)
-    j_lq_ref = evaluate_value(lqg, lq_path, ref)
-    j_lq = expected_value(lqg, lq_path, x0_dist, sys, y0)
+    j_lambda = _exact_value(ctrl.solution, ctrl.schedule.z_tilde_path, x0_dist, sys)
+    j_lq = _exact_value(lqg, lqg_value_terms(lqg), x0_dist, sys)
     if not math.isfinite(j_lq) or j_lq <= 0.0:
         raise DegenerateLQ(f"baseline value {j_lq} is not strictly positive")
 
     if dual is None:
-        dual = certified_bound(ctrl, sys, cost, x0_dist, params.theta, y0)
+        dual = certified_bound(ctrl, sys, cost, x0_dist, params.theta)
     return CostCertificate(
         lam=params.lam,
         theta=params.theta,
         j_lambda=j_lambda,
-        j_lambda_ref=j_lambda_ref,
         kappa=dual.kappa,
         w_kappa=dual.w_kappa,
         guaranteed_bound=dual.bound,
         j_lq=j_lq,
-        j_lq_ref=j_lq_ref,
         rho=dual.bound / j_lq,
     )
 
@@ -389,9 +322,8 @@ def calibrate_lambda(
     ``lam_min`` is the bisected feasibility boundary: a coarse scan
     locates the basin, golden-section refines it to ``1e-3`` in ``log
     lam`` (the bound is flat to about ``1e-7`` relative there), and the
-    better of the two wins.  Measurement samples for the value average
-    are drawn once and shared across all evaluations, so the objective
-    is a fixed deterministic function during the search.
+    better of the two wins.  The objective is a deterministic function
+    of ``lam``.
 
     Controllers are synthesized in stacks (:func:`_synthesize_stacked`):
     the scan's penalties in one, and the golden section's points a few
@@ -406,14 +338,14 @@ def calibrate_lambda(
     """
     x0_dist = scenario.initial_state
     lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * lam_cap, hi=lam_cap)
-    y0 = _y0_samples(x0_dist, sys, scenario.seed, MC_SAMPLES)
     p0 = initial_posterior_cov(x0_dist, sys)
-    certify = _certifier(sys, cost, x0_dist, theta, y0)
 
     evaluations: list[tuple[float, float]] = []
 
     def score(s: float, ctrl: WdrcController | None):
-        dual = None if ctrl is None else certify(ctrl)
+        dual = None
+        if ctrl is not None:
+            dual = certified_bound(ctrl, sys, cost, x0_dist, theta)
         val = math.inf if dual is None else dual.bound
         evaluations.append((math.exp(s), val))
         return val, (ctrl, dual)

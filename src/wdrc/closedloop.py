@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ControllerMode, WdrcController
-from .estimator import initial_posterior_cov, kalman_gain
+from .estimator import kalman_gain
 from .model import CostSpec, DistributionSpec, LinearSystem, NominalDistribution
 from .worstcase import mean_affine
 
@@ -178,36 +178,20 @@ def closed_loop(feed: PolicyFeed, sys: LinearSystem, cost: CostSpec) -> ClosedLo
 
 
 def initial_moments(
-    x0_dist: DistributionSpec,
-    sys: LinearSystem,
-    noise_cov: np.ndarray,
-    y0_samples: np.ndarray | None = None,
+    x0_dist: DistributionSpec, sys: LinearSystem, noise_cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of ``z_0 = (x_0, x_bar_0)``.
 
     Exact under the initial-state law and measurement noise
-    ``noise_cov``.  With ``y0_samples`` the filter mean is averaged over
-    those first measurements instead (empirical mean and ``1/N``
-    covariance) and the estimation error ``x_0 - x_bar_0`` keeps its
-    model moments ``(0, P_bar_0)``, uncorrelated with ``x_bar_0``: the
-    stage-0 convention of :func:`wdrc.bounds.expected_value`.
+    ``noise_cov``: ``x_bar_0 = E[x_0] + K_0 (y_0 - C E[x_0])`` has mean
+    ``E[x_0]`` and covariance ``K_0 (C Sigma_0 C' + noise_cov) K_0'``.
     """
     mu0, cov0 = x0_dist.mean(), x0_dist.cov()
     gain = kalman_gain(cov0, sys)
-    if y0_samples is None:
-        mean_bar = mu0
-        cov_bar = gain @ (sys.C @ cov0 @ sys.C.T + noise_cov) @ gain.T
-        cross = cov0 @ sys.C.T @ gain.T
-        cov_x = cov0
-    else:
-        means = mu0 + (y0_samples - mu0 @ sys.C.T) @ gain.T
-        mean_bar = means.mean(axis=0)
-        dev = means - mean_bar
-        cov_bar = dev.T @ dev / means.shape[0]
-        cross = cov_bar
-        cov_x = cov_bar + initial_posterior_cov(x0_dist, sys)
-    cov = np.block([[cov_x, cross], [cross.T, cov_bar]])
-    return np.concatenate([mean_bar, mean_bar]), cov
+    cov_bar = gain @ (sys.C @ cov0 @ sys.C.T + noise_cov) @ gain.T
+    cross = cov0 @ sys.C.T @ gain.T
+    cov = np.block([[cov0, cross], [cross.T, cov_bar]])
+    return np.concatenate([mu0, mu0]), cov
 
 
 def exact_cost(

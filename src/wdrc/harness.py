@@ -193,9 +193,14 @@ def _distribution(raw: Any, path: str) -> DistributionSpec:
             f"unknown distribution type {kind!r} (expected gaussian or uniform)",
             f"{path}.type",
         )
-    args = [_matrix(raw, key, path) for key in keys]
+    return _built(path, make, *[_matrix(raw, key, path) for key in keys])
+
+
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a rejected value reported as a
+    :class:`ConfigError` at ``path``."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except (ValueError, WdrcError) as exc:
         raise ConfigError(str(exc), path) from exc
 
@@ -205,14 +210,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
     plant = _section(raw, "plant")
-    sys = LinearSystem(
-        A=_matrix(plant, "A", "plant"),
-        B=_matrix(plant, "B", "plant"),
-        C=_matrix(plant, "C", "plant"),
-        M=_matrix(plant, "M", "plant"),
+    sys = _built(
+        "plant",
+        LinearSystem,
+        **{key: _matrix(plant, key, "plant") for key in ("A", "B", "C", "M")},
     )
     cost_raw = _section(raw, "cost")
-    cost = CostSpec(
+    cost = _built(
+        "cost",
+        CostSpec,
         Q=_matrix(cost_raw, "Q", "cost"),
         Q_f=_matrix(cost_raw, "Q_f", "cost"),
         R=_matrix(cost_raw, "R", "cost"),
@@ -243,7 +249,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"noise_cov has shape {noise_cov.shape}, plant has {sys.n_y} outputs",
             "scenario.noise_cov",
         )
-    scenario = ScenarioSpec(
+    scenario = _built(
+        "scenario",
+        ScenarioSpec,
         true_disturbance=_distribution(
             _entry(scen, "true_disturbance", "scenario"),
             "scenario.true_disturbance",
@@ -673,12 +681,10 @@ def emit_reports(result: CampaignResult, out_dir: str) -> dict[str, str]:
             "lam": cert.lam,
             "theta": cert.theta,
             "j_lambda": cert.j_lambda,
-            "j_lambda_ref": cert.j_lambda_ref,
             "kappa": _finite_or_none(cert.kappa),
             "w_kappa": cert.w_kappa,
             "guaranteed_bound": cert.guaranteed_bound,
             "j_lq": cert.j_lq,
-            "j_lq_ref": cert.j_lq_ref,
             "rho": cert.rho,
         }
     if result.wdrc is not None and result.lqg is not None:

@@ -43,13 +43,11 @@ __all__ = [
     "draw_realizations",
     "STREAM_NOMINAL",
     "STREAM_RUN",
-    "STREAM_VALUE_MC",
 ]
 
 # Substream purposes for the master-seed split.
 STREAM_NOMINAL = 0
 STREAM_RUN = 1
-STREAM_VALUE_MC = 2
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

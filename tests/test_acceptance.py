@@ -49,12 +49,11 @@ from wdrc import (
     run_campaign,
     simulate_paired,
     solve_worst_case_cov,
-    split_stream,
     synthesize_wdrc,
     update,
 )
 from wdrc.errors import Diverged, PenaltyTooSmall
-from wdrc.model import STREAM_VALUE_MC, CostSpec, LinearSystem, draw_nominal_samples
+from wdrc.model import CostSpec, LinearSystem, draw_nominal_samples
 from wdrc.oracles import (
     bracket_max,
     fd_gradient_sym,
@@ -351,8 +350,7 @@ def test_certificate_and_calibration_optimality(gaussian_campaign):
     sit below the bound, and the calibrated penalty must be at least as
     good as a 100-point log-spaced grid over the feasible range, with
     the grid objective (the certified bound of the controller at each
-    penalty) rebuilt through the public function on the same shared
-    measurement sample."""
+    penalty) rebuilt through the public function."""
     result, _ = gaussian_campaign
     cert, cal, cfg = result.certificate, result.calibration, result.config
     assert cert.rho > 1.0
@@ -362,10 +360,6 @@ def test_certificate_and_calibration_optimality(gaussian_campaign):
     nominal = estimate_nominal(draw_nominal_samples(result.scenario, cost.horizon))
     x0_dist = result.scenario.initial_state
     p0 = initial_posterior_cov(x0_dist, sys_)
-    rng = split_stream(result.scenario.seed, STREAM_VALUE_MC)
-    x0 = x0_dist.sample(rng, 10_000)
-    noise = GaussianSpec(np.zeros(sys_.n_y), sys_.M).sample(rng, 10_000)
-    y0 = x0 @ sys_.C.T + noise
 
     lam_min = min_feasible_lambda(sys_, cost, 1e-3, 1e6)
     best = math.inf
@@ -375,7 +369,7 @@ def test_certificate_and_calibration_optimality(gaussian_campaign):
             ctrl = synthesize_wdrc(sys_, cost, nominal, float(lam), p0)
         except (PenaltyTooSmall, Diverged):
             continue
-        bound = certified_bound(ctrl, sys_, cost, x0_dist, cfg.theta, y0).bound
+        bound = certified_bound(ctrl, sys_, cost, x0_dist, cfg.theta).bound
         best = min(best, bound)
         finite += 1
     print(

@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 
 from wdrc.bounds import (
-    MC_SAMPLES,
+    _exact_value,
     _golden_min,
-    _y0_samples,
     calibrate_lambda,
     certified_bound,
     evaluate_value,
-    expected_value,
     guaranteed_cost,
     lqg_value_terms,
     performance_ratio,
-    reference_belief,
 )
 from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
@@ -88,38 +85,9 @@ def test_evaluate_value_rejects_wrong_path_length():
         evaluate_value(sol, np.zeros(5), b0)
 
 
-def test_reference_belief_moments(plant):
-    x0 = GaussianSpec(np.array([0.3, -0.2]), 0.04 * np.eye(2))
-    ref = reference_belief(x0, plant)
-    assert np.allclose(ref.mean, x0.mean())
-    assert np.allclose(ref.cov, initial_posterior_cov(x0, plant))
-
-
-def test_expected_value_equals_direct_average(plant):
-    """The vectorized measurement average must match a per-sample loop."""
-    rng = np.random.default_rng(40)
-    x0 = GaussianSpec(np.array([0.3, -0.2]), 0.04 * np.eye(2))
-    sol = _StubSolution(
-        P=np.array([np.array([[2.0, 0.3], [0.3, 1.0]])]),
-        S=np.array([np.eye(2)]),
-        r=np.array([[0.5, -0.7]]),
-        z=np.array([0.1]),
-    )
-    y0 = rng.standard_normal((64, 1)) * 0.8 + 0.1
-    got = expected_value(sol, np.zeros(0), x0, plant, y0)
-
-    mu = x0.mean()
-    gain = kalman_gain(x0.cov(), plant)
-    cov0 = initial_posterior_cov(x0, plant)
-    vals = []
-    for y in y0:
-        mean = mu + gain @ (y - plant.C @ mu)
-        vals.append(evaluate_value(sol, np.zeros(0), BeliefState(mean, cov0)))
-    assert got == pytest.approx(float(np.mean(vals)), rel=1e-12)
-
-
-def test_expected_value_targets_analytic_mean(plant):
-    """Large-sample average approaches V_ref + tr[P K Cov(y) K']."""
+def test_exact_value_matches_sampled_average(plant):
+    """The closed-form stage-0 value is the average of ``evaluate_value``
+    over beliefs conditioned on sampled first measurements."""
     x0 = GaussianSpec(np.array([0.3, -0.2]), 0.04 * np.eye(2))
     sol = _StubSolution(
         P=np.array([np.array([[2.0, 0.3], [0.3, 1.0]])]),
@@ -133,12 +101,15 @@ def test_expected_value_targets_analytic_mean(plant):
     noise = GaussianSpec(np.zeros(1), plant.M).sample(rng, count)
     y0 = xs @ plant.C.T + noise
 
-    got = expected_value(sol, np.zeros(0), x0, plant, y0)
-    ref = evaluate_value(sol, np.zeros(0), reference_belief(x0, plant))
+    mu = x0.mean()
     gain = kalman_gain(x0.cov(), plant)
-    y_cov = plant.C @ x0.cov() @ plant.C.T + plant.M
-    analytic = ref + float(np.trace(sol.P[0] @ gain @ y_cov @ gain.T))
-    assert got == pytest.approx(analytic, rel=5e-3)
+    cov0 = initial_posterior_cov(x0, plant)
+    means = mu + (y0 - mu @ plant.C.T) @ gain.T
+    sampled = np.mean(
+        [evaluate_value(sol, np.zeros(0), BeliefState(m, cov0)) for m in means]
+    )
+    got = _exact_value(sol, np.zeros(0), x0, plant)
+    assert got == pytest.approx(sampled, rel=5e-3)
 
 
 def test_guaranteed_cost_formula():
@@ -152,7 +123,6 @@ def test_certificate_collapses_at_huge_penalty(
     cert = performance_ratio(plant, short_cost, short_nominal, short_scenario, params)
     assert cert.guaranteed_bound == pytest.approx(cert.j_lambda)
     assert cert.j_lambda == pytest.approx(cert.j_lq, rel=1e-4)
-    assert cert.j_lambda_ref == pytest.approx(cert.j_lq_ref, rel=1e-4)
     assert cert.rho == pytest.approx(1.0, abs=2e-4)
 
 
@@ -301,14 +271,14 @@ def _bundled(name: str, seed: int | None):
     return cfg, scenario, nominal, p0
 
 
-def _bound_at(cfg, scenario, nominal, p0, lam: float, y0) -> float:
+def _bound_at(cfg, scenario, nominal, p0, lam: float) -> float:
     """The calibration objective at ``lam``, one penalty at a time."""
     try:
         ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
     except (PenaltyTooSmall, Diverged):
         return math.inf
     return certified_bound(
-        ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta, y0
+        ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta
     ).bound
 
 
@@ -391,12 +361,11 @@ def test_stacked_scan_equals_objective_per_penalty(name, seed):
     cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
     grid = np.linspace(math.log(lam_min), math.log(1e6), 33)
-    y0 = _y0_samples(scenario.initial_state, cfg.sys, scenario.seed, MC_SAMPLES)
     expected = []
 
     def objective(s):
         lam = math.exp(s)
-        expected.append((lam, _bound_at(cfg, scenario, nominal, p0, lam, y0)))
+        expected.append((lam, _bound_at(cfg, scenario, nominal, p0, lam)))
         return expected[-1][1]
 
     scanned = [objective(s) for s in grid]

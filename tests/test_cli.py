@@ -139,6 +139,28 @@ def test_bad_law_parameters_exit_with_config_code(law, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("plant", "M", [[-0.2]]),
+        ("cost", "R", [[0.0]]),
+        ("scenario", "noise_cov", [[-0.2]]),
+    ],
+    ids=["plant-noise-not-psd", "cost-input-weight-not-pd", "true-noise-not-psd"],
+)
+def test_bad_model_matrix_exits_with_config_code(
+    section, key, value, tmp_path, capsys
+):
+    raw = base_config()
+    raw[section][key] = value
+    path = tmp_path / "bad_matrix.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["simulate", "-c", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"config error: {section}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_imports_leave_scipy_and_the_oracles_unloaded():
     """The CLI loads neither scipy nor the oracles until ``wdrc oracle``
     runs, and the oracles need ``scipy.special`` only, not

@@ -25,7 +25,8 @@ from wdrc.closedloop import (
     policy_feed,
     worst_case_law,
 )
-from wdrc.model import GaussianSpec, draw_nominal_samples
+from wdrc.bounds import performance_ratio
+from wdrc.model import RobustnessParams, draw_nominal_samples
 from wdrc.psdmath import MomentPair
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -40,11 +41,7 @@ def setup(request):
     p0 = initial_posterior_cov(scen.initial_state, cfg.sys)
     wdrc = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 4.0, p0)
     lqg = lqg_gains(cfg.sys, cfg.cost, nominal, p0)
-    rng = np.random.default_rng(17)
-    x0 = scen.initial_state.sample(rng, 2000)
-    noise = GaussianSpec(np.zeros(cfg.sys.n_y), cfg.sys.M).sample(rng, 2000)
-    y0 = x0 @ cfg.sys.C.T + noise
-    return cfg, nominal, wdrc, lqg, y0
+    return cfg, nominal, wdrc, lqg
 
 
 def _loop(cfg, ctrl):
@@ -59,7 +56,7 @@ def _stationary(T, mean, cov):
 def test_exact_cost_matches_batched_rollouts(setup):
     """Monte-Carlo means of both policies sit within 3 SE of the exact
     expectation under the scenario's true laws."""
-    cfg, _, wdrc, lqg, _ = setup
+    cfg, _, wdrc, lqg = setup
     scen = cfg.scenario
     wdrc_costs, lqg_costs = simulate_paired(
         wdrc, lqg, scen, cfg.sys, cfg.cost, runs=4000
@@ -111,9 +108,9 @@ def _admissible_laws(nominal, theta, T):
 def test_certificate_covers_admissible_laws_exactly(setup):
     """The certified bound is at least the exact cost of the deployed loop
     for stationary and non-stationary laws inside the ball."""
-    cfg, nominal, wdrc, _, y0 = setup
+    cfg, nominal, wdrc, _ = setup
     scen, T, theta = cfg.scenario, cfg.cost.horizon, cfg.theta
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, scen.initial_state, theta, y0)
+    cert = certified_bound(wdrc, cfg.sys, cfg.cost, scen.initial_state, theta)
     assert math.isfinite(cert.bound)
     loop = _loop(cfg, wdrc)
     z0 = initial_moments(scen.initial_state, cfg.sys, cfg.sys.M)
@@ -130,27 +127,60 @@ def test_certificate_covers_admissible_laws_exactly(setup):
 
 def test_zero_radius_certificate_is_exact_nominal_cost(setup):
     """At theta = 0 the certificate is the exact cost under the nominal
-    law, with the stage-0 belief averaged over the same measurements."""
-    cfg, nominal, wdrc, _, y0 = setup
+    law."""
+    cfg, nominal, wdrc, _ = setup
     x0_dist, T = cfg.scenario.initial_state, cfg.cost.horizon
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, 0.0, y0)
+    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, 0.0)
     means = np.stack([nominal.mean(t) for t in range(T)])
     covs = np.stack([nominal.cov(t) for t in range(T)])
-    z0 = initial_moments(x0_dist, cfg.sys, cfg.sys.M, y0)
+    z0 = initial_moments(x0_dist, cfg.sys, cfg.sys.M)
     exact = exact_cost(_loop(cfg, wdrc), z0, means, covs, cfg.sys.M)
     assert cert.kappa == math.inf
     assert cert.bound == pytest.approx(exact, rel=1e-12)
+
+
+def test_certificate_is_the_cost_of_its_attaining_law(setup):
+    """The relaxed dual bound is attained: the law ``worst_case_law``
+    returns at the certificate's multiplier costs the bound, to rounding.
+    The bound exceeds that cost by ``kappa (T theta^2 - sum_t G_t^2)``,
+    whose sign at the computed multiplier is a matter of rounding, so
+    both sides get the same tolerance."""
+    cfg, nominal, wdrc, _ = setup
+    x0_dist, M = cfg.scenario.initial_state, cfg.sys.M
+    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
+    loop = _loop(cfg, wdrc)
+    z0 = initial_moments(x0_dist, cfg.sys, M)
+    means, covs = worst_case_law(loop, z0, nominal, cert.kappa)
+    cost = exact_cost(loop, z0, means, covs, M)
+    print(f"bound {cert.bound!r}, attaining law {cost!r}")
+    assert cert.bound == pytest.approx(cost, rel=1e-12)
+
+
+def test_baseline_value_is_the_exact_nominal_cost(setup):
+    """The textbook LQG value ``j_lq`` is the exact expected cost of the
+    baseline loop under the nominal moments and the plant's noise."""
+    cfg, nominal, wdrc, lqg = setup
+    scen, T, M = cfg.scenario, cfg.cost.horizon, cfg.sys.M
+    params = RobustnessParams(theta=cfg.theta, lam=4.0)
+    cert = performance_ratio(
+        cfg.sys, cfg.cost, nominal, scen, params, wdrc_ctrl=wdrc, lqg_ctrl=lqg
+    )
+    means = np.stack([nominal.mean(t) for t in range(T)])
+    covs = np.stack([nominal.cov(t) for t in range(T)])
+    z0 = initial_moments(scen.initial_state, cfg.sys, M)
+    exact = exact_cost(_loop(cfg, lqg), z0, means, covs, M)
+    assert cert.j_lq == pytest.approx(exact, rel=1e-12)
 
 
 def test_penalized_value_duality(setup):
     """``W_kappa`` is attained by its maximizing law, dominates every
     other law's penalized cost, and its slope is minus the maximizer's
     summed squared distance; the dual bound is its minimum over kappa."""
-    cfg, nominal, wdrc, _, y0 = setup
+    cfg, nominal, wdrc, _ = setup
     x0_dist, T, M = cfg.scenario.initial_state, cfg.cost.horizon, cfg.sys.M
     loop = _loop(cfg, wdrc)
-    z0 = initial_moments(x0_dist, cfg.sys, M, y0)
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta, y0)
+    z0 = initial_moments(x0_dist, cfg.sys, M)
+    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
     assert cert.bound == guaranteed_cost(cert.kappa, T, cfg.theta, cert.w_kappa)
 
     def penalty(means, covs):
@@ -185,12 +215,12 @@ def test_dual_bound_recovers_from_poor_model_roots(setup, monkeypatch):
     predicted multiplier is unbounded or far too large."""
     import wdrc.closedloop as closedloop
 
-    cfg, _, wdrc, _, y0 = setup
+    cfg, _, wdrc, _ = setup
     x0_dist = cfg.scenario.initial_state
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta, y0)
+    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
     for start in (0.5 * cert.kappa, 100.0 * cert.kappa):
         monkeypatch.setattr(closedloop, "_model_root", lambda *args: start)
-        again = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta, y0)
+        again = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
         assert again.bound == pytest.approx(cert.bound, rel=1e-10)
         assert again.kappa == pytest.approx(cert.kappa, rel=1e-4)
 
@@ -203,13 +233,11 @@ def test_dual_bound_steps_by_secant_next_to_a_pole(monkeypatch):
     bracket the root, secant steps settle it in a few, at the same
     bound."""
     import wdrc.closedloop as closedloop
-    from wdrc.bounds import MC_SAMPLES, _y0_samples
     from wdrc.harness import prepare
 
     cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
     scenario, nominal, p0 = prepare(cfg, 2813)
     ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 3.1679, p0)
-    y0 = _y0_samples(scenario.initial_state, cfg.sys, scenario.seed, MC_SAMPLES)
     evaluations = []
     evaluate = closedloop._evaluate
 
@@ -218,9 +246,8 @@ def test_dual_bound_steps_by_secant_next_to_a_pole(monkeypatch):
         return evaluate(terms, kappa)
 
     monkeypatch.setattr(closedloop, "_evaluate", counted)
-    cert = certified_bound(
-        ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta, y0
-    )
+    cert = certified_bound(ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta)
     assert len(evaluations) <= 8
-    # The bound the model-Newton search reached in 41 evaluations.
-    assert cert.bound == pytest.approx(7.447769955488419, rel=1e-9)
+    # The bound the model-Newton search reaches in 41 evaluations, and the
+    # searches started at half and 100 times the multiplier, within 1e-12.
+    assert cert.bound == pytest.approx(7.447779441019523, rel=1e-9)

@@ -14,6 +14,10 @@ the tree) on the configs of this repository:
   seed and at ``--seed 12`` and ``--seed 13``: exit code, stdout and
   every file in the report directory (``costs.csv``, ``histogram.csv``
   and ``summary.json``);
+- ``wdrc simulate`` on ``gaussian.yaml`` with the penalty pinned at
+  ``robustness.lam: 4.0``, at the config's seed: calibration is
+  skipped, so sampling, rollouts and reports are compared even when a
+  change moves the calibrated penalty;
 - the edges of the blocked run sampler, the same way: ``wdrc simulate``
   on ``gaussian.yaml`` with ``--runs 2500 --jobs 2``, whose second chunk
   starts at run 1250, inside a sampling block, and on ``uniform.yaml``
@@ -49,16 +53,20 @@ ORACLE_SEEDS = range(6)
 
 
 def write_configs(work_dir: str) -> None:
-    """The bundled configs, plus uniform with a per-stage nominal."""
+    """The bundled configs, plus uniform with a per-stage nominal and
+    gaussian with a pinned penalty."""
     for name, base, overrides in (
         ("gaussian", "gaussian", {}),
         ("uniform", "uniform", {}),
         ("uniform-stagewise", "uniform", {"per_stage_nominal": True}),
+        ("gaussian-lam4", "gaussian", {"robustness": {"lam": 4.0}}),
     ):
         with open(os.path.join(ROOT, "configs", f"{base}.yaml")) as fh:
             raw = yaml.safe_load(fh)
+        for key, value in overrides.items():
+            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
         with open(os.path.join(work_dir, f"{name}.yaml"), "w") as fh:
-            yaml.safe_dump({**raw, **overrides}, fh)
+            yaml.safe_dump(raw, fh)
 
 
 def jobs() -> list[tuple[str, list[str], str | None]]:
@@ -73,11 +81,12 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
                 argv += ["--seed", str(seed)]
             out.append((label, argv, out_dir))
     for name, flags, out_dir in (
+        ("gaussian-lam4", [], "out-lam4"),
         ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
     ):
         argv = ["simulate", "--config", f"{name}.yaml", "--out", out_dir, *flags]
-        out.append((f"simulate {name} {' '.join(flags)}", argv, out_dir))
+        out.append((f"simulate {' '.join([name, *flags])}", argv, out_dir))
     for name in CONFIGS:
         out.append((f"calibrate {name}", ["calibrate", "--config", f"{name}.yaml"], None))
     for seed in ORACLE_SEEDS:
