@@ -45,15 +45,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .closedloop import (
     DualBound,
     closed_loop,
-    dual_bound,
+    dual_bounds,
     initial_moments,
-    policy_feed,
+    policy_feeds,
 )
 from .controller import LqgController, WdrcController, lqg_gains, synthesize_wdrc
 from .errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
@@ -75,6 +76,7 @@ __all__ = [
     "evaluate_value",
     "guaranteed_cost",
     "certified_bound",
+    "certified_bounds",
     "lqg_value_terms",
     "performance_ratio",
     "calibrate_lambda",
@@ -198,11 +200,28 @@ def certified_bound(
 
     The stage-0 moments are exact under the initial-state law and the
     plant's measurement noise ``M``, which the loop's noise also
-    follows.  A pure function of its arguments.
+    follows.  A pure function of its arguments.  This is
+    :func:`certified_bounds` on a stack of one.
     """
+    (dual,) = certified_bounds([ctrl], sys, cost, x0_dist, theta)
+    return dual
+
+
+def certified_bounds(
+    ctrls: Sequence[WdrcController],
+    sys: LinearSystem,
+    cost: CostSpec,
+    x0_dist: DistributionSpec,
+    theta: float,
+) -> list[DualBound]:
+    """:func:`certified_bound` of several robust controllers of one
+    nominal, in one stacked :func:`~wdrc.closedloop.dual_bounds`; each
+    bound equals its controller's alone, bit for bit."""
+    if not ctrls:
+        return []
     z0 = initial_moments(x0_dist, sys, sys.M)
-    feed = policy_feed(ctrl, sys, x0_dist)
-    return dual_bound(closed_loop(feed, sys, cost), z0, ctrl.nominal, sys.M, theta)
+    loops = closed_loop(policy_feeds(ctrls, sys, x0_dist), sys, cost)
+    return dual_bounds(loops, z0, ctrls[0].nominal, sys.M, theta)
 
 
 def lqg_value_terms(ctrl: LqgController) -> np.ndarray:
@@ -342,10 +361,7 @@ def calibrate_lambda(
 
     evaluations: list[tuple[float, float]] = []
 
-    def score(s: float, ctrl: WdrcController | None):
-        dual = None
-        if ctrl is not None:
-            dual = certified_bound(ctrl, sys, cost, x0_dist, theta)
+    def score(s: float, ctrl: WdrcController | None, dual: DualBound | None):
         val = math.inf if dual is None else dual.bound
         evaluations.append((math.exp(s), val))
         return val, (ctrl, dual)
@@ -353,7 +369,12 @@ def calibrate_lambda(
     def synthesize(points):
         lams = [math.exp(s) for s in points]
         ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
-        return [partial(score, s, ctrl) for s, ctrl in zip(points, ctrls)]
+        feasible = [ctrl for ctrl in ctrls if ctrl is not None]
+        duals = iter(certified_bounds(feasible, sys, cost, x0_dist, theta))
+        return [
+            partial(score, s, ctrl, None if ctrl is None else next(duals))
+            for s, ctrl in zip(points, ctrls)
+        ]
 
     lo, hi = math.log(lam_min), math.log(lam_cap)
     grid = np.linspace(lo, hi, scan_points)

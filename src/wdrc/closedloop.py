@@ -32,31 +32,39 @@ By weak duality ``kappa T theta^2 + W_kappa`` bounds the expected cost
 of every sequence of laws within Gelbrich distance ``theta`` of the
 nominal at every stage; :func:`dual_bound` minimizes it over the
 multiplier.
+
+Several robust loops of one nominal are bounded together on stacks with
+a leading axis (:func:`policy_feeds`, :func:`closed_loop` of a stacked
+feed, :func:`dual_bounds`); every stacked numpy call gives each member
+the bits of its call alone, so each bound equals its loop's alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .controller import ControllerMode, WdrcController
 from .estimator import kalman_gain
 from .model import CostSpec, DistributionSpec, LinearSystem, NominalDistribution
-from .worstcase import mean_affine
+from .worstcase import mean_affines
 
 __all__ = [
     "PolicyFeed",
     "ClosedLoop",
     "DualBound",
     "policy_feed",
+    "policy_feeds",
     "closed_loop",
     "initial_moments",
     "exact_cost",
     "penalized_value",
     "worst_case_law",
     "dual_bound",
+    "dual_bounds",
 ]
 
 
@@ -86,6 +94,9 @@ class ClosedLoop(NamedTuple):
         Qz, qz, cz: Stage cost ``z' Qz z + 2 qz' z + cz``.
         Qf: Terminal weight on ``z``.
         Pi: Cost-to-go matrices of the loop, ``(T + 1, 2n, 2n)``.
+
+    A stack of loops (:func:`closed_loop` of a stacked feed) carries a
+    leading stack axis on every array, ``Qf`` included.
     """
 
     F: np.ndarray
@@ -100,7 +111,7 @@ class ClosedLoop(NamedTuple):
 
     @property
     def horizon(self) -> int:
-        return self.F.shape[0]
+        return self.F.shape[-3]
 
 
 class DualBound(NamedTuple):
@@ -118,63 +129,140 @@ class DualBound(NamedTuple):
 def policy_feed(
     mode: ControllerMode, sys: LinearSystem, x0_dist: DistributionSpec
 ) -> PolicyFeed:
-    """Gains and filter inputs the deployed loop runs with."""
-    init_gain = kalman_gain(x0_dist.cov(), sys)
+    """Gains and filter inputs the deployed loop runs with.
+
+    For a robust controller this is :func:`policy_feeds` on a stack of
+    one.
+    """
     if isinstance(mode, WdrcController):
-        return PolicyFeed(
-            K=mode.solution.K,
-            L=mode.solution.L,
-            filter_gains=mode.schedule.gains,
-            init_gain=init_gain,
-            w_affine=mean_affine(sys, mode.solution, mode.nominal),
-            w_const=None,
+        feed = policy_feeds([mode], sys, x0_dist)
+        H, h = feed.w_affine
+        return feed._replace(
+            K=feed.K[0],
+            L=feed.L[0],
+            filter_gains=feed.filter_gains[0],
+            w_affine=(H[0], h[0]),
         )
     T = mode.horizon
     return PolicyFeed(
         K=mode.K,
         L=mode.L,
         filter_gains=mode.gains,
-        init_gain=init_gain,
+        init_gain=kalman_gain(x0_dist.cov(), sys),
         w_affine=None,
         w_const=np.stack([mode.nominal.mean(t) for t in range(T)]),
     )
 
 
+def policy_feeds(
+    ctrls: Sequence[WdrcController], sys: LinearSystem, x0_dist: DistributionSpec
+) -> PolicyFeed:
+    """The feeds of several robust controllers of one nominal, stacked.
+
+    ``K``, ``L``, ``filter_gains`` and both arrays of ``w_affine`` carry
+    a leading stack axis, and ``w_affine`` comes from one stacked
+    :func:`~wdrc.worstcase.mean_affines`; ``init_gain`` depends only on
+    the initial-state law and is shared.
+
+    Raises:
+        ValueError: If the controllers do not share one nominal.
+    """
+    nominal = ctrls[0].nominal
+    if any(ctrl.nominal is not nominal for ctrl in ctrls):
+        raise ValueError("stacked controllers must share one nominal")
+    return PolicyFeed(
+        K=np.stack([ctrl.solution.K for ctrl in ctrls]),
+        L=np.stack([ctrl.solution.L for ctrl in ctrls]),
+        filter_gains=np.stack([ctrl.schedule.gains for ctrl in ctrls]),
+        init_gain=kalman_gain(x0_dist.cov(), sys),
+        w_affine=mean_affines(sys, [ctrl.solution for ctrl in ctrls], nominal),
+        w_const=None,
+    )
+
+
+def _index(arrays: NamedTuple, idx) -> NamedTuple:
+    """The same tuple with every array indexed by ``idx`` on its first
+    axis: one member of a stack, a sub-stack, or (``None``) a stack of
+    one."""
+    return type(arrays)(*(x[idx] for x in arrays))
+
+
+def _each(spec: str, *operands) -> np.ndarray:
+    """``np.einsum(spec)`` on each member of stacked operands, stacked.
+
+    A stacked einsum is not promised to give each member the bits of its
+    own call, so the members go one at a time; an operand that all
+    members share is passed as ``repeat(x)``.
+    """
+    return np.stack([np.einsum(spec, *member) for member in zip(*operands)])
+
+
+def _sums(x: np.ndarray) -> np.ndarray:
+    """The sum of each member of a stack of contiguous arrays, with the
+    bits of ``np.sum`` on the member alone."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:])).sum(axis=1)
+
+
 def closed_loop(feed: PolicyFeed, sys: LinearSystem, cost: CostSpec) -> ClosedLoop:
-    """Assemble the augmented loop matrices for all stages at once."""
+    """Assemble the augmented loop matrices for all stages at once.
+
+    A stacked feed (:func:`policy_feeds`) gives a stack of loops, each
+    bitwise equal to the loop of its member's feed alone.
+    """
+    if feed.K.ndim == 3:
+        if feed.w_affine is not None:
+            H, h = feed.w_affine
+        else:
+            H, h = np.zeros((feed.K.shape[0], sys.n_x, sys.n_x)), feed.w_const
+        stacked = feed._replace(
+            K=feed.K[None],
+            L=feed.L[None],
+            filter_gains=feed.filter_gains[None],
+            w_affine=(H[None], h[None]),
+            w_const=None,
+        )
+        return _index(closed_loop(stacked, sys, cost), 0)
+
     A, B, C = sys.A, sys.B, sys.C
-    T, n = feed.K.shape[0], sys.n_x
-    if feed.w_affine is not None:
-        H, h = feed.w_affine
-    else:
-        H, h = np.zeros((T, n, n)), feed.w_const
+    k, T, n = feed.K.shape[0], feed.K.shape[1], sys.n_x
+    H, h = feed.w_affine
     BK = B @ feed.K
     BL = feed.L @ B.T
     G = feed.filter_gains
     GC = G @ C
-    F = np.zeros((T, 2 * n, 2 * n))
-    F[:, :n, :n] = A
-    F[:, :n, n:] = BK
-    F[:, n:, :n] = GC @ A
-    F[:, n:, n:] = A + BK + H - GC @ (A + H)
-    f = np.concatenate([BL, BL + h - np.einsum("tij,tj->ti", GC, h)], axis=1)
-    E = np.concatenate([np.broadcast_to(np.eye(n), (T, n, n)), GC], axis=1)
-    D = np.concatenate([np.zeros_like(G), G], axis=1)
+    F = np.zeros((k, T, 2 * n, 2 * n))
+    F[..., :n, :n] = A
+    F[..., :n, n:] = BK
+    F[..., n:, :n] = GC @ A
+    F[..., n:, n:] = A + BK + H - GC @ (A + H)
+    f = np.concatenate([BL, BL + h - _each("tij,tj->ti", GC, h)], axis=2)
+    E = np.concatenate([np.broadcast_to(np.eye(n), (k, T, n, n)), GC], axis=2)
+    D = np.concatenate([np.zeros_like(G), G], axis=2)
 
-    KR = np.swapaxes(feed.K, 1, 2) @ cost.R
-    Qz = np.zeros((T, 2 * n, 2 * n))
-    Qz[:, :n, :n] = cost.Q
-    Qz[:, n:, n:] = KR @ feed.K
-    qz = np.concatenate([np.zeros((T, n)), np.einsum("tij,tj->ti", KR, feed.L)], axis=1)
-    cz = np.einsum("ti,ij,tj->t", feed.L, cost.R, feed.L)
+    KR = np.swapaxes(feed.K, 2, 3) @ cost.R
+    Qz = np.zeros((k, T, 2 * n, 2 * n))
+    Qz[..., :n, :n] = cost.Q
+    Qz[..., n:, n:] = KR @ feed.K
+    qz = np.concatenate([np.zeros((k, T, n)), _each("tij,tj->ti", KR, feed.L)], axis=2)
+    cz = _each("ti,ij,tj->t", feed.L, repeat(cost.R), feed.L)
     Qf = np.zeros((2 * n, 2 * n))
     Qf[:n, :n] = cost.Q_f
 
-    Pi = np.zeros((T + 1, 2 * n, 2 * n))
-    Pi[T] = Qf
+    Pi = np.zeros((k, T + 1, 2 * n, 2 * n))
+    Pi[:, T] = Qf
     for t in range(T - 1, -1, -1):
-        Pi[t] = Qz[t] + F[t].T @ Pi[t + 1] @ F[t]
-    return ClosedLoop(F=F, f=f, E=E, D=D, Qz=Qz, qz=qz, cz=cz, Qf=Qf, Pi=Pi)
+        Pi[:, t] = Qz[:, t] + np.swapaxes(F[:, t], 1, 2) @ Pi[:, t + 1] @ F[:, t]
+    return ClosedLoop(
+        F=F,
+        f=f,
+        E=E,
+        D=D,
+        Qz=Qz,
+        qz=qz,
+        cz=cz,
+        Qf=np.broadcast_to(Qf, (k, 2 * n, 2 * n)),
+        Pi=Pi,
+    )
 
 
 def initial_moments(
@@ -220,7 +308,8 @@ def exact_cost(
 
 
 class _DualTerms(NamedTuple):
-    """Multiplier-independent data of ``W_kappa`` for one loop and nominal.
+    """Multiplier-independent data of ``W_kappa`` for a stack of loops of
+    one nominal; every array carries the leading stack axis.
 
     ``Fa``, ``Ea``, ``Qa``, ``Qfa`` and ``za0`` describe the mean part in
     the augmented coordinates ``(E[z_t], 1)``, where the mean dynamics
@@ -236,7 +325,7 @@ class _DualTerms(NamedTuple):
     Qa: np.ndarray
     Qfa: np.ndarray
     za0: np.ndarray
-    fixed: float
+    fixed: np.ndarray
     N: np.ndarray
     nu: np.ndarray
     d: np.ndarray
@@ -248,25 +337,26 @@ def _dual_terms(
     nominal: NominalDistribution,
     noise_cov: np.ndarray,
 ) -> _DualTerms:
-    T, n = loop.horizon, loop.E.shape[2]
+    """The dual terms of a stack of loops."""
+    k, T, n = loop.E.shape[0], loop.E.shape[1], loop.E.shape[3]
     m = 2 * n + 1
     w_hat = np.stack([nominal.mean(t) for t in range(T)])
-    Fa = np.zeros((T, m, m))
-    Fa[:, :-1, :-1] = loop.F
-    Fa[:, :-1, -1] = loop.f + np.einsum("tij,tj->ti", loop.E, w_hat)
-    Fa[:, -1, -1] = 1.0
-    Ea = np.zeros((T, m, n))
-    Ea[:, :-1] = loop.E
-    Qa = np.zeros((T, m, m))
-    Qa[:, :-1, :-1] = loop.Qz
-    Qa[:, :-1, -1] = Qa[:, -1, :-1] = loop.qz
-    Qa[:, -1, -1] = loop.cz
-    Qfa = np.zeros((m, m))
-    Qfa[:-1, :-1] = loop.Qf
+    Fa = np.zeros((k, T, m, m))
+    Fa[..., :-1, :-1] = loop.F
+    Fa[..., :-1, -1] = loop.f + _each("tij,tj->ti", loop.E, repeat(w_hat))
+    Fa[..., -1, -1] = 1.0
+    Ea = np.zeros((k, T, m, n))
+    Ea[..., :-1, :] = loop.E
+    Qa = np.zeros((k, T, m, m))
+    Qa[..., :-1, :-1] = loop.Qz
+    Qa[..., :-1, -1] = Qa[..., -1, :-1] = loop.qz
+    Qa[..., -1, -1] = loop.cz
+    Qfa = np.zeros((k, m, m))
+    Qfa[:, :-1, :-1] = loop.Qf
 
     mu0, cov0 = z0
-    noise = np.swapaxes(loop.D, 1, 2) @ loop.Pi[1:] @ loop.D
-    N = np.swapaxes(loop.E, 1, 2) @ loop.Pi[1:] @ loop.E
+    noise = np.swapaxes(loop.D, 2, 3) @ loop.Pi[:, 1:] @ loop.D
+    N = np.swapaxes(loop.E, 2, 3) @ loop.Pi[:, 1:] @ loop.E
     nu, U = np.linalg.eigh(N)
     sig_hat = np.stack([nominal.cov(t) for t in range(T)])
     return _DualTerms(
@@ -274,17 +364,18 @@ def _dual_terms(
         Ea=Ea,
         Qa=Qa,
         Qfa=Qfa,
-        za0=np.append(mu0, 1.0),
-        fixed=float(np.sum(loop.Pi[0] * cov0)) + float(np.sum(noise * noise_cov)),
+        za0=np.tile(np.append(mu0, 1.0), (k, 1)),
+        fixed=_sums(loop.Pi[:, 0] * cov0) + _sums(noise * noise_cov),
         N=N,
         nu=nu,
-        d=np.einsum("tji,tjk,tki->ti", U, sig_hat, U),
+        d=_each("tji,tjk,tki->ti", U, repeat(sig_hat), U),
     )
 
 
-def _mean_part(terms: _DualTerms, kappa: float) -> tuple[float, np.ndarray] | None:
+def _mean_part(terms: _DualTerms, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Supremum over mean shifts ``delta`` of the mean-driven cost minus
-    ``kappa |delta|^2``, with the maximizing shifts ``(T, n)``.
+    ``kappa |delta|^2``, with the maximizing shifts ``(T, n)``, for each
+    problem of a stack at its own multiplier.
 
     The value is the quadratic form of ``Pa_0`` at ``(E[z_0], 1)``, from
     the Riccati-type recursion
@@ -294,42 +385,63 @@ def _mean_part(terms: _DualTerms, kappa: float) -> tuple[float, np.ndarray] | No
 
     with ``Pa = Pa_{t+1}``; the maximizing shift at stage ``t`` is
     ``Gamma_t^{-1} Ea' Pa Fa_t (E[z_t], 1)``.  The supremum is finite
-    exactly while every ``Gamma_t`` is positive definite; ``None``
-    otherwise.
+    exactly while every ``Gamma_t`` is positive definite; a problem
+    leaves the stack at the first stage where one is not, and its value
+    is ``inf`` and its shifts ``nan``.
     """
-    T, m, n = terms.Ea.shape
-    scaled = kappa * np.eye(n)
+    k, T, m, n = terms.Ea.shape
+    scaled = kappa[:, None, None] * np.eye(n)
     Pa = terms.Qfa
-    gains = []
+    gains = np.empty((k, T, n, m))
+    live = np.arange(k)
+    # Index of the problems still finite: a slice (no gather) while all are.
+    sel: slice | np.ndarray = slice(None)
     for t in range(T - 1, -1, -1):
-        Ea, Fa = terms.Ea[t], terms.Fa[t]
+        Ea, Fa = terms.Ea[sel, t], terms.Fa[sel, t]
         PE = Pa @ Ea
-        gamma = scaled - Ea.T @ PE
-        if np.linalg.eigvalsh(gamma)[0] <= 0.0:
-            return None
-        Y = np.linalg.solve(gamma, PE.T)
-        Pa = terms.Qa[t] + Fa.T @ (Pa + PE @ Y) @ Fa
-        gains.append(Y)
-    za = terms.za0
-    value = float(za @ Pa @ za)
-    shifts = np.empty((T, n))
-    for t, Y in enumerate(reversed(gains)):
-        fz = terms.Fa[t] @ za
-        shifts[t] = Y @ fz
-        za = fz + terms.Ea[t] @ shifts[t]
+        gamma = scaled[sel] - np.swapaxes(Ea, 1, 2) @ PE
+        low = np.linalg.eigvalsh(gamma)[:, 0] <= 0.0
+        if np.count_nonzero(low):
+            keep = ~low
+            live = sel = live[keep]
+            Ea, Fa, Pa, PE, gamma = Ea[keep], Fa[keep], Pa[keep], PE[keep], gamma[keep]
+            if not live.size:
+                break
+        Y = np.linalg.solve(gamma, np.swapaxes(PE, 1, 2))
+        Pa = terms.Qa[sel, t] + np.swapaxes(Fa, 1, 2) @ (Pa + PE @ Y) @ Fa
+        gains[sel, t] = Y
+    value = np.full(k, math.inf)
+    shifts = np.full((k, T, n), math.nan)
+    if live.size:
+        za = terms.za0[sel]
+        value[sel] = np.vecdot((za[:, None] @ Pa)[:, 0], za)
+        for t in range(T):
+            fz = (terms.Fa[sel, t] @ za[..., None])[..., 0]
+            shift = (gains[sel, t] @ fz[..., None])[..., 0]
+            shifts[sel, t] = shift
+            za = fz + (terms.Ea[sel, t] @ shift[..., None])[..., 0]
     return value, shifts
 
 
-def _evaluate(terms: _DualTerms, kappa: float) -> tuple[float, float]:
-    gap = kappa - terms.nu
-    mean = _mean_part(terms, kappa) if (gap > 0.0).all() else None
-    if mean is None:
-        return math.inf, math.nan
-    value, shifts = mean
-    nu, d = terms.nu, terms.d
-    bures = float(np.sum(d * kappa * nu / gap))
-    bures_sq = float(np.sum(d * nu * nu / (gap * gap)))
-    return value + terms.fixed + bures, -(float(np.sum(shifts * shifts)) + bures_sq)
+def _evaluate(terms: _DualTerms, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``W_kappa`` and ``dW/dkappa`` of each problem of a stack at its own
+    multiplier; ``inf`` and ``nan`` where the supremum is unbounded."""
+    gap = kappa[:, None, None] - terms.nu
+    value = np.full(kappa.shape, math.inf)
+    slope = np.full(kappa.shape, math.nan)
+    idx = np.flatnonzero((gap > 0.0).all(axis=(1, 2)))
+    mean, shifts = _mean_part(
+        terms if idx.size == kappa.size else _index(terms, idx), kappa[idx]
+    )
+    finite = np.isfinite(mean)
+    idx, mean, shifts = idx[finite], mean[finite], shifts[finite]
+    kap, gap = kappa[idx, None, None], gap[idx]
+    nu, d = terms.nu[idx], terms.d[idx]
+    bures = _sums(d * kap * nu / gap)
+    bures_sq = _sums(d * nu * nu / (gap * gap))
+    value[idx] = mean + terms.fixed[idx] + bures
+    slope[idx] = -(_sums(shifts * shifts) + bures_sq)
+    return value, slope
 
 
 def penalized_value(
@@ -348,7 +460,9 @@ def penalized_value(
     Where the supremum is unbounded the value is ``inf`` and the
     derivative ``nan``.
     """
-    return _evaluate(_dual_terms(loop, z0, nominal, noise_cov), kappa)
+    terms = _dual_terms(_index(loop, None), z0, nominal, noise_cov)
+    value, slope = _evaluate(terms, np.array([kappa]))
+    return float(value[0]), float(slope[0])
 
 
 def worst_case_law(
@@ -363,16 +477,24 @@ def worst_case_law(
     (kappa I - N_t)^{-1}``.
     """
     T = loop.horizon
-    terms = _dual_terms(loop, z0, nominal, np.zeros((loop.D.shape[2],) * 2))
-    _, shifts = _mean_part(terms, kappa)
-    inv = np.linalg.inv(kappa * np.eye(terms.N.shape[1]) - terms.N)
+    noise_cov = np.zeros((loop.D.shape[2],) * 2)
+    terms = _dual_terms(_index(loop, None), z0, nominal, noise_cov)
+    _, shifts = _mean_part(terms, np.array([kappa]))
+    inv = np.linalg.inv(kappa * np.eye(terms.N.shape[-1]) - terms.N[0])
     w_hat = np.stack([nominal.mean(t) for t in range(T)])
     sig_hat = np.stack([nominal.cov(t) for t in range(T)])
-    return w_hat + shifts, kappa * kappa * inv @ sig_hat @ inv
+    return w_hat + shifts[0], kappa * kappa * inv @ sig_hat @ inv
 
 
-def _slope_model(terms: _DualTerms) -> tuple[np.ndarray, np.ndarray]:
-    """Poles ``p`` and weights ``c`` with ``-dW/dkappa ~ sum c / (kappa - p)^2``.
+# Problems whose slope models are built in one stack.  Their Lanczos
+# runs share a ``(k, T + 1, 2n, T n)`` map from shifts to mean states,
+# about 1.3 MB for 8 problems at ``T = 50`` and ``n = 2``.
+_SLOPE_CHUNK = 8
+
+
+def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Poles ``p`` and weights ``c`` with ``-dW/dkappa ~ sum c / (kappa -
+    p)^2``, for each problem of a stack.
 
     The mean part is ``J0 + g' (kappa I - H)^{-1} g`` for the Hessian
     ``H = sum_t R_t' Q_t R_t`` and gradient ``g`` of the mean-driven cost
@@ -382,49 +504,67 @@ def _slope_model(terms: _DualTerms) -> tuple[np.ndarray, np.ndarray]:
     Ritz values and weights, the Gauss-quadrature model of that term,
     which is exact once the Krylov space is exhausted; the Bures terms
     are exact.  Only small dense products are used, so no call reaches
-    the sizes at which BLAS starts threads.
+    the sizes at which BLAS starts threads.  The problems' runs advance
+    together, and each stops on its own.
     """
-    T, m, n = terms.Ea.shape
-    R = np.zeros((T + 1, m - 1, T * n))
-    za = np.zeros((T + 1, m))
-    za[0] = terms.za0
+    k, T, m, n = terms.Ea.shape
+    R = np.zeros((k, T + 1, m - 1, T * n))
+    za = np.zeros((k, T + 1, m))
+    za[:, 0] = terms.za0
     for t in range(T):
-        R[t + 1] = terms.Fa[t, :-1, :-1] @ R[t]
-        R[t + 1, :, t * n : (t + 1) * n] += terms.Ea[t, :-1]
-        za[t + 1] = terms.Fa[t] @ za[t]
-    Qs = np.concatenate([terms.Qa, terms.Qfa[None]])
-    Qz = Qs[:, :-1, :-1]
-    g = np.einsum("tia,ti->a", R, np.einsum("tij,tj->ti", Qs, za)[:, :-1])
+        R[:, t + 1] = terms.Fa[:, t, :-1, :-1] @ R[:, t]
+        R[:, t + 1, :, t * n : (t + 1) * n] += terms.Ea[:, t, :-1]
+        za[:, t + 1] = (terms.Fa[:, t] @ za[:, t, :, None])[..., 0]
+    Qs = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)
+    Qz = Qs[..., :-1, :-1]
+    g = _each("tia,ti->a", R, _each("tij,tj->ti", Qs, za)[..., :-1])
 
-    def hess(v: np.ndarray) -> np.ndarray:
-        zv = np.einsum("tia,a->ti", R, v)
-        return np.einsum("tia,ti->a", R, np.einsum("tij,tj->ti", Qz, zv))
+    def hess(i: int, v: np.ndarray) -> np.ndarray:
+        zv = np.einsum("tia,a->ti", R[i], v)
+        return np.einsum("tia,ti->a", R[i], np.einsum("tij,tj->ti", Qz[i], zv))
 
-    norm = math.sqrt(float(g @ g))
-    basis = np.zeros((min(30, g.size), g.size))
-    alpha, beta = [], []
-    q = g / norm if norm > 0.0 else g
-    scale = 0.0
-    for j in range(basis.shape[0] if norm > 0.0 else 0):
-        basis[j] = q
-        w = hess(q)
-        alpha.append(float(q @ w))
-        for _ in range(2):
-            w -= np.einsum("ji,j->i", basis[: j + 1], basis[: j + 1] @ w)
-        b = math.sqrt(float(w @ w))
-        scale = max(scale, abs(alpha[-1]), b)
-        if b <= 1e-13 * scale:
+    norm = np.sqrt(np.vecdot(g, g))
+    size = min(30, T * n)
+    basis = np.zeros((k, size, T * n))
+    alphas, betas = np.zeros((k, size)), np.zeros((k, size))
+    steps = np.zeros(k, dtype=int)
+    scale = np.zeros(k)
+    live = np.flatnonzero(norm > 0.0)
+    q = g.copy()
+    q[live] /= norm[live, None]
+    w = np.empty_like(q)
+    for j in range(size):
+        if not live.size:
             break
-        beta.append(b)
-        q = w / b
-    k = len(alpha)
-    tri = np.diag(alpha) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
-    ritz, vecs = np.linalg.eigh(tri) if k else (np.zeros(0), np.zeros((1, 0)))
-    poles = np.concatenate([ritz, terms.nu.ravel()])
-    weights = np.concatenate(
-        [norm * norm * vecs[0] ** 2, (terms.d * terms.nu * terms.nu).ravel()]
-    )
-    return poles, weights
+        # The live problems: a slice (no gather) while all are.
+        sel = slice(None) if live.size == k else live
+        basis[sel, j] = q[sel]
+        for i in live:
+            w[i] = hess(i, q[i])
+        alpha = np.vecdot(q[sel], w[sel])
+        for _ in range(2):
+            coeffs = (basis[sel, : j + 1] @ w[sel, :, None])[..., 0]
+            for i, c in zip(live, coeffs):
+                w[i] -= np.einsum("ji,j->i", basis[i, : j + 1], c)
+        b = np.sqrt(np.vecdot(w[sel], w[sel]))
+        alphas[sel, j], betas[sel, j], steps[sel] = alpha, b, j + 1
+        # max(scale, |alpha|, b) as Python's max takes it: a nan is skipped.
+        scale[sel] = np.fmax(np.fmax(scale[sel], np.abs(alpha)), b)
+        going = ~(b <= 1e-13 * scale[sel])
+        live = live[going]
+        q[live] = w[live] / b[going, None]
+
+    models = []
+    for i in range(k):
+        size = steps[i]
+        alpha, beta = alphas[i, :size], betas[i, : max(size - 1, 0)]
+        tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        ritz, vecs = np.linalg.eigh(tri) if size else (np.zeros(0), np.zeros((1, 0)))
+        nu, d = terms.nu[i], terms.d[i]
+        poles = np.concatenate([ritz, nu.ravel()])
+        weights = np.concatenate([norm[i] * norm[i] * vecs[0] ** 2, (d * nu * nu).ravel()])
+        models.append((poles, weights))
+    return models
 
 
 def _model_step(
@@ -460,53 +600,25 @@ def _model_root(poles: np.ndarray, weights: np.ndarray, target: float) -> float:
     return kappa
 
 
-def dual_bound(
-    loop: ClosedLoop,
-    z0: tuple[np.ndarray, np.ndarray],
-    nominal: NominalDistribution,
-    noise_cov: np.ndarray,
-    theta: float,
-) -> DualBound:
-    """Minimize ``kappa T theta^2 + W_kappa`` over the multiplier.
+def _search(poles: np.ndarray, weights: np.ndarray, floor: float, T: int, theta: float):
+    """The multiplier search of one problem (see :func:`dual_bound`).
 
-    The objective is convex in ``kappa``; its minimizer solves ``-dW/dkappa
-    = sum_t G_t^2 = T theta^2`` at the maximizing laws, a secular equation
-    ``h = (sum c / (kappa - p)^2)^{-1/2} - (T theta^2)^{-1/2} = 0`` with
-    ``h`` nearly linear.  A Lanczos model of ``dW/dkappa``
-    (:func:`_slope_model`) predicts the root; exact evaluations of
-    ``W_kappa`` and its slope then confirm it to ``|h| <= 1e-5 / (theta
-    sqrt(T))`` (within about ``1e-11`` relative of the minimum), taking
-    model-Newton steps kept inside a bracket otherwise, and
-    Illinois-safeguarded secant steps on the exact ``(kappa, h)`` ends
-    once exact evaluations bracket the root.  The bound is the
-    smallest over the exactly evaluated multipliers, each a valid bound,
-    and a pure function of the inputs.  With ``theta = 0`` the infimum is
-    the limit ``kappa -> inf``, the exact nominal cost.
+    A generator: it yields each multiplier to evaluate exactly, is sent
+    ``(W_kappa, dW/dkappa)`` there, and returns the :class:`DualBound`.
+    ``floor`` is the top eigenvalue of the ``N_t``, below which ``W`` is
+    unbounded.
     """
-    T = loop.horizon
-    if theta == 0.0:
-        w = exact_cost(
-            loop,
-            z0,
-            np.stack([nominal.mean(t) for t in range(T)]),
-            np.stack([nominal.cov(t) for t in range(T)]),
-            noise_cov,
-        )
-        return DualBound(kappa=math.inf, w_kappa=w, bound=w)
-
-    terms = _dual_terms(loop, z0, nominal, noise_cov)
     target = 1.0 / (theta * math.sqrt(T))
-    poles, weights = _slope_model(terms)
     model_lo = float(poles.max())
     # Bracket: W is unbounded or h < 0 at lo, h >= 0 at hi; h_lo and h_hi
     # are h there where an exact evaluation gave it finite.
-    floor = lo = float(terms.nu.max())
+    lo = floor
     hi = h_lo = h_hi = math.inf
     kappa = max(_model_root(poles, weights, target), floor * (1.0 + 1e-9))
     best = (math.inf, math.nan, math.nan)
     moved = 0  # the end the previous evaluation moved: -1 lo, 1 hi
     for _ in range(100):
-        value, slope = _evaluate(terms, kappa)
+        value, slope = yield kappa
         bound = kappa * T * theta * theta + value
         if bound < best[0]:
             best = (bound, kappa, value)
@@ -540,3 +652,83 @@ def dual_bound(
         kappa = nxt
     bound, kappa, value = best
     return DualBound(kappa=kappa, w_kappa=value, bound=bound)
+
+
+def dual_bound(
+    loop: ClosedLoop,
+    z0: tuple[np.ndarray, np.ndarray],
+    nominal: NominalDistribution,
+    noise_cov: np.ndarray,
+    theta: float,
+) -> DualBound:
+    """Minimize ``kappa T theta^2 + W_kappa`` over the multiplier.
+
+    The objective is convex in ``kappa``; its minimizer solves ``-dW/dkappa
+    = sum_t G_t^2 = T theta^2`` at the maximizing laws, a secular equation
+    ``h = (sum c / (kappa - p)^2)^{-1/2} - (T theta^2)^{-1/2} = 0`` with
+    ``h`` nearly linear.  A Lanczos model of ``dW/dkappa``
+    (:func:`_slope_models`) predicts the root; exact evaluations of
+    ``W_kappa`` and its slope then confirm it to ``|h| <= 1e-5 / (theta
+    sqrt(T))`` (within about ``1e-11`` relative of the minimum), taking
+    model-Newton steps kept inside a bracket otherwise, and
+    Illinois-safeguarded secant steps on the exact ``(kappa, h)`` ends
+    once exact evaluations bracket the root.  The bound is the
+    smallest over the exactly evaluated multipliers, each a valid bound,
+    and a pure function of the inputs.  With ``theta = 0`` the infimum is
+    the limit ``kappa -> inf``, the exact nominal cost.
+
+    This is :func:`dual_bounds` on a stack of one.
+    """
+    (bound,) = dual_bounds(_index(loop, None), z0, nominal, noise_cov, theta)
+    return bound
+
+
+def dual_bounds(
+    loops: ClosedLoop,
+    z0: tuple[np.ndarray, np.ndarray],
+    nominal: NominalDistribution,
+    noise_cov: np.ndarray,
+    theta: float,
+) -> list[DualBound]:
+    """:func:`dual_bound` of each loop of a stack (one nominal).
+
+    The dual terms and slope models are built on the stack, and each
+    problem's multiplier search advances on its own: every round
+    evaluates the multipliers of all problems still searching in one
+    stacked exact evaluation, and a problem leaves once its search ends.
+    Each bound equals its loop's :func:`dual_bound`, bit for bit.
+    """
+    k, T = loops.F.shape[0], loops.F.shape[1]
+    if theta == 0.0:
+        means = np.stack([nominal.mean(t) for t in range(T)])
+        covs = np.stack([nominal.cov(t) for t in range(T)])
+        costs = [exact_cost(_index(loops, i), z0, means, covs, noise_cov) for i in range(k)]
+        return [DualBound(kappa=math.inf, w_kappa=w, bound=w) for w in costs]
+
+    terms = _dual_terms(loops, z0, nominal, noise_cov)
+    models = [
+        model
+        for start in range(0, k, _SLOPE_CHUNK)
+        for model in _slope_models(_index(terms, slice(start, start + _SLOPE_CHUNK)))
+    ]
+    searches = [
+        _search(poles, weights, float(terms.nu[i].max()), T, theta)
+        for i, (poles, weights) in enumerate(models)
+    ]
+    kappa = np.array([next(search) for search in searches])
+    bounds: list[DualBound | None] = [None] * k
+    live = np.arange(k)
+    while live.size:
+        values, slopes = _evaluate(
+            terms if live.size == k else _index(terms, live), kappa[live]
+        )
+        going = []
+        for i, value, slope in zip(live, values, slopes):
+            try:
+                kappa[i] = searches[i].send((float(value), float(slope)))
+            except StopIteration as done:
+                bounds[i] = done.value
+            else:
+                going.append(i)
+        live = np.array(going, dtype=int)
+    return bounds

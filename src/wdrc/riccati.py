@@ -47,6 +47,7 @@ __all__ = [
     "backward_pass",
     "backward_passes",
     "check_penalty",
+    "check_penalties",
     "min_feasible_lambda",
 ]
 
@@ -248,21 +249,83 @@ def check_penalty(
 
     Runs the quadratic-coefficient recursion only (it does not depend
     on the nominal moments) and returns the worst margin of
-    ``lam I - P_t`` over stages ``1..T``.
+    ``lam I - P_t`` over stages ``1..T``.  This is
+    :func:`check_penalties` on a stack of one.
 
     Raises:
         SingularMatrix: If a stage system is numerically singular.
     """
+    (result,) = check_penalties(sys, cost, [lam])
+    if isinstance(result, SingularMatrix):
+        raise result
+    return result
+
+
+def check_penalties(
+    sys: LinearSystem, cost: CostSpec, lams: Sequence[float]
+) -> list[PenaltyFeasibility | SingularMatrix]:
+    """Feasibility margins of several penalties in one stacked recursion.
+
+    Every stacked numpy call gives each penalty the bits of the call on
+    it alone, so each margin equals its check alone.
+
+    Returns:
+        For each penalty in order, its feasibility or the
+        :class:`~wdrc.errors.SingularMatrix` its check alone raises.  A
+        singular stage system of one penalty stops the stacked solve, so
+        then every penalty is checked alone.
+    """
     A = sys.A
     n, T = sys.n_x, cost.horizon
-    Phi = symmetrize(sys.B @ np.linalg.solve(cost.R, sys.B.T) - np.eye(n) / lam)
+    lam = np.array(lams, dtype=float)
+    Phi = symmetrize(
+        sys.B @ np.linalg.solve(cost.R, sys.B.T) - np.eye(n) / lam[:, None, None]
+    )
     P_next = np.asarray(cost.Q_f, dtype=float)
     margin = lam - float(np.linalg.eigvalsh(P_next)[-1])
-    for t in range(T - 1, 0, -1):
-        lhs = np.eye(n) + P_next @ Phi
-        P_next = symmetrize(cost.Q + A.T @ _solve_stage(lhs, P_next @ A, t))
-        margin = min(margin, lam - float(np.linalg.eigvalsh(P_next)[-1]))
-    return PenaltyFeasibility(feasible=margin > 0.0, margin=margin)
+    try:
+        for t in range(T - 1, 0, -1):
+            lhs = np.eye(n) + P_next @ Phi
+            P_next = symmetrize(cost.Q + A.T @ _solve_stage(lhs, P_next @ A, t))
+            stage = lam - np.linalg.eigvalsh(P_next)[:, -1]
+            # min(margin, stage) of each penalty, as its check alone takes it.
+            margin = np.where(stage < margin, stage, margin)
+    except SingularMatrix as exc:
+        if lam.size == 1:
+            return [exc]
+        return [check_penalties(sys, cost, [value])[0] for value in lams]
+    return [PenaltyFeasibility(feasible=bool(m > 0.0), margin=float(m)) for m in margin]
+
+
+# Bisection steps checked per stacked call: the midpoints of the next
+# steps form a binary tree over the outcomes of their checks, 15 points
+# per call, so the about 40 steps from [1e-3, 1e6] take 10 calls.
+_BISECT_AHEAD = 4
+
+
+def _feasible(sys: LinearSystem, cost: CostSpec, lams: list[float]) -> list[bool]:
+    """Feasibility of each penalty; a singular stage system counts as
+    infeasible."""
+    return [
+        not isinstance(result, SingularMatrix) and result.feasible
+        for result in check_penalties(sys, cost, lams)
+    ]
+
+
+def _bisection_plan(bad: float, good: float, tol: float, depth: int) -> list[float]:
+    """The midpoints the next ``depth`` bisection steps from ``[bad,
+    good]`` can check, whichever way their checks go."""
+    points = []
+    frontier = [(bad, good)]
+    for _ in range(depth):
+        nxt = []
+        for b, g in frontier:
+            if g - b > tol * max(1.0, b):
+                mid = 0.5 * (b + g)
+                points.append(mid)
+                nxt += [(b, mid), (mid, g)]
+        frontier = nxt
+    return points
 
 
 def min_feasible_lambda(
@@ -279,26 +342,32 @@ def min_feasible_lambda(
     boundary inflated by a relative safety factor, so it is strictly
     feasible for downstream synthesis.
 
+    The bisection is checked ahead: ``hi`` and ``lo`` go in one
+    :func:`check_penalties` call, and whenever the search reaches a
+    midpoint it has not checked, it checks every midpoint of its next
+    ``_BISECT_AHEAD`` steps in one call.  It then takes the steps of the
+    one-point-at-a-time bisection from the same arithmetic, so it returns
+    that bisection's value, bit for bit.
+
     Raises:
         NoFeasibleLambda: If ``hi`` itself is infeasible.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
 
-    def feasible(lam: float) -> bool:
-        try:
-            return check_penalty(sys, cost, lam).feasible
-        except SingularMatrix:
-            return False
-
-    if not feasible(hi):
+    hi_ok, lo_ok = _feasible(sys, cost, [hi, lo])
+    if not hi_ok:
         raise NoFeasibleLambda(f"no feasible penalty in [{lo}, {hi}]")
-    if feasible(lo):
+    if lo_ok:
         return lo * (1.0 + SAFETY_FACTOR)
     bad, good = lo, hi
+    ahead: dict[float, bool] = {}
     while good - bad > tol * max(1.0, bad):
         mid = 0.5 * (bad + good)
-        if feasible(mid):
+        if mid not in ahead:
+            plan = _bisection_plan(bad, good, tol, _BISECT_AHEAD)
+            ahead = dict(zip(plan, _feasible(sys, cost, plan)))
+        if ahead[mid]:
             good = mid
         else:
             bad = mid

@@ -64,6 +64,7 @@ __all__ = [
     "forward_schedule",
     "forward_schedules",
     "mean_affine",
+    "mean_affines",
 ]
 
 
@@ -725,18 +726,38 @@ def mean_affine(
         h_t = (lam I - P_{t+1})^{-1}
               (r_{t+1} + P_{t+1} B L_t + lam w_hat_t).
 
-    All stages are solved in two stacked ``solve`` calls, which give
-    each stage the bits of its own solves.
+    This is :func:`mean_affines` on a stack of one.
 
     Returns:
         Arrays ``H`` of shape ``(T, n, n)`` and ``h`` of ``(T, n)``.
     """
-    T, n = sol.horizon, sys.n_x
-    P_next = sol.P[1:]
-    shifted = sol.lam * np.eye(n) - P_next
-    H = np.linalg.solve(shifted, P_next @ (sys.A + sys.B @ sol.K))
+    H, h = mean_affines(sys, [sol], nominal)
+    return H[0], h[0]
+
+
+def mean_affines(
+    sys: LinearSystem, sols: Sequence[RiccatiSolution], nominal: NominalDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mean_affine` of several solutions for one nominal.
+
+    All stages of all solutions are solved in two stacked ``solve``
+    calls, which give each stage the bits of its own solves.
+
+    Returns:
+        Arrays ``H`` of shape ``(k, T, n, n)`` and ``h`` of ``(k, T, n)``
+        for ``k`` solutions.
+    """
+    n = sys.n_x
+    T = sols[0].horizon
+    lam = np.array([sol.lam for sol in sols])
+    P_next = np.stack([sol.P[1:] for sol in sols])
+    K = np.stack([sol.K for sol in sols])
+    L = np.stack([sol.L for sol in sols])
+    r_next = np.stack([sol.r[1:] for sol in sols])
+    shifted = lam[:, None, None, None] * np.eye(n) - P_next
+    H = np.linalg.solve(shifted, P_next @ (sys.A + sys.B @ K))
     w_hat = np.stack([nominal.mean(t) for t in range(T)])
-    offset = (P_next @ (sys.B @ sol.L[:, :, None]))[:, :, 0]
-    rhs = sol.r[1:] + offset + sol.lam * w_hat
-    h = np.linalg.solve(shifted, rhs[:, :, None])[:, :, 0]
+    offset = (P_next @ (sys.B @ L[..., None]))[..., 0]
+    rhs = r_next + offset + lam[:, None, None] * w_hat
+    h = np.linalg.solve(shifted, rhs[..., None])[..., 0]
     return H, h

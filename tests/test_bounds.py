@@ -11,8 +11,10 @@ import pytest
 from wdrc.bounds import (
     _exact_value,
     _golden_min,
+    _synthesize_stacked,
     calibrate_lambda,
     certified_bound,
+    certified_bounds,
     evaluate_value,
     guaranteed_cost,
     lqg_value_terms,
@@ -382,6 +384,47 @@ def test_stacked_scan_equals_objective_per_penalty(name, seed):
     fresh = synthesize_wdrc(cfg.sys, cfg.cost, nominal, cal.lam, p0)
     assert np.array_equal(cal.controller.solution.K, fresh.solution.K)
     assert np.array_equal(cal.controller.schedule.gains, fresh.schedule.gains)
+
+
+@pytest.mark.parametrize("name, seed", [("gaussian", 2813), ("uniform", None)])
+def test_stacked_certificates_equal_stacks_of_one(name, seed, monkeypatch):
+    """``certified_bounds`` gives each controller of the scan's stack the
+    ``DualBound`` of ``certified_bound`` on it alone, bit for bit, at the
+    config's radius and at ``theta = 0``.  The stack holds the scan's
+    feasible controllers; below it ``lam_min / 2`` is infeasible and
+    ``lam_min`` is made to diverge, and both have no controller and score
+    infinity in calibration, whose other scan values are the stacked
+    bounds.  Gaussian at scenario seed 2813 holds the controller whose
+    multiplier search takes the longest; uniform has a per-stage
+    nominal."""
+    import wdrc.worstcase
+
+    cfg, scenario, nominal, p0 = _bundled(name, seed)
+    x0_dist = scenario.initial_state
+    lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
+    grid = [math.exp(s) for s in np.linspace(math.log(lam_min), math.log(1e6), 33)]
+    solve = wdrc.worstcase.solve_worst_case_cov
+
+    def refuse_lam_min(ctx, *args, **kwargs):
+        if ctx.lam == grid[0]:
+            raise Diverged("refused")
+        return solve(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", refuse_lam_min)
+    ctrls = _synthesize_stacked(cfg.sys, cfg.cost, nominal, [0.5 * lam_min, *grid], p0)
+    assert ctrls[0] is None and ctrls[1] is None
+    feasible = ctrls[2:]
+    assert all(ctrl is not None for ctrl in feasible)
+    for theta in (cfg.theta, 0.0):
+        stacked = certified_bounds(feasible, cfg.sys, cfg.cost, x0_dist, theta)
+        alone = [
+            certified_bound(ctrl, cfg.sys, cfg.cost, x0_dist, theta) for ctrl in feasible
+        ]
+        assert stacked == alone
+        if theta:
+            bounds = [dual.bound for dual in stacked]
+    cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    assert cal.evaluations[:33] == tuple(zip(grid, [math.inf, *bounds]))
 
 
 @pytest.mark.parametrize("name", ["gaussian", "uniform"])

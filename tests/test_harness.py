@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wdrc.bounds import calibrate_lambda
-from wdrc.closedloop import policy_feed
+from wdrc.bounds import calibrate_lambda, certified_bounds
 from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import ConfigError
 from wdrc.estimator import initial_posterior_cov
@@ -406,33 +405,43 @@ def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
 
 
 def test_calibrated_campaign_certifies_only_in_calibration(monkeypatch):
-    """Every certificate is one of the calibration's evaluations: each
-    evaluation the search consumed is certified once, in order, the
-    points it evaluated ahead but did not consume are not certified, and
-    the campaign certifies nothing after calibration."""
+    """Every certificate is computed in calibration: each synthesis pass
+    certifies its feasible controllers in one stacked call, no penalty
+    twice, every evaluation the search consumed is among them, and the
+    campaign certifies nothing after calibration."""
     import wdrc.bounds
     import wdrc.harness
 
-    calls = []
+    calls, synthesized = [], []
+    stacked = wdrc.bounds._synthesize_stacked
 
-    def certifying(ctrl, *args, **kwargs):
-        calls.append(ctrl.solution.lam)
-        return policy_feed(ctrl, *args, **kwargs)
+    def synthesizing(*args, **kwargs):
+        ctrls = stacked(*args, **kwargs)
+        synthesized.append([ctrl.solution.lam for ctrl in ctrls if ctrl is not None])
+        return ctrls
+
+    def certifying(ctrls, *args, **kwargs):
+        calls.append([ctrl.solution.lam for ctrl in ctrls])
+        return certified_bounds(ctrls, *args, **kwargs)
 
     def calibrating(*args, **kwargs):
         result = calibrate_lambda(*args, **kwargs)
         calls.append("calibrated")
         return result
 
-    # Every certificate builds the loop's feed through ``bounds.policy_feed``.
-    monkeypatch.setattr(wdrc.bounds, "policy_feed", certifying)
+    # Every certificate goes through ``bounds.certified_bounds``.
+    monkeypatch.setattr(wdrc.bounds, "_synthesize_stacked", synthesizing)
+    monkeypatch.setattr(wdrc.bounds, "certified_bounds", certifying)
     monkeypatch.setattr(wdrc.harness, "calibrate_lambda", calibrating)
     raw = base_config()
     raw["robustness"]["lam"] = "auto"
     result = run_campaign(config_from_dict(raw), runs=4)
     evaluations = result.calibration.evaluations
     assert all(np.isfinite(value) for _, value in evaluations)
-    assert calls == [lam for lam, _ in evaluations] + ["calibrated"]
+    assert calls == [*synthesized, "calibrated"]
+    certified = [lam for batch in synthesized for lam in batch]
+    assert len(set(certified)) == len(certified)
+    assert {lam for lam, _ in evaluations} <= set(certified)
     assert result.certificate.guaranteed_bound == result.calibration.objective
     assert result.certificate.kappa == result.calibration.dual.kappa
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
-from wdrc.errors import NoFeasibleLambda, PenaltyTooSmall
+from wdrc.errors import NoFeasibleLambda, PenaltyTooSmall, SingularMatrix
 from wdrc.model import CostSpec, LinearSystem, NominalDistribution
 from wdrc.oracles import lqr_gains
 from wdrc.psdmath import MomentPair, symmetrize
 from wdrc.riccati import (
+    SAFETY_FACTOR,
     backward_pass,
     backward_passes,
+    check_penalties,
     check_penalty,
     min_feasible_lambda,
 )
@@ -234,3 +236,113 @@ def test_single_pass_raises_what_the_stack_returns(plant, quad_cost):
     assert (info.value.stage, info.value.margin) == (failed.stage, failed.margin)
     with pytest.raises(ValueError):
         backward_passes(plant, quad_cost, nominal, [5.0, 0.0])
+
+
+def _reference_check(sys, cost, lam):
+    """The margin recursion of one penalty, stage by stage; ``None`` where
+    a stage system is singular."""
+    n = sys.n_x
+    Phi = symmetrize(sys.B @ np.linalg.solve(cost.R, sys.B.T) - np.eye(n) / lam)
+    P_next = np.asarray(cost.Q_f, dtype=float)
+    margin = lam - float(np.linalg.eigvalsh(P_next)[-1])
+    for _ in range(cost.horizon - 1, 0, -1):
+        lhs = np.eye(n) + P_next @ Phi
+        try:
+            step = np.linalg.solve(lhs, P_next @ sys.A)
+        except np.linalg.LinAlgError:
+            return None
+        P_next = symmetrize(cost.Q + sys.A.T @ step)
+        margin = min(margin, lam - float(np.linalg.eigvalsh(P_next)[-1]))
+    return margin > 0.0, margin
+
+
+def _bundled_plant(name):
+    from pathlib import Path
+
+    from wdrc.harness import load_config
+
+    root = Path(__file__).resolve().parents[1]
+    cfg = load_config(str(root / "configs" / f"{name}.yaml"))
+    return cfg.sys, cfg.cost
+
+
+def test_stacked_checks_equal_single_checks(plant, quad_cost):
+    """Each penalty's flag and margin out of a stacked check equal its
+    check alone and the reference recursion, bit for bit; a penalty whose
+    stage system is singular (``lam = 0.5`` on the scalar plant) fails
+    alone, and ``check_penalty`` raises it."""
+    cases = [
+        (SCALAR_SYS, SCALAR_COST, [0.3, 0.5, 0.7, 1.0, 2.0, 10.0]),
+        (plant, quad_cost, [0.5, 1.1, 2.0, 4.0, 10.0, 1e6]),
+        (*_bundled_plant("gaussian"), list(np.geomspace(0.5, 50.0, 9))),
+    ]
+    singular = 0
+    for sys, cost, lams in cases:
+        for lam, got in zip(lams, check_penalties(sys, cost, lams)):
+            want = _reference_check(sys, cost, lam)
+            if want is None:
+                singular += 1
+                assert isinstance(got, SingularMatrix)
+                with pytest.raises(SingularMatrix):
+                    check_penalty(sys, cost, lam)
+                continue
+            alone = check_penalty(sys, cost, lam)
+            assert (got.feasible, got.margin) == want
+            assert (alone.feasible, alone.margin) == want
+    assert singular == 1
+
+
+def _reference_bisection(sys, cost, lo, hi, tol=1e-6):
+    """The feasibility bisection one penalty at a time."""
+
+    def feasible(lam):
+        try:
+            return check_penalty(sys, cost, lam).feasible
+        except SingularMatrix:
+            return False
+
+    assert feasible(hi)
+    if feasible(lo):
+        return lo * (1.0 + SAFETY_FACTOR)
+    bad, good = lo, hi
+    while good - bad > tol * max(1.0, bad):
+        mid = 0.5 * (bad + good)
+        if feasible(mid):
+            good = mid
+        else:
+            bad = mid
+    return good * (1.0 + SAFETY_FACTOR)
+
+
+@pytest.mark.parametrize("case", ["plant", "gaussian", "uniform", "singular"])
+def test_bisection_ahead_returns_the_one_point_bisection(
+    case, plant, quad_cost, monkeypatch
+):
+    """``min_feasible_lambda`` returns the float of the one-point bisection
+    in at most 14 stacked checks; on the scalar plant the bracket ``[0.25,
+    2.25]`` puts the singular ``lam = 0.5`` into a stack checked ahead."""
+    import wdrc.riccati
+
+    if case == "plant":
+        sys, cost, lo, hi = plant, quad_cost, 1e-3, 1e6
+    elif case == "singular":
+        sys, cost, lo, hi = SCALAR_SYS, SCALAR_COST, 0.25, 2.25
+    else:
+        sys, cost = _bundled_plant(case)
+        lo, hi = 1e-3, 1e6
+    want = _reference_bisection(sys, cost, lo, hi)
+    checked = []
+    stacked = wdrc.riccati.check_penalties
+
+    def counting(sys, cost, lams):
+        checked.append(list(lams))
+        return stacked(sys, cost, lams)
+
+    monkeypatch.setattr(wdrc.riccati, "check_penalties", counting)
+    assert min_feasible_lambda(sys, cost, lo, hi) == want
+    outer = [lams for lams in checked if len(lams) > 1]
+    assert len(outer) <= 14
+    if case == "singular":
+        assert any(0.5 in lams for lams in outer)
+        assert [0.5] in checked
+

@@ -23,6 +23,8 @@ the tree) on the configs of this repository:
   starts at run 1250, inside a sampling block, and on ``uniform.yaml``
   with ``--dump-trace --trace-run 1777``, which adds the two trace
   files;
+- ``wdrc simulate`` on ``gaussian.yaml`` at ``--seed 2813``, whose
+  calibration holds the longest multiplier search of the certificates;
 - ``wdrc calibrate`` on the same three configs at the config's seed:
   exit code and its JSON;
 - ``wdrc oracle --seed 0`` to ``--seed 5``: exit code and stdout.
@@ -84,6 +86,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         ("gaussian-lam4", [], "out-lam4"),
         ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
+        ("gaussian", ["--seed", "2813"], "out-2813"),
     ):
         argv = ["simulate", "--config", f"{name}.yaml", "--out", out_dir, *flags]
         out.append((f"simulate {' '.join([name, *flags])}", argv, out_dir))
