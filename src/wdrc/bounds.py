@@ -34,10 +34,12 @@ on it.  Penalties are synthesized in stacks: the backward passes
 passes (:func:`wdrc.worstcase.forward_schedules`) of all the scan's
 penalties run as one stacked pass each, and the golden section passes
 the points of its next few steps, under every outcome of their
-comparisons, as one stack.  Certificates run per penalty, and only for
-the points the search consumes.  The controller at the chosen penalty
-and its certificate come with the result, so callers need not
-synthesize or certify it again.
+comparisons, as one stack.  Each stack's feasible controllers are
+certified in one stacked call (:func:`certified_bounds`), and the
+feasibility boundary is bisected with the checks of several steps
+stacked (:func:`wdrc.riccati.min_feasible_lambda`).  The controller at
+the chosen penalty and its certificate come with the result, so callers
+need not synthesize or certify it again.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ class CalibrationResult:
             edge (the bound kept decreasing, as with ``theta = 0``).
         evaluations: The ``(lam, objective)`` pairs the search
             consumed, in order: the scan's, then the golden section's.
-            Points the golden section synthesized ahead but did not
-            reach are not certified and not listed, so the trace is
-            that of the one-point-at-a-time search.
+            Points the golden section synthesized and certified ahead
+            but did not reach are not listed, so the trace is that of
+            the one-point-at-a-time search.
         controller: The robust controller synthesized at ``lam``.
         dual: Its :func:`certified_bound`, whose ``bound`` is
             ``objective``.
@@ -346,10 +348,11 @@ def calibrate_lambda(
 
     Controllers are synthesized in stacks (:func:`_synthesize_stacked`):
     the scan's penalties in one, and the golden section's points a few
-    steps ahead in each (:func:`_golden_min`).  A point is certified
-    only once the search consumes it, so the certificates, the
-    ``evaluations`` trace and the result are those of the
-    one-point-at-a-time search.
+    steps ahead in each (:func:`_golden_min`).  Each stack's feasible
+    controllers are certified in one :func:`certified_bounds` call, and
+    the search then reads the stored values of the points it consumes,
+    so the certificates, the ``evaluations`` trace and the result are
+    those of the one-point-at-a-time search.
 
     Raises:
         NoFeasibleLambda: If no penalty in the bracket yields a finite

@@ -624,7 +624,11 @@ def _search(poles: np.ndarray, weights: np.ndarray, floor: float, T: int, theta:
             best = (bound, kappa, value)
         if not math.isfinite(value):
             lo, h_lo, moved = kappa, math.inf, 0
-            kappa = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * kappa - floor
+            # W has a pole above kappa that the model put lower, and the
+            # root lies just above it: step out from the model's top pole,
+            # doubling the distance each time, not from the floor.
+            base = model_lo if model_lo < kappa else floor
+            kappa = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * kappa - base
             continue
         h = 1.0 / math.sqrt(-slope) - target if slope < 0.0 else math.inf
         # Illinois: when the same end moves twice in a row, the other

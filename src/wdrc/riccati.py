@@ -27,7 +27,8 @@ at every stage ``t = 1..T``; violations raise
 :func:`backward_passes` runs the recursion for several penalties at
 once, on stacks with the penalty on the leading axis, and
 :func:`backward_pass` is its stack of one, so the recursion is written
-once.
+once; :func:`check_penalties` and :func:`check_penalty` do the same for
+the feasibility margins.
 """
 
 from __future__ import annotations

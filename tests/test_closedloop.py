@@ -251,3 +251,32 @@ def test_dual_bound_steps_by_secant_next_to_a_pole(monkeypatch):
     # The bound the model-Newton search reaches in 41 evaluations, and the
     # searches started at half and 100 times the multiplier, within 1e-12.
     assert cert.bound == pytest.approx(7.447779441019523, rel=1e-9)
+
+
+def test_dual_bound_steps_out_from_the_model_pole(monkeypatch):
+    """On ``gaussian.yaml`` at scenario seed 2813 and ``lam = 3.5679`` the
+    Lanczos model's top pole (3.62504) lies below the pole of ``W_kappa``
+    (3.62642), so the model's root (3.62626) is unbounded, and the root
+    (3.62748) lies just above the pole.  Stepping out from the model's
+    pole, doubling the distance, brackets the root at once; doubling out
+    from the top Bures pole (1.5575) overshot to 5.69 and bisected back
+    toward the pole, 18 exact evaluations for a bound of
+    7.435554896784209."""
+    import wdrc.closedloop as closedloop
+    from wdrc.harness import prepare
+
+    cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
+    scenario, nominal, p0 = prepare(cfg, 2813)
+    ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, 3.5679, p0)
+    evaluations = []
+    evaluate = closedloop._evaluate
+
+    def counted(terms, kappa):
+        evaluations.append(kappa)
+        return evaluate(terms, kappa)
+
+    monkeypatch.setattr(closedloop, "_evaluate", counted)
+    cert = certified_bound(ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta)
+    assert len(evaluations) <= 8
+    assert cert.bound <= 7.435554896784209 * (1.0 + 1e-12)
+
