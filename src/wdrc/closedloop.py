@@ -35,14 +35,17 @@ multiplier.
 
 Several robust loops of one nominal are bounded together on stacks with
 a leading axis (:func:`policy_feeds`, :func:`closed_loop` of a stacked
-feed, :func:`dual_bounds`); every stacked numpy call gives each member
-the bits of its call alone, so each bound equals its loop's alone.
+feed, :func:`dual_bounds`).  Every stacked numpy call gives each member
+the bits of its call alone: matmul, solve, eigh and eigvalsh work matrix
+by matrix, dot products go through ``np.vecdot``, sums reduce each
+member's contiguous block, and every einsum has the stack as its
+outermost axis, so its inner loops are those of the member alone.  So
+each bound equals its loop's alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -187,16 +190,6 @@ def _index(arrays: NamedTuple, idx) -> NamedTuple:
     return type(arrays)(*(x[idx] for x in arrays))
 
 
-def _each(spec: str, *operands) -> np.ndarray:
-    """``np.einsum(spec)`` on each member of stacked operands, stacked.
-
-    A stacked einsum is not promised to give each member the bits of its
-    own call, so the members go one at a time; an operand that all
-    members share is passed as ``repeat(x)``.
-    """
-    return np.stack([np.einsum(spec, *member) for member in zip(*operands)])
-
-
 def _sums(x: np.ndarray) -> np.ndarray:
     """The sum of each member of a stack of contiguous arrays, with the
     bits of ``np.sum`` on the member alone."""
@@ -235,7 +228,7 @@ def closed_loop(feed: PolicyFeed, sys: LinearSystem, cost: CostSpec) -> ClosedLo
     F[..., :n, n:] = BK
     F[..., n:, :n] = GC @ A
     F[..., n:, n:] = A + BK + H - GC @ (A + H)
-    f = np.concatenate([BL, BL + h - _each("tij,tj->ti", GC, h)], axis=2)
+    f = np.concatenate([BL, BL + h - np.einsum("stij,stj->sti", GC, h)], axis=2)
     E = np.concatenate([np.broadcast_to(np.eye(n), (k, T, n, n)), GC], axis=2)
     D = np.concatenate([np.zeros_like(G), G], axis=2)
 
@@ -243,8 +236,9 @@ def closed_loop(feed: PolicyFeed, sys: LinearSystem, cost: CostSpec) -> ClosedLo
     Qz = np.zeros((k, T, 2 * n, 2 * n))
     Qz[..., :n, :n] = cost.Q
     Qz[..., n:, n:] = KR @ feed.K
-    qz = np.concatenate([np.zeros((k, T, n)), _each("tij,tj->ti", KR, feed.L)], axis=2)
-    cz = _each("ti,ij,tj->t", feed.L, repeat(cost.R), feed.L)
+    KRL = np.einsum("stij,stj->sti", KR, feed.L)
+    qz = np.concatenate([np.zeros((k, T, n)), KRL], axis=2)
+    cz = np.einsum("sti,ij,stj->st", feed.L, cost.R, feed.L)
     Qf = np.zeros((2 * n, 2 * n))
     Qf[:n, :n] = cost.Q_f
 
@@ -343,7 +337,7 @@ def _dual_terms(
     w_hat = np.stack([nominal.mean(t) for t in range(T)])
     Fa = np.zeros((k, T, m, m))
     Fa[..., :-1, :-1] = loop.F
-    Fa[..., :-1, -1] = loop.f + _each("tij,tj->ti", loop.E, repeat(w_hat))
+    Fa[..., :-1, -1] = loop.f + np.einsum("stij,tj->sti", loop.E, w_hat)
     Fa[..., -1, -1] = 1.0
     Ea = np.zeros((k, T, m, n))
     Ea[..., :-1, :] = loop.E
@@ -368,7 +362,7 @@ def _dual_terms(
         fixed=_sums(loop.Pi[:, 0] * cov0) + _sums(noise * noise_cov),
         N=N,
         nu=nu,
-        d=_each("tji,tjk,tki->ti", U, repeat(sig_hat), U),
+        d=np.einsum("stji,tjk,stki->sti", U, sig_hat, U),
     )
 
 
@@ -505,7 +499,9 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
     which is exact once the Krylov space is exhausted; the Bures terms
     are exact.  Only small dense products are used, so no call reaches
     the sizes at which BLAS starts threads.  The problems' runs advance
-    together, and each stops on its own.
+    together, and each stops on its own; the stack is the outermost axis
+    of every einsum, whose inner loops then run as on one problem alone,
+    so each model keeps its bits.
     """
     k, T, m, n = terms.Ea.shape
     R = np.zeros((k, T + 1, m - 1, T * n))
@@ -517,11 +513,7 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
         za[:, t + 1] = (terms.Fa[:, t] @ za[:, t, :, None])[..., 0]
     Qs = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)
     Qz = Qs[..., :-1, :-1]
-    g = _each("tia,ti->a", R, _each("tij,tj->ti", Qs, za)[..., :-1])
-
-    def hess(i: int, v: np.ndarray) -> np.ndarray:
-        zv = np.einsum("tia,a->ti", R[i], v)
-        return np.einsum("tia,ti->a", R[i], np.einsum("tij,tj->ti", Qz[i], zv))
+    g = np.einsum("stia,sti->sa", R, np.einsum("stij,stj->sti", Qs, za)[..., :-1])
 
     norm = np.sqrt(np.vecdot(g, g))
     size = min(30, T * n)
@@ -532,21 +524,20 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
     live = np.flatnonzero(norm > 0.0)
     q = g.copy()
     q[live] /= norm[live, None]
-    w = np.empty_like(q)
     for j in range(size):
         if not live.size:
             break
-        # The live problems: a slice (no gather) while all are.
+        # Every problem is carried along, so no operand is gathered; a
+        # finished run's products are not recorded.
         sel = slice(None) if live.size == k else live
         basis[sel, j] = q[sel]
-        for i in live:
-            w[i] = hess(i, q[i])
-        alpha = np.vecdot(q[sel], w[sel])
+        zv = np.einsum("stia,sa->sti", R, q)
+        w = np.einsum("stia,sti->sa", R, np.einsum("stij,stj->sti", Qz, zv))
+        alpha = np.vecdot(q, w)[sel]
         for _ in range(2):
-            coeffs = (basis[sel, : j + 1] @ w[sel, :, None])[..., 0]
-            for i, c in zip(live, coeffs):
-                w[i] -= np.einsum("ji,j->i", basis[i, : j + 1], c)
-        b = np.sqrt(np.vecdot(w[sel], w[sel]))
+            span = basis[:, : j + 1]
+            w -= np.einsum("sji,sj->si", span, (span @ w[..., None])[..., 0])
+        b = np.sqrt(np.vecdot(w, w))[sel]
         alphas[sel, j], betas[sel, j], steps[sel] = alpha, b, j + 1
         # max(scale, |alpha|, b) as Python's max takes it: a nan is skipped.
         scale[sel] = np.fmax(np.fmax(scale[sel], np.abs(alpha)), b)
@@ -568,45 +559,70 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _model_step(
-    poles: np.ndarray, weights: np.ndarray, kappa: float, h: float
-) -> float:
+    poles: np.ndarray, weights: np.ndarray, kappa, h
+) -> np.ndarray:
     """Newton step for ``h`` with the model's ``s2 = sum c / (kappa - p)^2``,
-    using ``dh/dkappa = s2^{-3/2} sum c / (kappa - p)^3``."""
+    using ``dh/dkappa = s2^{-3/2} sum c / (kappa - p)^3``.
+
+    ``kappa`` broadcasts against the poles: a float for one model, or
+    ``(k, 1)`` for ``(k, m)`` stacks of poles and weights, with ``h`` of
+    shape ``(k,)``.
+    """
     inv = 1.0 / (kappa - poles)
-    s2 = float(np.sum(weights * inv * inv))
-    return h * s2**1.5 / float(np.sum(weights * inv**3))
+    s2 = np.sum(weights * inv * inv, axis=-1)
+    # Each s2^1.5 by Python's float power: numpy's array power rounds
+    # some values differently.
+    s2 = np.array([float(x) ** 1.5 for x in np.ravel(s2)]).reshape(np.shape(s2))
+    return h * s2 / np.sum(weights * inv**3, axis=-1)
 
 
-def _model_root(poles: np.ndarray, weights: np.ndarray, target: float) -> float:
+def _model_root(poles: np.ndarray, weights: np.ndarray, target: float) -> np.ndarray:
     """Root of ``(sum c / (kappa - p)^2)^{-1/2} = target`` above the poles,
-    by Newton's method inside a bracket (``h >= 0`` at the initial ``hi``
-    because every pole lies at or below ``lo``)."""
-    lo = float(poles.max())
-    hi = lo + max(math.sqrt(float(weights.sum())) * target, 1e-12 * max(lo, 1.0))
-    kappa = hi
+    for each row of ``(k, m)`` stacks of poles and weights, by Newton's
+    method inside a bracket (``h >= 0`` at the initial ``hi`` because
+    every pole lies at or below ``lo``).  The rows iterate together, and
+    each stops on its own with the arithmetic of its iteration alone."""
+    eps = np.finfo(float).eps
+    lo = poles.max(axis=1)
+    hi = lo + np.maximum(
+        np.sqrt(weights.sum(axis=1)) * target, 1e-12 * np.maximum(lo, 1.0)
+    )
+    kappa = hi.copy()
+    live = np.arange(len(poles))
     for _ in range(100):
-        s2 = float(np.sum(weights / (kappa - poles) ** 2))
-        if s2 <= 0.0:
+        if not live.size:
             break
-        h = 1.0 / math.sqrt(s2) - target
-        if h > 0.0:
-            hi = kappa
-        else:
-            lo = kappa
-        step = _model_step(poles, weights, kappa, h)
-        if abs(step) <= 4.0 * np.finfo(float).eps * kappa:
-            break
-        kappa = kappa - step if lo < kappa - step < hi else 0.5 * (lo + hi)
+        p, c, kap = poles[live], weights[live], kappa[live]
+        s2 = np.sum(c / (kap[:, None] - p) ** 2, axis=1)
+        go = ~(s2 <= 0.0)
+        live, p, c, kap, s2 = live[go], p[go], c[go], kap[go], s2[go]
+        h = 1.0 / np.sqrt(s2) - target
+        up = h > 0.0
+        hi[live] = np.where(up, kap, hi[live])
+        lo[live] = np.where(up, lo[live], kap)
+        step = _model_step(p, c, kap[:, None], h)
+        go = ~(np.abs(step) <= 4.0 * eps * kap)
+        live, kap, step = live[go], kap[go], step[go]
+        trial = kap - step
+        inside = (lo[live] < trial) & (trial < hi[live])
+        kappa[live] = np.where(inside, trial, 0.5 * (lo[live] + hi[live]))
     return kappa
 
 
-def _search(poles: np.ndarray, weights: np.ndarray, floor: float, T: int, theta: float):
+def _search(
+    poles: np.ndarray,
+    weights: np.ndarray,
+    root: float,
+    floor: float,
+    T: int,
+    theta: float,
+):
     """The multiplier search of one problem (see :func:`dual_bound`).
 
     A generator: it yields each multiplier to evaluate exactly, is sent
     ``(W_kappa, dW/dkappa)`` there, and returns the :class:`DualBound`.
-    ``floor`` is the top eigenvalue of the ``N_t``, below which ``W`` is
-    unbounded.
+    ``root`` is the model's root (:func:`_model_root`) and ``floor`` the
+    top eigenvalue of the ``N_t``, below which ``W`` is unbounded.
     """
     target = 1.0 / (theta * math.sqrt(T))
     model_lo = float(poles.max())
@@ -614,7 +630,7 @@ def _search(poles: np.ndarray, weights: np.ndarray, floor: float, T: int, theta:
     # are h there where an exact evaluation gave it finite.
     lo = floor
     hi = h_lo = h_hi = math.inf
-    kappa = max(_model_root(poles, weights, target), floor * (1.0 + 1e-9))
+    kappa = max(root, floor * (1.0 + 1e-9))
     best = (math.inf, math.nan, math.nan)
     moved = 0  # the end the previous evaluation moved: -1 lo, 1 hi
     for _ in range(100):
@@ -650,7 +666,7 @@ def _search(poles: np.ndarray, weights: np.ndarray, floor: float, T: int, theta:
             # the root, where its steps alternate around it and crawl.
             nxt = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
         elif kappa > model_lo and math.isfinite(h):
-            nxt = kappa - _model_step(poles, weights, kappa, h)
+            nxt = kappa - float(_model_step(poles, weights, kappa, h))
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * kappa - floor
         kappa = nxt
@@ -715,8 +731,16 @@ def dual_bounds(
         for start in range(0, k, _SLOPE_CHUNK)
         for model in _slope_models(_index(terms, slice(start, start + _SLOPE_CHUNK)))
     ]
+    # Model roots of the models with the same number of poles together.
+    target = 1.0 / (theta * math.sqrt(T))
+    roots = np.empty(k)
+    sizes = np.array([poles.size for poles, _ in models])
+    for size in np.unique(sizes):
+        idx = np.flatnonzero(sizes == size)
+        poles, weights = (np.stack(x) for x in zip(*(models[i] for i in idx)))
+        roots[idx] = _model_root(poles, weights, target)
     searches = [
-        _search(poles, weights, float(terms.nu[i].max()), T, theta)
+        _search(poles, weights, float(roots[i]), float(terms.nu[i].max()), T, theta)
         for i, (poles, weights) in enumerate(models)
     ]
     kappa = np.array([next(search) for search in searches])
