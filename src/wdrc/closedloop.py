@@ -553,7 +553,9 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
         ritz, vecs = np.linalg.eigh(tri) if size else (np.zeros(0), np.zeros((1, 0)))
         nu, d = terms.nu[i], terms.d[i]
         poles = np.concatenate([ritz, nu.ravel()])
-        weights = np.concatenate([norm[i] * norm[i] * vecs[0] ** 2, (d * nu * nu).ravel()])
+        weights = np.concatenate(
+            [norm[i] * norm[i] * vecs[0] ** 2, (d * nu * nu).ravel()]
+        )
         models.append((poles, weights))
     return models
 
@@ -722,7 +724,9 @@ def dual_bounds(
     if theta == 0.0:
         means = np.stack([nominal.mean(t) for t in range(T)])
         covs = np.stack([nominal.cov(t) for t in range(T)])
-        costs = [exact_cost(_index(loops, i), z0, means, covs, noise_cov) for i in range(k)]
+        costs = [
+            exact_cost(_index(loops, i), z0, means, covs, noise_cov) for i in range(k)
+        ]
         return [DualBound(kappa=math.inf, w_kappa=w, bound=w) for w in costs]
 
     terms = _dual_terms(loops, z0, nominal, noise_cov)

@@ -418,7 +418,8 @@ def test_stacked_certificates_equal_stacks_of_one(name, seed, monkeypatch):
     for theta in (cfg.theta, 0.0):
         stacked = certified_bounds(feasible, cfg.sys, cfg.cost, x0_dist, theta)
         alone = [
-            certified_bound(ctrl, cfg.sys, cfg.cost, x0_dist, theta) for ctrl in feasible
+            certified_bound(ctrl, cfg.sys, cfg.cost, x0_dist, theta)
+            for ctrl in feasible
         ]
         assert stacked == alone
         if theta:
