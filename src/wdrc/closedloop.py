@@ -30,7 +30,7 @@ the loop's cost-to-go matrices), whose Bures-penalized supremum is
 are finite exactly for ``kappa`` above the largest eigenvalue of ``H``.
 By weak duality ``kappa T theta^2 + W_kappa`` bounds the expected cost
 of every sequence of laws within Gelbrich distance ``theta`` of the
-nominal at every stage; :func:`dual_bound` minimizes it over the
+nominal at every stage; :func:`dual_bounds` minimizes it over the
 multiplier.
 
 Several robust loops of one nominal are bounded together on stacks with
@@ -66,7 +66,6 @@ __all__ = [
     "exact_cost",
     "penalized_value",
     "worst_case_law",
-    "dual_bound",
     "dual_bounds",
 ]
 
@@ -619,12 +618,26 @@ def _search(
     T: int,
     theta: float,
 ):
-    """The multiplier search of one problem (see :func:`dual_bound`).
+    """Minimize ``kappa T theta^2 + W_kappa`` over the multiplier.
 
-    A generator: it yields each multiplier to evaluate exactly, is sent
-    ``(W_kappa, dW/dkappa)`` there, and returns the :class:`DualBound`.
-    ``root`` is the model's root (:func:`_model_root`) and ``floor`` the
-    top eigenvalue of the ``N_t``, below which ``W`` is unbounded.
+    The objective is convex in ``kappa``; its minimizer solves ``-dW/dkappa
+    = sum_t G_t^2 = T theta^2`` at the maximizing laws, a secular equation
+    ``h = (sum c / (kappa - p)^2)^{-1/2} - (T theta^2)^{-1/2} = 0`` with
+    ``h`` nearly linear.  A Lanczos model of ``dW/dkappa``
+    (:func:`_slope_models`) predicts the root; exact evaluations of
+    ``W_kappa`` and its slope then confirm it to ``|h| <= 1e-5 / (theta
+    sqrt(T))`` (within about ``1e-11`` relative of the minimum), taking
+    model-Newton steps kept inside a bracket otherwise, and
+    Illinois-safeguarded secant steps on the exact ``(kappa, h)`` ends
+    once exact evaluations bracket the root.  The bound is the
+    smallest over the exactly evaluated multipliers, each a valid bound,
+    and a pure function of the inputs.
+
+    A generator for one problem of :func:`dual_bounds`: it yields each
+    multiplier to evaluate exactly, is sent ``(W_kappa, dW/dkappa)``
+    there, and returns the :class:`DualBound`.  ``root`` is the model's
+    root (:func:`_model_root`) and ``floor`` the top eigenvalue of the
+    ``N_t``, below which ``W`` is unbounded.
     """
     target = 1.0 / (theta * math.sqrt(T))
     model_lo = float(poles.max())
@@ -676,35 +689,6 @@ def _search(
     return DualBound(kappa=kappa, w_kappa=value, bound=bound)
 
 
-def dual_bound(
-    loop: ClosedLoop,
-    z0: tuple[np.ndarray, np.ndarray],
-    nominal: NominalDistribution,
-    noise_cov: np.ndarray,
-    theta: float,
-) -> DualBound:
-    """Minimize ``kappa T theta^2 + W_kappa`` over the multiplier.
-
-    The objective is convex in ``kappa``; its minimizer solves ``-dW/dkappa
-    = sum_t G_t^2 = T theta^2`` at the maximizing laws, a secular equation
-    ``h = (sum c / (kappa - p)^2)^{-1/2} - (T theta^2)^{-1/2} = 0`` with
-    ``h`` nearly linear.  A Lanczos model of ``dW/dkappa``
-    (:func:`_slope_models`) predicts the root; exact evaluations of
-    ``W_kappa`` and its slope then confirm it to ``|h| <= 1e-5 / (theta
-    sqrt(T))`` (within about ``1e-11`` relative of the minimum), taking
-    model-Newton steps kept inside a bracket otherwise, and
-    Illinois-safeguarded secant steps on the exact ``(kappa, h)`` ends
-    once exact evaluations bracket the root.  The bound is the
-    smallest over the exactly evaluated multipliers, each a valid bound,
-    and a pure function of the inputs.  With ``theta = 0`` the infimum is
-    the limit ``kappa -> inf``, the exact nominal cost.
-
-    This is :func:`dual_bounds` on a stack of one.
-    """
-    (bound,) = dual_bounds(_index(loop, None), z0, nominal, noise_cov, theta)
-    return bound
-
-
 def dual_bounds(
     loops: ClosedLoop,
     z0: tuple[np.ndarray, np.ndarray],
@@ -712,13 +696,17 @@ def dual_bounds(
     noise_cov: np.ndarray,
     theta: float,
 ) -> list[DualBound]:
-    """:func:`dual_bound` of each loop of a stack (one nominal).
+    """The dual bound of each loop of a stack (one nominal): the minimum
+    over the multiplier of ``kappa T theta^2 + W_kappa`` (:func:`_search`).
+    With ``theta = 0`` the infimum is the limit ``kappa -> inf``, the
+    exact nominal cost.
 
     The dual terms and slope models are built on the stack, and each
     problem's multiplier search advances on its own: every round
     evaluates the multipliers of all problems still searching in one
     stacked exact evaluation, and a problem leaves once its search ends.
-    Each bound equals its loop's :func:`dual_bound`, bit for bit.
+    Each bound equals the one of its loop alone (a stack of one), bit for
+    bit.
     """
     k, T = loops.F.shape[0], loops.F.shape[1]
     if theta == 0.0:

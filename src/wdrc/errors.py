@@ -67,10 +67,6 @@ class DegenerateLQ(WdrcError):
     """The nominal control problem has a degenerate (non-positive) value."""
 
 
-class ScheduleMismatch(WdrcError):
-    """A precomputed worst-case schedule does not match the run's filter."""
-
-
 class ConfigError(WdrcError):
     """A configuration file is malformed.
 

@@ -25,7 +25,7 @@ from scipy.special import ndtri
 
 from .bounds import evaluate_value
 from .controller import ControllerMode, WdrcController, synthesize_wdrc
-from .errors import ScheduleMismatch
+from .errors import NotPD, WdrcError
 from .estimator import BeliefState, init_belief, predict, update
 from .model import (
     CostSpec,
@@ -44,7 +44,6 @@ from .worstcase import (
     cov_gradient,
     cov_objective,
     solve_worst_case_cov,
-    worst_case_mean,
 )
 
 __all__ = [
@@ -55,6 +54,8 @@ __all__ = [
     "gaussian_w2_quadrature",
     "worst_cov_no_obs",
     "t1_scalar_saddle",
+    "ScheduleMismatch",
+    "worst_case_mean",
     "WorstCaseStage",
     "SimulationTrace",
     "control_input",
@@ -258,6 +259,32 @@ def t1_scalar_saddle(
         vals = np.array([stage_value(u) for u in us])
         k = int(np.argmin(vals))
     return float(vals[k])
+
+
+class ScheduleMismatch(WdrcError):
+    """A precomputed worst-case schedule does not match the run's filter."""
+
+
+def worst_case_mean(
+    sys: LinearSystem,
+    lam: float,
+    P_next: np.ndarray,
+    r_next: np.ndarray,
+    x_bar: np.ndarray,
+    u_star: np.ndarray,
+    w_hat: np.ndarray,
+) -> np.ndarray:
+    """Adversarial disturbance mean for one stage.
+
+    ``(lam I - P_next)^{-1} (r_next + P_next (A x_bar + B u_star)
+    + lam w_hat)``; requires ``lam I - P_next`` positive definite.
+    """
+    n = sys.n_x
+    shifted = lam * np.eye(n) - P_next
+    if float(np.linalg.eigvalsh(symmetrize(shifted))[0]) <= 0.0:
+        raise NotPD("penalty matrix lam I - P_next is not positive definite")
+    drift = sys.A @ x_bar + sys.B @ np.atleast_1d(u_star)
+    return np.linalg.solve(shifted, r_next + P_next @ drift + lam * w_hat)
 
 
 # Largest belief-covariance deviation tolerated between a run's filter

@@ -13,13 +13,19 @@ objective is concave on the PSD cone (the last term is a Bures cross
 term, and ``V`` is a minimum of functions linear in ``G``), and an
 equivalent semidefinite program exists via Schur complements; this
 module solves it with the stationarity fixed point of the transport
-map, backed by projected gradient ascent with Armijo backtracking,
-which is fast at the small state dimensions the harness targets and is
-cross-checked against grid oracles in the test suite.  When the fixed
-point is undefined at the start, it is retried from the ascent iterate
-on a doubling schedule of ascent steps, because near the smallest
-feasible penalty the maximizer can lie far out along a direction in
-which the objective is nearly flat, where plain ascent crawls.
+map, finished by damped Newton steps on the ``n (n + 1) / 2`` free
+entries of ``Sigma``, which is fast at the small state dimensions the
+harness targets and is cross-checked against grid oracles in the test
+suite.  The Hessian is analytic: the transport map's derivative solves
+a Sylvester equation (Bhatia, Jain and Lim, "On the Bures-Wasserstein
+distance between positive definite matrices", 2019) and the filter
+term's follows from ``d(I - K C)``.  Near the smallest feasible penalty
+the maximizer can lie far out along a direction in which the objective
+is nearly flat, next to the boundary of the cone, where the fixed point
+is undefined at the start and Newton steps shrink against the
+boundary; there the fixed point is retried from the Newton iterate on a
+doubling schedule of steps, and it is defined once Newton has moved
+toward the maximizer.
 
 The maximization is bounded only when the penalty is large enough; if
 iterates grow without bound the solver raises
@@ -27,9 +33,11 @@ iterates grow without bound the solver raises
 
 :func:`forward_schedules` solves the paths of several penalties in one
 pass.  At each stage their problems are stacked on a leading axis, and
-the private helpers (objective, gradient, projection, fixed point) work
-on the whole stack; a problem the stack does not settle goes to the
-single-problem solver, which runs the same helpers on a stack of one.
+the private helpers (objective, gradient, Hessian, projection, fixed
+point, Newton steps) work on the whole stack: a few fixed-point passes,
+then Newton steps, each problem stopping on its own.  A problem the
+stack does not settle goes to the single-problem solver, which runs the
+same helpers on a stack of one.
 The stacked numpy calls give each matrix the bits of the call on it
 alone, so a penalty's path out of the stack equals its path alone, and
 :func:`forward_schedule` is the pass on a stack of one.
@@ -57,7 +65,6 @@ __all__ = [
     "SolverOptions",
     "CovSolve",
     "WorstCaseSchedule",
-    "worst_case_mean",
     "cov_objective",
     "cov_gradient",
     "solve_worst_case_cov",
@@ -110,9 +117,13 @@ class CovObjectiveContext:
 class SolverOptions:
     """Covariance solver hyperparameters.
 
-    ``fp_max_iter`` bounds each run of the transport fixed point (the
-    pre-solve and its retries); the remaining fields drive the
-    projected-gradient-ascent fallback.
+    :func:`solve_worst_case_cov` runs up to ``fp_max_iter`` transport
+    fixed-point passes (the pre-solve and each retry) and then at most
+    ``max_iter`` damped Newton steps, line-searched with ``backtrack``
+    and ``armijo``.  It stops, as the stacked solve of
+    :func:`forward_schedules` checks its problems, at a
+    projected-gradient residual (unit step ``step0``) below
+    ``tol_scale`` times the coefficient scale.
     """
 
     max_iter: int = 5000
@@ -131,8 +142,8 @@ class CovSolve:
     Attributes:
         cov: Maximizing covariance.
         z_tilde: Objective value at the maximizer.
-        iterations: Accepted ascent steps plus the passes of every
-            adopted fixed point.
+        iterations: Newton steps plus the passes of every adopted
+            fixed point.
         converged: Whether the stationarity residual met tolerance.
         trace: Optional per-iteration ``(objective, residual)`` rows.
     """
@@ -176,28 +187,6 @@ class WorstCaseSchedule:
 
     def cov(self, t: int) -> np.ndarray:
         return self.solves[t].cov
-
-
-def worst_case_mean(
-    sys: LinearSystem,
-    lam: float,
-    P_next: np.ndarray,
-    r_next: np.ndarray,
-    x_bar: np.ndarray,
-    u_star: np.ndarray,
-    w_hat: np.ndarray,
-) -> np.ndarray:
-    """Adversarial disturbance mean for one stage.
-
-    ``(lam I - P_next)^{-1} (r_next + P_next (A x_bar + B u_star)
-    + lam w_hat)``; requires ``lam I - P_next`` positive definite.
-    """
-    n = sys.n_x
-    shifted = lam * np.eye(n) - P_next
-    if float(np.linalg.eigvalsh(symmetrize(shifted))[0]) <= 0.0:
-        raise NotPD("penalty matrix lam I - P_next is not positive definite")
-    drift = sys.A @ x_bar + sys.B @ np.atleast_1d(u_star)
-    return np.linalg.solve(shifted, r_next + P_next @ drift + lam * w_hat)
 
 
 class _Stage:
@@ -321,6 +310,169 @@ def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
     return _gradient(Sigma[None], ctx._stage)[0]
 
 
+_BASES: dict[int, np.ndarray] = {}
+
+
+def _basis(n: int) -> np.ndarray:
+    """``(n * n, m)`` columns: the row-major ``vec`` of each symmetric
+    basis matrix ``E_k`` of the ``m = n (n + 1) / 2`` free entries, ``e_i
+    e_i'`` for a diagonal entry and ``e_i e_j' + e_j e_i'`` off it.
+
+    Every entry is 0 or 1 and each ``vec`` position belongs to one basis
+    matrix, so products with it only gather and add pairs, exactly.
+    """
+    basis = _BASES.get(n)
+    if basis is None:
+        cols = []
+        for i in range(n):
+            for j in range(i, n):
+                e = np.zeros((n, n))
+                e[i, j] = e[j, i] = 1.0
+                cols.append(e.reshape(-1))
+        basis = _BASES[n] = np.stack(cols, axis=1)
+    return basis
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each pair of a stack: ``vec(a X b') = (a ⊗ b)
+    vec(X)`` for the row-major ``vec``."""
+    k, n = a.shape[0], a.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, n * n, n * n)
+
+
+def _newton_system(
+    Sigma: np.ndarray, st: _Stage
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient, and the gradient and negated Hessian on the free entries.
+
+    Along a symmetric direction ``E`` the gradient's derivative has two
+    parts.  The transport factor ``T`` (``T Sigma T = Sigma_hat``)
+    moves by the ``dT`` that solves the Sylvester equation ``dT (Sigma
+    T) + (T Sigma) dT = -T E T``.  The filter term ``W = (I - K C)'
+    S_next (I - K C)`` moves through ``d(I - K C) = -(I - K C) E C'
+    Inn^{-1} C``, giving ``-(N E W + W E N)`` with ``N = C' Inn^{-1} C``.
+    Both are linear in ``vec(E)``, so the ``m`` directions of the free
+    entries come from one Sylvester solve with ``m`` right-hand sides.
+
+    Returns:
+        ``(grad, g, h)``: the ``(k, n, n)`` gradient, its ``(k, m, 1)``
+        coordinates ``<grad, E_k>`` and the ``(k, m, m)`` negated Hessian
+        ``-<E_k, d grad[E_l]>``, which concavity makes positive
+        semidefinite.
+    """
+    sys = st.sys
+    k, n = Sigma.shape[0], Sigma.shape[-1]
+    G = symmetrize(st.prior_base + Sigma)
+    innov = symmetrize(sys.C @ G @ sys.C.T + sys.M)
+    try:
+        inv_c = np.linalg.solve(innov, np.broadcast_to(sys.C, (k, *sys.C.shape)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation(str(exc)) from exc
+    closed = st.eye - (inv_c @ G).mT @ sys.C
+    W = closed.mT @ st.S_next @ closed
+    N = sys.C.T @ inv_c
+    T = transport_map(Sigma, st.Sigma_hat)
+    grad = symmetrize(st.shifted + st.lam_m * T + W)
+    A = T @ Sigma
+    eye = np.broadcast_to(st.eye, A.shape)
+    basis = _basis(n)
+    rhs = _kron(T, T) @ basis
+    sylvester = _kron(A, eye) + _kron(eye, A)
+    try:
+        dT = np.linalg.solve(sylvester, rhs)
+    except np.linalg.LinAlgError:
+        # A singular Sigma_hat can leave a pair of eigenvalues of T Sigma
+        # summing to zero; those problems get no curvature.
+        dT = np.full_like(rhs, np.nan)
+        for q in range(k):
+            try:
+                dT[q] = np.linalg.solve(sylvester[q], rhs[q])
+            except np.linalg.LinAlgError:
+                pass
+    h = basis.T @ (st.lam_m * dT + (_kron(N, W) + _kron(W, N)) @ basis)
+    g = basis.T @ grad.reshape(k, n * n, 1)
+    return grad, g, symmetrize(h)
+
+
+def _newton_direction(Sigma: np.ndarray, st: _Stage) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and ascent direction of each problem: the Newton step
+    where the Hessian is negative definite, the gradient elsewhere."""
+    grad, g, h = _newton_system(Sigma, st)
+    k, n = Sigma.shape[0], Sigma.shape[-1]
+    with np.errstate(invalid="ignore"):
+        curved = np.isfinite(h).all(axis=(1, 2))
+        curved[curved] = np.linalg.eigvalsh(h[curved])[:, 0] > 0.0
+    if np.count_nonzero(curved) == k:
+        return grad, (_basis(n) @ np.linalg.solve(h, g)).reshape(k, n, n)
+    direction = grad.copy()
+    if np.count_nonzero(curved):
+        step = np.linalg.solve(h[curved], g[curved])
+        direction[curved] = (_basis(n) @ step).reshape(-1, n, n)
+    return grad, direction
+
+
+def _positive(Sigma: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Whether each matrix is finite with its eigenvalues above ``floor``."""
+    ok = np.isfinite(Sigma).all(axis=(1, 2))
+    ok[ok] = np.linalg.eigvalsh(Sigma[ok])[:, 0] > floor[ok]
+    return ok
+
+
+def _newton(
+    st: _Stage, Sigma: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton steps on the free entries, for the whole stack.
+
+    Each step is the Newton step (the gradient where the Hessian is
+    not negative definite), halved until the iterate stays positive
+    definite above the eigenvalue floor.  Each problem stops on its
+    own, by the fixed point's rule: once a step moves no entry by more
+    than ``1e-14 (1 + max|Sigma|)``, or when no halving keeps it
+    positive definite.  The objective is not evaluated; the caller
+    checks value and stationarity of the result.
+
+    Returns:
+        ``(iterates, steps)``.
+    """
+    result = np.empty_like(Sigma)
+    steps = np.zeros(Sigma.shape[0], dtype=int)
+    idx = np.arange(Sigma.shape[0])
+    for k in range(1, max_steps + 1):
+        _, step = _newton_direction(Sigma, st)
+        nxt = Sigma + step
+        stalled = ~_positive(nxt, st.floor)
+        if np.count_nonzero(stalled):
+            todo = np.flatnonzero(stalled)
+            for _ in range(_HALVINGS):
+                step[todo] *= 0.5
+                trial = Sigma[todo] + step[todo]
+                ok = _positive(trial, st.floor[todo])
+                nxt[todo[ok]] = trial[ok]
+                todo = todo[~ok]
+                if not todo.size:
+                    break
+            stalled[:] = False
+            stalled[todo] = True
+            nxt[todo] = Sigma[todo]
+        delta = np.abs(nxt - Sigma).max(axis=(1, 2))
+        Sigma = nxt
+        done = stalled | (delta <= 1e-14 * (1.0 + np.abs(Sigma).max(axis=(1, 2))))
+        if np.count_nonzero(done):
+            result[idx[done]] = Sigma[done]
+            steps[idx[done]] = k
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return result, steps
+            idx, Sigma, st = idx[keep], Sigma[keep], st.take(keep)
+    result[idx] = Sigma
+    steps[idx] = max_steps
+    return result, steps
+
+
+# Halvings of a Newton step before the step counts as stalled.
+_HALVINGS = 50
+
+
 def _project(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues of each symmetric part at its ``floor``."""
     sym = symmetrize(m)
@@ -421,7 +573,7 @@ def solve_worst_case_cov(
     opts: SolverOptions = SolverOptions(),
     init: np.ndarray | None = None,
 ) -> CovSolve:
-    """Maximize the stage objective: fixed point, then projected ascent.
+    """Maximize the stage objective: fixed point, then damped Newton.
 
     Iterates start at the nominal covariance (or ``init``), stay
     positive definite through an eigenvalue floor, and stop when the
@@ -429,19 +581,22 @@ def solve_worst_case_cov(
     times the coefficient scale ``lam + max|P_next| + max|S_next|``.
     Scaling the tolerance by the data rather than by the objective
     value keeps an unbounded instance (whose objective grows without
-    limit along the ascent) from widening its own finish line.  The
-    accepted step size carries over between iterations.
+    limit along the ascent) from widening its own finish line.
 
     The transport fixed point (:func:`_fixed_point`) runs first and its
     iterate is adopted unless it loses more than rounding noise of
-    objective value.  If the map is undefined at the start, it is
-    retried under the same rule from the ascent iterate after 16, 32,
-    64, ... accepted ascent steps.  Either way the ascent loop has the
-    last word: it certifies stationarity or raises ``Diverged``.
+    objective value.  Newton steps on the free entries follow (the
+    gradient where the Hessian is not negative definite), each
+    backtracked by ``backtrack`` until the iterate is positive definite
+    and gains ``armijo`` times the step's first-order gain.  If the map
+    is undefined at the start, it is retried under the same rule from
+    the Newton iterate after 16, 32, 64, ... accepted steps.  Either way
+    Newton has the last word: it certifies stationarity or raises
+    ``Diverged``.
 
     Raises:
-        Diverged: If iterates grow without bound or ascent stalls far
-            from stationarity.
+        Diverged: If iterates grow without bound or the Newton steps
+            stall far from stationarity.
         SingularInnovation: If the predicted innovation covariance is
             singular.
     """
@@ -452,7 +607,6 @@ def solve_worst_case_cov(
     start = st.Sigma_hat if init is None else np.asarray(init, dtype=float)[None]
     Sigma = _project(start, floor)
     f_cur = _objective(Sigma, st)[0]
-    step = opts.step0
     trace: list[tuple[float, float]] = []
     iterations = 0
     converged = False
@@ -471,14 +625,14 @@ def solve_worst_case_cov(
 
     # Where the map is undefined at the start (the gain there leaves the
     # shifted coefficient matrix indefinite, as near the feasibility
-    # boundary of the penalty), it can become defined once the ascent
-    # has moved toward the maximizer, so it is retried on a doubling
+    # boundary of the penalty), it can become defined once Newton has
+    # moved toward the maximizer, so it is retried on a doubling
     # schedule of accepted steps.
     retry_at = None if adopt_fixed_point() else 16
-    ascent_steps = 0
+    newton_steps = 0
 
     for _ in range(opts.max_iter):
-        grad, residual = _stationarity(Sigma, st, opts.step0)
+        _, residual = _stationarity(Sigma, st, opts.step0)
         residual = float(residual[0])
         if opts.record_trace:
             trace.append((float(f_cur), residual))
@@ -486,28 +640,23 @@ def solve_worst_case_cov(
             converged = True
             break
 
-        # Let the step grow without an upper cap: in nearly-flat
-        # directions (penalty close to its feasibility boundary) the
-        # maximizer sits far from the start and capped steps crawl.
-        step = step / opts.backtrack
+        grad, direction = _newton_direction(Sigma, st)
+        slope = float(np.vdot(grad, direction))
+        step = 1.0
         accepted = False
-        while step >= 1e-20 * opts.step0:
-            cand = _project(Sigma + step * grad, floor)
-            gap = float(np.tensordot(grad[0], cand[0] - Sigma[0]))
-            if gap <= 0.0:
-                step *= opts.backtrack
-                continue
-            f_cand = _objective(cand, st)[0]
-            if f_cand >= f_cur + opts.armijo * gap:
-                Sigma, f_cur = cand, f_cand
-                accepted = True
-                break
+        while slope > 0.0 and step >= 1e-20:
+            cand = Sigma + step * direction
+            if _positive(cand, floor)[0]:
+                f_cand = _objective(cand, st)[0]
+                if f_cand >= f_cur + opts.armijo * step * slope:
+                    Sigma, f_cur = cand, f_cand
+                    accepted = True
+                    break
             step *= opts.backtrack
         if not accepted:
-            # The Armijo gain armijo * step * residual^2 drops below the
-            # rounding noise eps * |f| before the residual tolerance is
-            # reached; at that point the iterate is stationary to
-            # machine-attainable accuracy.
+            # The Armijo gain drops below the rounding noise eps * |f|
+            # before the residual tolerance is reached; at that point the
+            # iterate is stationary to machine-attainable accuracy.
             noise_floor = np.sqrt(
                 np.finfo(float).eps * (1.0 + abs(f_cur)) / opts.armijo
             )
@@ -515,14 +664,14 @@ def solve_worst_case_cov(
                 converged = True
                 break
             raise Diverged(
-                "ascent stalled with stationarity residual "
+                "Newton ascent stalled with stationarity residual "
                 f"{residual:.3e} above tolerance"
             )
         iterations += 1
         if float(np.trace(Sigma[0])) > growth_cap or not np.isfinite(f_cur):
             raise Diverged("worst-case covariance grew without bound")
-        ascent_steps += 1
-        if ascent_steps == retry_at:
+        newton_steps += 1
+        if newton_steps == retry_at:
             retry_at *= 2
             adopt_fixed_point()
 
@@ -535,31 +684,49 @@ def solve_worst_case_cov(
     )
 
 
+# The stacked solve runs this many fixed-point passes, then at most this
+# many Newton steps (calibrations on the bundled configs take up to 13);
+# a problem not stationary after them goes to the single-problem solver.
+_WARMUP_PASSES = 3
+_STACK_NEWTON_STEPS = 30
+
+
 def _settle(
     st: _Stage, init: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`solve_worst_case_cov` does before its first ascent step.
+    """Solve the whole stack: a few fixed-point passes, then Newton steps.
 
-    Projects the starts, runs the fixed point, adopts it by the
-    solver's rule and checks stationarity there, for the whole stack.
+    Projects the starts, runs ``_WARMUP_PASSES`` fixed-point passes and
+    then at most ``_STACK_NEWTON_STEPS`` damped Newton steps
+    (:func:`_newton`) where the map was defined, adopts the result by
+    the fixed point's rule against the start and checks stationarity
+    there, for the whole stack.
 
     Returns:
-        ``(settled, covs, values, passes)``: where ``settled`` holds,
-        the solver would return ``covs``, ``values`` and ``passes``
-        unchanged as a converged solve with no ascent step.
+        ``(settled, covs, values, iterations)``: where ``settled``
+        holds, ``covs`` and ``values`` are a converged solve of
+        ``iterations`` fixed-point passes plus Newton steps; the other
+        problems go to :func:`solve_worst_case_cov`.
     """
     opts = SolverOptions()
     Sigma = _project(init, st.floor)
     f_cur = _objective(Sigma, st)
-    fp, passes = _fixed_point(st, Sigma, opts.fp_max_iter)
+    fp, passes = _fixed_point(st, Sigma, _WARMUP_PASSES)
     defined = passes > 0
-    if np.count_nonzero(defined) < defined.size:
+    if np.count_nonzero(defined) == defined.size:
+        fp, steps = _newton(st, fp, _STACK_NEWTON_STEPS)
+    else:
         fp = np.where(defined[:, None, None], fp, Sigma)
+        steps = np.zeros_like(passes)
+        if np.count_nonzero(defined):
+            fp[defined], steps[defined] = _newton(
+                st.take(defined), fp[defined], _STACK_NEWTON_STEPS
+            )
     f_fp = _objective(fp, st)
     adopted = defined & _adopted(f_fp, f_cur)
     _, residual = _stationarity(fp, st, opts.step0)
     settled = adopted & (residual < _tolerance(st, opts))
-    return settled, fp, f_fp, passes
+    return settled, fp, f_fp, passes + steps
 
 
 def _memo_keys(

@@ -459,6 +459,30 @@ def test_calibration_schedules_converge_and_memoize_stationary_stages(
         assert unique == stages
 
 
+@pytest.mark.parametrize("seed", [2803, 2821])
+def test_calibration_converges_every_stage_at_slow_scenario_seeds(seed, monkeypatch):
+    """On uniform with a per-stage nominal at these scenario seeds a stage
+    of ``lam_min`` ran the projected-gradient fallback for 5,000 steps
+    without converging, so ``lam_min`` scored infinity.  With Newton
+    steps every stage of every calibration schedule converges, and every
+    scanned penalty scores a finite bound."""
+    import wdrc.bounds
+
+    stacked, schedules = wdrc.bounds.forward_schedules, []
+
+    def recording(*args, **kwargs):
+        out = stacked(*args, **kwargs)
+        schedules.extend(out)
+        return out
+
+    monkeypatch.setattr(wdrc.bounds, "forward_schedules", recording)
+    cfg, scenario, nominal, _ = _bundled("uniform", seed)
+    cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    assert not any(isinstance(s, Diverged) for s in schedules)
+    assert all(x.converged for s in schedules for x in s.solves)
+    assert all(math.isfinite(value) for _, value in cal.evaluations)
+
+
 def test_scan_scores_a_diverging_penalty_infinite(monkeypatch):
     """A penalty whose stage raises ``Diverged`` in the stacked scan
     scores infinity; every other scanned penalty keeps its value."""

@@ -70,3 +70,32 @@ def test_run_reads_every_file_of_the_report_directory(tool, monkeypatch, tmp_pat
         "costs.csv": b"c",
         "trace_lqg.jsonl": b"t",
     }
+
+
+def test_a_differing_output_shows_how_far_its_numbers_moved(tool, monkeypatch, capsys):
+    outputs = {
+        "base": {"exit": b"0", "stdout": b'{"lam": 2.5, "bound": 8.0, "runs": 1000}'},
+        "head": {"exit": b"0", "stdout": b'{"lam": 2.5, "bound": 8.000004, "runs": 1000}'},
+    }
+    monkeypatch.setattr(tool, "run", lambda src, work_dir, argv, out: outputs[src])
+    assert tool.main(["base", "head"]) == 1
+    assert (
+        "DIFFERS    calibrate x: stdout (numbers only, max rel diff 5e-07)"
+        in capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize(
+    "base, head, rel",
+    [
+        (b"a,b\n1.5,-2e-3\n", b"a,b\n1.5,-2e-3\n", 0.0),
+        (b"a,b\n1.5,-2e-3\n", b"a,b\n1.5,-1e-3\n", 0.5),
+        (b'{"x": 4, "y": inf}', b'{"x": 3, "y": inf}', 0.25),
+        (b'{"x": NaN}', b'{"x": 1.0}', 1.0),
+        (b"converged at stage 3", b"diverged at stage 3", None),
+        (b"1 2", b"1 2 3", None),
+    ],
+    ids=["equal", "csv", "json-inf", "nan", "text", "count"],
+)
+def test_largest_rel_diff_compares_numbers_when_the_text_matches(tool, base, head, rel):
+    assert tool.largest_rel_diff(base, head) == rel

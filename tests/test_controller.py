@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wdrc.controller import lqg_gains, synthesize_wdrc
-from wdrc.errors import ScheduleMismatch
 from wdrc.estimator import BeliefState, covariance_path, initial_posterior_cov
 from wdrc.harness import trace_run, write_trace
 from wdrc.model import (
@@ -16,7 +15,13 @@ from wdrc.model import (
     draw_realization,
     estimate_nominal,
 )
-from wdrc.oracles import control_input, lqr_gains, run_closed_loop, trace_cost
+from wdrc.oracles import (
+    ScheduleMismatch,
+    control_input,
+    lqr_gains,
+    run_closed_loop,
+    trace_cost,
+)
 from wdrc.psdmath import MomentPair
 
 

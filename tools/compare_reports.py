@@ -24,13 +24,20 @@ the tree) on the configs of this repository:
   with ``--dump-trace --trace-run 1777``, which adds the two trace
   files;
 - ``wdrc simulate`` on ``gaussian.yaml`` at ``--seed 2813``, whose
-  calibration holds the longest multiplier search of the certificates;
+  calibration holds the longest multiplier search of the certificates,
+  at ``--seed 411``, whose calibration holds the slowest worst-case
+  covariance solves, and on ``uniform.yaml`` with a per-stage nominal at
+  ``--seed 2803``, whose smallest feasible penalty has the hardest
+  stage;
 - ``wdrc calibrate`` on the same three configs at the config's seed:
   exit code and its JSON;
 - ``wdrc oracle --seed 0`` to ``--seed 5``: exit code and stdout.
 
 One line per output says whether it is identical; a file written on one
-side only differs.  Every command is
+side only differs.  For an output that differs, the line adds the
+largest relative difference over its numbers when the two sides differ
+in their numbers only (the text between the numbers is equal), so a
+change that moves numbers on purpose shows how far.  Every command is
 expected to succeed, so a nonzero exit on either side is reported as a
 failure even when both sides fail alike.  The exit status is 1 if any
 command fails or any output differs and 0 otherwise; a refactor that
@@ -40,7 +47,9 @@ must keep the reports byte-identical passes only with 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -87,6 +96,8 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
         ("gaussian", ["--seed", "2813"], "out-2813"),
+        ("gaussian", ["--seed", "411"], "out-411"),
+        ("uniform-stagewise", ["--seed", "2803"], "out-2803"),
     ):
         argv = ["simulate", "--config", f"{name}.yaml", "--out", out_dir, *flags]
         out.append((f"simulate {' '.join([name, *flags])}", argv, out_dir))
@@ -95,6 +106,31 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     for seed in ORACLE_SEEDS:
         out.append((f"oracle seed={seed}", ["oracle", "--seed", str(seed)], None))
     return out
+
+
+# A decimal number with optional sign, fraction and exponent, or a
+# non-finite float as Python and JSON spell it.
+_NUMBER = re.compile(
+    rb"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+    rb"|(?<![A-Za-z])(?:inf|nan|Infinity|NaN)(?![A-Za-z])))"
+)
+
+
+def largest_rel_diff(base: bytes, head: bytes) -> float | None:
+    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of two
+    outputs, or None when they differ in more than their numbers."""
+    a, b = _NUMBER.split(base), _NUMBER.split(head)
+    # Text sits at even positions of the split, numbers at odd ones.
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return None
+    largest = 0.0
+    for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        # A NaN or an infinity against anything else counts as 1.
+        rel = abs(x - y) / max(abs(x), abs(y))
+        largest = max(largest, rel if math.isfinite(rel) else 1.0)
+    return largest
 
 
 def run(src: str, work_dir: str, argv: list[str], out_dir: str | None) -> dict[str, bytes]:
@@ -143,9 +179,14 @@ def main(argv=None) -> int:
                         code = outputs["exit"].decode()
                         print(f"FAILED     {label}: {side} exited with {code}")
                 for name in [*base, *(n for n in head if n not in base)]:
-                    same = base.get(name) == head.get(name)
-                    differing += not same
-                    print(f"{'identical' if same else 'DIFFERS  '}  {label}: {name}")
+                    old, new = base.get(name), head.get(name)
+                    if old == new:
+                        print(f"identical  {label}: {name}")
+                        continue
+                    differing += 1
+                    rel = None if old is None or new is None else largest_rel_diff(old, new)
+                    moved = "" if rel is None else f" (numbers only, max rel diff {rel:.3g})"
+                    print(f"DIFFERS    {label}: {name}{moved}")
     print(f"{failed} run(s) failed, {differing} output(s) differ")
     return 1 if failed or differing else 0
 
