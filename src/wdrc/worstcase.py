@@ -195,19 +195,20 @@ class _Stage:
     Besides each problem's data it holds what every evaluation reuses:
     the predicted covariance before the disturbance, ``A P_bar A'``,
     the linear coefficient ``P_next - lam I``, its negative as the
-    stationarity map starts it, and the eigenvalue floor of the
-    iterates.
+    stationarity map starts it, the eigenvalue floor of the iterates
+    and the basis of the free entries that Newton steps work on.
     """
 
     __slots__ = (
-        "sys", "eye", "S_next", "P_next", "Sigma_hat", "lam", "lam_m",
-        "prior_base", "shifted", "gap_base", "floor",
+        "sys", "eye", "basis", "S_next", "P_next", "Sigma_hat", "lam",
+        "lam_m", "prior_base", "shifted", "gap_base", "floor",
     )
-    _STACKED = __slots__[2:]
+    _STACKED = __slots__[3:]
 
     def __init__(self, sys, S_next, P_next, lam, Sigma_hat, prior_base):
         self.sys = sys
         self.eye = np.eye(sys.n_x)
+        self.basis = _basis(sys.n_x)
         self.S_next, self.P_next, self.Sigma_hat = S_next, P_next, Sigma_hat
         self.lam = lam
         self.lam_m = lam[:, None, None]
@@ -221,7 +222,7 @@ class _Stage:
         """The problems selected by ``keep``, a boolean mask or an index
         array (which may repeat a problem)."""
         sub = object.__new__(_Stage)
-        sub.sys, sub.eye = self.sys, self.eye
+        sub.sys, sub.eye, sub.basis = self.sys, self.eye, self.basis
         for name in self._STACKED:
             setattr(sub, name, getattr(self, name)[keep])
         return sub
@@ -310,9 +311,6 @@ def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
     return _gradient(Sigma[None], ctx._stage)[0]
 
 
-_BASES: dict[int, np.ndarray] = {}
-
-
 def _basis(n: int) -> np.ndarray:
     """``(n * n, m)`` columns: the row-major ``vec`` of each symmetric
     basis matrix ``E_k`` of the ``m = n (n + 1) / 2`` free entries, ``e_i
@@ -321,16 +319,11 @@ def _basis(n: int) -> np.ndarray:
     Every entry is 0 or 1 and each ``vec`` position belongs to one basis
     matrix, so products with it only gather and add pairs, exactly.
     """
-    basis = _BASES.get(n)
-    if basis is None:
-        cols = []
-        for i in range(n):
-            for j in range(i, n):
-                e = np.zeros((n, n))
-                e[i, j] = e[j, i] = 1.0
-                cols.append(e.reshape(-1))
-        basis = _BASES[n] = np.stack(cols, axis=1)
-    return basis
+    i, j = np.triu_indices(n)
+    k = np.arange(i.size)
+    basis = np.zeros((n, n, i.size))
+    basis[i, j, k] = basis[j, i, k] = 1.0
+    return basis.reshape(n * n, i.size)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,7 +368,7 @@ def _newton_system(
     grad = symmetrize(st.shifted + st.lam_m * T + W)
     A = T @ Sigma
     eye = np.broadcast_to(st.eye, A.shape)
-    basis = _basis(n)
+    basis = st.basis
     rhs = _kron(T, T) @ basis
     sylvester = _kron(A, eye) + _kron(eye, A)
     try:
@@ -403,11 +396,11 @@ def _newton_direction(Sigma: np.ndarray, st: _Stage) -> tuple[np.ndarray, np.nda
         curved = np.isfinite(h).all(axis=(1, 2))
         curved[curved] = np.linalg.eigvalsh(h[curved])[:, 0] > 0.0
     if np.count_nonzero(curved) == k:
-        return grad, (_basis(n) @ np.linalg.solve(h, g)).reshape(k, n, n)
+        return grad, (st.basis @ np.linalg.solve(h, g)).reshape(k, n, n)
     direction = grad.copy()
     if np.count_nonzero(curved):
         step = np.linalg.solve(h[curved], g[curved])
-        direction[curved] = (_basis(n) @ step).reshape(-1, n, n)
+        direction[curved] = (st.basis @ step).reshape(-1, n, n)
     return grad, direction
 
 
@@ -416,6 +409,10 @@ def _positive(Sigma: np.ndarray, floor: np.ndarray) -> np.ndarray:
     ok = np.isfinite(Sigma).all(axis=(1, 2))
     ok[ok] = np.linalg.eigvalsh(Sigma[ok])[:, 0] > floor[ok]
     return ok
+
+
+# Halvings of a Newton step before the step counts as stalled.
+_HALVINGS = 50
 
 
 def _newton(
@@ -467,10 +464,6 @@ def _newton(
     result[idx] = Sigma
     steps[idx] = max_steps
     return result, steps
-
-
-# Halvings of a Newton step before the step counts as stalled.
-_HALVINGS = 50
 
 
 def _project(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
