@@ -29,7 +29,7 @@ from .model import (
 )
 from .psdmath import gelbrich_dist_sq
 from .riccati import min_feasible_lambda
-from .worstcase import SolverOptions, mean_affine, solve_worst_case_cov
+from .worstcase import mean_affine, solve_worst_case_cov
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "update",
     "kalman_gain",
     # worst case
-    "SolverOptions",
     "solve_worst_case_cov",
     "mean_affine",
     # controller

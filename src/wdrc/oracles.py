@@ -40,7 +40,6 @@ from .psdmath import gelbrich_dist_sq, symmetrize, trace_sqrt_product, transport
 from .riccati import backward_pass
 from .worstcase import (
     CovObjectiveContext,
-    SolverOptions,
     cov_gradient,
     cov_objective,
     solve_worst_case_cov,
@@ -540,11 +539,11 @@ def run_oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
             err = max(err, float(np.abs(grad - fd).max()) / scale)
     record("covariance gradient vs finite differences", err, 1e-5)
 
-    # Scalar worst-case covariance: ascent solver against a refined grid.
+    # Scalar worst-case covariance: solver against a refined grid.
     err = 0.0
     for _ in range(10):
         ctx = _random_ctx(rng, 1, 1)
-        solve = solve_worst_case_cov(ctx, SolverOptions())
+        solve = solve_worst_case_cov(ctx)
 
         def f(v: np.ndarray) -> np.ndarray:
             return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
@@ -555,7 +554,7 @@ def run_oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
         err = max(err, abs(solve.z_tilde - f_star) / max(abs(f_star), 1e-9))
     record("scalar worst-case covariance vs grid", err, 1e-3)
 
-    # Unobserved stage: ascent solver against the closed form.
+    # Unobserved stage: solver against the closed form.
     err = 0.0
     for n in (1, 2, 3):
         for _ in range(5):
@@ -577,7 +576,7 @@ def run_oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
                 ),
             )
             ref = worst_cov_no_obs(ctx.S_next, ctx.P_next, lam, ctx.Sigma_hat)
-            solve = solve_worst_case_cov(ctx, SolverOptions())
+            solve = solve_worst_case_cov(ctx)
             err = max(
                 err,
                 float(np.abs(solve.cov - ref).max()) / max(np.abs(ref).max(), 1e-9),

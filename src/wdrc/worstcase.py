@@ -23,24 +23,24 @@ term's follows from ``d(I - K C)``.  Near the smallest feasible penalty
 the maximizer can lie far out along a direction in which the objective
 is nearly flat, next to the boundary of the cone, where the fixed point
 is undefined at the start and Newton steps shrink against the
-boundary; there the fixed point is retried from the Newton iterate on a
-doubling schedule of steps, and it is defined once Newton has moved
-toward the maximizer.
+boundary; there the fixed point is retried from the Newton iterate
+after a doubling number of steps, and it is defined once Newton has
+moved toward the maximizer.
 
-The maximization is bounded only when the penalty is large enough; if
-iterates grow without bound the solver raises
-:class:`~wdrc.errors.Diverged` instead of silently returning.
+The maximization is bounded only when the penalty is large enough; an
+iterate that grows past a cap ends its problem in
+:class:`~wdrc.errors.Diverged` instead of a silent return.
 
+Every covariance problem takes one route, :func:`_settle`, on a stack
+of problems that share a plant: the private helpers (objective,
+gradient, Hessian, projection, fixed point, Newton steps) work on the
+whole stack, and each problem stops on its own.  The stacked numpy
+calls give each matrix the bits of the call on it alone, so a
+problem's outcome out of a stack is its outcome alone.
+:func:`solve_worst_case_cov` is the stack of one, and
 :func:`forward_schedules` solves the paths of several penalties in one
-pass.  At each stage their problems are stacked on a leading axis, and
-the private helpers (objective, gradient, Hessian, projection, fixed
-point, Newton steps) work on the whole stack: a few fixed-point passes,
-then Newton steps, each problem stopping on its own.  A problem the
-stack does not settle goes to the single-problem solver, which runs the
-same helpers on a stack of one.
-The stacked numpy calls give each matrix the bits of the call on it
-alone, so a penalty's path out of the stack equals its path alone, and
-:func:`forward_schedule` is the pass on a stack of one.
+pass, stacking their problems stage by stage, with
+:func:`forward_schedule` its stack of one.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .riccati import RiccatiSolution
 
 __all__ = [
     "CovObjectiveContext",
-    "SolverOptions",
     "CovSolve",
     "WorstCaseSchedule",
     "cov_objective",
@@ -114,45 +113,21 @@ class CovObjectiveContext:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Covariance solver hyperparameters.
-
-    :func:`solve_worst_case_cov` runs up to ``fp_max_iter`` transport
-    fixed-point passes (the pre-solve and each retry) and then at most
-    ``max_iter`` damped Newton steps, line-searched with ``backtrack``
-    and ``armijo``.  It stops, as the stacked solve of
-    :func:`forward_schedules` checks its problems, at a
-    projected-gradient residual (unit step ``step0``) below
-    ``tol_scale`` times the coefficient scale.
-    """
-
-    max_iter: int = 5000
-    step0: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    tol_scale: float = 1e-7
-    fp_max_iter: int = 200
-    record_trace: bool = False
-
-
-@dataclass(frozen=True)
 class CovSolve:
     """Solver output for one stage.
 
     Attributes:
         cov: Maximizing covariance.
         z_tilde: Objective value at the maximizer.
-        iterations: Newton steps plus the passes of every adopted
-            fixed point.
+        iterations: Fixed-point passes plus Newton steps of every
+            adopted round.
         converged: Whether the stationarity residual met tolerance.
-        trace: Optional per-iteration ``(objective, residual)`` rows.
     """
 
     cov: np.ndarray
     z_tilde: float
     iterations: int
     converged: bool
-    trace: tuple[tuple[float, float], ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -195,13 +170,14 @@ class _Stage:
     Besides each problem's data it holds what every evaluation reuses:
     the predicted covariance before the disturbance, ``A P_bar A'``,
     the linear coefficient ``P_next - lam I``, its negative as the
-    stationarity map starts it, the eigenvalue floor of the iterates
-    and the basis of the free entries that Newton steps work on.
+    stationarity map starts it, the eigenvalue floor and growth cap of
+    the iterates and the basis of the free entries that Newton steps
+    work on.
     """
 
     __slots__ = (
         "sys", "eye", "basis", "S_next", "P_next", "Sigma_hat", "lam",
-        "lam_m", "prior_base", "shifted", "gap_base", "floor",
+        "lam_m", "prior_base", "shifted", "gap_base", "floor", "cap",
     )
     _STACKED = __slots__[3:]
 
@@ -217,6 +193,8 @@ class _Stage:
         self.shifted = P_next - lam_eye
         self.gap_base = lam_eye - P_next
         self.floor = 1e-10 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
+        # An iterate whose trace passes this counts as unbounded.
+        self.cap = 1e12 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
 
     def take(self, keep: np.ndarray) -> "_Stage":
         """The problems selected by ``keep``, a boolean mask or an index
@@ -333,6 +311,21 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, n * n, n * n)
 
 
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack; where that raises, pair by pair,
+    with NaN for each pair whose matrix is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        for q in range(a.shape[0]):
+            try:
+                x[q] = np.linalg.solve(a[q], b[q])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
 def _newton_system(
     Sigma: np.ndarray, st: _Stage
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,38 +363,35 @@ def _newton_system(
     eye = np.broadcast_to(st.eye, A.shape)
     basis = st.basis
     rhs = _kron(T, T) @ basis
-    sylvester = _kron(A, eye) + _kron(eye, A)
-    try:
-        dT = np.linalg.solve(sylvester, rhs)
-    except np.linalg.LinAlgError:
-        # A singular Sigma_hat can leave a pair of eigenvalues of T Sigma
-        # summing to zero; those problems get no curvature.
-        dT = np.full_like(rhs, np.nan)
-        for q in range(k):
-            try:
-                dT[q] = np.linalg.solve(sylvester[q], rhs[q])
-            except np.linalg.LinAlgError:
-                pass
+    # A singular Sigma_hat can leave a pair of eigenvalues of T Sigma
+    # summing to zero; those problems get no curvature.
+    dT = _solve_each(_kron(A, eye) + _kron(eye, A), rhs)
     h = basis.T @ (st.lam_m * dT + (_kron(N, W) + _kron(W, N)) @ basis)
     g = basis.T @ grad.reshape(k, n * n, 1)
     return grad, g, symmetrize(h)
 
 
-def _newton_direction(Sigma: np.ndarray, st: _Stage) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and ascent direction of each problem: the Newton step
-    where the Hessian is negative definite, the gradient elsewhere."""
+def _newton_direction(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+    """Ascent direction of each problem: the Newton step where the
+    Hessian is negative definite, the gradient elsewhere.
+
+    A Hessian whose smallest eigenvalue is positive only by rounding
+    (far out along a flat direction) can still be singular to the
+    solve; that problem takes the gradient too.
+    """
     grad, g, h = _newton_system(Sigma, st)
     k, n = Sigma.shape[0], Sigma.shape[-1]
     with np.errstate(invalid="ignore"):
         curved = np.isfinite(h).all(axis=(1, 2))
         curved[curved] = np.linalg.eigvalsh(h[curved])[:, 0] > 0.0
-    if np.count_nonzero(curved) == k:
-        return grad, (st.basis @ np.linalg.solve(h, g)).reshape(k, n, n)
-    direction = grad.copy()
-    if np.count_nonzero(curved):
-        step = np.linalg.solve(h[curved], g[curved])
-        direction[curved] = (st.basis @ step).reshape(-1, n, n)
-    return grad, direction
+    if np.count_nonzero(curved) < k:
+        h, g = h[curved], g[curved]
+    step = (st.basis @ _solve_each(h, g)).reshape(-1, n, n)
+    solved = np.isfinite(step).all(axis=(1, 2))
+    if np.count_nonzero(solved) == k:
+        return step
+    grad[np.flatnonzero(curved)[solved]] = step[solved]
+    return grad
 
 
 def _positive(Sigma: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -422,11 +412,12 @@ def _newton(
 
     Each step is the Newton step (the gradient where the Hessian is
     not negative definite), halved until the iterate stays positive
-    definite above the eigenvalue floor.  Each problem stops on its
-    own, by the fixed point's rule: once a step moves no entry by more
-    than ``1e-14 (1 + max|Sigma|)``, or when no halving keeps it
-    positive definite.  The objective is not evaluated; the caller
-    checks value and stationarity of the result.
+    definite above the eigenvalue floor; there is no line search on
+    the objective.  Each problem stops on its own, by the fixed point's
+    rule: once a step moves no entry by more than ``1e-14 (1 +
+    max|Sigma|)``, when no halving keeps it positive definite, or when
+    an entry passes the growth cap.  The objective is not evaluated;
+    the caller checks value and stationarity of the result.
 
     Returns:
         ``(iterates, steps)``.
@@ -435,7 +426,7 @@ def _newton(
     steps = np.zeros(Sigma.shape[0], dtype=int)
     idx = np.arange(Sigma.shape[0])
     for k in range(1, max_steps + 1):
-        _, step = _newton_direction(Sigma, st)
+        step = _newton_direction(Sigma, st)
         nxt = Sigma + step
         stalled = ~_positive(nxt, st.floor)
         if np.count_nonzero(stalled):
@@ -453,7 +444,8 @@ def _newton(
             nxt[todo] = Sigma[todo]
         delta = np.abs(nxt - Sigma).max(axis=(1, 2))
         Sigma = nxt
-        done = stalled | (delta <= 1e-14 * (1.0 + np.abs(Sigma).max(axis=(1, 2))))
+        size = np.abs(Sigma).max(axis=(1, 2))
+        done = stalled | (delta <= 1e-14 * (1.0 + size)) | (size > st.cap)
         if np.count_nonzero(done):
             result[idx[done]] = Sigma[done]
             steps[idx[done]] = k
@@ -543,183 +535,116 @@ def _adopted(f_new, f_cur):
     return f_new >= f_cur - 64.0 * np.finfo(float).eps * (1.0 + np.abs(f_cur))
 
 
-def _stationarity(
-    Sigma: np.ndarray, st: _Stage, step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and unit-step projected-gradient residual of each problem."""
-    grad = _gradient(Sigma, st)
-    probe = _project(Sigma + step * grad, st.floor)
+def _stationarity(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+    """Unit-step projected-gradient residual of each problem."""
+    probe = _project(Sigma + _gradient(Sigma, st), st.floor)
     d = (probe - Sigma).reshape(Sigma.shape[0], -1)
-    return grad, np.sqrt(np.vecdot(d, d)) / step
+    return np.sqrt(np.vecdot(d, d))
 
 
-def _tolerance(st: _Stage, opts: SolverOptions) -> np.ndarray:
-    """Residual tolerance: ``tol_scale`` times the coefficient scale."""
+def _tolerance(st: _Stage) -> np.ndarray:
+    """Residual tolerance: ``_TOL_SCALE`` times the coefficient scale
+    ``lam + max|P_next| + max|S_next|``.  Scaling by the data rather than
+    by the objective value keeps an unbounded instance (whose objective
+    grows without limit) from widening its own finish line."""
     scale = st.lam + (
         np.abs(st.P_next).max(axis=(1, 2)) + np.abs(st.S_next).max(axis=(1, 2))
     )
-    return opts.tol_scale * scale
+    return _TOL_SCALE * scale
 
 
-def solve_worst_case_cov(
-    ctx: CovObjectiveContext,
-    opts: SolverOptions = SolverOptions(),
-    init: np.ndarray | None = None,
-) -> CovSolve:
-    """Maximize the stage objective: fixed point, then damped Newton.
+# The first round of a solve runs 3 fixed-point passes and 30 Newton
+# steps, which settle nearly every stage problem (calibrations on the
+# bundled configs take up to 13 steps); a later round runs as many passes
+# and steps as all rounds before it took steps, within 5000 steps in all.
+_WARMUP_PASSES = 3
+_WARMUP_STEPS = 30
+_MAX_STEPS = 5000
+# Residual tolerance per unit of coefficient scale.
+_TOL_SCALE = 1e-7
 
-    Iterates start at the nominal covariance (or ``init``), stay
-    positive definite through an eigenvalue floor, and stop when the
-    unit-step projected-gradient residual falls below ``tol_scale``
-    times the coefficient scale ``lam + max|P_next| + max|S_next|``.
-    Scaling the tolerance by the data rather than by the objective
-    value keeps an unbounded instance (whose objective grows without
-    limit along the ascent) from widening its own finish line.
 
-    The transport fixed point (:func:`_fixed_point`) runs first and its
-    iterate is adopted unless it loses more than rounding noise of
-    objective value.  Newton steps on the free entries follow (the
-    gradient where the Hessian is not negative definite), each
-    backtracked by ``backtrack`` until the iterate is positive definite
-    and gains ``armijo`` times the step's first-order gain.  If the map
-    is undefined at the start, it is retried under the same rule from
-    the Newton iterate after 16, 32, 64, ... accepted steps.  Either way
-    Newton has the last word: it certifies stationarity or raises
-    ``Diverged``.
+def _settle(st: _Stage, init: np.ndarray) -> list[CovSolve | Diverged]:
+    """Maximize the objective of every problem of the stack.
+
+    From its start, projected to the eigenvalue floor, each problem runs
+    rounds of transport fixed-point passes (:func:`_fixed_point`; none
+    where the map is undefined) and then damped Newton steps
+    (:func:`_newton`).  A round's result is adopted unless it loses more
+    than rounding noise of objective value (:func:`_adopted`).  After
+    each round a problem stops: converged once its iterate is
+    stationary (unit-step projected-gradient residual below
+    :func:`_tolerance`), diverged once its trace passes the growth cap,
+    unconverged once a round leaves it unchanged or 5000 Newton steps
+    are spent.
+
+    The first round settles nearly every problem.  The longer later
+    rounds retry the map where it was undefined at the start (near the
+    smallest feasible penalty, where Newton steps shrink against the
+    cone's boundary), which it no longer is once Newton has moved toward
+    the maximizer; and where Newton has no curvature to use (a
+    rank-deficient ``Sigma_hat``), their passes finish the problem.
+    Each problem stops on its own, so its outcome has the bits of its
+    stack of one.
+
+    Returns:
+        Per problem, its solve or the :class:`~wdrc.errors.Diverged`
+        that ended it.
+    """
+    outcomes: list[CovSolve | Diverged] = [None] * st.lam.size
+    idx = np.arange(st.lam.size)
+    Sigma = _project(init, st.floor)
+    f_cur = _objective(Sigma, st)
+    iterations = np.zeros(idx.size, dtype=int)
+    passes_max, steps_max, taken = _WARMUP_PASSES, _WARMUP_STEPS, 0
+    while True:
+        fp, passes = _fixed_point(st, Sigma, passes_max)
+        defined = passes > 0
+        if np.count_nonzero(defined) < defined.size:
+            fp = np.where(defined[:, None, None], fp, Sigma)
+        x, steps = _newton(st, fp, steps_max)
+        f_x = _objective(x, st)
+        adopted = _adopted(f_x, f_cur)
+        moved = adopted & (x != Sigma).any(axis=(1, 2))
+        if np.count_nonzero(adopted) == adopted.size:
+            Sigma, f_cur = x, f_x
+        else:
+            Sigma = np.where(adopted[:, None, None], x, Sigma)
+            f_cur = np.where(adopted, f_x, f_cur)
+        iterations += np.where(adopted, passes + steps, 0)
+        taken += steps_max
+        grown = ~np.isfinite(f_cur) | (Sigma.trace(axis1=1, axis2=2) > st.cap)
+        stationary = _stationarity(Sigma, st) < _tolerance(st)
+        done = grown | stationary | ~moved | (taken >= _MAX_STEPS)
+        for i, cov, f, its, ok, big in zip(
+            idx[done].tolist(), Sigma[done], f_cur[done].tolist(),
+            iterations[done].tolist(), stationary[done].tolist(), grown[done].tolist(),
+        ):
+            outcomes[i] = (
+                Diverged("worst-case covariance grew without bound") if big
+                else CovSolve(cov, f, its, ok)
+            )
+        keep = ~done
+        if not np.count_nonzero(keep):
+            return outcomes
+        idx, Sigma, f_cur = idx[keep], Sigma[keep], f_cur[keep]
+        iterations, st = iterations[keep], st.take(keep)
+        passes_max = steps_max = min(taken, _MAX_STEPS - taken)
+
+
+def solve_worst_case_cov(ctx: CovObjectiveContext) -> CovSolve:
+    """Maximize one stage's objective: :func:`_settle` on a stack of one,
+    from the nominal covariance.
 
     Raises:
-        Diverged: If iterates grow without bound or the Newton steps
-            stall far from stationarity.
+        Diverged: If an iterate grows without bound.
         SingularInnovation: If the predicted innovation covariance is
             singular.
     """
-    st = ctx._stage
-    floor = st.floor
-    growth_cap = 1e12 * (1.0 + float(np.trace(ctx.Sigma_hat)))
-    tol = _tolerance(st, opts)[0]
-    start = st.Sigma_hat if init is None else np.asarray(init, dtype=float)[None]
-    Sigma = _project(start, floor)
-    f_cur = _objective(Sigma, st)[0]
-    trace: list[tuple[float, float]] = []
-    iterations = 0
-    converged = False
-
-    def adopt_fixed_point() -> bool:
-        # False when the map is undefined.
-        nonlocal Sigma, f_cur, iterations
-        fp, passes = _fixed_point(st, Sigma, opts.fp_max_iter)
-        if not passes[0]:
-            return False
-        f_fp = _objective(fp, st)[0]
-        if _adopted(f_fp, f_cur):
-            Sigma, f_cur = fp, f_fp
-            iterations += int(passes[0])
-        return True
-
-    # Where the map is undefined at the start (the gain there leaves the
-    # shifted coefficient matrix indefinite, as near the feasibility
-    # boundary of the penalty), it can become defined once Newton has
-    # moved toward the maximizer, so it is retried on a doubling
-    # schedule of accepted steps.
-    retry_at = None if adopt_fixed_point() else 16
-    newton_steps = 0
-
-    for _ in range(opts.max_iter):
-        _, residual = _stationarity(Sigma, st, opts.step0)
-        residual = float(residual[0])
-        if opts.record_trace:
-            trace.append((float(f_cur), residual))
-        if residual < tol:
-            converged = True
-            break
-
-        grad, direction = _newton_direction(Sigma, st)
-        slope = float(np.vdot(grad, direction))
-        step = 1.0
-        accepted = False
-        while slope > 0.0 and step >= 1e-20:
-            cand = Sigma + step * direction
-            if _positive(cand, floor)[0]:
-                f_cand = _objective(cand, st)[0]
-                if f_cand >= f_cur + opts.armijo * step * slope:
-                    Sigma, f_cur = cand, f_cand
-                    accepted = True
-                    break
-            step *= opts.backtrack
-        if not accepted:
-            # The Armijo gain drops below the rounding noise eps * |f|
-            # before the residual tolerance is reached; at that point the
-            # iterate is stationary to machine-attainable accuracy.
-            noise_floor = np.sqrt(
-                np.finfo(float).eps * (1.0 + abs(f_cur)) / opts.armijo
-            )
-            if residual <= noise_floor:
-                converged = True
-                break
-            raise Diverged(
-                "Newton ascent stalled with stationarity residual "
-                f"{residual:.3e} above tolerance"
-            )
-        iterations += 1
-        if float(np.trace(Sigma[0])) > growth_cap or not np.isfinite(f_cur):
-            raise Diverged("worst-case covariance grew without bound")
-        newton_steps += 1
-        if newton_steps == retry_at:
-            retry_at *= 2
-            adopt_fixed_point()
-
-    return CovSolve(
-        cov=Sigma[0],
-        z_tilde=float(f_cur),
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace),
-    )
-
-
-# The stacked solve runs this many fixed-point passes, then at most this
-# many Newton steps (calibrations on the bundled configs take up to 13);
-# a problem not stationary after them goes to the single-problem solver.
-_WARMUP_PASSES = 3
-_STACK_NEWTON_STEPS = 30
-
-
-def _settle(
-    st: _Stage, init: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the whole stack: a few fixed-point passes, then Newton steps.
-
-    Projects the starts, runs ``_WARMUP_PASSES`` fixed-point passes and
-    then at most ``_STACK_NEWTON_STEPS`` damped Newton steps
-    (:func:`_newton`) where the map was defined, adopts the result by
-    the fixed point's rule against the start and checks stationarity
-    there, for the whole stack.
-
-    Returns:
-        ``(settled, covs, values, iterations)``: where ``settled``
-        holds, ``covs`` and ``values`` are a converged solve of
-        ``iterations`` fixed-point passes plus Newton steps; the other
-        problems go to :func:`solve_worst_case_cov`.
-    """
-    opts = SolverOptions()
-    Sigma = _project(init, st.floor)
-    f_cur = _objective(Sigma, st)
-    fp, passes = _fixed_point(st, Sigma, _WARMUP_PASSES)
-    defined = passes > 0
-    if np.count_nonzero(defined) == defined.size:
-        fp, steps = _newton(st, fp, _STACK_NEWTON_STEPS)
-    else:
-        fp = np.where(defined[:, None, None], fp, Sigma)
-        steps = np.zeros_like(passes)
-        if np.count_nonzero(defined):
-            fp[defined], steps[defined] = _newton(
-                st.take(defined), fp[defined], _STACK_NEWTON_STEPS
-            )
-    f_fp = _objective(fp, st)
-    adopted = defined & _adopted(f_fp, f_cur)
-    _, residual = _stationarity(fp, st, opts.step0)
-    settled = adopted & (residual < _tolerance(st, opts))
-    return settled, fp, f_fp, passes + steps
+    (solve,) = _settle(ctx._stage, ctx._stage.Sigma_hat)
+    if isinstance(solve, Diverged):
+        raise solve
+    return solve
 
 
 def _memo_keys(
@@ -745,9 +670,8 @@ def forward_schedules(
 
     Each penalty's path is the one :func:`forward_schedule` gives for
     it alone, bit for bit.  Stage by stage, the problems a penalty's
-    memo does not hold are stacked and settled together (fixed point,
-    adoption, first stationarity check); a problem the stack does not
-    settle goes, from the same start, to :func:`solve_worst_case_cov`.
+    memo does not hold are stacked and solved together by
+    :func:`_settle`.
 
     Returns:
         For each solution in order, its schedule or the
@@ -765,7 +689,7 @@ def forward_schedules(
     gains = np.zeros((k, T, n, sys.n_y))
     post_covs[:, 0] = symmetrize(p0_cov)
     solves: list[list[CovSolve]] = [[] for _ in sols]
-    memos: list[dict[bytes, CovSolve]] = [{} for _ in sols]
+    memos: list[dict[bytes, CovSolve | Diverged]] = [{} for _ in sols]
     failed: dict[int, Diverged] = {}
     live = list(range(k))
     # Index of the live penalties: a slice (no gather) while all are live.
@@ -785,35 +709,14 @@ def forward_schedules(
                 Sigma_hat[None].repeat(len(miss), axis=0), prior_base[sub],
             )
             init = st.Sigma_hat if t == 0 else covs[sub]
-            settled, maxima, values, passes = _settle(st, init)
-            for q, j in enumerate(miss):
-                i = live[j]
-                if settled[q]:
-                    solve = CovSolve(
-                        cov=maxima[q],
-                        z_tilde=float(values[q]),
-                        iterations=int(passes[q]),
-                        converged=True,
-                    )
-                else:
-                    ctx = CovObjectiveContext(
-                        S_next=S[i, t + 1], P_next=P[i, t + 1], lam=sols[i].lam,
-                        Sigma_hat=Sigma_hat, P_bar=post_covs[i, t], sys=sys,
-                    )
-                    try:
-                        solve = solve_worst_case_cov(
-                            ctx, init=solves[i][-1].cov if t else None
-                        )
-                    except Diverged as exc:
-                        failed[i] = exc
-                        continue
-                memos[i][keys[j]] = solve
+            for j, solve in zip(miss, _settle(st, init)):
+                memos[live[j]][keys[j]] = solve
 
         for j, i in enumerate(live):
-            if i in failed:
-                continue
             solve = memos[i][keys[j]]
-            if solve.converged:
+            if isinstance(solve, Diverged):
+                failed[i] = solve
+            elif solve.converged:
                 solves[i].append(solve)
             else:
                 failed[i] = Diverged(

@@ -32,7 +32,6 @@ from wdrc import (
     GaussianSpec,
     NominalDistribution,
     ScenarioSpec,
-    SolverOptions,
     certified_bound,
     emit_reports,
     estimate_nominal,
@@ -209,7 +208,7 @@ def test_scalar_solver_and_one_step_value_match_grids():
     val_err = 0.0
     for _ in range(20):
         ctx = _random_context(rng, 1, 1)
-        solve = solve_worst_case_cov(ctx, SolverOptions())
+        solve = solve_worst_case_cov(ctx)
 
         def f(v: np.ndarray) -> np.ndarray:
             return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)

@@ -403,14 +403,15 @@ def test_stacked_certificates_equal_stacks_of_one(name, seed, monkeypatch):
     x0_dist = scenario.initial_state
     lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
     grid = [math.exp(s) for s in np.linspace(math.log(lam_min), math.log(1e6), 33)]
-    solve = wdrc.worstcase.solve_worst_case_cov
+    settle = wdrc.worstcase._settle
 
-    def refuse_lam_min(ctx, *args, **kwargs):
-        if ctx.lam == grid[0]:
-            raise Diverged("refused")
-        return solve(ctx, *args, **kwargs)
+    def refuse_lam_min(st, init):
+        return [
+            Diverged("refused") if lam == grid[0] else solve
+            for lam, solve in zip(st.lam, settle(st, init))
+        ]
 
-    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", refuse_lam_min)
+    monkeypatch.setattr(wdrc.worstcase, "_settle", refuse_lam_min)
     ctrls = _synthesize_stacked(cfg.sys, cfg.cost, nominal, [0.5 * lam_min, *grid], p0)
     assert ctrls[0] is None and ctrls[1] is None
     feasible = ctrls[2:]
@@ -490,15 +491,21 @@ def test_scan_scores_a_diverging_penalty_infinite(monkeypatch):
 
     cfg, scenario, nominal, _ = _bundled("gaussian", None)
     before = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
-    refused = set()
-
-    def refuse(ctx, *args, **kwargs):
-        refused.add(ctx.lam)
-        raise Diverged("refused")
-
-    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", refuse)
-    after = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     lam_min = before.evaluations[0][0]
+    targets = {lam_min, before.evaluations[16][0]}
+    refused = set()
+    settle = wdrc.worstcase._settle
+
+    def refuse(st, init):
+        out = settle(st, init)
+        for q, lam in enumerate(st.lam):
+            if lam in targets:
+                refused.add(lam)
+                out[q] = Diverged("refused")
+        return out
+
+    monkeypatch.setattr(wdrc.worstcase, "_settle", refuse)
+    after = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     assert lam_min in refused
     for (lam, old), (lam_after, new) in zip(
         before.evaluations[:33], after.evaluations[:33]

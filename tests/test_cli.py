@@ -202,20 +202,11 @@ def test_unconverged_stage_exits_with_solver_code(
 
     import wdrc.worstcase
 
-    solve = wdrc.worstcase.solve_worst_case_cov
-    monkeypatch.setattr(
-        wdrc.worstcase,
-        "solve_worst_case_cov",
-        lambda *a, **k: dataclasses.replace(solve(*a, **k), converged=False),
-    )
     settle = wdrc.worstcase._settle
 
     def settle_nothing(st, init):
-        settled, *rest = settle(st, init)
-        return (np.zeros_like(settled), *rest)
+        return [dataclasses.replace(s, converged=False) for s in settle(st, init)]
 
-    # The forward pass settles most stages without the single-problem
-    # solver; leave every stage to the solver patched above.
     monkeypatch.setattr(wdrc.worstcase, "_settle", settle_nothing)
     code = main(["simulate", "-c", config_path, "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_psd
 from wdrc.controller import synthesize_wdrc
@@ -33,8 +35,9 @@ from wdrc.worstcase import (
     _Stage,
     _basis,
     _newton,
+    _newton_direction,
     _newton_system,
-    SolverOptions,
+    _settle,
     cov_gradient,
     cov_objective,
     forward_schedule,
@@ -114,15 +117,6 @@ def test_objective_concave_along_segments():
         for lam in (0.25, 0.5, 0.75):
             mid = cov_objective(lam * a + (1 - lam) * b, ctx)
             assert mid >= lam * fa + (1 - lam) * fb - 1e-8 * (1 + abs(mid))
-
-
-def test_solver_trace_is_monotone():
-    rng = np.random.default_rng(22)
-    ctx = _context(rng, 2, 1)
-    solve = solve_worst_case_cov(ctx, SolverOptions(record_trace=True))
-    assert solve.converged
-    values = [row[0] for row in solve.trace]
-    assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
 
 
 def test_solver_beats_every_random_probe():
@@ -218,11 +212,9 @@ def test_unobserved_closed_form():
 
 
 def test_newton_alone_matches_oracles():
-    """Newton steps without the fixed point reach the maximizers of the
-    scalar grid oracles and of the unobserved closed form, within their
-    tolerances above: the single-problem solver with ``fp_max_iter = 0``
-    and the stacked steps from the nominal start."""
-    alone = SolverOptions(fp_max_iter=0)
+    """Newton steps without the fixed point, from the nominal start,
+    reach the maximizers of the scalar grid oracles and of the
+    unobserved closed form, within their tolerances above."""
     rng = np.random.default_rng(24)
     for _ in range(6):
         ctx = _context(rng, 1, 1)
@@ -232,12 +224,9 @@ def test_newton_alone_matches_oracles():
 
         hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
         v_star, f_star = grid_max(f, 0.0, hi)
-        solve = solve_worst_case_cov(ctx, alone)
         stacked, steps = _newton(ctx._stage, ctx._stage.Sigma_hat, 30)
-        assert solve.converged
-        for cov in (solve.cov, stacked[0]):
-            assert cov[0, 0] == pytest.approx(v_star, rel=1e-3, abs=1e-9)
-            assert cov_objective(cov, ctx) == pytest.approx(f_star, rel=1e-4, abs=1e-9)
+        assert stacked[0, 0, 0] == pytest.approx(v_star, rel=1e-3, abs=1e-9)
+        assert cov_objective(stacked[0], ctx) == pytest.approx(f_star, rel=1e-4, abs=1e-9)
         assert steps[0] < 30
 
     rng = np.random.default_rng(26)
@@ -255,12 +244,9 @@ def test_newton_alone_matches_oracles():
             ),
         )
         ref = worst_cov_no_obs(ctx.S_next, ctx.P_next, lam, ctx.Sigma_hat)
-        solve = solve_worst_case_cov(ctx, alone)
         stacked, steps = _newton(ctx._stage, ctx._stage.Sigma_hat, 30)
-        assert solve.converged
         assert steps[0] < 30
-        for cov in (solve.cov, stacked[0]):
-            assert np.allclose(cov, ref, rtol=1e-6, atol=1e-10)
+        assert np.allclose(stacked[0], ref, rtol=1e-6, atol=1e-10)
 
 
 def test_singular_nominal_covariance_takes_gradient_steps():
@@ -376,10 +362,9 @@ def test_solver_reaches_interior_maximizer_at_feasibility_boundary():
         P_bar=p0,
         sys=cfg.sys,
     )
-    opts = SolverOptions()
-    solve = solve_worst_case_cov(ctx, opts)
+    solve = solve_worst_case_cov(ctx)
     assert solve.converged
-    assert solve.iterations <= opts.max_iter // 50
+    assert solve.iterations <= 100
 
     tol = 1e-9 * (1.0 + abs(solve.z_tilde))
     top = np.linalg.eigh(ctx.P_next)[1][:, -1]
@@ -562,14 +547,10 @@ def _same_schedule(a, b) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("per_stage", [False, True])
-def test_stacked_pass_matches_single_penalty_passes(n, per_stage, monkeypatch):
-    """Each penalty's path out of the stacked pass is the one it gets
-    alone, including the smallest feasible penalty, whose first stage
-    the stack leaves to the single-problem solver."""
-    import wdrc.worstcase
-
+def _plant_problem(n: int, per_stage: bool = False):
+    """``_plant(n)`` with a 30-stage cost, a nominal estimated from five
+    samples per stage, the initial posterior and the smallest feasible
+    penalty."""
     sys = _plant(n)
     cost = CostSpec(Q=np.eye(n), Q_f=np.eye(n), R=np.eye(1), horizon=30)
     scenario = ScenarioSpec(
@@ -583,7 +564,18 @@ def test_stacked_pass_matches_single_penalty_passes(n, per_stage, monkeypatch):
         draw_nominal_samples(scenario, cost.horizon, per_stage=per_stage)
     )
     p0 = initial_posterior_cov(scenario.initial_state, sys)
-    lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
+    return sys, cost, nominal, p0, min_feasible_lambda(sys, cost, 1e-3, 1e6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("per_stage", [False, True])
+def test_stacked_pass_matches_single_penalty_passes(n, per_stage, monkeypatch):
+    """Each penalty's path out of the stacked pass is the one it gets
+    alone, including the smallest feasible penalty, and the pass never
+    calls the single-problem entry point."""
+    import wdrc.worstcase
+
+    sys, cost, nominal, p0, lam_min = _plant_problem(n, per_stage)
     sols = [
         backward_pass(sys, cost, nominal, lam)
         for lam in np.exp(np.linspace(np.log(lam_min), np.log(1e6), 9))
@@ -598,9 +590,7 @@ def test_stacked_pass_matches_single_penalty_passes(n, per_stage, monkeypatch):
 
     monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", counted)
     stacked = forward_schedules(sys, sols, nominal, p0)
-    if n == 2:
-        assert sols[0].lam in single_calls
-    assert len(single_calls) < len(sols) * cost.horizon // 4
+    assert single_calls == []
 
     for sol, schedule in zip(sols, stacked):
         try:
@@ -627,10 +617,15 @@ def test_stacked_pass_drops_a_diverging_penalty(monkeypatch):
     ]
     alone = [forward_schedule(cfg.sys, sol, nominal, p0) for sol in sols]
 
-    def refuse(ctx, *args, **kwargs):
-        raise Diverged(f"refused at lam {ctx.lam}")
+    settle = wdrc.worstcase._settle
 
-    monkeypatch.setattr(wdrc.worstcase, "solve_worst_case_cov", refuse)
+    def refuse(st, init):
+        return [
+            Diverged(f"refused at lam {lam}") if lam == lam_min else solve
+            for lam, solve in zip(st.lam, settle(st, init))
+        ]
+
+    monkeypatch.setattr(wdrc.worstcase, "_settle", refuse)
     stacked = forward_schedules(cfg.sys, sols, nominal, p0)
     assert isinstance(stacked[0], Diverged)
     assert str(stacked[0]) == f"refused at lam {lam_min}"
@@ -638,3 +633,106 @@ def test_stacked_pass_drops_a_diverging_penalty(monkeypatch):
         _same_schedule(schedule, reference)
     with pytest.raises(Diverged, match="refused"):
         forward_schedule(cfg.sys, sols[0], nominal, p0)
+
+
+def test_newton_direction_survives_a_singular_solve_of_a_positive_hessian():
+    """Far out along the flattest direction of the first stage of the
+    n = 3 plant at the smallest feasible penalty, the negated Hessian's
+    smallest eigenvalue is positive only by rounding (about 1e-14 against
+    770), and for some of these iterates the solve meets an exact zero
+    pivot.  Those take the gradient; the rest of the stack keeps its
+    Newton steps, and no direction is lost."""
+    sys, cost, nominal, p0, lam = _plant_problem(3)
+    sol = backward_pass(sys, cost, nominal, lam)
+    ctx = CovObjectiveContext(
+        S_next=sol.S[1], P_next=sol.P[1], lam=lam,
+        Sigma_hat=nominal.cov(0), P_bar=p0, sys=sys,
+    )
+    flat = np.linalg.eigh(ctx.P_next)[1][:, -1]
+    sigma = ctx.Sigma_hat + np.logspace(4.0, 12.0, 401)[:, None, None] * np.outer(flat, flat)
+    stack = ctx._stage.take(np.zeros(sigma.shape[0], dtype=int))
+    grad, g, h = _newton_system(sigma, stack)
+    assert np.isfinite(h).all()
+    singular = []
+    for q in range(sigma.shape[0]):
+        if np.linalg.eigvalsh(h[q])[0] > 0.0:
+            try:
+                np.linalg.solve(h[q], g[q])
+            except np.linalg.LinAlgError:
+                singular.append(q)
+    if not singular:
+        pytest.skip("no exact zero pivot among these iterates on this LAPACK")
+    direction = _newton_direction(sigma, stack)
+    assert np.isfinite(direction).all()
+    assert np.array_equal(direction[singular], grad[singular])
+    q = next(q for q in range(sigma.shape[0]) if q not in singular)
+    assert np.array_equal(direction[q], _newton_direction(sigma[q:q + 1], ctx._stage)[0])
+
+
+def _stack_of(ctxs) -> _Stage:
+    """The problems of contexts that share a plant, as one stacked stage."""
+    return _Stage(
+        ctxs[0].sys,
+        *(np.stack([getattr(c._stage, name)[0] for c in ctxs])
+          for name in ("S_next", "P_next", "lam", "Sigma_hat", "prior_base")),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dims=hs.integers(1, 3).flatmap(
+        lambda n: hs.tuples(
+            hs.just(n),
+            hs.integers(1, n),
+            hs.lists(hs.integers(1, n), min_size=1, max_size=4),
+        )
+    ),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_stacked_solve_gives_each_problem_its_stack_of_one(dims, seed):
+    """Random bounded problems on one plant (``lam`` above the top
+    eigenvalue of ``P_next + S_next``), each with a nominal covariance
+    of the drawn rank: the stacked solve gives every problem the bits
+    of its stack of one (or ``Diverged`` alike), and a converged
+    maximum beats 40 random PSD probes.  Every problem with a full-rank
+    nominal converges; one with a rank-deficient nominal may not (see
+    ROADMAP), but its outcome is still its own."""
+    n, n_y, ranks = dims
+    rng = np.random.default_rng(seed)
+    sys = LinearSystem(
+        A=rng.standard_normal((n, n)) / np.sqrt(n),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((n_y, n)),
+        M=random_psd(rng, n_y, jitter=0.1),
+    )
+    ctxs = []
+    for rank in ranks:
+        p_next, s_next = random_psd(rng, n), random_psd(rng, n)
+        top = float(np.linalg.eigvalsh(p_next + s_next).max())
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+        ctxs.append(CovObjectiveContext(
+            S_next=s_next,
+            P_next=p_next,
+            lam=top * (1.5 + 2.5 * rng.random()) + 1.0,
+            Sigma_hat=symmetrize((basis * rng.uniform(0.05, 1.0, rank)) @ basis.T),
+            P_bar=random_psd(rng, n),
+            sys=sys,
+        ))
+    stack = _stack_of(ctxs)
+    for ctx, rank, solve in zip(ctxs, ranks, _settle(stack, stack.Sigma_hat)):
+        (alone,) = _settle(ctx._stage, ctx._stage.Sigma_hat)
+        if isinstance(solve, Diverged):
+            assert isinstance(alone, Diverged)
+            continue
+        assert np.array_equal(solve.cov, alone.cov)
+        assert (solve.z_tilde, solve.iterations, solve.converged) == (
+            alone.z_tilde, alone.iterations, alone.converged
+        )
+        assert solve.converged or rank < n
+        if not solve.converged:
+            continue
+        for _ in range(40):
+            probe = random_psd(rng, n, jitter=1e-6)
+            assert cov_objective(probe, ctx) <= solve.z_tilde + 1e-7 * (
+                1 + abs(solve.z_tilde)
+            )

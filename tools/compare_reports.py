@@ -25,10 +25,10 @@ the tree) on the configs of this repository:
   files;
 - ``wdrc simulate`` on ``gaussian.yaml`` at ``--seed 2813``, whose
   calibration holds the longest multiplier search of the certificates,
-  at ``--seed 411``, whose calibration holds the slowest worst-case
-  covariance solves, and on ``uniform.yaml`` with a per-stage nominal at
-  ``--seed 2803``, whose smallest feasible penalty has the hardest
-  stage;
+  at ``--seed 411`` and ``--seed 1617``, whose calibrations hold the
+  slowest worst-case covariance solves, and on ``uniform.yaml`` with a
+  per-stage nominal at ``--seed 2803``, whose smallest feasible penalty
+  has the hardest stage;
 - ``wdrc calibrate`` on the same three configs at the config's seed:
   exit code and its JSON;
 - ``wdrc oracle --seed 0`` to ``--seed 5``: exit code and stdout.
@@ -97,6 +97,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
         ("gaussian", ["--seed", "2813"], "out-2813"),
         ("gaussian", ["--seed", "411"], "out-411"),
+        ("gaussian", ["--seed", "1617"], "out-1617"),
         ("uniform-stagewise", ["--seed", "2803"], "out-2803"),
     ):
         argv = ["simulate", "--config", f"{name}.yaml", "--out", out_dir, *flags]
