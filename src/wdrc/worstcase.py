@@ -384,13 +384,14 @@ def _newton_direction(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         curved = np.isfinite(h).all(axis=(1, 2))
         curved[curved] = np.linalg.eigvalsh(h[curved])[:, 0] > 0.0
-    if np.count_nonzero(curved) < k:
-        h, g = h[curved], g[curved]
-    step = (st.basis @ _solve_each(h, g)).reshape(-1, n, n)
-    solved = np.isfinite(step).all(axis=(1, 2))
-    if np.count_nonzero(solved) == k:
-        return step
-    grad[np.flatnonzero(curved)[solved]] = step[solved]
+    if np.count_nonzero(curved) == k:
+        try:
+            return (st.basis @ np.linalg.solve(h, g)).reshape(k, n, n)
+        except np.linalg.LinAlgError:
+            pass
+    step = _solve_each(h[curved], g[curved])
+    solved = ~np.isnan(step[:, 0, 0])
+    grad[np.flatnonzero(curved)[solved]] = (st.basis @ step[solved]).reshape(-1, n, n)
     return grad
 
 
@@ -605,7 +606,7 @@ def _settle(st: _Stage, init: np.ndarray) -> list[CovSolve | Diverged]:
         x, steps = _newton(st, fp, steps_max)
         f_x = _objective(x, st)
         adopted = _adopted(f_x, f_cur)
-        moved = adopted & (x != Sigma).any(axis=(1, 2))
+        prev = Sigma
         if np.count_nonzero(adopted) == adopted.size:
             Sigma, f_cur = x, f_x
         else:
@@ -615,7 +616,11 @@ def _settle(st: _Stage, init: np.ndarray) -> list[CovSolve | Diverged]:
         taken += steps_max
         grown = ~np.isfinite(f_cur) | (Sigma.trace(axis1=1, axis2=2) > st.cap)
         stationary = _stationarity(Sigma, st) < _tolerance(st)
-        done = grown | stationary | ~moved | (taken >= _MAX_STEPS)
+        done = grown | stationary
+        if np.count_nonzero(done) < done.size:
+            # A round that changed nothing would only repeat itself.
+            unchanged = ~adopted | (x == prev).all(axis=(1, 2))
+            done |= unchanged | (taken >= _MAX_STEPS)
         for i, cov, f, its, ok, big in zip(
             idx[done].tolist(), Sigma[done], f_cur[done].tolist(),
             iterations[done].tolist(), stationary[done].tolist(), grown[done].tolist(),
