@@ -51,14 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedloop import (
-    DualBound,
-    closed_loop,
-    dual_bounds,
-    initial_moments,
-    policy_feeds,
-)
-from .controller import LqgController, WdrcController, lqg_gains, synthesize_wdrc
+from .closedloop import DualBound, closed_loop, dual_bounds, initial_moments
+from .controller import LqgController, WdrcController
 from .errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
 from .estimator import BeliefState, initial_posterior_cov
 from .model import (
@@ -70,7 +64,7 @@ from .model import (
     ScenarioSpec,
 )
 from .riccati import backward_passes, min_feasible_lambda
-from .worstcase import forward_schedules
+from .worstcase import forward_schedules, mean_affines
 
 __all__ = [
     "CostCertificate",
@@ -218,12 +212,18 @@ def certified_bounds(
 ) -> list[DualBound]:
     """:func:`certified_bound` of several robust controllers of one
     nominal, in one stacked :func:`~wdrc.closedloop.dual_bounds`; each
-    bound equals its controller's alone, bit for bit."""
+    bound equals its controller's alone, bit for bit.
+
+    Raises:
+        ValueError: If the controllers do not share one nominal.
+    """
     if not ctrls:
         return []
+    nominal = ctrls[0].nominal
+    if any(ctrl.nominal is not nominal for ctrl in ctrls):
+        raise ValueError("stacked controllers must share one nominal")
     z0 = initial_moments(x0_dist, sys, sys.M)
-    loops = closed_loop(policy_feeds(ctrls, sys, x0_dist), sys, cost)
-    return dual_bounds(loops, z0, ctrls[0].nominal, sys.M, theta)
+    return dual_bounds(closed_loop(ctrls, sys, cost), z0, nominal, sys.M, theta)
 
 
 def lqg_value_terms(ctrl: LqgController) -> np.ndarray:
@@ -249,36 +249,33 @@ def performance_ratio(
     nominal: NominalDistribution,
     scenario: ScenarioSpec,
     params: RobustnessParams,
-    wdrc_ctrl: WdrcController | None = None,
-    lqg_ctrl: LqgController | None = None,
+    wdrc_ctrl: WdrcController,
+    lqg_ctrl: LqgController,
     dual: DualBound | None = None,
 ) -> CostCertificate:
     """Certificate comparing the robust bound with the baseline value.
 
-    The bound is :func:`certified_bound` of the deployed loop at
-    ``params.lam``, so it covers every per-stage law within Gelbrich
-    distance ``params.theta`` of the nominal; it stays finite for any
-    design penalty that passes synthesis.
+    The bound is :func:`certified_bound` of the deployed loop of
+    ``wdrc_ctrl``, synthesized at ``params.lam``, so it covers every
+    per-stage law within Gelbrich distance ``params.theta`` of the
+    nominal; it stays finite for any design penalty that passes
+    synthesis.  ``lqg_ctrl`` is the baseline controller; both are
+    synthesized for ``nominal``.
 
     Args:
-        wdrc_ctrl: Optional pre-synthesized robust controller for
-            ``params.lam``; synthesized here when omitted.
-        lqg_ctrl: Optional pre-synthesized baseline controller;
-            synthesized here when omitted.
         dual: Optional :func:`certified_bound` of ``wdrc_ctrl`` at
             ``params.theta``, as calibration returns it; computed here
             when omitted.
 
     Raises:
+        ValueError: If a controller was synthesized for another nominal.
         DegenerateLQ: If the baseline value is not strictly positive,
             which would make the ratio meaningless.
     """
     x0_dist = scenario.initial_state
-    p0 = initial_posterior_cov(x0_dist, sys)
-    ctrl = wdrc_ctrl
-    if ctrl is None:
-        ctrl = synthesize_wdrc(sys, cost, nominal, params.lam, p0)
-    lqg = lqg_ctrl if lqg_ctrl is not None else lqg_gains(sys, cost, nominal, p0)
+    ctrl, lqg = wdrc_ctrl, lqg_ctrl
+    if ctrl.nominal is not nominal or lqg.nominal is not nominal:
+        raise ValueError("controllers must be synthesized for the given nominal")
     j_lambda = _exact_value(ctrl.solution, ctrl.schedule.z_tilde_path, x0_dist, sys)
     j_lq = _exact_value(lqg, lqg_value_terms(lqg), x0_dist, sys)
     if not math.isfinite(j_lq) or j_lq <= 0.0:
@@ -306,21 +303,22 @@ def _synthesize_stacked(
     p0: np.ndarray,
 ) -> list[WdrcController | None]:
     """The robust controller at every penalty, from one stacked backward
-    pass and one stacked forward pass; None where the penalty is
-    infeasible or a worst-case stage does not converge."""
+    pass, one stacked forward pass and one stacked
+    :func:`~wdrc.worstcase.mean_affines` over the converged penalties;
+    None where the penalty is infeasible or a worst-case stage does not
+    converge."""
     sols = backward_passes(sys, cost, nominal, lams)
-    feasible = [sol for sol in sols if not isinstance(sol, PenaltyTooSmall)]
-    schedules = iter(forward_schedules(sys, feasible, nominal, p0))
-    ctrls: list[WdrcController | None] = []
-    for sol in sols:
-        if isinstance(sol, PenaltyTooSmall):
-            ctrls.append(None)
-            continue
-        schedule = next(schedules)
-        ctrls.append(
-            None if isinstance(schedule, Diverged)
-            else WdrcController(solution=sol, schedule=schedule, nominal=nominal)
-        )
+    feasible = [i for i, sol in enumerate(sols) if not isinstance(sol, PenaltyTooSmall)]
+    schedules = forward_schedules(sys, [sols[i] for i in feasible], nominal, p0)
+    done = [
+        (i, schedule) for i, schedule in zip(feasible, schedules)
+        if not isinstance(schedule, Diverged)
+    ]
+    ctrls: list[WdrcController | None] = [None] * len(sols)
+    if done:
+        H, h = mean_affines(sys, [sols[i] for i, _ in done], nominal)
+        for j, (i, schedule) in enumerate(done):
+            ctrls[i] = WdrcController(sols[i], schedule, nominal, H[j], h[j])
     return ctrls
 
 

@@ -10,12 +10,15 @@ Both policies run the same affine loop on the augmented state
 
 where ``H_t x_bar + h_t`` is the disturbance mean the filter predicts
 with (the adversary's equilibrium mean for the robust policy, the
-nominal mean for the baseline).  Hence ``z_{t+1} = F_t z_t + f_t + E_t
-w_t + D_t v_{t+1}`` with ``E_t = [I; G_t C]`` and ``D_t = [0; G_t]``,
-and the stage cost is quadratic in ``z``.  For disturbances drawn
-independently at every stage, the expected cost depends only on the
-per-stage means and covariances, so it is computed exactly here
-(:func:`exact_cost`) instead of sampled.
+nominal mean for the baseline, whose ``H`` is ``None``, read as zero).
+Hence ``z_{t+1} = F_t z_t + f_t + E_t w_t + D_t v_{t+1}`` with ``E_t =
+[I; G_t C]`` and ``D_t = [0; G_t]``, and the stage cost is quadratic in
+``z``.  :func:`closed_loop` builds these matrices from the controllers
+of :mod:`wdrc.controller`, which carry ``K``, ``L``, the filter gains
+``G`` and ``H``, ``h``.  For disturbances drawn independently at every
+stage, the expected cost depends only on the per-stage means and
+covariances, so it is computed exactly here (:func:`exact_cost`)
+instead of sampled.
 
 The same structure gives the penalized worst case over per-stage laws
 
@@ -33,9 +36,9 @@ of every sequence of laws within Gelbrich distance ``theta`` of the
 nominal at every stage; :func:`dual_bounds` minimizes it over the
 multiplier.
 
-Several robust loops of one nominal are bounded together on stacks with
-a leading axis (:func:`policy_feeds`, :func:`closed_loop` of a stacked
-feed, :func:`dual_bounds`).  Every stacked numpy call gives each member
+Several loops of one nominal are bounded together on stacks with a
+leading axis (:func:`closed_loop` of several controllers,
+:func:`dual_bounds`).  Every stacked numpy call gives each member
 the bits of its call alone: matmul, solve, eigh and eigvalsh work matrix
 by matrix, dot products go through ``np.vecdot``, sums reduce each
 member's contiguous block, and every einsum has the stack as its
@@ -50,17 +53,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import ControllerMode, WdrcController
+from .controller import ControllerMode, LqgController, WdrcController
 from .estimator import kalman_gain
 from .model import CostSpec, DistributionSpec, LinearSystem, NominalDistribution
-from .worstcase import mean_affines
 
 __all__ = [
-    "PolicyFeed",
     "ClosedLoop",
     "DualBound",
-    "policy_feed",
-    "policy_feeds",
     "closed_loop",
     "initial_moments",
     "exact_cost",
@@ -68,22 +67,6 @@ __all__ = [
     "worst_case_law",
     "dual_bounds",
 ]
-
-
-class PolicyFeed(NamedTuple):
-    """Per-stage arrays that drive one policy's filter and input.
-
-    The filter predicts with the disturbance mean ``H_t x_bar + h_t``;
-    ``w_affine`` holds ``(H, h)`` for the robust policy and is ``None``
-    for the baseline, which predicts with the constant ``w_const``.
-    """
-
-    K: np.ndarray
-    L: np.ndarray
-    filter_gains: np.ndarray
-    init_gain: np.ndarray
-    w_affine: tuple[np.ndarray, np.ndarray] | None
-    w_const: np.ndarray | None
 
 
 class ClosedLoop(NamedTuple):
@@ -97,8 +80,8 @@ class ClosedLoop(NamedTuple):
         Qf: Terminal weight on ``z``.
         Pi: Cost-to-go matrices of the loop, ``(T + 1, 2n, 2n)``.
 
-    A stack of loops (:func:`closed_loop` of a stacked feed) carries a
-    leading stack axis on every array, ``Qf`` included.
+    A stack of loops (:func:`closed_loop` of several controllers)
+    carries a leading stack axis on every array, ``Qf`` included.
     """
 
     F: np.ndarray
@@ -128,60 +111,6 @@ class DualBound(NamedTuple):
     bound: float
 
 
-def policy_feed(
-    mode: ControllerMode, sys: LinearSystem, x0_dist: DistributionSpec
-) -> PolicyFeed:
-    """Gains and filter inputs the deployed loop runs with.
-
-    For a robust controller this is :func:`policy_feeds` on a stack of
-    one.
-    """
-    if isinstance(mode, WdrcController):
-        feed = policy_feeds([mode], sys, x0_dist)
-        H, h = feed.w_affine
-        return feed._replace(
-            K=feed.K[0],
-            L=feed.L[0],
-            filter_gains=feed.filter_gains[0],
-            w_affine=(H[0], h[0]),
-        )
-    T = mode.horizon
-    return PolicyFeed(
-        K=mode.K,
-        L=mode.L,
-        filter_gains=mode.gains,
-        init_gain=kalman_gain(x0_dist.cov(), sys),
-        w_affine=None,
-        w_const=np.stack([mode.nominal.mean(t) for t in range(T)]),
-    )
-
-
-def policy_feeds(
-    ctrls: Sequence[WdrcController], sys: LinearSystem, x0_dist: DistributionSpec
-) -> PolicyFeed:
-    """The feeds of several robust controllers of one nominal, stacked.
-
-    ``K``, ``L``, ``filter_gains`` and both arrays of ``w_affine`` carry
-    a leading stack axis, and ``w_affine`` comes from one stacked
-    :func:`~wdrc.worstcase.mean_affines`; ``init_gain`` depends only on
-    the initial-state law and is shared.
-
-    Raises:
-        ValueError: If the controllers do not share one nominal.
-    """
-    nominal = ctrls[0].nominal
-    if any(ctrl.nominal is not nominal for ctrl in ctrls):
-        raise ValueError("stacked controllers must share one nominal")
-    return PolicyFeed(
-        K=np.stack([ctrl.solution.K for ctrl in ctrls]),
-        L=np.stack([ctrl.solution.L for ctrl in ctrls]),
-        filter_gains=np.stack([ctrl.schedule.gains for ctrl in ctrls]),
-        init_gain=kalman_gain(x0_dist.cov(), sys),
-        w_affine=mean_affines(sys, [ctrl.solution for ctrl in ctrls], nominal),
-        w_const=None,
-    )
-
-
 def _index(arrays: NamedTuple, idx) -> NamedTuple:
     """The same tuple with every array indexed by ``idx`` on its first
     axis: one member of a stack, a sub-stack, or (``None``) a stack of
@@ -195,32 +124,27 @@ def _sums(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], math.prod(x.shape[1:])).sum(axis=1)
 
 
-def closed_loop(feed: PolicyFeed, sys: LinearSystem, cost: CostSpec) -> ClosedLoop:
-    """Assemble the augmented loop matrices for all stages at once.
+def closed_loop(
+    ctrls: ControllerMode | Sequence[ControllerMode], sys: LinearSystem, cost: CostSpec
+) -> ClosedLoop:
+    """Assemble a controller's augmented loop matrices for all stages at
+    once.
 
-    A stacked feed (:func:`policy_feeds`) gives a stack of loops, each
-    bitwise equal to the loop of its member's feed alone.
+    A sequence of controllers gives a stack of loops, each bitwise equal
+    to the loop of its controller alone.
     """
-    if feed.K.ndim == 3:
-        if feed.w_affine is not None:
-            H, h = feed.w_affine
-        else:
-            H, h = np.zeros((feed.K.shape[0], sys.n_x, sys.n_x)), feed.w_const
-        stacked = feed._replace(
-            K=feed.K[None],
-            L=feed.L[None],
-            filter_gains=feed.filter_gains[None],
-            w_affine=(H[None], h[None]),
-            w_const=None,
-        )
-        return _index(closed_loop(stacked, sys, cost), 0)
+    if isinstance(ctrls, (WdrcController, LqgController)):
+        return _index(closed_loop([ctrls], sys, cost), 0)
 
     A, B, C = sys.A, sys.B, sys.C
-    k, T, n = feed.K.shape[0], feed.K.shape[1], sys.n_x
-    H, h = feed.w_affine
-    BK = B @ feed.K
-    BL = feed.L @ B.T
-    G = feed.filter_gains
+    K = np.stack([ctrl.K for ctrl in ctrls])
+    L = np.stack([ctrl.L for ctrl in ctrls])
+    G = np.stack([ctrl.gains for ctrl in ctrls])
+    k, T, n = K.shape[0], K.shape[1], sys.n_x
+    H = np.stack([np.zeros((T, n, n)) if c.H is None else c.H for c in ctrls])
+    h = np.stack([ctrl.h for ctrl in ctrls])
+    BK = B @ K
+    BL = L @ B.T
     GC = G @ C
     F = np.zeros((k, T, 2 * n, 2 * n))
     F[..., :n, :n] = A
@@ -231,13 +155,13 @@ def closed_loop(feed: PolicyFeed, sys: LinearSystem, cost: CostSpec) -> ClosedLo
     E = np.concatenate([np.broadcast_to(np.eye(n), (k, T, n, n)), GC], axis=2)
     D = np.concatenate([np.zeros_like(G), G], axis=2)
 
-    KR = np.swapaxes(feed.K, 2, 3) @ cost.R
+    KR = np.swapaxes(K, 2, 3) @ cost.R
     Qz = np.zeros((k, T, 2 * n, 2 * n))
     Qz[..., :n, :n] = cost.Q
-    Qz[..., n:, n:] = KR @ feed.K
-    KRL = np.einsum("stij,stj->sti", KR, feed.L)
+    Qz[..., n:, n:] = KR @ K
+    KRL = np.einsum("stij,stj->sti", KR, L)
     qz = np.concatenate([np.zeros((k, T, n)), KRL], axis=2)
-    cz = np.einsum("sti,ij,stj->st", feed.L, cost.R, feed.L)
+    cz = np.einsum("sti,ij,stj->st", L, cost.R, L)
     Qf = np.zeros((2 * n, 2 * n))
     Qf[:n, :n] = cost.Q_f
 

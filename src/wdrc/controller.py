@@ -3,10 +3,14 @@
 The robust policy pairs the penalized Riccati gains with a filter
 driven by worst-case disturbance moments; the baseline uses
 certainty-equivalent LQG gains with a filter driven by the nominal
-moments.  Each controller carries its filter's covariance path and
-gains, which do not depend on the measurements.  Both run in the same
+moments.  Each controller carries everything its loop runs on: the
+input gains ``K``, ``L``, the filter's covariance path and measurement
+gains ``gains``, which do not depend on the measurements, and the
+disturbance mean its filter predicts with, ``H_t x_bar + h_t`` (the
+adversary's equilibrium mean for the robust policy; ``H`` is ``None``
+and ``h`` the nominal means for the baseline).  Both run in the same
 closed loop, simulated by :mod:`wdrc.harness` and evaluated exactly by
-:mod:`wdrc.closedloop`.
+:mod:`wdrc.closedloop`, which read the controllers directly.
 
 The baseline gains are synthesized by the textbook finite-horizon
 recursion (control-weight inverse ``(R + B' P B)^{-1}``), deliberately
@@ -25,7 +29,7 @@ from .estimator import covariance_path
 from .model import CostSpec, LinearSystem, NominalDistribution
 from .psdmath import symmetrize
 from .riccati import RiccatiSolution, backward_pass
-from .worstcase import WorstCaseSchedule, forward_schedule
+from .worstcase import WorstCaseSchedule, forward_schedule, mean_affine
 
 __all__ = [
     "LqgController",
@@ -44,7 +48,9 @@ class LqgController:
     enter the value separately through the filter covariance path, in
     the same convention the robust mode uses.  ``post_covs`` (``(T + 1,
     n, n)``) and ``gains`` (``(T, n, n_y)``) are the nominal filter's
-    covariance path and measurement gains from the initial posterior.
+    covariance path and measurement gains from the initial posterior;
+    the filter predicts with the nominal means ``h`` (``H`` is
+    ``None``).
     """
 
     P: np.ndarray
@@ -61,18 +67,37 @@ class LqgController:
     def horizon(self) -> int:
         return self.K.shape[0]
 
+    @property
+    def H(self) -> None:
+        return None
+
+    @property
+    def h(self) -> np.ndarray:
+        return np.stack([self.nominal.mean(t) for t in range(self.horizon)])
+
 
 @dataclass(frozen=True)
 class WdrcController:
-    """Robust policy: penalized Riccati gains plus worst-case schedule."""
+    """Robust policy: penalized Riccati gains plus worst-case schedule.
+
+    ``H`` (``(T, n, n)``) and ``h`` (``(T, n)``) give the worst-case
+    mean ``H_t x_bar + h_t`` the filter predicts with
+    (:func:`~wdrc.worstcase.mean_affine` of ``solution``).
+    """
 
     solution: RiccatiSolution
     schedule: WorstCaseSchedule
     nominal: NominalDistribution
+    H: np.ndarray
+    h: np.ndarray
 
     @property
     def horizon(self) -> int:
         return self.solution.horizon
+
+    @property
+    def gains(self) -> np.ndarray:
+        return self.schedule.gains
 
     @property
     def K(self) -> np.ndarray:
@@ -148,10 +173,12 @@ def synthesize_wdrc(
     lam: float,
     p0_cov: np.ndarray,
 ) -> WdrcController:
-    """Run the backward pass and the worst-case forward pass.
+    """Run the backward pass, the worst-case forward pass and the
+    worst-case mean map.
 
     Raises :class:`~wdrc.errors.Diverged` at an unconverged stage.
     """
     sol = backward_pass(sys, cost, nominal, lam)
     schedule = forward_schedule(sys, sol, nominal, p0_cov)
-    return WdrcController(solution=sol, schedule=schedule, nominal=nominal)
+    H, h = mean_affine(sys, sol, nominal)
+    return WdrcController(solution=sol, schedule=schedule, nominal=nominal, H=H, h=h)

@@ -3,9 +3,14 @@
 The filter tracks the conditional mean and covariance of the state.
 Prediction feeds in an explicit disturbance mean and covariance per
 stage, so the same primitives serve both the nominal filter and the
-robust filter driven by worst-case disturbance moments.  Covariance
-updates use the Joseph form, which preserves symmetry and positive
-semidefiniteness under roundoff.
+robust filter driven by worst-case disturbance moments.  The
+measurement step is written once, :func:`kalman_update`: the gain and
+the Joseph-form covariance update, which preserves symmetry and
+positive semidefiniteness under roundoff.  It and :func:`kalman_gain`
+take one ``(n, n)`` prior covariance or a ``(k, n, n)`` stack, and give
+each member of a stack the bits of its call alone; the filter's
+covariance path, the belief update and the worst-case schedule all use
+it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "update",
     "init_belief",
     "kalman_gain",
+    "kalman_update",
     "initial_posterior_cov",
     "covariance_path",
 ]
@@ -72,18 +78,36 @@ def predict(
 
 
 def kalman_gain(prior_cov: np.ndarray, sys: LinearSystem) -> np.ndarray:
-    """Measurement gain ``P C' (C P C' + M)^{-1}`` for a prior covariance.
+    """Measurement gain ``P C' (C P C' + M)^{-1}`` for a prior covariance,
+    or for each of a ``(k, n, n)`` stack.
 
     Raises:
-        SingularInnovation: If the innovation covariance cannot be
+        SingularInnovation: If an innovation covariance cannot be
             inverted.
     """
     C, M = sys.C, sys.M
     innov = symmetrize(C @ prior_cov @ C.T + M)
     try:
-        return np.linalg.solve(innov, C @ prior_cov).T
+        return np.linalg.solve(innov, C @ prior_cov).mT
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
+
+
+def kalman_update(
+    prior_cov: np.ndarray, sys: LinearSystem
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement gain and Joseph-form posterior covariance ``(I - K C)
+    P (I - K C)' + K M K'`` for a prior covariance, or for each of a
+    ``(k, n, n)`` stack.
+
+    Raises:
+        SingularInnovation: If an innovation covariance cannot be
+            inverted.
+    """
+    gain = kalman_gain(prior_cov, sys)
+    closed = np.eye(sys.n_x) - gain @ sys.C
+    post = symmetrize(closed @ prior_cov @ closed.mT + gain @ sys.M @ gain.mT)
+    return gain, post
 
 
 def update(prior: BeliefState, y: np.ndarray, sys: LinearSystem) -> BeliefState:
@@ -95,10 +119,8 @@ def update(prior: BeliefState, y: np.ndarray, sys: LinearSystem) -> BeliefState:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape[0] != sys.n_y:
         raise DimMismatch(f"measurement has dim {y.shape[0]}, expected {sys.n_y}")
-    gain = kalman_gain(prior.cov, sys)
+    gain, cov = kalman_update(prior.cov, sys)
     mean = prior.mean + gain @ (y - sys.C @ prior.mean)
-    closed = np.eye(sys.n_x) - gain @ sys.C
-    cov = symmetrize(closed @ prior.cov @ closed.T + gain @ sys.M @ gain.T)
     return BeliefState(mean=mean, cov=cov)
 
 
@@ -147,14 +169,8 @@ def covariance_path(
     post_covs = np.zeros((T + 1, n, n))
     gains = np.zeros((T, n, sys.n_y))
     post_covs[0] = symmetrize(p0_cov)
-    eye = np.eye(n)
     for t in range(T):
         prior = symmetrize(sys.A @ post_covs[t] @ sys.A.T + feed_covs[t])
-        gain = kalman_gain(prior, sys)
-        closed = eye - gain @ sys.C
         prior_covs[t] = prior
-        post_covs[t + 1] = symmetrize(
-            closed @ prior @ closed.T + gain @ sys.M @ gain.T
-        )
-        gains[t] = gain
+        gains[t], post_covs[t + 1] = kalman_update(prior, sys)
     return prior_covs, post_covs, gains

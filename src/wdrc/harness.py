@@ -8,7 +8,9 @@ deterministic reports: per-run costs as CSV, a shared-bin histogram,
 and a JSON summary embedding the full configuration.
 
 Rollouts are vectorized across runs by :func:`_roll_batch`, the one
-closed-loop simulator; :func:`trace_run` runs it on a batch of one.
+closed-loop simulator, which runs a controller of :mod:`wdrc.controller`
+as it stands (its gains and the disturbance mean its filter predicts
+with); :func:`trace_run` runs it on a batch of one.
 Every per-run quantity depends only on that run's substream, so results
 are identical for any worker count or chunking.
 """
@@ -30,7 +32,6 @@ from .bounds import (
     calibrate_lambda,
     performance_ratio,
 )
-from .closedloop import PolicyFeed, policy_feed
 from .controller import (
     LqgController,
     WdrcController,
@@ -38,7 +39,7 @@ from .controller import (
     synthesize_wdrc,
 )
 from .errors import ConfigError, WdrcError
-from .estimator import initial_posterior_cov
+from .estimator import initial_posterior_cov, kalman_gain
 from .model import (
     CostSpec,
     DistributionSpec,
@@ -276,6 +277,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     runs = _integer(raw, "runs", "", minimum=1, default=1000)
     bins = _integer(raw, "histogram_bins", "", minimum=1, default=40)
+    per_stage = raw.get("per_stage_nominal", False)
+    if not isinstance(per_stage, bool):
+        raise ConfigError(
+            f"expected true or false, got {per_stage!r}", "per_stage_nominal"
+        )
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"expected a path string, got {output_dir!r}", "output_dir")
 
     return ExperimentConfig(
         sys=sys,
@@ -285,8 +294,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         lam=lam,
         runs=runs,
         histogram_bins=bins,
-        per_stage_nominal=bool(raw.get("per_stage_nominal", False)),
-        output_dir=raw.get("output_dir"),
+        per_stage_nominal=per_stage,
+        output_dir=output_dir,
         echo=raw,
     )
 
@@ -334,7 +343,8 @@ def resolve_lam(
 
 
 def _roll_batch(
-    feed: PolicyFeed,
+    ctrl: WdrcController | LqgController,
+    init_gain: np.ndarray,
     sys: LinearSystem,
     cost: CostSpec,
     x0_dist: DistributionSpec,
@@ -345,33 +355,34 @@ def _roll_batch(
 ) -> np.ndarray:
     """Vectorized closed loop over the run axis; returns per-run costs.
 
-    This is the loop :mod:`wdrc.closedloop` evaluates exactly.  With
+    This is the loop :mod:`wdrc.closedloop` evaluates exactly, run with
+    the controller's ``K``, ``L``, ``gains``, ``H`` and ``h``;
+    ``init_gain`` is the Kalman gain of the initial-state law.  With
     ``record``, the batch's ``(state, observation, belief mean, input,
     filter disturbance mean)`` arrays are appended to it for every stage
     ``t < T``, then ``(state, observation, belief mean)`` at ``T``.
     """
     A, B, C = sys.A, sys.B, sys.C
     T = cost.horizon
+    K, L, G, H, h = ctrl.K, ctrl.L, ctrl.gains, ctrl.H, ctrl.h
     X = x0s
     Y = X @ C.T + v[:, 0]
     mu0 = x0_dist.mean()
-    Xb = mu0 + (Y - mu0 @ C.T) @ feed.init_gain.T
+    Xb = mu0 + (Y - mu0 @ C.T) @ init_gain.T
     costs = np.zeros(X.shape[0])
     for t in range(T):
-        U = Xb @ feed.K[t].T + feed.L[t]
+        U = Xb @ K[t].T + L[t]
         costs += np.einsum("ij,jk,ik->i", X, cost.Q, X)
         costs += np.einsum("ij,jk,ik->i", U, cost.R, U)
-        if feed.w_affine is not None:
-            H, h = feed.w_affine
-            Wm = Xb @ H[t].T + h[t]
-        else:
-            Wm = feed.w_const[t]
+        # A predicted mean that does not depend on the belief is added
+        # as one row, not as a zero product per run.
+        Wm = h[t] if H is None else Xb @ H[t].T + h[t]
         if record is not None:
             record.append((X, Y, Xb, U, Wm))
         X = X @ A.T + U @ B.T + w[:, t]
         Y = X @ C.T + v[:, t + 1]
         prior = Xb @ A.T + U @ B.T + Wm
-        Xb = prior + (Y - prior @ C.T) @ feed.filter_gains[t].T
+        Xb = prior + (Y - prior @ C.T) @ G[t].T
     costs += np.einsum("ij,jk,ik->i", X, cost.Q_f, X)
     if record is not None:
         record.append((X, Y, Xb))
@@ -394,8 +405,8 @@ def trace_run(
     x0s, w, v = draw_realizations(scenario, sys, cost.horizon, run, 1)
     x0_dist = scenario.initial_state
     stages: list = []
-    feed = policy_feed(ctrl, sys, x0_dist)
-    _roll_batch(feed, sys, cost, x0_dist, x0s, w, v, stages)
+    init_gain = kalman_gain(x0_dist.cov(), sys)
+    _roll_batch(ctrl, init_gain, sys, cost, x0_dist, x0s, w, v, stages)
 
     def column(k: int) -> np.ndarray:
         return np.stack([row[k][0] for row in stages if k < len(row)])
@@ -425,20 +436,15 @@ def write_trace(trace: dict[str, np.ndarray], path) -> None:
 
 def _simulate_chunk(args) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """Worker: paired rollouts for a contiguous block of run indices."""
-    (start, count, wdrc_feed, lqg_feed, scenario, sys, cost) = args
+    (start, count, ctrls, init_gain, scenario, sys, cost) = args
     x0s, w, v = draw_realizations(scenario, sys, cost.horizon, start, count)
     x0_dist = scenario.initial_state
-    wdrc_costs = (
-        _roll_batch(wdrc_feed, sys, cost, x0_dist, x0s, w, v)
-        if wdrc_feed is not None
-        else None
-    )
-    lqg_costs = (
-        _roll_batch(lqg_feed, sys, cost, x0_dist, x0s, w, v)
-        if lqg_feed is not None
-        else None
-    )
-    return start, wdrc_costs, lqg_costs
+    costs = [
+        None if ctrl is None
+        else _roll_batch(ctrl, init_gain, sys, cost, x0_dist, x0s, w, v)
+        for ctrl in ctrls
+    ]
+    return start, *costs
 
 
 def simulate_paired(
@@ -458,12 +464,11 @@ def simulate_paired(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    x0_dist = scenario.initial_state
-    wdrc_feed = policy_feed(wdrc_ctrl, sys, x0_dist) if wdrc_ctrl else None
-    lqg_feed = policy_feed(lqg_ctrl, sys, x0_dist) if lqg_ctrl else None
+    ctrls = (wdrc_ctrl, lqg_ctrl)
+    init_gain = kalman_gain(scenario.initial_state.cov(), sys)
     chunk = runs if jobs == 1 else max(1, math.ceil(runs / jobs))
     tasks = [
-        (start, min(chunk, runs - start), wdrc_feed, lqg_feed, scenario, sys, cost)
+        (start, min(chunk, runs - start), ctrls, init_gain, scenario, sys, cost)
         for start in range(0, runs, chunk)
     ]
     if jobs == 1 or len(tasks) == 1:
@@ -476,8 +481,8 @@ def simulate_paired(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_simulate_chunk, tasks))
 
-    wdrc_costs = np.zeros(runs) if wdrc_feed is not None else None
-    lqg_costs = np.zeros(runs) if lqg_feed is not None else None
+    wdrc_costs = np.zeros(runs) if wdrc_ctrl is not None else None
+    lqg_costs = np.zeros(runs) if lqg_ctrl is not None else None
     for start, wc, lc in outputs:
         if wc is not None:
             wdrc_costs[start : start + wc.size] = wc

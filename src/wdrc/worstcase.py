@@ -41,6 +41,14 @@ problem's outcome out of a stack is its outcome alone.
 :func:`forward_schedules` solves the paths of several penalties in one
 pass, stacking their problems stage by stage, with
 :func:`forward_schedule` its stack of one.
+
+The filter's measurement step comes from :mod:`wdrc.estimator`: the
+objective and the stationarity map take their gains from
+:func:`~wdrc.estimator.kalman_gain`, and the schedule's posteriors from
+:func:`~wdrc.estimator.kalman_update`.  Only the Newton system forms
+``C' Inn^{-1} C`` itself, a route that rounds differently.  The
+worst-case mean map (:func:`mean_affine`, :func:`mean_affines`) is
+computed once at synthesis and carried by the controller.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Diverged, NotPD, NotPSD, SingularInnovation
+from .estimator import kalman_gain, kalman_update
 from .model import LinearSystem, NominalDistribution
 from .psdmath import (
     psd_tolerance,
@@ -160,9 +169,6 @@ class WorstCaseSchedule:
     def z_tilde_path(self) -> np.ndarray:
         return np.array([s.z_tilde for s in self.solves])
 
-    def cov(self, t: int) -> np.ndarray:
-        return self.solves[t].cov
-
 
 class _Stage:
     """Covariance problems of one stage, stacked on a leading axis.
@@ -206,22 +212,9 @@ class _Stage:
         return sub
 
 
-def _gain(Sigma: np.ndarray, prior_base: np.ndarray, sys: LinearSystem):
-    """Measurement gains and priors after predicting with ``Sigma``.
-
-    ``prior_base`` is ``A P_bar A'``, the prior before the disturbance.
-    """
-    G = symmetrize(prior_base + Sigma)
-    innov = symmetrize(sys.C @ G @ sys.C.T + sys.M)
-    try:
-        return np.linalg.solve(innov, sys.C @ G).mT, G
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(str(exc)) from exc
-
-
 def _objective(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
-    gain, G = _gain(Sigma, st.prior_base, st.sys)
-    post = symmetrize(G - gain @ st.sys.C @ G)
+    G = symmetrize(st.prior_base + Sigma)
+    post = symmetrize(G - kalman_gain(G, st.sys) @ st.sys.C @ G)
     return (
         (st.S_next @ post).trace(axis1=1, axis2=2)
         + (st.shifted @ Sigma).trace(axis1=1, axis2=2)
@@ -231,7 +224,7 @@ def _objective(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
 
 def _closed(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
     """``I - K C`` with ``K`` the measurement gain after predicting with ``Sigma``."""
-    gain, _ = _gain(Sigma, st.prior_base, st.sys)
+    gain = kalman_gain(symmetrize(st.prior_base + Sigma), st.sys)
     return st.eye - gain @ st.sys.C
 
 
@@ -737,13 +730,9 @@ def forward_schedules(
 
         # This stage's maximizers are the next stage's starting points.
         covs = np.stack([solves[i][t].cov for i in live])
-        gain, prior = _gain(covs, prior_base, sys)
-        closed = np.eye(n) - gain @ sys.C
+        prior = symmetrize(prior_base + covs)
         prior_covs[sel, t] = prior
-        post_covs[sel, t + 1] = symmetrize(
-            closed @ prior @ closed.mT + gain @ sys.M @ gain.mT
-        )
-        gains[sel, t] = gain
+        gains[sel, t], post_covs[sel, t + 1] = kalman_update(prior, sys)
 
     return [
         failed[i] if i in failed else WorstCaseSchedule(

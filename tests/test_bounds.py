@@ -114,6 +114,21 @@ def test_exact_value_matches_sampled_average(plant):
     assert got == pytest.approx(sampled, rel=5e-3)
 
 
+def _certificate(sys, cost, nominal, scenario, params):
+    """:func:`performance_ratio` of both controllers synthesized at
+    ``params.lam``."""
+    p0 = initial_posterior_cov(scenario.initial_state, sys)
+    return performance_ratio(
+        sys,
+        cost,
+        nominal,
+        scenario,
+        params,
+        wdrc_ctrl=synthesize_wdrc(sys, cost, nominal, params.lam, p0),
+        lqg_ctrl=lqg_gains(sys, cost, nominal, p0),
+    )
+
+
 def test_guaranteed_cost_formula():
     assert guaranteed_cost(3.0, 50, 0.1, 7.0) == pytest.approx(3.0 * 50 * 0.01 + 7.0)
 
@@ -122,29 +137,10 @@ def test_certificate_collapses_at_huge_penalty(
     plant, short_cost, short_nominal, short_scenario
 ):
     params = RobustnessParams(theta=0.0, lam=1e8)
-    cert = performance_ratio(plant, short_cost, short_nominal, short_scenario, params)
+    cert = _certificate(plant, short_cost, short_nominal, short_scenario, params)
     assert cert.guaranteed_bound == pytest.approx(cert.j_lambda)
     assert cert.j_lambda == pytest.approx(cert.j_lq, rel=1e-4)
     assert cert.rho == pytest.approx(1.0, abs=2e-4)
-
-
-def test_certificate_reuses_supplied_controller(
-    plant, short_cost, short_nominal, short_scenario
-):
-    params = RobustnessParams(theta=0.1, lam=5.0)
-    p0 = initial_posterior_cov(short_scenario.initial_state, plant)
-    ctrl = synthesize_wdrc(plant, short_cost, short_nominal, 5.0, p0)
-    with_ctrl = performance_ratio(
-        plant, short_cost, short_nominal, short_scenario, params, wdrc_ctrl=ctrl
-    )
-    without = performance_ratio(
-        plant, short_cost, short_nominal, short_scenario, params
-    )
-    assert with_ctrl.j_lambda == pytest.approx(without.j_lambda, rel=1e-9)
-    assert with_ctrl.guaranteed_bound == pytest.approx(
-        without.guaranteed_bound, rel=1e-9
-    )
-    assert with_ctrl.j_lq == without.j_lq
 
 
 def test_degenerate_baseline_is_rejected(plant, short_cost):
@@ -159,12 +155,29 @@ def test_degenerate_baseline_is_rejected(plant, short_cost):
         seed=0,
     )
     with pytest.raises(DegenerateLQ):
-        performance_ratio(
+        _certificate(
             plant,
             short_cost,
             zero_nominal,
             scenario,
             RobustnessParams(theta=0.1, lam=100.0),
+        )
+
+
+def test_certificate_rejects_controllers_of_another_nominal(
+    plant, short_cost, short_nominal, short_scenario
+):
+    p0 = initial_posterior_cov(short_scenario.initial_state, plant)
+    other = estimate_nominal(draw_nominal_samples(short_scenario, short_cost.horizon))
+    with pytest.raises(ValueError, match="nominal"):
+        performance_ratio(
+            plant,
+            short_cost,
+            short_nominal,
+            short_scenario,
+            RobustnessParams(theta=0.1, lam=5.0),
+            wdrc_ctrl=synthesize_wdrc(plant, short_cost, short_nominal, 5.0, p0),
+            lqg_ctrl=lqg_gains(plant, short_cost, other, p0),
         )
 
 
@@ -196,7 +209,7 @@ def test_calibration_objective_matches_certificate(
 ):
     """The calibrated objective is exactly the guaranteed bound the
     certificate reports at the same penalty."""
-    cert = performance_ratio(
+    cert = _certificate(
         plant,
         short_cost,
         short_nominal,
@@ -211,7 +224,7 @@ def test_certificate_reports_its_dual_ingredients(
 ):
     """The bound is recomputable from the reported multiplier and value,
     and calibration's objective is the very same number."""
-    cert = performance_ratio(
+    cert = _certificate(
         plant,
         short_cost,
         short_nominal,
@@ -357,8 +370,8 @@ def test_stacked_scan_equals_objective_per_penalty(name, seed):
     its evaluations are the objective from ``synthesize_wdrc`` and
     ``certified_bound`` at the scan's points (``lam_min`` first, and
     finite), then at the points a sequential golden section consumes,
-    and its penalty, objective, certificate and controller are that
-    search's."""
+    and its penalty, objective, certificate and controller (its
+    worst-case mean map ``H``, ``h`` included) are that search's."""
     cfg, scenario, nominal, p0 = _bundled(name, seed)
     cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
@@ -384,6 +397,8 @@ def test_stacked_scan_equals_objective_per_penalty(name, seed):
     fresh = synthesize_wdrc(cfg.sys, cfg.cost, nominal, cal.lam, p0)
     assert np.array_equal(cal.controller.solution.K, fresh.solution.K)
     assert np.array_equal(cal.controller.schedule.gains, fresh.schedule.gains)
+    assert np.array_equal(cal.controller.H, fresh.H)
+    assert np.array_equal(cal.controller.h, fresh.h)
 
 
 @pytest.mark.parametrize("name, seed", [("gaussian", 2813), ("uniform", None)])

@@ -22,7 +22,6 @@ from wdrc.closedloop import (
     exact_cost,
     initial_moments,
     penalized_value,
-    policy_feed,
     worst_case_law,
 )
 from wdrc.bounds import performance_ratio
@@ -45,8 +44,7 @@ def setup(request):
 
 
 def _loop(cfg, ctrl):
-    x0_dist = cfg.scenario.initial_state
-    return closed_loop(policy_feed(ctrl, cfg.sys, x0_dist), cfg.sys, cfg.cost)
+    return closed_loop(ctrl, cfg.sys, cfg.cost)
 
 
 def _stationary(T, mean, cov):

@@ -10,6 +10,7 @@ from wdrc.estimator import (
     init_belief,
     initial_posterior_cov,
     kalman_gain,
+    kalman_update,
     predict,
     update,
 )
@@ -96,6 +97,27 @@ def test_covariance_path_matches_stepwise(plant):
         assert np.allclose(gains[t], kalman_gain(belief.cov, plant), atol=1e-12)
         belief = update(belief, np.zeros(1), plant)
         assert np.allclose(posts[t + 1], belief.cov, atol=1e-12)
+
+
+def test_stacked_kalman_step_gives_each_member_its_call_alone(plant):
+    """``kalman_gain`` and ``kalman_update`` on a ``(k, n, n)`` stack give
+    every member the bits of the call on it alone."""
+    rng = np.random.default_rng(15)
+    wide = LinearSystem(
+        A=np.eye(3),
+        B=np.ones((3, 1)),
+        C=rng.standard_normal((2, 3)),
+        M=random_psd(rng, 2, jitter=1e-2),
+    )
+    for sys in (plant, wide):
+        priors = np.stack([random_psd(rng, sys.n_x, jitter=1e-3) for _ in range(7)])
+        gains, posts = kalman_update(priors, sys)
+        assert np.array_equal(kalman_gain(priors, sys), gains)
+        for prior, gain, post in zip(priors, gains, posts):
+            alone = kalman_update(prior, sys)
+            assert np.array_equal(kalman_gain(prior, sys), gain)
+            assert np.array_equal(alone[0], gain)
+            assert np.array_equal(alone[1], post)
 
 
 def test_long_chain_stays_psd(plant):

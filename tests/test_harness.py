@@ -125,6 +125,9 @@ def test_lam_accepts_yaml_exponent_forms(text, value):
         ),
         (lambda r: {**r, "runs": 0}, "runs"),
         (lambda r: {**r, "histogram_bins": 0}, "histogram_bins"),
+        (lambda r: {**r, "output_dir": 5}, "output_dir"),
+        (lambda r: {**r, "output_dir": ["reports"]}, "output_dir"),
+        (lambda r: {**r, "per_stage_nominal": "false"}, "per_stage_nominal"),
     ],
 )
 def test_config_errors_carry_field_paths(mutate, field):
@@ -367,9 +370,10 @@ def test_campaign_populates_result(campaign):
 
 def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
     """With ``lam: auto`` the robust controller comes from calibration,
-    which synthesizes every penalty in stacked passes and never calls
-    ``synthesize_wdrc``; the campaign reuses the controller at the
-    calibrated penalty, bitwise equal to a fresh synthesis."""
+    which synthesizes every penalty in stacked passes (``wdrc.bounds``
+    does not import ``synthesize_wdrc``); the campaign reuses the
+    controller at the calibrated penalty, bitwise equal to a fresh
+    synthesis."""
     import wdrc.bounds
     import wdrc.harness
 
@@ -379,8 +383,8 @@ def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
         calls.append(args[3])
         return synthesize_wdrc(*args, **kwargs)
 
-    for module in (wdrc.bounds, wdrc.harness):
-        monkeypatch.setattr(module, "synthesize_wdrc", counted)
+    assert not hasattr(wdrc.bounds, "synthesize_wdrc")
+    monkeypatch.setattr(wdrc.harness, "synthesize_wdrc", counted)
     raw = base_config()
     raw["robustness"]["lam"] = "auto"
     cfg = config_from_dict(raw)

@@ -18,6 +18,9 @@ the tree) on the configs of this repository:
   ``robustness.lam: 4.0``, at the config's seed: calibration is
   skipped, so sampling, rollouts and reports are compared even when a
   change moves the calibrated penalty;
+- the single-policy campaigns, the same way: ``wdrc simulate`` on the
+  pinned ``gaussian.yaml`` with ``--mode lqg`` and on ``uniform.yaml``
+  with ``--mode wdrc``;
 - the edges of the blocked run sampler, the same way: ``wdrc simulate``
   on ``gaussian.yaml`` with ``--runs 2500 --jobs 2``, whose second chunk
   starts at run 1250, inside a sampling block, and on ``uniform.yaml``
@@ -93,6 +96,8 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
             out.append((label, argv, out_dir))
     for name, flags, out_dir in (
         ("gaussian-lam4", [], "out-lam4"),
+        ("gaussian-lam4", ["--mode", "lqg"], "out-lqg"),
+        ("uniform", ["--mode", "wdrc"], "out-wdrc"),
         ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
         ("gaussian", ["--seed", "2813"], "out-2813"),
