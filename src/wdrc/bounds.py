@@ -60,7 +60,6 @@ from .model import (
     DistributionSpec,
     LinearSystem,
     NominalDistribution,
-    RobustnessParams,
     ScenarioSpec,
 )
 from .riccati import backward_passes, min_feasible_lambda
@@ -244,48 +243,48 @@ def lqg_value_terms(ctrl: LqgController) -> np.ndarray:
 
 
 def performance_ratio(
-    sys: LinearSystem,
-    cost: CostSpec,
-    nominal: NominalDistribution,
-    scenario: ScenarioSpec,
-    params: RobustnessParams,
     wdrc_ctrl: WdrcController,
     lqg_ctrl: LqgController,
+    sys: LinearSystem,
+    cost: CostSpec,
+    x0_dist: DistributionSpec,
+    theta: float,
     dual: DualBound | None = None,
 ) -> CostCertificate:
     """Certificate comparing the robust bound with the baseline value.
 
     The bound is :func:`certified_bound` of the deployed loop of
-    ``wdrc_ctrl``, synthesized at ``params.lam``, so it covers every
-    per-stage law within Gelbrich distance ``params.theta`` of the
-    nominal; it stays finite for any design penalty that passes
-    synthesis.  ``lqg_ctrl`` is the baseline controller; both are
-    synthesized for ``nominal``.
+    ``wdrc_ctrl``, so it covers every per-stage law within Gelbrich
+    distance ``theta`` of the controllers' nominal; it stays finite for
+    any design penalty that passes synthesis.  The design penalty is the
+    robust controller's ``solution.lam``.  ``lqg_ctrl`` is the baseline
+    controller, synthesized for the same nominal; ``x0_dist`` is the
+    initial-state law.
 
     Args:
         dual: Optional :func:`certified_bound` of ``wdrc_ctrl`` at
-            ``params.theta``, as calibration returns it; computed here
-            when omitted.
+            ``theta``, as calibration returns it; computed here when
+            omitted.
 
     Raises:
-        ValueError: If a controller was synthesized for another nominal.
+        ValueError: If the controllers were synthesized for different
+            nominals.
         DegenerateLQ: If the baseline value is not strictly positive,
             which would make the ratio meaningless.
     """
-    x0_dist = scenario.initial_state
     ctrl, lqg = wdrc_ctrl, lqg_ctrl
-    if ctrl.nominal is not nominal or lqg.nominal is not nominal:
-        raise ValueError("controllers must be synthesized for the given nominal")
+    if lqg.nominal is not ctrl.nominal:
+        raise ValueError("controllers must be synthesized for one nominal")
     j_lambda = _exact_value(ctrl.solution, ctrl.schedule.z_tilde_path, x0_dist, sys)
     j_lq = _exact_value(lqg, lqg_value_terms(lqg), x0_dist, sys)
     if not math.isfinite(j_lq) or j_lq <= 0.0:
         raise DegenerateLQ(f"baseline value {j_lq} is not strictly positive")
 
     if dual is None:
-        dual = certified_bound(ctrl, sys, cost, x0_dist, params.theta)
+        dual = certified_bound(ctrl, sys, cost, x0_dist, theta)
     return CostCertificate(
-        lam=params.lam,
-        theta=params.theta,
+        lam=ctrl.solution.lam,
+        theta=theta,
         j_lambda=j_lambda,
         kappa=dual.kappa,
         w_kappa=dual.w_kappa,

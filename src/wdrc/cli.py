@@ -24,13 +24,12 @@ import sys as _sys
 import numpy as np
 
 from .bounds import calibrate_lambda
-from .controller import synthesize_wdrc
 from .errors import ConfigError, WdrcError
 from .harness import (
     emit_reports,
     load_config,
     prepare,
-    resolve_lam,
+    robust_policy,
     run_campaign,
     trace_run,
     write_trace,
@@ -75,15 +74,10 @@ def _write_json(payload: dict, out: str | None) -> None:
 def cmd_synthesize(args) -> int:
     cfg = load_config(args.config)
     scenario, nominal, p0 = prepare(cfg, args.seed)
-    lam, calibration = resolve_lam(cfg, scenario, nominal, args.lam)
-    ctrl = (
-        calibration.controller
-        if calibration is not None
-        else synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
-    )
+    ctrl, _ = robust_policy(cfg, scenario, nominal, p0, args.lam)
     sol = ctrl.solution
     payload = {
-        "lam": lam,
+        "lam": sol.lam,
         "horizon": cfg.cost.horizon,
         "P": sol.P.tolist(),
         "S": sol.S.tolist(),
@@ -109,9 +103,7 @@ def cmd_simulate(args) -> int:
     out_dir = args.out or cfg.output_dir or "out"
     paths = emit_reports(result, out_dir)
     if args.dump_trace:
-        for label, ctrl in (("wdrc", result.wdrc_ctrl), ("lqg", result.lqg_ctrl)):
-            if ctrl is None:
-                continue
+        for label, ctrl in result.policies.items():
             trace = trace_run(ctrl, result.scenario, cfg.sys, cfg.cost, args.trace_run)
             path = f"{out_dir}/trace_{label}.jsonl"
             write_trace(trace, path)

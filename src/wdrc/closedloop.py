@@ -631,7 +631,12 @@ def dual_bounds(
     stacked exact evaluation, and a problem leaves once its search ends.
     Each bound equals the one of its loop alone (a stack of one), bit for
     bit.
+
+    Raises:
+        ValueError: If ``theta`` is negative.
     """
+    if theta < 0.0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
     k, T = loops.F.shape[0], loops.F.shape[1]
     if theta == 0.0:
         means = np.stack([nominal.mean(t) for t in range(T)])

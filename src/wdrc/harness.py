@@ -1,9 +1,10 @@
 """Benchmark campaigns: config files, paired rollouts, and reports.
 
 Every command starts from :func:`prepare` (seed override, nominal
-estimate, initial posterior covariance) and :func:`resolve_lam`.  A
-campaign synthesizes the robust and baseline policies, simulates paired
-Monte-Carlo runs (both policies see identical draws), and writes
+estimate, initial posterior covariance); the robust controller comes
+from :func:`robust_policy` (pinned penalty or calibration).  A campaign
+holds its policies as labelled controllers, simulates paired
+Monte-Carlo runs (every policy sees identical draws), and writes
 deterministic reports: per-run costs as CSV, a shared-bin histogram,
 and a JSON summary embedding the full configuration.
 
@@ -46,7 +47,6 @@ from .model import (
     GaussianSpec,
     LinearSystem,
     NominalDistribution,
-    RobustnessParams,
     ScenarioSpec,
     UniformSpec,
     draw_nominal_samples,
@@ -61,7 +61,7 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "prepare",
-    "resolve_lam",
+    "robust_policy",
     "run_campaign",
     "trace_run",
     "write_trace",
@@ -115,28 +115,46 @@ class CostStatistics:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Everything a campaign produced, ready for report emission."""
+    """Everything a campaign produced, ready for report emission.
+
+    ``policies`` maps each simulated policy's label (``wdrc``, ``lqg``)
+    to its controller and ``stats`` maps it to its costs, both in
+    report order.
+    """
 
     config: ExperimentConfig
     mode: str
     runs: int
     seed: int
-    lam: float | None
+    scenario: ScenarioSpec
     calibration: CalibrationResult | None
     certificate: CostCertificate | None
-    wdrc: CostStatistics | None
-    lqg: CostStatistics | None
-    wdrc_ctrl: WdrcController | None = None
-    lqg_ctrl: LqgController | None = None
-    scenario: ScenarioSpec | None = None
+    policies: dict[str, WdrcController | LqgController]
+    stats: dict[str, CostStatistics]
+
+    @property
+    def lam(self) -> float | None:
+        """The robust policy's penalty; None when it is not simulated."""
+        ctrl = self.policies.get("wdrc")
+        return None if ctrl is None else ctrl.solution.lam
 
 
-def _section(raw: dict, key: str, path: str = "") -> dict:
-    full = f"{path}.{key}" if path else key
+def _known_keys(raw: dict, keys: tuple[str, ...], path: str = "") -> None:
+    """Reject any key of ``raw`` outside ``keys``: a misspelt key would
+    otherwise load silently and leave its entry at the default."""
+    for key in raw:
+        if key not in keys:
+            full = f"{path}.{key}" if path else str(key)
+            raise ConfigError(f"unknown key (expected one of {', '.join(keys)})", full)
+
+
+def _section(raw: dict, key: str, keys: tuple[str, ...]) -> dict:
+    """The mapping at ``raw[key]``, holding no key outside ``keys``."""
     if key not in raw:
-        raise ConfigError("missing section", full)
+        raise ConfigError("missing section", key)
     if not isinstance(raw[key], dict):
-        raise ConfigError("expected a mapping", full)
+        raise ConfigError("expected a mapping", key)
+    _known_keys(raw[key], keys, key)
     return raw[key]
 
 
@@ -194,6 +212,7 @@ def _distribution(raw: Any, path: str) -> DistributionSpec:
             f"unknown distribution type {kind!r} (expected gaussian or uniform)",
             f"{path}.type",
         )
+    _known_keys(raw, ("type", *keys), path)
     return _built(path, make, *[_matrix(raw, key, path) for key in keys])
 
 
@@ -210,13 +229,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed configuration mapping."""
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a mapping")
-    plant = _section(raw, "plant")
+    _known_keys(
+        raw,
+        ("plant", "cost", "robustness", "scenario", "runs", "histogram_bins",
+         "per_stage_nominal", "output_dir"),
+    )
+    plant_keys = ("A", "B", "C", "M")
+    plant = _section(raw, "plant", plant_keys)
     sys = _built(
         "plant",
         LinearSystem,
-        **{key: _matrix(plant, key, "plant") for key in ("A", "B", "C", "M")},
+        **{key: _matrix(plant, key, "plant") for key in plant_keys},
     )
-    cost_raw = _section(raw, "cost")
+    cost_raw = _section(raw, "cost", ("Q", "Q_f", "R", "horizon"))
     cost = _built(
         "cost",
         CostSpec,
@@ -225,7 +250,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         R=_matrix(cost_raw, "R", "cost"),
         horizon=_integer(cost_raw, "horizon", "cost", minimum=1),
     )
-    robust = _section(raw, "robustness")
+    robust = _section(raw, "robustness", ("theta", "lam"))
     theta = _real(_entry(robust, "theta", "robustness"), "robustness.theta")
     if theta < 0.0:
         raise ConfigError("theta must be >= 0", "robustness.theta")
@@ -239,7 +264,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if lam <= 0.0:
             raise ConfigError("lam must be positive", "robustness.lam")
 
-    scen = _section(raw, "scenario")
+    scen = _section(
+        raw,
+        "scenario",
+        ("true_disturbance", "initial_state", "noise_cov", "sample_count", "seed"),
+    )
     noise_cov = (
         _matrix(scen, "noise_cov", "scenario")
         if "noise_cov" in scen
@@ -325,21 +354,22 @@ def prepare(
     return scenario, estimate_nominal(samples), p0
 
 
-def resolve_lam(
+def robust_policy(
     cfg: ExperimentConfig,
     scenario: ScenarioSpec,
     nominal: NominalDistribution,
+    p0: np.ndarray,
     override: float | None = None,
-) -> tuple[float, CalibrationResult | None]:
-    """The penalty (``override``, else the config's, else calibrated)
-    and the calibration that chose it, if one ran; the calibration
-    carries the controller at that penalty and its certificate."""
-    if override is not None:
-        return float(override), None
-    if cfg.lam is not None:
-        return cfg.lam, None
+) -> tuple[WdrcController, CalibrationResult | None]:
+    """The robust controller at the penalty ``override``, else the
+    config's, else the calibrated one, and the calibration if one ran;
+    a calibrated controller comes from the calibration, which also
+    carries its certificate."""
+    lam = cfg.lam if override is None else float(override)
+    if lam is not None:
+        return synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0), None
     calibration = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
-    return calibration.lam, calibration
+    return calibration.controller, calibration
 
 
 def _roll_batch(
@@ -434,37 +464,35 @@ def write_trace(trace: dict[str, np.ndarray], path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _simulate_chunk(args) -> tuple[int, np.ndarray | None, np.ndarray | None]:
-    """Worker: paired rollouts for a contiguous block of run indices."""
+def _simulate_chunk(args) -> list[np.ndarray]:
+    """Worker: paired rollouts for a contiguous block of run indices,
+    one cost array per controller."""
     (start, count, ctrls, init_gain, scenario, sys, cost) = args
     x0s, w, v = draw_realizations(scenario, sys, cost.horizon, start, count)
     x0_dist = scenario.initial_state
-    costs = [
-        None if ctrl is None
-        else _roll_batch(ctrl, init_gain, sys, cost, x0_dist, x0s, w, v)
+    return [
+        _roll_batch(ctrl, init_gain, sys, cost, x0_dist, x0s, w, v)
         for ctrl in ctrls
     ]
-    return start, *costs
 
 
 def simulate_paired(
-    wdrc_ctrl: WdrcController | None,
-    lqg_ctrl: LqgController | None,
+    ctrls: list[WdrcController | LqgController],
     scenario: ScenarioSpec,
     sys: LinearSystem,
     cost: CostSpec,
     runs: int,
     jobs: int = 1,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+) -> list[np.ndarray]:
     """Simulate ``runs`` paired rollouts, optionally across processes.
 
-    Both policies consume identical realizations per run index.  The
-    result arrays are ordered by run index and do not depend on
-    ``jobs``, which must be at least 1.
+    Every controller consumes identical realizations per run index.
+    Returns one cost array per controller, in the order given; each is
+    ordered by run index and does not depend on ``jobs``, which must be
+    at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    ctrls = (wdrc_ctrl, lqg_ctrl)
     init_gain = kalman_gain(scenario.initial_state.cov(), sys)
     chunk = runs if jobs == 1 else max(1, math.ceil(runs / jobs))
     tasks = [
@@ -481,14 +509,7 @@ def simulate_paired(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_simulate_chunk, tasks))
 
-    wdrc_costs = np.zeros(runs) if wdrc_ctrl is not None else None
-    lqg_costs = np.zeros(runs) if lqg_ctrl is not None else None
-    for start, wc, lc in outputs:
-        if wc is not None:
-            wdrc_costs[start : start + wc.size] = wc
-        if lc is not None:
-            lqg_costs[start : start + lc.size] = lc
-    return wdrc_costs, lqg_costs
+    return [np.concatenate(chunks) for chunks in zip(*outputs)]
 
 
 def run_campaign(
@@ -517,46 +538,39 @@ def run_campaign(
 
     # The certificate needs the baseline even when it is not simulated.
     lqg_ctrl = lqg_gains(cfg.sys, cfg.cost, nominal, p0)
-    lam = None
+    policies: dict[str, WdrcController | LqgController] = {}
     calibration = None
     certificate = None
-    wdrc_ctrl = None
     if mode in ("wdrc", "both"):
-        lam, calibration = resolve_lam(cfg, scenario, nominal)
-        wdrc_ctrl = (
-            calibration.controller
-            if calibration is not None
-            else synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
-        )
+        wdrc_ctrl, calibration = robust_policy(cfg, scenario, nominal, p0)
         certificate = performance_ratio(
+            wdrc_ctrl,
+            lqg_ctrl,
             cfg.sys,
             cfg.cost,
-            nominal,
-            scenario,
-            RobustnessParams(lam=lam, theta=cfg.theta),
-            wdrc_ctrl=wdrc_ctrl,
-            lqg_ctrl=lqg_ctrl,
+            scenario.initial_state,
+            cfg.theta,
             dual=calibration.dual if calibration is not None else None,
         )
-    if mode == "wdrc":
-        lqg_ctrl = None
+        policies["wdrc"] = wdrc_ctrl
+    if mode in ("lqg", "both"):
+        policies["lqg"] = lqg_ctrl
 
-    wdrc_costs, lqg_costs = simulate_paired(
-        wdrc_ctrl, lqg_ctrl, scenario, cfg.sys, cfg.cost, n_runs, jobs
+    costs = simulate_paired(
+        list(policies.values()), scenario, cfg.sys, cfg.cost, n_runs, jobs
     )
     return CampaignResult(
         config=cfg,
         mode=mode,
         runs=n_runs,
         seed=scenario.seed,
-        lam=lam,
+        scenario=scenario,
         calibration=calibration,
         certificate=certificate,
-        wdrc=CostStatistics.from_costs(wdrc_costs) if wdrc_costs is not None else None,
-        lqg=CostStatistics.from_costs(lqg_costs) if lqg_costs is not None else None,
-        wdrc_ctrl=wdrc_ctrl,
-        lqg_ctrl=lqg_ctrl,
-        scenario=scenario,
+        policies=policies,
+        stats={
+            label: CostStatistics.from_costs(c) for label, c in zip(policies, costs)
+        },
     )
 
 
@@ -635,11 +649,7 @@ def emit_reports(result: CampaignResult, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     paths: dict[str, str] = {}
 
-    named = [
-        (label, stats)
-        for label, stats in (("wdrc", result.wdrc), ("lqg", result.lqg))
-        if stats is not None
-    ]
+    named = list(result.stats.items())
 
     costs_path = os.path.join(out_dir, "costs.csv")
     with open(costs_path, "w", newline="\n") as fh:
@@ -692,14 +702,11 @@ def emit_reports(result: CampaignResult, out_dir: str) -> dict[str, str]:
             "j_lq": cert.j_lq,
             "rho": cert.rho,
         }
-    if result.wdrc is not None and result.lqg is not None:
+    if result.stats.keys() == {"wdrc", "lqg"}:
+        wdrc, lqg = result.stats["wdrc"].costs, result.stats["lqg"].costs
         summary["paired_tests"] = {
-            "mean_z": _finite_or_none(
-                paired_mean_z(result.lqg.costs, result.wdrc.costs)
-            ),
-            "std_z": _finite_or_none(
-                paired_std_z(result.lqg.costs, result.wdrc.costs)
-            ),
+            "mean_z": _finite_or_none(paired_mean_z(lqg, wdrc)),
+            "std_z": _finite_or_none(paired_std_z(lqg, wdrc)),
         }
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", newline="\n") as fh:

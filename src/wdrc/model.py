@@ -28,7 +28,6 @@ from .psdmath import MomentPair, psd_sqrt, require_psd, symmetrize
 __all__ = [
     "LinearSystem",
     "CostSpec",
-    "RobustnessParams",
     "GaussianSpec",
     "UniformSpec",
     "DistributionSpec",
@@ -126,20 +125,6 @@ class CostSpec:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "Q_f", Q_f)
         object.__setattr__(self, "R", R)
-
-
-@dataclass(frozen=True)
-class RobustnessParams:
-    """Ambiguity radius ``theta`` and penalty parameter ``lam``."""
-
-    lam: float
-    theta: float
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
 
 
 @dataclass(frozen=True)

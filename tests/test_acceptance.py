@@ -102,7 +102,7 @@ def uniform_campaign():
 
 
 def _ordering_report(result, elapsed: float) -> tuple[float, float]:
-    wdrc, lqg = result.wdrc, result.lqg
+    wdrc, lqg = result.stats["wdrc"], result.stats["lqg"]
     mean_z = paired_mean_z(lqg.costs, wdrc.costs)
     std_z = paired_std_z(lqg.costs, wdrc.costs)
     print(
@@ -120,12 +120,12 @@ def test_gaussian_benchmark_cost_ordering(gaussian_campaign):
     mean_z, std_z = _ordering_report(result, elapsed)
     assert elapsed < 120.0
     assert result.runs == 1000
-    assert result.wdrc.mean < result.lqg.mean
-    assert result.wdrc.std_dev < result.lqg.std_dev
+    assert result.stats["wdrc"].mean < result.stats["lqg"].mean
+    assert result.stats["wdrc"].std_dev < result.stats["lqg"].std_dev
     assert mean_z > 2.0
     assert std_z > 2.0
-    assert 2.0 <= result.wdrc.mean <= 9.0
-    assert 2.5 <= result.lqg.mean <= 12.0
+    assert 2.0 <= result.stats["wdrc"].mean <= 9.0
+    assert 2.5 <= result.stats["lqg"].mean <= 12.0
 
 
 def test_uniform_benchmark_cost_ordering(uniform_campaign):
@@ -134,12 +134,12 @@ def test_uniform_benchmark_cost_ordering(uniform_campaign):
     mean_z, std_z = _ordering_report(result, elapsed)
     assert elapsed < 120.0
     assert result.runs == 1000
-    assert result.wdrc.mean < result.lqg.mean
-    assert result.wdrc.std_dev < result.lqg.std_dev
+    assert result.stats["wdrc"].mean < result.stats["lqg"].mean
+    assert result.stats["wdrc"].std_dev < result.stats["lqg"].std_dev
     assert mean_z > 2.0
     assert std_z > 2.0
-    assert 0.2 <= result.wdrc.mean <= 1.2
-    assert 0.3 <= result.lqg.mean <= 1.8
+    assert 0.2 <= result.stats["wdrc"].mean <= 1.2
+    assert 0.3 <= result.stats["lqg"].mean <= 1.8
 
 
 def test_huge_penalty_recovers_nominal_design(gaussian_campaign):
@@ -276,7 +276,7 @@ def test_guaranteed_bound_covers_admissible_disturbance_laws(gaussian_campaign):
     each law is simulated for 2000 fresh runs.
     """
     result, _ = gaussian_campaign
-    cfg, cert, ctrl = result.config, result.certificate, result.wdrc_ctrl
+    cfg, cert, ctrl = result.config, result.certificate, result.policies["wdrc"]
     theta = cfg.theta
     base = estimate_nominal(
         draw_nominal_samples(result.scenario, cfg.cost.horizon)
@@ -319,7 +319,7 @@ def test_guaranteed_bound_covers_admissible_disturbance_laws(gaussian_campaign):
             sample_count=result.scenario.sample_count,
             seed=211 + i,
         )
-        costs, _ = simulate_paired(ctrl, None, scen, cfg.sys, cfg.cost, runs=2000)
+        (costs,) = simulate_paired([ctrl], scen, cfg.sys, cfg.cost, runs=2000)
         se = float(costs.std(ddof=1)) / math.sqrt(costs.size)
         limit = cert.guaranteed_bound + 3.0 * se
         gap = float(costs.mean()) - limit
@@ -438,14 +438,13 @@ def test_reports_are_byte_identical_across_executions(tmp_path):
         assert Path(paths_a[name]).read_bytes() == Path(paths_b[name]).read_bytes()
 
     wdrc_costs, lqg_costs = simulate_paired(
-        first.wdrc_ctrl,
-        first.lqg_ctrl,
+        list(first.policies.values()),
         first.scenario,
         cfg.sys,
         cfg.cost,
         runs=60,
         jobs=3,
     )
-    assert np.array_equal(wdrc_costs, first.wdrc.costs)
-    assert np.array_equal(lqg_costs, first.lqg.costs)
+    assert np.array_equal(wdrc_costs, first.stats["wdrc"].costs)
+    assert np.array_equal(lqg_costs, first.stats["lqg"].costs)
     print("reports byte-identical; costs invariant to worker count")

@@ -29,7 +29,6 @@ from wdrc.model import (
     GaussianSpec,
     LinearSystem,
     NominalDistribution,
-    RobustnessParams,
     ScenarioSpec,
     draw_nominal_samples,
     estimate_nominal,
@@ -114,18 +113,17 @@ def test_exact_value_matches_sampled_average(plant):
     assert got == pytest.approx(sampled, rel=5e-3)
 
 
-def _certificate(sys, cost, nominal, scenario, params):
-    """:func:`performance_ratio` of both controllers synthesized at
-    ``params.lam``."""
+def _certificate(sys, cost, nominal, scenario, theta, lam):
+    """:func:`performance_ratio` at ``theta`` of both controllers, the
+    robust one synthesized at ``lam``."""
     p0 = initial_posterior_cov(scenario.initial_state, sys)
     return performance_ratio(
+        synthesize_wdrc(sys, cost, nominal, lam, p0),
+        lqg_gains(sys, cost, nominal, p0),
         sys,
         cost,
-        nominal,
-        scenario,
-        params,
-        wdrc_ctrl=synthesize_wdrc(sys, cost, nominal, params.lam, p0),
-        lqg_ctrl=lqg_gains(sys, cost, nominal, p0),
+        scenario.initial_state,
+        theta,
     )
 
 
@@ -136,8 +134,7 @@ def test_guaranteed_cost_formula():
 def test_certificate_collapses_at_huge_penalty(
     plant, short_cost, short_nominal, short_scenario
 ):
-    params = RobustnessParams(theta=0.0, lam=1e8)
-    cert = _certificate(plant, short_cost, short_nominal, short_scenario, params)
+    cert = _certificate(plant, short_cost, short_nominal, short_scenario, 0.0, 1e8)
     assert cert.guaranteed_bound == pytest.approx(cert.j_lambda)
     assert cert.j_lambda == pytest.approx(cert.j_lq, rel=1e-4)
     assert cert.rho == pytest.approx(1.0, abs=2e-4)
@@ -160,7 +157,8 @@ def test_degenerate_baseline_is_rejected(plant, short_cost):
             short_cost,
             zero_nominal,
             scenario,
-            RobustnessParams(theta=0.1, lam=100.0),
+            theta=0.1,
+            lam=100.0,
         )
 
 
@@ -171,14 +169,20 @@ def test_certificate_rejects_controllers_of_another_nominal(
     other = estimate_nominal(draw_nominal_samples(short_scenario, short_cost.horizon))
     with pytest.raises(ValueError, match="nominal"):
         performance_ratio(
+            synthesize_wdrc(plant, short_cost, short_nominal, 5.0, p0),
+            lqg_gains(plant, short_cost, other, p0),
             plant,
             short_cost,
-            short_nominal,
-            short_scenario,
-            RobustnessParams(theta=0.1, lam=5.0),
-            wdrc_ctrl=synthesize_wdrc(plant, short_cost, short_nominal, 5.0, p0),
-            lqg_ctrl=lqg_gains(plant, short_cost, other, p0),
+            short_scenario.initial_state,
+            theta=0.1,
         )
+
+
+def test_certificate_rejects_a_negative_radius(
+    plant, short_cost, short_nominal, short_scenario
+):
+    with pytest.raises(ValueError, match="theta"):
+        _certificate(plant, short_cost, short_nominal, short_scenario, -0.1, 5.0)
 
 
 def test_lqg_value_terms_are_nonnegative(plant, short_cost, short_nominal, short_scenario):
@@ -214,7 +218,8 @@ def test_calibration_objective_matches_certificate(
         short_cost,
         short_nominal,
         short_scenario,
-        RobustnessParams(theta=0.1, lam=calibration.lam),
+        theta=0.1,
+        lam=calibration.lam,
     )
     assert cert.guaranteed_bound == pytest.approx(calibration.objective, rel=1e-10)
 
@@ -229,7 +234,8 @@ def test_certificate_reports_its_dual_ingredients(
         short_cost,
         short_nominal,
         short_scenario,
-        RobustnessParams(theta=0.1, lam=calibration.lam),
+        theta=0.1,
+        lam=calibration.lam,
     )
     assert cert.guaranteed_bound == calibration.objective
     assert cert.guaranteed_bound == guaranteed_cost(

@@ -48,6 +48,14 @@ def test_simulate_writes_reports(config_path, tmp_path, capsys):
     assert summary["runs"] == 5
 
 
+def test_single_policy_trace_dump_writes_only_that_policy(config_path, tmp_path):
+    out = tmp_path / "reports"
+    argv = ["simulate", "-c", config_path, "--runs", "3", "--out", str(out)]
+    assert main([*argv, "--mode", "wdrc", "--dump-trace"]) == EXIT_OK
+    traces = sorted(path.name for path in out.glob("trace_*"))
+    assert traces == ["trace_wdrc.jsonl"]
+
+
 def test_simulate_seed_override_changes_costs(config_path, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

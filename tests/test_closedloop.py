@@ -25,7 +25,7 @@ from wdrc.closedloop import (
     worst_case_law,
 )
 from wdrc.bounds import performance_ratio
-from wdrc.model import RobustnessParams, draw_nominal_samples
+from wdrc.model import draw_nominal_samples
 from wdrc.psdmath import MomentPair
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -57,7 +57,7 @@ def test_exact_cost_matches_batched_rollouts(setup):
     cfg, _, wdrc, lqg = setup
     scen = cfg.scenario
     wdrc_costs, lqg_costs = simulate_paired(
-        wdrc, lqg, scen, cfg.sys, cfg.cost, runs=4000
+        [wdrc, lqg], scen, cfg.sys, cfg.cost, runs=4000
     )
     z0 = initial_moments(scen.initial_state, cfg.sys, scen.noise_cov)
     law = scen.true_disturbance
@@ -159,9 +159,8 @@ def test_baseline_value_is_the_exact_nominal_cost(setup):
     baseline loop under the nominal moments and the plant's noise."""
     cfg, nominal, wdrc, lqg = setup
     scen, T, M = cfg.scenario, cfg.cost.horizon, cfg.sys.M
-    params = RobustnessParams(theta=cfg.theta, lam=4.0)
     cert = performance_ratio(
-        cfg.sys, cfg.cost, nominal, scen, params, wdrc_ctrl=wdrc, lqg_ctrl=lqg
+        wdrc, lqg, cfg.sys, cfg.cost, scen.initial_state, cfg.theta
     )
     means = np.stack([nominal.mean(t) for t in range(T)])
     covs = np.stack([nominal.cov(t) for t in range(T)])

@@ -128,6 +128,39 @@ def test_lam_accepts_yaml_exponent_forms(text, value):
         (lambda r: {**r, "output_dir": 5}, "output_dir"),
         (lambda r: {**r, "output_dir": ["reports"]}, "output_dir"),
         (lambda r: {**r, "per_stage_nominal": "false"}, "per_stage_nominal"),
+        (lambda r: {**r, "per_stage_nomimal": True}, "per_stage_nomimal"),
+        (lambda r: {**r, "plant": {**r["plant"], "D": [[0.0]]}}, "plant.D"),
+        (lambda r: {**r, "cost": {**r["cost"], "Qf": [[1.0]]}}, "cost.Qf"),
+        (
+            lambda r: {**r, "robustness": {**r["robustness"], "thetta": 0.5}},
+            "robustness.thetta",
+        ),
+        (
+            lambda r: {**r, "scenario": {**r["scenario"], "samples": 5}},
+            "scenario.samples",
+        ),
+        (
+            lambda r: {
+                **r,
+                "scenario": {
+                    **r["scenario"],
+                    "initial_state": {
+                        **r["scenario"]["initial_state"], "sigma": [[1.0]]
+                    },
+                },
+            },
+            "scenario.initial_state.sigma",
+        ),
+        (
+            lambda r: {
+                **r,
+                "scenario": {
+                    **r["scenario"],
+                    "true_disturbance": {"type": "uniform", "lo": [0, 0], "high": [1, 1]},
+                },
+            },
+            "scenario.true_disturbance.high",
+        ),
     ],
 )
 def test_config_errors_carry_field_paths(mutate, field):
@@ -308,7 +341,7 @@ def small_setup():
 def test_batched_rollouts_match_single_runs(small_setup):
     cfg, wdrc_ctrl, lqg_ctrl = small_setup
     wdrc_costs, lqg_costs = simulate_paired(
-        wdrc_ctrl, lqg_ctrl, cfg.scenario, cfg.sys, cfg.cost, runs=6
+        [wdrc_ctrl, lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=6
     )
     for run in range(6):
         for ctrl, costs in ((wdrc_ctrl, wdrc_costs), (lqg_ctrl, lqg_costs)):
@@ -331,25 +364,26 @@ def test_batched_rollouts_match_single_runs(small_setup):
 def test_worker_count_does_not_change_results(small_setup):
     cfg, wdrc_ctrl, lqg_ctrl = small_setup
     serial = simulate_paired(
-        wdrc_ctrl, lqg_ctrl, cfg.scenario, cfg.sys, cfg.cost, runs=10, jobs=1
+        [wdrc_ctrl, lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=10, jobs=1
     )
     parallel = simulate_paired(
-        wdrc_ctrl, lqg_ctrl, cfg.scenario, cfg.sys, cfg.cost, runs=10, jobs=3
+        [wdrc_ctrl, lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=10, jobs=3
     )
     assert np.array_equal(serial[0], parallel[0])
     assert np.array_equal(serial[1], parallel[1])
 
 
 def test_single_policy_simulation(small_setup):
+    """A one-controller list returns that controller's array of the
+    two-controller call: every controller sees the same draws."""
     cfg, wdrc_ctrl, lqg_ctrl = small_setup
-    wdrc_only, none_lqg = simulate_paired(
-        wdrc_ctrl, None, cfg.scenario, cfg.sys, cfg.cost, runs=4
+    both = simulate_paired(
+        [wdrc_ctrl, lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=4
     )
-    assert none_lqg is None and wdrc_only.shape == (4,)
-    none_wdrc, lqg_only = simulate_paired(
-        None, lqg_ctrl, cfg.scenario, cfg.sys, cfg.cost, runs=4
-    )
-    assert none_wdrc is None and lqg_only.shape == (4,)
+    for ctrl, paired in zip((wdrc_ctrl, lqg_ctrl), both):
+        (alone,) = simulate_paired([ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=4)
+        assert alone.shape == (4,)
+        assert np.array_equal(alone, paired)
 
 
 @pytest.fixture(scope="module")
@@ -364,8 +398,19 @@ def test_campaign_populates_result(campaign):
     assert campaign.calibration is None
     assert campaign.certificate is not None
     assert campaign.certificate.lam == 4.0
-    assert campaign.wdrc.count == 8 and campaign.lqg.count == 8
-    assert campaign.wdrc_ctrl is not None and campaign.lqg_ctrl is not None
+    assert list(campaign.stats) == ["wdrc", "lqg"]
+    assert campaign.stats["wdrc"].count == 8 and campaign.stats["lqg"].count == 8
+    assert list(campaign.policies) == ["wdrc", "lqg"]
+    assert campaign.policies["wdrc"].solution.lam == 4.0
+
+
+@pytest.mark.parametrize("mode", ["wdrc", "lqg"])
+def test_single_policy_campaign_reuses_the_paired_draws(campaign, mode):
+    """A one-policy campaign simulates that policy on the draws of the
+    paired campaign: its costs equal the paired ones bit for bit."""
+    result = run_campaign(config_from_dict(base_config()), mode=mode)
+    assert list(result.stats) == list(result.policies) == [mode]
+    assert np.array_equal(result.stats[mode].costs, campaign.stats[mode].costs)
 
 
 def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
@@ -393,17 +438,18 @@ def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
 
     _, nominal, p0 = prepare(cfg)
     fresh = synthesize_wdrc(cfg.sys, cfg.cost, nominal, result.lam, p0)
-    assert result.wdrc_ctrl is result.calibration.controller
-    assert result.wdrc_ctrl.solution.lam == result.lam
+    ctrl = result.policies["wdrc"]
+    assert ctrl is result.calibration.controller
+    assert result.lam == result.calibration.lam
     for field in ("P", "S", "r", "z", "K", "L", "Phi"):
         assert np.array_equal(
-            getattr(result.wdrc_ctrl.solution, field), getattr(fresh.solution, field)
+            getattr(ctrl.solution, field), getattr(fresh.solution, field)
         )
     for field in ("post_covs", "prior_covs", "gains"):
         assert np.array_equal(
-            getattr(result.wdrc_ctrl.schedule, field), getattr(fresh.schedule, field)
+            getattr(ctrl.schedule, field), getattr(fresh.schedule, field)
         )
-    for mine, theirs in zip(result.wdrc_ctrl.schedule.solves, fresh.schedule.solves):
+    for mine, theirs in zip(ctrl.schedule.solves, fresh.schedule.solves):
         assert np.array_equal(mine.cov, theirs.cov)
         assert mine.z_tilde == theirs.z_tilde
 
@@ -454,7 +500,7 @@ def test_campaign_seed_and_run_overrides():
     result = run_campaign(config_from_dict(base_config()), seed=11, runs=3)
     assert result.seed == 11
     assert result.runs == 3
-    assert result.wdrc.count == 3
+    assert result.stats["wdrc"].count == 3
 
 
 def test_campaign_rejects_bad_mode():
@@ -466,8 +512,8 @@ def test_campaign_lqg_only_mode():
     result = run_campaign(config_from_dict(base_config()), mode="lqg", runs=4)
     assert result.lam is None
     assert result.certificate is None
-    assert result.wdrc is None
-    assert result.lqg.count == 4
+    assert list(result.stats) == list(result.policies) == ["lqg"]
+    assert result.stats["lqg"].count == 4
 
 
 def test_emit_reports_schema(campaign, tmp_path):
@@ -478,8 +524,8 @@ def test_emit_reports_schema(campaign, tmp_path):
     assert len(costs_lines) == campaign.runs + 1
     first = costs_lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[1]) == campaign.wdrc.costs[0]
-    assert float(first[2]) == campaign.lqg.costs[0]
+    assert float(first[1]) == campaign.stats["wdrc"].costs[0]
+    assert float(first[2]) == campaign.stats["lqg"].costs[0]
 
     hist_lines = open(paths["histogram"]).read().splitlines()
     assert hist_lines[0] == "bin_lo,bin_hi,wdrc_count,lqg_count"
@@ -492,7 +538,7 @@ def test_emit_reports_schema(campaign, tmp_path):
     assert summary["runs"] == campaign.runs
     assert summary["lam"] == campaign.lam
     assert summary["config"] == base_config()
-    assert summary["statistics"]["wdrc"]["mean"] == campaign.wdrc.mean
+    assert summary["statistics"]["wdrc"]["mean"] == campaign.stats["wdrc"].mean
     assert summary["certificate"]["rho"] == campaign.certificate.rho
     assert "mean_z" in summary["paired_tests"]
     assert "calibration" not in summary

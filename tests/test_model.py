@@ -11,7 +11,6 @@ from wdrc.model import (
     CostSpec,
     GaussianSpec,
     LinearSystem,
-    RobustnessParams,
     ScenarioSpec,
     UniformSpec,
     draw_nominal_samples,
@@ -48,13 +47,6 @@ def test_cost_spec_validation():
         CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=np.zeros((1, 1)), horizon=3)
     with pytest.raises(ValueError):
         CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=np.eye(1), horizon=0)
-
-
-def test_robustness_params_validation():
-    with pytest.raises(ValueError):
-        RobustnessParams(lam=0.0, theta=0.1)
-    with pytest.raises(ValueError):
-        RobustnessParams(lam=1.0, theta=-0.1)
 
 
 def test_gaussian_spec_sampling_moments():

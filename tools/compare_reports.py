@@ -34,6 +34,9 @@ the tree) on the configs of this repository:
   has the hardest stage;
 - ``wdrc calibrate`` on the same three configs at the config's seed:
   exit code and its JSON;
+- ``wdrc synthesize`` on ``gaussian.yaml`` (calibrated penalty), on the
+  pinned ``gaussian.yaml`` and on ``gaussian.yaml`` with ``--lam 4``:
+  exit code and the JSON of the policy's coefficients;
 - ``wdrc oracle --seed 0`` to ``--seed 5``: exit code and stdout.
 
 One line per output says whether it is identical; a file written on one
@@ -109,6 +112,9 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         out.append((f"simulate {' '.join([name, *flags])}", argv, out_dir))
     for name in CONFIGS:
         out.append((f"calibrate {name}", ["calibrate", "--config", f"{name}.yaml"], None))
+    for name, flags in (("gaussian", []), ("gaussian-lam4", []), ("gaussian", ["--lam", "4"])):
+        argv = ["synthesize", "--config", f"{name}.yaml", *flags]
+        out.append((f"synthesize {' '.join([name, *flags])}", argv, None))
     for seed in ORACLE_SEEDS:
         out.append((f"oracle seed={seed}", ["oracle", "--seed", str(seed)], None))
     return out
