@@ -9,15 +9,16 @@ order or worker layout.
 
 Each law draws in two steps: its generator method fills standardized
 numbers (standard normals or unit-interval draws) and its affine map
-turns them into draws.  A campaign draws its runs with
+turns them into draws.  A campaign draws each block of runs with
 :func:`draw_realizations`, which keys one run stream after the other
-in blocks and maps each block's numbers in one call per law, bit for
-bit the per-run draws of :func:`draw_realization`.
+and maps the block's numbers in one call per law, bit for bit the
+per-run draws of :func:`draw_realization`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence, Union
 
 import numpy as np
@@ -390,11 +391,6 @@ def draw_realization(
     return Realization(x0=x0s[0], w=w[0], v=v[0])
 
 
-# Runs per block of draw_realizations.  The block's standardized numbers
-# take about 1.2 MiB on the bundled configs; whole-chunk buffers instead
-# raised the peak memory of a 20,000-run gaussian campaign from 65 to
-# 88 MiB.
-_BLOCK = 1024
 _MASK32 = 0xFFFFFFFF
 
 
@@ -451,12 +447,19 @@ def draw_realizations(
     Returns ``(x0s, w, v)`` of shapes ``(count, n_x)``,
     ``(count, horizon, n_x)`` and ``(count, horizon + 1, n_y)``; row
     ``i`` is bitwise the realization :func:`draw_realization` gives run
-    ``start + i``.  Runs go in blocks of ``_BLOCK``: one vectorized pass
-    derives the block's stream keys, one Philox generator is re-keyed
-    per run through its ``state`` setter and fills the run's rows of the
-    block's buffers, and each law maps a whole buffer into the output
-    in one call.  A run's draw thus costs its stream and its samples
-    only.
+    ``start + i``.  ``w`` and ``v`` are views of time-major arrays:
+    swapping their first two axes gives contiguous arrays whose stage
+    ``t`` holds the rows of every run.
+
+    One vectorized pass derives the runs' stream keys, and one Philox
+    generator is re-keyed per run through its ``state`` setter.
+    Consecutive laws that draw with the same generator method share one
+    fill call per run: numpy's generator carries nothing between draws
+    of one method, so one call of ``k + m`` numbers gives the numbers of
+    a call of ``k`` followed by one of ``m``.  Each law then maps its
+    slice of every run's numbers in one call.  A run's draw thus costs
+    its stream and its samples only.  The buffers grow with ``count``;
+    a campaign passes one block of runs at a time.
 
     Raises:
         DimMismatch: If the noise law does not match the plant's outputs.
@@ -469,26 +472,37 @@ def draw_realizations(
         )
     if start < 0 or start + count > 2**64:
         raise ValueError(f"run indices {start}..{start + count - 1} leave [0, 2**64)")
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # counter and buffer of a fresh stream
+    rng = np.random.Generator(bitgen)
     laws = (
         (scenario.initial_state, 1),
         (scenario.true_disturbance, horizon),
         (scenario.noise, horizon + 1),
     )
-    outs = [np.empty((count, rows, law.dim)) for law, rows in laws]
-    raws = [np.empty((min(count, _BLOCK), rows, law.dim)) for law, rows in laws]
-    bitgen = np.random.Philox(0)
-    state = bitgen.state  # counter and buffer of a fresh stream
-    rng = np.random.Generator(bitgen)
-    fills = [law.unit_draws(rng) for law, _ in laws]
-    for lo in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - lo)
-        runs = np.arange(start + lo, start + lo + n, dtype=np.uint64)
-        for i, key in enumerate(_run_keys(scenario.seed, runs).tolist()):
-            state["state"]["key"] = key
-            bitgen.state = state
-            for fill, raw in zip(fills, raws):
-                fill(out=raw[i])
-        for (law, _), raw, out in zip(laws, raws, outs):
-            law.from_unit(raw[:n], out=out[lo : lo + n])
+    # (fill, [(law, rows)]) per stretch of laws drawing with one method.
+    groups = [
+        (fill, list(members))
+        for fill, members in groupby(laws, key=lambda lr: lr[0].unit_draws(rng))
+    ]
+    raws = [
+        np.empty((count, sum(rows * law.dim for law, rows in members)))
+        for _, members in groups
+    ]
+    runs = np.arange(start, start + count, dtype=np.uint64)
+    for i, key in enumerate(_run_keys(scenario.seed, runs).tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        for (fill, _), raw in zip(groups, raws):
+            fill(out=raw[i])
+    outs = []
+    for (_, members), raw in zip(groups, raws):
+        offset = 0
+        for law, rows in members:
+            size = rows * law.dim
+            unit = raw[:, offset : offset + size].reshape(count, rows, law.dim)
+            out = np.swapaxes(np.empty((rows, count, law.dim)), 0, 1)
+            outs.append(law.from_unit(unit, out=out))
+            offset += size
     x0s, w, v = outs
     return x0s[:, 0], w, v

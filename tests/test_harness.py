@@ -6,13 +6,19 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from wdrc.bounds import calibrate_lambda, certified_bounds
 from wdrc.controller import lqg_gains, synthesize_wdrc
 from wdrc.errors import ConfigError
-from wdrc.estimator import initial_posterior_cov
+from wdrc.estimator import initial_posterior_cov, kalman_gain
 from wdrc.harness import (
+    _BLOCK,
     CostStatistics,
+    _draw_block,
+    _quad_form,
+    _roll_batch,
     build_histogram,
     config_from_dict,
     emit_reports,
@@ -361,16 +367,69 @@ def test_batched_rollouts_match_single_runs(small_setup):
                 assert np.array_equal(ref.belief_covs, lqg_ctrl.post_covs)
 
 
+def _assert_split_keeps_costs(cfg, ctrls, runs, jobs_options):
+    serial = simulate_paired(ctrls, cfg.scenario, cfg.sys, cfg.cost, runs, jobs=1)
+    for jobs in jobs_options:
+        parallel = simulate_paired(ctrls, cfg.scenario, cfg.sys, cfg.cost, runs, jobs)
+        for a, b in zip(serial, parallel):
+            assert a.tobytes() == b.tobytes(), f"jobs={jobs}"
+
+
 def test_worker_count_does_not_change_results(small_setup):
+    """Chunks of 4/4/2 and of 3/3/3/1 runs: a one-run chunk rounds like
+    every other batch."""
     cfg, wdrc_ctrl, lqg_ctrl = small_setup
-    serial = simulate_paired(
-        [wdrc_ctrl, lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=10, jobs=1
-    )
-    parallel = simulate_paired(
-        [wdrc_ctrl, lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs=10, jobs=3
-    )
-    assert np.array_equal(serial[0], parallel[0])
-    assert np.array_equal(serial[1], parallel[1])
+    _assert_split_keeps_costs(cfg, [wdrc_ctrl, lqg_ctrl], 10, (3, 4))
+
+
+@pytest.mark.parametrize("runs", [_BLOCK + 1, 2 * _BLOCK + 1], ids=["B+1", "2B+1"])
+def test_runs_across_block_edges_do_not_depend_on_the_split(small_setup, runs):
+    """Serial blocks end in a one-run block; two and three workers cut
+    the runs elsewhere, inside and at block edges."""
+    cfg, wdrc_ctrl, lqg_ctrl = small_setup
+    _assert_split_keeps_costs(cfg, [wdrc_ctrl, lqg_ctrl], runs, (2, 3))
+
+
+def test_trace_run_is_the_campaign_row_bit_for_bit(small_setup):
+    """The traced run of a batch of one is that run's row of a larger
+    batch, bit for bit."""
+    cfg, wdrc_ctrl, lqg_ctrl = small_setup
+    x0_dist = cfg.scenario.initial_state
+    init_gain = kalman_gain(x0_dist.cov(), cfg.sys)
+    block = _draw_block(cfg.scenario, cfg.sys, cfg.cost.horizon, 0, 10)
+    fields = ("state", "observation", "belief_mean", "input", "worst_case_mean")
+    for ctrl in (wdrc_ctrl, lqg_ctrl):
+        stages: list = []
+        _roll_batch(ctrl, init_gain, cfg.sys, cfg.cost, x0_dist, *block, stages)
+        for run in (0, 7):
+            trace = trace_run(ctrl, cfg.scenario, cfg.sys, cfg.cost, run)
+            for k, key in enumerate(fields):
+                if key not in trace:
+                    continue
+                want = np.stack([row[k][run] for row in stages if k < len(row)])
+                assert trace[key].tobytes() == want.tobytes(), key
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=hs.integers(1, 3),
+    batch=hs.integers(1, 5000),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_quad_form_is_einsum_bit_for_bit(n, batch, seed):
+    """The helper gives every row the bits einsum gives it in a batch of
+    three rows or more, also for exact zeros, whose signs einsum's sum
+    from zero fixes.  On one or two rows of 2-vectors einsum itself
+    sums the two ``k`` terms of each ``j`` first, in another order."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((batch, n)) * 10.0 ** rng.integers(-3, 4, (batch, n))
+    X[rng.random((batch, n)) < 0.05] = 0.0
+    M = rng.standard_normal((n, n))
+    tripled = np.concatenate([X, X, X])
+    want = np.einsum("ij,jk,ik->i", tripled, M, tripled)[:batch]
+    assert _quad_form(X, M).tobytes() == want.tobytes()
+    if batch >= 3:
+        assert want.tobytes() == np.einsum("ij,jk,ik->i", X, M, X).tobytes()
 
 
 def test_single_policy_simulation(small_setup):

@@ -21,11 +21,12 @@ the tree) on the configs of this repository:
 - the single-policy campaigns, the same way: ``wdrc simulate`` on the
   pinned ``gaussian.yaml`` with ``--mode lqg`` and on ``uniform.yaml``
   with ``--mode wdrc``;
-- the edges of the blocked run sampler, the same way: ``wdrc simulate``
-  on ``gaussian.yaml`` with ``--runs 2500 --jobs 2``, whose second chunk
-  starts at run 1250, inside a sampling block, and on ``uniform.yaml``
-  with ``--dump-trace --trace-run 1777``, which adds the two trace
-  files;
+- the edges of the run blocks, the same way: ``wdrc simulate`` on
+  ``gaussian.yaml`` with ``--runs 2500 --jobs 2``, whose second chunk
+  starts at run 1250, inside a block; on the pinned ``gaussian.yaml``
+  with ``--runs 8193``, two full blocks of 4096 runs and a trailing
+  single run; and on ``uniform.yaml`` with ``--dump-trace --trace-run
+  1777``, which adds the two trace files;
 - ``wdrc simulate`` on ``gaussian.yaml`` at ``--seed 2813``, whose
   calibration holds the longest multiplier search of the certificates,
   at ``--seed 411`` and ``--seed 1617``, whose calibrations hold the
@@ -102,6 +103,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         ("gaussian-lam4", ["--mode", "lqg"], "out-lqg"),
         ("uniform", ["--mode", "wdrc"], "out-wdrc"),
         ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
+        ("gaussian-lam4", ["--runs", "8193"], "out-8193"),
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
         ("gaussian", ["--seed", "2813"], "out-2813"),
         ("gaussian", ["--seed", "411"], "out-411"),
