@@ -161,7 +161,7 @@ def closed_loop(
     Qz[..., n:, n:] = KR @ K
     KRL = np.einsum("stij,stj->sti", KR, L)
     qz = np.concatenate([np.zeros((k, T, n)), KRL], axis=2)
-    cz = np.einsum("sti,ij,stj->st", L, cost.R, L)
+    cz = np.vecdot(L @ cost.R, L)
     Qf = np.zeros((2 * n, 2 * n))
     Qf[:n, :n] = cost.Q_f
 

@@ -450,6 +450,34 @@ def test_stacked_certificates_equal_stacks_of_one(name, seed, monkeypatch):
     assert cal.evaluations[:33] == tuple(zip(grid, [math.inf, *bounds]))
 
 
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_two_input_certificates_equal_stacks_of_one(horizon, gaussian_scenario):
+    """With two inputs and a horizon of one or two stages, the stacked
+    certificates still equal stacks of one, bit for bit: the loop's
+    input-offset cost ``L' R L`` keeps its summation order on every
+    stack size."""
+    sys = LinearSystem(
+        A=np.array([[0.518, 0.266], [0.405, 0.806]]),
+        B=np.array([[-2.972, 0.4], [-2.271, 1.3]]),
+        C=np.array([[1.023, 1.955]]),
+        M=np.array([[0.2]]),
+    )
+    R = np.array([[1.0, 0.3], [0.3, 0.7]])
+    cost = CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=R, horizon=horizon)
+    stage = MomentPair(np.array([0.93, -0.51]), np.array([[0.02, 0.004], [0.004, 0.01]]))
+    nominal = NominalDistribution((stage,) * horizon)
+    x0_dist = gaussian_scenario.initial_state
+    p0 = initial_posterior_cov(x0_dist, sys)
+    lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
+    lams = [lam_min * 1.5**j for j in range(1, 17)]
+    ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
+    assert all(ctrl is not None for ctrl in ctrls)
+    for theta in (0.1, 0.0):
+        stacked = certified_bounds(ctrls, sys, cost, x0_dist, theta)
+        alone = [certified_bound(ctrl, sys, cost, x0_dist, theta) for ctrl in ctrls]
+        assert stacked == alone
+
+
 @pytest.mark.parametrize("name", ["gaussian", "uniform"])
 def test_calibration_schedules_converge_and_memoize_stationary_stages(
     name, monkeypatch
