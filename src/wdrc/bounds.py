@@ -27,26 +27,23 @@ model.  The ratio of that bound to the nominal LQG value quantifies
 the premium paid for robustness.
 
 ``calibrate_lambda`` picks the design penalty that minimizes the bound
-by a coarse log-grid scan followed by golden-section refinement,
-falling back to the best scanned point if refinement does not improve
-on it.  Penalties are synthesized in stacks: the backward passes
-(:func:`wdrc.riccati.backward_passes`) and the worst-case forward
-passes (:func:`wdrc.worstcase.forward_schedules`) of all the scan's
-penalties run as one stacked pass each, and the golden section passes
-the points of its next few steps, under every outcome of their
-comparisons, as one stack.  Each stack's feasible controllers are
-certified in one stacked call (:func:`certified_bounds`), and the
-feasibility boundary is bisected with the checks of several steps
-stacked (:func:`wdrc.riccati.min_feasible_lambda`).  The controller at
-the chosen penalty and its certificate come with the result, so callers
-need not synthesize or certify it again.
+by a log-grid scan followed by two zoom scans, each strictly inside the
+bracket of the best point evaluated before it.  Penalties are
+synthesized in stacks: the backward passes
+(:func:`wdrc.riccati.backward_passes`) and the worst-case forward passes
+(:func:`wdrc.worstcase.forward_schedules`) of all of one scan's
+penalties run as one stacked pass each.  Each stack's feasible
+controllers are certified in one stacked call (:func:`certified_bounds`),
+and the feasibility boundary is bisected with the checks of several
+steps stacked (:func:`wdrc.riccati.min_feasible_lambda`).  The
+controller at the chosen penalty and its certificate come with the
+result, so callers need not synthesize or certify it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -113,13 +110,12 @@ class CalibrationResult:
     Attributes:
         lam: Design penalty minimizing the certified bound.
         objective: Certified bound at ``lam``.
-        hit_upper: True when the search ended at the bracket's upper
-            edge (the bound kept decreasing, as with ``theta = 0``).
-        evaluations: The ``(lam, objective)`` pairs the search
-            consumed, in order: the scan's, then the golden section's.
-            Points the golden section synthesized and certified ahead
-            but did not reach are not listed, so the trace is that of
-            the one-point-at-a-time search.
+        hit_upper: True when ``lam`` is the bracket's upper edge
+            ``lam_cap`` (the bound kept decreasing, as with ``theta =
+            0``).
+        evaluations: The ``(lam, objective)`` pair of every penalty
+            the search evaluated, in order: the scan's, then each zoom
+            scan's.
         controller: The robust controller synthesized at ``lam``.
         dual: Its :func:`certified_bound`, whose ``bound`` is
             ``objective``.
@@ -337,149 +333,68 @@ def calibrate_lambda(
     :func:`performance_ratio` reports; a penalty that is infeasible or
     whose worst-case schedule does not converge scores infinity.  The
     search runs over ``[lam_min, lam_cap]`` in log space, where
-    ``lam_min`` is the bisected feasibility boundary: a coarse scan
-    locates the basin, golden-section refines it to ``1e-3`` in ``log
-    lam`` (the bound is flat to about ``1e-7`` relative there), and the
-    better of the two wins.  The objective is a deterministic function
-    of ``lam``.
+    ``lam_min`` is the bisected feasibility boundary.  A scan of
+    ``scan_points`` points locates the basin; then, twice, the best
+    point evaluated so far and its two nearest evaluated neighbours
+    bracket a zoom scan of ``(scan_points - 3) // 2`` points evenly
+    spaced strictly inside each side of the best point (15 a side by
+    default).  Every zoom point lies strictly between evaluated
+    neighbours, so no penalty is evaluated twice.  The answer is the
+    best point evaluated, the first of equal ones.  The objective is a
+    deterministic function of ``lam``.
 
-    Controllers are synthesized in stacks (:func:`_synthesize_stacked`):
-    the scan's penalties in one, and the golden section's points a few
-    steps ahead in each (:func:`_golden_min`).  Each stack's feasible
-    controllers are certified in one :func:`certified_bounds` call, and
-    the search then reads the stored values of the points it consumes,
-    so the certificates, the ``evaluations`` trace and the result are
-    those of the one-point-at-a-time search.
+    Each of the three scans synthesizes its penalties in one stack
+    (:func:`_synthesize_stacked`) and certifies their feasible
+    controllers in one :func:`certified_bounds` call, so every value is
+    that of its penalty alone.
 
     Raises:
-        NoFeasibleLambda: If no penalty in the bracket yields a finite
-            objective.
+        NoFeasibleLambda: If no penalty of the first scan yields a
+            finite objective.
     """
     x0_dist = scenario.initial_state
     lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * lam_cap, hi=lam_cap)
     p0 = initial_posterior_cov(x0_dist, sys)
 
+    lo, hi = math.log(lam_min), math.log(lam_cap)
+    points = np.linspace(lo, hi, scan_points).tolist()
+    half = (scan_points + 1) // 2
+    tried: list[float] = []
     evaluations: list[tuple[float, float]] = []
-
-    def score(s: float, ctrl: WdrcController | None, dual: DualBound | None):
-        val = math.inf if dual is None else dual.bound
-        evaluations.append((math.exp(s), val))
-        return val, (ctrl, dual)
-
-    def synthesize(points):
+    # (bound, log lam, controller, certificate) of the best point so far
+    best = (math.inf, lo, None, None)
+    for _ in range(3):
         lams = [math.exp(s) for s in points]
         ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
         feasible = [ctrl for ctrl in ctrls if ctrl is not None]
         duals = iter(certified_bounds(feasible, sys, cost, x0_dist, theta))
-        return [
-            partial(score, s, ctrl, None if ctrl is None else next(duals))
-            for s, ctrl in zip(points, ctrls)
+        for s, lam, ctrl in zip(points, lams, ctrls):
+            dual = None if ctrl is None else next(duals)
+            value = math.inf if dual is None else dual.bound
+            evaluations.append((lam, value))
+            if value < best[0]:
+                best = (value, s, ctrl, dual)
+        if best[2] is None:
+            raise NoFeasibleLambda(
+                f"guaranteed bound is infinite throughout [{lam_min}, {lam_cap}]"
+            )
+        tried.extend(points)
+        s_star = best[1]
+        a = max((s for s in tried if s < s_star), default=s_star)
+        b = min((s for s in tried if s > s_star), default=s_star)
+        points = [
+            s
+            for side in ((a, s_star), (s_star, b))
+            if side[0] < side[1]
+            for s in np.linspace(*side, half)[1:-1].tolist()
         ]
 
-    lo, hi = math.log(lam_min), math.log(lam_cap)
-    grid = np.linspace(lo, hi, scan_points)
-    scored = [g() for g in synthesize(grid)]
-    scanned = np.array([val for val, _ in scored])
-    if not np.isfinite(scanned).any():
-        raise NoFeasibleLambda(
-            f"guaranteed bound is infinite throughout [{lam_min}, {lam_cap}]"
-        )
-    best = int(np.argmin(scanned))
-    scan_best = scored[best][1]
-    del scored  # only the scan's winner is kept through the refinement
-
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, scan_points - 1)]
-    s_star, (g_star, (ctrl, dual)) = _golden_min(synthesize, a, b, tol=1e-3)
-    if scanned[best] < g_star:
-        s_star, g_star, (ctrl, dual) = grid[best], float(scanned[best]), scan_best
-
-    hit_upper = best >= scan_points - 1 and s_star >= hi - 1e-6
+    objective, s_star, ctrl, dual = best
     return CalibrationResult(
         lam=math.exp(s_star),
-        objective=g_star,
-        hit_upper=hit_upper,
+        objective=objective,
+        hit_upper=s_star == hi,
         evaluations=tuple(evaluations),
         controller=ctrl,
         dual=dual,
     )
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps evaluated per call of the objective.  The points
-# of the next steps form a binary tree over the outcomes of their
-# comparisons, 2^_LOOKAHEAD - 1 points per call; a stacked pass over 7
-# penalties costs little more than over 1, while deeper trees waste most
-# of their points.
-_LOOKAHEAD = 3
-
-
-def _golden_step(state: tuple, keep_left: bool) -> tuple[tuple, float]:
-    """One golden-section step on ``state = (a, b, c, d)``: keep ``[a,
-    d]`` when ``keep_left`` (``f(c) <= f(d)``), else ``[c, b]``.  Returns
-    the new state and the point it adds."""
-    a, b, c, d = state
-    if keep_left:
-        b, d = d, c
-        c = b - _INVPHI * (b - a)
-        return (a, b, c, d), c
-    a, c = c, d
-    d = a + _INVPHI * (b - a)
-    return (a, b, c, d), d
-
-
-def _golden_plan(state: tuple, tol: float, depth: int) -> list[float]:
-    """The points the next ``depth`` steps from ``state`` can add,
-    whichever way their comparisons go."""
-    points = []
-    frontier = [state]
-    for _ in range(depth):
-        nxt = []
-        for a, b, c, d in frontier:
-            if b - a > tol:
-                for keep_left in (True, False):
-                    step, x = _golden_step((a, b, c, d), keep_left)
-                    points.append(x)
-                    nxt.append(step)
-        frontier = nxt
-    return points
-
-
-def _golden_min(f, a: float, b: float, tol: float):
-    """Golden-section minimization on ``[a, b]``, evaluated ahead.
-
-    ``f`` maps a list of points to one zero-argument callable per point,
-    which returns that point's ``(value, payload)``; the result is ``(x,
-    (value, payload))`` at the best point found.  Whenever the search
-    needs a point it has not passed to ``f``, it passes that point
-    together with every point the following ``_LOOKAHEAD - 1`` steps can
-    add, whichever way their comparisons go.  It calls back only the
-    points the plain one-point-at-a-time search evaluates, in the same
-    order and from the same arithmetic, so it returns what that search
-    returns; it passes no point twice while the point stays within
-    reach, and it holds the callables of the points it can still reach,
-    no others.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    held = {}
-
-    def consume(points: list[float], state: tuple) -> list:
-        # The values at ``points``, needed at ``state``; afterwards
-        # ``held`` keeps the callables of the points the next steps add.
-        nonlocal held
-        reach = _golden_plan(state, tol, _LOOKAHEAD - 1)
-        if any(p not in held for p in points):
-            new = [p for p in dict.fromkeys([*points, *reach]) if p not in held]
-            held.update(zip(new, f(new)))
-        values = [held[p]() for p in points]
-        held = {p: held[p] for p in reach if p in held}
-        return values
-
-    fc, fd = consume([c, d], (a, b, c, d))
-    while b - a > tol:
-        keep_left = fc[0] <= fd[0]
-        (a, b, c, d), x = _golden_step((a, b, c, d), keep_left)
-        (fx,) = consume([x], (a, b, c, d))
-        fc, fd = (fx, fc) if keep_left else (fd, fx)
-    return (c, fc) if fc[0] <= fd[0] else (d, fd)

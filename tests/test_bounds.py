@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from wdrc.bounds import (
     _exact_value,
-    _golden_min,
     _synthesize_stacked,
     calibrate_lambda,
     certified_bound,
@@ -303,103 +301,41 @@ def _bound_at(cfg, scenario, nominal, p0, lam: float) -> float:
     ).bound
 
 
-def _sequential_golden(f, a: float, b: float, tol: float):
-    """Golden section one point at a time: the reference search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-@pytest.mark.parametrize(
-    "objective, a, b",
-    [
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
-        (lambda x: 1.0, 0.0, 1.0),  # every comparison a tie
-        (lambda x: math.inf if x < 0.6 else (x - 0.7) ** 2, 0.0, 1.0),
-        (lambda x: math.inf if x < 0.9 else 1.0, 0.0, 1.0),
-        (lambda x: x, -2.0, 3.0),  # minimum at the left edge
-        (lambda x: -x, -2.0, 3.0),  # and at the right edge
-        (lambda x: abs(x - 0.5), 0.0, 0.0005),  # no step at all
-    ],
-    ids=["smooth", "ties", "inf-plateau", "inf-to-edge", "left-edge", "right-edge", "no-step"],
-)
-def test_golden_section_ahead_equals_sequential(objective, a, b):
-    """The search evaluated ahead consumes the points the sequential
-    search evaluates, in its order, and returns its point, value and
-    payload; it passes each point ahead once, in few calls."""
-    consumed, passed, calls = [], [], []
-
-    def reference(x):
-        consumed.append(x)
-        return objective(x)
-
-    want = _sequential_golden(reference, a, b, 1e-3)
-    sequence, consumed = consumed, []
-
-    def ahead(points):
-        calls.append(len(points))
-        passed.extend(points)
-
-        def value(x):
-            consumed.append(x)
-            return objective(x), ("payload", x)
-
-        return [partial(value, x) for x in points]
-
-    x, (val, payload) = _golden_min(ahead, a, b, 1e-3)
-    assert (x, val) == want
-    assert payload == ("payload", x)
-    assert consumed == sequence
-    assert len(set(passed)) == len(passed)
-    assert set(consumed) <= set(passed)
-    # The first call covers c, d and two steps, every later one three.
-    steps = len(sequence) - 2
-    assert len(calls) <= 1 + max(0, -(-(steps - 2) // 3))
-    assert max(calls) <= 8
-
-
 @pytest.mark.parametrize("name", ["gaussian", "uniform"])
 @pytest.mark.parametrize("seed", [None, 12])
 def test_stacked_scan_equals_objective_per_penalty(name, seed):
-    """Calibration is the one-penalty-at-a-time search, bit for bit:
-    its evaluations are the objective from ``synthesize_wdrc`` and
-    ``certified_bound`` at the scan's points (``lam_min`` first, and
-    finite), then at the points a sequential golden section consumes,
-    and its penalty, objective, certificate and controller (its
-    worst-case mean map ``H``, ``h`` included) are that search's."""
+    """Calibration is the nested-zoom search one penalty at a time, bit
+    for bit: its evaluations are the objective from ``synthesize_wdrc``
+    and ``certified_bound`` at the scan's points (``lam_min`` first, and
+    finite), then at each zoom scan's, 15 points strictly inside each
+    side of the best point evaluated before it, so never on an
+    evaluated point.  Its objective is the least evaluation, and its
+    penalty, certificate and controller (its worst-case mean map ``H``,
+    ``h`` included) are that point's."""
     cfg, scenario, nominal, p0 = _bundled(name, seed)
     cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     lam_min = min_feasible_lambda(cfg.sys, cfg.cost, 1e-3, 1e6)
-    grid = np.linspace(math.log(lam_min), math.log(1e6), 33)
-    expected = []
+    points = np.linspace(math.log(lam_min), math.log(1e6), 33)
+    tried, values, brackets = [], [], []
+    for _ in range(3):
+        if brackets:
+            a, b = brackets[-1]
+            assert a < points.min() and points.max() < b
+        tried.extend(points)
+        values += [_bound_at(cfg, scenario, nominal, p0, math.exp(s)) for s in points]
+        s_star = tried[int(np.argmin(values))]
+        a = max((s for s in tried if s < s_star), default=s_star)
+        b = min((s for s in tried if s > s_star), default=s_star)
+        brackets.append((a, b))
+        sides = [side for side in ((a, s_star), (s_star, b)) if side[0] < side[1]]
+        points = np.concatenate([np.linspace(*side, 17)[1:-1] for side in sides])
 
-    def objective(s):
-        lam = math.exp(s)
-        expected.append((lam, _bound_at(cfg, scenario, nominal, p0, lam)))
-        return expected[-1][1]
-
-    scanned = [objective(s) for s in grid]
-    assert math.isfinite(scanned[0])
-    best = int(np.argmin(scanned))
-    s_star, g_star = _sequential_golden(
-        objective, grid[max(best - 1, 0)], grid[min(best + 1, 32)], 1e-3
-    )
-    if scanned[best] < g_star:
-        s_star, g_star = grid[best], scanned[best]
-
-    assert cal.evaluations == tuple(expected)
-    assert (cal.lam, cal.objective, cal.dual.bound) == (math.exp(s_star), g_star, g_star)
+    assert math.isfinite(values[0])
+    assert len(set(tried)) == len(tried)
+    assert brackets[0][0] <= brackets[1][0] < brackets[1][1] <= brackets[0][1]
+    assert cal.evaluations == tuple(zip(map(math.exp, tried), values))
+    assert cal.objective == cal.dual.bound == min(values)
+    assert cal.lam == math.exp(tried[int(np.argmin(values))])
     fresh = synthesize_wdrc(cfg.sys, cfg.cost, nominal, cal.lam, p0)
     assert np.array_equal(cal.controller.solution.K, fresh.solution.K)
     assert np.array_equal(cal.controller.schedule.gains, fresh.schedule.gains)
@@ -464,8 +400,8 @@ def test_two_input_certificates_equal_stacks_of_one(horizon, gaussian_scenario):
     )
     R = np.array([[1.0, 0.3], [0.3, 0.7]])
     cost = CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=R, horizon=horizon)
-    stage = MomentPair(np.array([0.93, -0.51]), np.array([[0.02, 0.004], [0.004, 0.01]]))
-    nominal = NominalDistribution((stage,) * horizon)
+    cov = np.array([[0.02, 0.004], [0.004, 0.01]])
+    nominal = NominalDistribution((MomentPair(np.array([0.93, -0.51]), cov),) * horizon)
     x0_dist = gaussian_scenario.initial_state
     p0 = initial_posterior_cov(x0_dist, sys)
     lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
