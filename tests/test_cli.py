@@ -171,15 +171,19 @@ def test_bad_model_matrix_exits_with_config_code(
 
 def test_imports_leave_scipy_and_the_oracles_unloaded():
     """The CLI loads neither scipy nor the oracles until ``wdrc oracle``
-    runs, and the oracles need ``scipy.special`` only, not
-    ``scipy.stats``."""
+    runs, the oracles load no scipy until their first quadrature, and
+    that needs ``scipy.special`` only, not ``scipy.stats``."""
     code = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import wdrc.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
+        "assert not scipy_modules(), scipy_modules()\n"
         "assert 'wdrc.oracles' not in sys.modules\n"
         "import wdrc.oracles\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "wdrc.oracles.gaussian_w2_quadrature(0.0, 1.0, 0.5, 2.0, points=11)\n"
+        "assert 'scipy.special' in sys.modules\n"
         "assert 'scipy.stats' not in sys.modules\n"
     )
     src = str(Path(wdrc.__file__).resolve().parents[1])

@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_psd
 from test_worstcase import _context
+from wdrc import oracles
 from wdrc.oracles import (
+    _grid_max_rows,
+    _linspace_rows,
     _saddle_mean_term,
     _saddle_var_term,
     bracket_max,
+    fd_gradient_sym,
     grid_max,
+    t1_scalar_saddle,
 )
 from wdrc.worstcase import cov_objective
 
@@ -78,3 +84,133 @@ def test_grids_on_saddle_terms_match_per_point_formulas(seed):
         ) == grid_max(
             _per_point(mean_point), w_hat - span, w_hat + span, 401, refinements=3
         )
+
+
+def _loop_grid_max(f, lo, hi, points, refinements):
+    """One grid at a time on scalar bounds, as ``grid_max`` was written
+    before it gridded rows."""
+    xs = np.linspace(lo, hi, points)
+    vals = f(xs)
+    k = int(np.argmax(vals))
+    for _ in range(refinements):
+        lo = xs[max(k - 1, 0)]
+        hi = xs[min(k + 1, points - 1)]
+        xs = np.linspace(lo, hi, points)
+        vals = f(xs)
+        k = int(np.argmax(vals))
+    return float(xs[k]), float(vals[k])
+
+
+def _loop_saddle(a, b, q, q_f, r, lam, w_hat, sigma_hat, x0, grid_points):
+    """The saddle with one inner mean grid per control ``u``."""
+
+    def var_term(v):
+        return _saddle_var_term(v, q_f, lam, sigma_hat)
+
+    v_hi = bracket_max(var_term, 0.0, max(4.0 * sigma_hat, 1.0))
+    _, var_star = _loop_grid_max(var_term, 0.0, v_hi, grid_points, 2)
+    span = (abs(w_hat) + abs(x0) + 1.0) * max(4.0, 4.0 * q_f / (lam - q_f))
+
+    def stage_value(u):
+        m = a * x0 + b * u
+        _, mean_star = _loop_grid_max(
+            lambda w: _saddle_mean_term(w, m, q_f, lam, w_hat),
+            w_hat - span - abs(m),
+            w_hat + span + abs(m),
+            grid_points,
+            3,
+        )
+        return q * x0 * x0 + r * u * u + mean_star + var_star
+
+    u_span = (abs(x0) + abs(w_hat) + 1.0) * 8.0
+    us = np.linspace(-u_span, u_span, grid_points)
+    vals = np.array([stage_value(u) for u in us])
+    k = int(np.argmin(vals))
+    for _ in range(2):
+        lo, hi = us[max(k - 1, 0)], us[min(k + 1, us.size - 1)]
+        us = np.linspace(lo, hi, grid_points)
+        vals = np.array([stage_value(u) for u in us])
+        k = int(np.argmin(vals))
+    return float(vals[k])
+
+
+@pytest.mark.parametrize("seed, grid_points", [(3, 57), (4, 401), (8, 401)])
+def test_saddle_equals_the_loop_over_controls_bit_for_bit(
+    seed, grid_points, monkeypatch
+):
+    """The saddle's row blocks against one inner grid per control.  At
+    401 points an outer pass spans five blocks, the last one short; at
+    57 points it is one block.  No pass holds more than the cap."""
+    sizes = []
+
+    def recording(w, *args, **kwargs):
+        sizes.append(w.size)
+        return _saddle_mean_term(w, *args, **kwargs)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        a, b = rng.uniform(0.5, 1.5, 2)
+        q_f = float(rng.uniform(0.5, 2.0))
+        lam = q_f * float(rng.uniform(3.0, 6.0))
+        w_hat = float(rng.uniform(-0.5, 0.5))
+        sigma_hat = float(rng.uniform(0.05, 0.5))
+        x0 = float(rng.uniform(-1.0, 1.0))
+        args = (float(a), float(b), 1.0, q_f, 1.0, lam, w_hat, sigma_hat, x0)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "_saddle_mean_term", recording)
+            value = t1_scalar_saddle(*args, grid_points=grid_points)
+        assert value == _loop_saddle(*args, grid_points=grid_points)
+    blocks = -(-grid_points // (oracles._SADDLE_PASS_VALUES // grid_points))
+    assert len(sizes) == 2 * 3 * 4 * blocks
+    assert max(sizes) <= oracles._SADDLE_PASS_VALUES
+
+
+def test_rows_with_a_zero_step_leave_the_other_rows_their_bits():
+    """``np.linspace`` on array bounds changes how every row is scaled
+    once one row's step is 0; here a zero-width and a subnormal bracket
+    sit among ordinary ones."""
+    lo = np.array([0.1, 2.5, -1.3, 0.0, 5e-324, 0.7])
+    hi = np.array([0.7, 2.5, 4.1, 1e-320, 5e-324, 0.9])
+    points = 7
+    rows = _linspace_rows(lo, hi, points)
+    scalar = [np.linspace(l, h, points) for l, h in zip(lo, hi)]
+    for row, ref in zip(rows, scalar):
+        assert row.tobytes() == ref.tobytes()
+    # The bounds do trip numpy's whole-array rescaling.
+    raw = np.linspace(lo, hi, points, axis=1)
+    assert any(r.tobytes() != ref.tobytes() for r, ref in zip(raw, scalar))
+
+    def f(x):
+        return -((x - 0.3) * (x - 0.3))
+
+    x, val = _grid_max_rows(f, lo, hi, points, refinements=2)
+    for i in range(lo.size):
+        assert (x[i], val[i]) == grid_max(f, lo[i], hi[i], points, refinements=2)
+
+
+def _loop_fd_gradient_sym(f, x, h=1e-6):
+    """One pair of single-point calls per symmetric perturbation."""
+    n = x.shape[0]
+    g = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            d = np.zeros((n, n))
+            d[i, j] = 1.0
+            d[j, i] = 1.0
+            step = (f(x + h * d) - f(x - h * d)) / (2.0 * h)
+            if i == j:
+                g[i, i] = step
+            else:
+                g[i, j] = g[j, i] = step / 2.0
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_fd_gradient_equals_the_perturbation_loop(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(4):
+        ctx = _context(rng, n, max(1, n - 1))
+        sigma = random_psd(rng, n, jitter=0.05)
+        stacked = fd_gradient_sym(lambda s: cov_objective(s, ctx), sigma)
+        looped = _loop_fd_gradient_sym(lambda s: cov_objective(s, ctx), sigma)
+        assert stacked.tobytes() == looped.tobytes()
