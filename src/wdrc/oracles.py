@@ -6,7 +6,10 @@ closed forms that exist only in special cases, and a per-run filter
 loop (:func:`run_closed_loop`) for the batched rollouts.  Tests compare
 the fast implementations against these slow routes;
 ``run_oracle_suite`` bundles the same comparisons behind the ``oracle``
-CLI subcommand.
+CLI subcommand.  Its scalar worst-case covariance check grids the
+stage objective's own closed form for one state
+(:func:`_scalar_cov_objective`), so neither the grid nor the value it
+checks ``z_tilde`` against runs :func:`~wdrc.worstcase.cov_objective`.
 
 The grid searches (:func:`grid_max`, :func:`bracket_max`) take
 vectorized objectives: ``f`` maps a 1-D array of points to the array of
@@ -24,7 +27,7 @@ point-by-point loop would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -187,6 +190,25 @@ def fd_gradient_sym(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+# A few entries: the suite uses one grid size, and one 200,001-point
+# grid holds 1.6 MB.
+@lru_cache(maxsize=4)
+def _quantile_grid(points: int) -> np.ndarray:
+    """Standard normal quantiles at the midpoints of ``points`` equal
+    cells, ``ndtri((arange(points) + 0.5) / points)``.
+
+    Built once per ``points`` in a process; every caller shares the
+    array, so it is read-only.
+    """
+    # Imported here: scipy.special takes about 0.2 s to load, which only
+    # the first quadrature of a process needs to pay.
+    from scipy.special import ndtri
+
+    z = ndtri((np.arange(points) + 0.5) / points)
+    z.flags.writeable = False
+    return z
+
+
 def gaussian_w2_quadrature(
     mean_a: float, std_a: float, mean_b: float, std_b: float, points: int = 200001
 ) -> float:
@@ -195,14 +217,45 @@ def gaussian_w2_quadrature(
     Integrates the squared quantile gap by the midpoint rule, using
     nothing but the definition of the distance on the line.
     """
-    # Imported here: scipy.special takes about 0.2 s to load, which only
-    # the first quadrature of a process needs to pay.
-    from scipy.special import ndtri
-
-    z = ndtri((np.arange(points) + 0.5) / points)
+    z = _quantile_grid(points)
     qa = mean_a + std_a * z
     qb = mean_b + std_b * z
     return float(np.mean((qa - qb) ** 2))
+
+
+def _scalar_cov_objective(v: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
+    """The stage objective of a one-state, one-output context at the
+    disturbance variances ``v``, in closed form:
+
+        G     = a^2 P_bar + v
+        post  = G m / (c^2 G + m)
+        value = s post + (p - lam) v + 2 lam sqrt(max(v sigma_hat, 0))
+
+    with ``a``, ``c``, ``m``, ``s``, ``p``, ``P_bar`` and ``sigma_hat``
+    the single entries of ``A``, ``C``, ``M``, ``S_next``, ``P_next``,
+    ``P_bar`` and ``Sigma_hat``.  ``v`` is clamped at ``1e-12`` first,
+    so a grid that starts at 0 evaluates positive variances only.
+    """
+    a, c, m, s, p, p_bar, sigma_hat = (
+        float(x[0, 0])
+        for x in (
+            ctx.sys.A,
+            ctx.sys.C,
+            ctx.sys.M,
+            ctx.S_next,
+            ctx.P_next,
+            ctx.P_bar,
+            ctx.Sigma_hat,
+        )
+    )
+    v = np.maximum(v, 1e-12)
+    g = a * a * p_bar + v
+    post = g * m / (c * c * g + m)
+    return (
+        s * post
+        + (p - ctx.lam) * v
+        + 2.0 * ctx.lam * np.sqrt(np.maximum(v * sigma_hat, 0.0))
+    )
 
 
 def worst_cov_no_obs(
@@ -614,15 +667,14 @@ def run_oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
             err = max(err, float(np.abs(grad - fd).max()) / scale)
     record("covariance gradient vs finite differences", err, 1e-5)
 
-    # Scalar worst-case covariance: solver against a refined grid.
+    # Scalar worst-case covariance: solver against a refined grid of the
+    # objective's closed form, which shares no code with the solver's
+    # objective; so the grid's maximum checks z_tilde too.
     err = 0.0
     for _ in range(10):
         ctx = _random_ctx(rng, 1, 1)
         solve = solve_worst_case_cov(ctx)
-
-        def f(v: np.ndarray) -> np.ndarray:
-            return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
-
+        f = partial(_scalar_cov_objective, ctx=ctx)
         hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
         v_star, f_star = grid_max(f, 0.0, hi)
         err = max(err, abs(float(solve.cov[0, 0]) - v_star) / max(v_star, 1e-9))

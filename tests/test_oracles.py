@@ -13,12 +13,14 @@ from wdrc.oracles import (
     _linspace_rows,
     _saddle_mean_term,
     _saddle_var_term,
+    _scalar_cov_objective,
     bracket_max,
     fd_gradient_sym,
+    gaussian_w2_quadrature,
     grid_max,
     t1_scalar_saddle,
 )
-from wdrc.worstcase import cov_objective
+from wdrc.worstcase import cov_objective, solve_worst_case_cov
 
 
 def _per_point(term):
@@ -214,3 +216,55 @@ def test_stacked_fd_gradient_equals_the_perturbation_loop(n):
         stacked = fd_gradient_sym(lambda s: cov_objective(s, ctx), sigma)
         looped = _loop_fd_gradient_sym(lambda s: cov_objective(s, ctx), sigma)
         assert stacked.tobytes() == looped.tobytes()
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_scalar_closed_form_equals_cov_objective(seed):
+    """The suite's scalar reference against the production objective,
+    at and below the clamp, around the maximizer and far past it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        ctx = _context(rng, 1, 1)
+        v_star = float(solve_worst_case_cov(ctx).cov[0, 0])
+        v = np.concatenate(
+            [
+                [-1.0, 0.0, 1e-12, 2e-12],
+                rng.uniform(0.0, 2.0 * v_star, 20),
+                [1e2 * v_star, 1e4 * v_star],
+            ]
+        )
+        ref = cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
+        np.testing.assert_allclose(_scalar_cov_objective(v, ctx), ref, rtol=1e-10)
+
+
+def _uncached_quadrature(mean_a, std_a, mean_b, std_b, points):
+    """The midpoint quadrature with its quantile grid built on each call."""
+    from scipy.special import ndtri
+
+    z = ndtri((np.arange(points) + 0.5) / points)
+    qa = mean_a + std_a * z
+    qb = mean_b + std_b * z
+    return float(np.mean((qa - qb) ** 2))
+
+
+@pytest.mark.parametrize("points", [11, 200001])
+def test_quadrature_equals_the_uncached_formula_bit_for_bit(points):
+    rng = np.random.default_rng(points)
+    for _ in range(3):
+        ma, mb = rng.normal(size=2)
+        sa, sb = 0.2 + rng.random(2)
+        args = (float(ma), float(sa), float(mb), float(sb), points)
+        assert gaussian_w2_quadrature(*args) == _uncached_quadrature(*args)
+
+
+def test_quadratures_share_one_read_only_grid():
+    oracles._quantile_grid.cache_clear()
+    gaussian_w2_quadrature(0.0, 1.0, 0.5, 2.0, points=1001)
+    gaussian_w2_quadrature(-0.3, 0.4, 0.1, 0.9, points=1001)
+    info = oracles._quantile_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    z = oracles._quantile_grid(1001)
+    assert z is oracles._quantile_grid(1001)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0.0
