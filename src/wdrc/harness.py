@@ -530,13 +530,14 @@ def _simulate_chunk(args) -> list[np.ndarray]:
     The runs go in blocks of ``_BLOCK``: a block is drawn once, every
     controller rolls it, and each writes the block's costs into its
     slice of its output.  Memory thus grows with the block, not with
-    the chunk.
+    the chunk: a block's draws are dropped before the next are drawn.
     """
     (start, count, ctrls, init_gain, scenario, sys, cost) = args
     x0_dist = scenario.initial_state
     outputs = [np.empty(count) for _ in ctrls]
     for lo in range(0, count, _BLOCK):
         n = min(_BLOCK, count - lo)
+        block = None  # So that the last block's draws are freed before these.
         block = _draw_block(scenario, sys, cost.horizon, start + lo, n)
         for ctrl, out in zip(ctrls, outputs):
             out[lo : lo + n] = _roll_batch(ctrl, init_gain, sys, cost, x0_dist, *block)

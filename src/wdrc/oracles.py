@@ -58,6 +58,7 @@ __all__ = [
     "grid_max",
     "bracket_max",
     "fd_gradient_sym",
+    "normal_quantile",
     "gaussian_w2_quadrature",
     "worst_cov_no_obs",
     "t1_scalar_saddle",
@@ -190,21 +191,121 @@ def fd_gradient_sym(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+# Wichura's AS 241 (PPND16), "The percentage points of the normal
+# distribution", Applied Statistics 37 (1988): rational approximations
+# of degree 7 with about 1e-16 relative error, one per range of the
+# normal quantile.  Each tuple runs from the constant coefficient up.
+_AS241_CENTRAL = (
+    (
+        3.387132872796366608,
+        1.3314166789178437745e2,
+        1.9715909503065514427e3,
+        1.3731693765509461125e4,
+        4.5921953931549871457e4,
+        6.7265770927008700853e4,
+        3.3430575583588128105e4,
+        2.5090809287301226727e3,
+    ),
+    (
+        1.0,
+        4.2313330701600911252e1,
+        6.8718700749205790830e2,
+        5.3941960214247511077e3,
+        2.1213794301586595867e4,
+        3.9307895800092710610e4,
+        2.8729085735721942674e4,
+        5.2264952788528545610e3,
+    ),
+)
+_AS241_NEAR = (
+    (
+        1.42343711074968357734,
+        4.63033784615654529590,
+        5.76949722146069140550,
+        3.64784832476320460504,
+        1.27045825245236838258,
+        2.41780725177450611770e-1,
+        2.27238449892691845833e-2,
+        7.74545014278341407640e-4,
+    ),
+    (
+        1.0,
+        2.05319162663775882187,
+        1.67638483018380384940,
+        6.89767334985100004550e-1,
+        1.48103976427480074590e-1,
+        1.51986665636164571966e-2,
+        5.47593808499534494600e-4,
+        1.05075007164441684324e-9,
+    ),
+)
+_AS241_FAR = (
+    (
+        6.65790464350110377720,
+        5.46378491116411436990,
+        1.78482653991729133580,
+        2.96560571828504891230e-1,
+        2.65321895265761230930e-2,
+        1.24266094738807843860e-3,
+        2.71155556874348757815e-5,
+        2.01033439929228813265e-7,
+    ),
+    (
+        1.0,
+        5.99832206555887937690e-1,
+        1.36929880922735805310e-1,
+        1.48753612908506148525e-2,
+        7.86869131145613259100e-4,
+        1.84631831751005468180e-5,
+        1.42151175831644588870e-7,
+        2.04426310338993978564e-15,
+    ),
+)
+
+
+def _rational(coeffs: tuple[tuple[float, ...], ...], x: np.ndarray) -> np.ndarray:
+    """``num(x) / den(x)``, both polynomials by Horner's rule."""
+    num, den = (np.full_like(x, c[-1]) for c in coeffs)
+    for a, b in zip(coeffs[0][-2::-1], coeffs[1][-2::-1]):
+        num = num * x + a
+        den = den * x + b
+    return num / den
+
+
+def normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of the probabilities ``0 < p < 1``, by
+    AS 241 (Wichura 1988), elementwise.
+
+    With ``q = p - 1/2``, the quantile is ``q R(0.180625 - q^2)`` where
+    ``|q| <= 0.425``.  Beyond that it is ``R(r - 1.6)`` for ``r <= 5``
+    and ``R(r - 5)`` above, with ``r = sqrt(-log(min(p, 1 - p)))`` and
+    the sign of ``q``; each range has its own rational ``R``.  Each
+    point's value is its own elementwise arithmetic, so it does not
+    depend on the array that holds it.
+    """
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    # The central form on every point, then the few tail points redone.
+    z = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    near, far = _rational(_AS241_NEAR, r - 1.6), _rational(_AS241_FAR, r - 5.0)
+    z[tail] = np.copysign(np.where(r <= 5.0, near, far), q[tail])
+    return z
+
+
 # A few entries: the suite uses one grid size, and one 200,001-point
 # grid holds 1.6 MB.
 @lru_cache(maxsize=4)
 def _quantile_grid(points: int) -> np.ndarray:
     """Standard normal quantiles at the midpoints of ``points`` equal
-    cells, ``ndtri((arange(points) + 0.5) / points)``.
+    cells, ``normal_quantile((arange(points) + 0.5) / points)``.
 
     Built once per ``points`` in a process; every caller shares the
     array, so it is read-only.
     """
-    # Imported here: scipy.special takes about 0.2 s to load, which only
-    # the first quadrature of a process needs to pay.
-    from scipy.special import ndtri
-
-    z = ndtri((np.arange(points) + 0.5) / points)
+    z = normal_quantile((np.arange(points) + 0.5) / points)
     z.flags.writeable = False
     return z
 

@@ -170,9 +170,9 @@ def test_bad_model_matrix_exits_with_config_code(
 
 
 def test_imports_leave_scipy_and_the_oracles_unloaded():
-    """The CLI loads neither scipy nor the oracles until ``wdrc oracle``
-    runs, the oracles load no scipy until their first quadrature, and
-    that needs ``scipy.special`` only, not ``scipy.stats``."""
+    """The CLI loads the oracles only when ``wdrc oracle`` runs, and no
+    import or command loads scipy: the whole oracle suite, quadrature
+    included, runs on numpy alone."""
     code = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -182,9 +182,8 @@ def test_imports_leave_scipy_and_the_oracles_unloaded():
         "assert 'wdrc.oracles' not in sys.modules\n"
         "import wdrc.oracles\n"
         "assert not scipy_modules(), scipy_modules()\n"
-        "wdrc.oracles.gaussian_w2_quadrature(0.0, 1.0, 0.5, 2.0, points=11)\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "assert 'scipy.stats' not in sys.modules\n"
+        "assert wdrc.cli.main(['oracle', '--seed', '0']) == 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
     )
     src = str(Path(wdrc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

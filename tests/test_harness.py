@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from wdrc.harness import (
     _draw_block,
     _quad_form,
     _roll_batch,
+    _simulate_chunk,
     build_histogram,
     config_from_dict,
     emit_reports,
@@ -388,6 +390,29 @@ def test_runs_across_block_edges_do_not_depend_on_the_split(small_setup, runs):
     the runs elsewhere, inside and at block edges."""
     cfg, wdrc_ctrl, lqg_ctrl = small_setup
     _assert_split_keeps_costs(cfg, [wdrc_ctrl, lqg_ctrl], runs, (2, 3))
+
+
+def test_a_chunk_holds_one_block_of_draws_at_a_time(small_setup):
+    """A chunk of three blocks peaks where a chunk of one does: each
+    block's draws are dropped before the next block is drawn."""
+    cfg, _, lqg_ctrl = small_setup
+    init_gain = kalman_gain(cfg.scenario.initial_state.cov(), cfg.sys)
+    block = _draw_block(cfg.scenario, cfg.sys, cfg.cost.horizon, 0, _BLOCK)
+    block_bytes = sum(a.nbytes for a in block)
+
+    def peak(blocks):
+        count = blocks * _BLOCK
+        args = (0, count, [lqg_ctrl], init_gain, cfg.scenario, cfg.sys, cfg.cost)
+        tracemalloc.start()
+        try:
+            _simulate_chunk(args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # Outside the comparison: a first call's one-time allocations.
+    growth = peak(3) - peak(1)
+    assert growth < 0.1 * block_bytes, (growth, block_bytes)
 
 
 def test_trace_run_is_the_campaign_row_bit_for_bit(small_setup):

@@ -18,6 +18,7 @@ from wdrc.oracles import (
     fd_gradient_sym,
     gaussian_w2_quadrature,
     grid_max,
+    normal_quantile,
     t1_scalar_saddle,
 )
 from wdrc.worstcase import cov_objective, solve_worst_case_cov
@@ -239,12 +240,30 @@ def test_scalar_closed_form_equals_cov_objective(seed):
 
 def _uncached_quadrature(mean_a, std_a, mean_b, std_b, points):
     """The midpoint quadrature with its quantile grid built on each call."""
-    from scipy.special import ndtri
-
-    z = ndtri((np.arange(points) + 0.5) / points)
+    z = normal_quantile((np.arange(points) + 0.5) / points)
     qa = mean_a + std_a * z
     qb = mean_b + std_b * z
     return float(np.mean((qa - qb) ** 2))
+
+
+@pytest.mark.parametrize("points", [11, 200001])
+def test_normal_quantile_matches_ndtri(points):
+    """AS 241 agrees with scipy's ``ndtri`` to a few ulps on a midpoint
+    grid and at points in each of its three ranges and their edges, is
+    exactly 0 at one half, and is odd about one half."""
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    p = np.concatenate(
+        [
+            (np.arange(points) + 0.5) / points,
+            [1e-300, 1e-20, 1e-10, 0.02425, 0.075, 0.5, 0.925, 1.0 - 1e-10],
+        ]
+    )
+    z, want = normal_quantile(p), ndtri(p)
+    assert np.all(np.abs(z - want) <= 4e-15 * np.maximum(1.0, np.abs(want)))
+    assert normal_quantile(np.array([0.5]))[0] == 0.0
+    exact = 1.0 - (1.0 - p) == p
+    assert exact.sum() > points // 2
+    np.testing.assert_array_equal(normal_quantile(1.0 - p[exact]), -z[exact])
 
 
 @pytest.mark.parametrize("points", [11, 200001])

@@ -38,9 +38,9 @@ the tree) on the configs of this repository:
 - ``wdrc synthesize`` on ``gaussian.yaml`` (calibrated penalty), on the
   pinned ``gaussian.yaml`` and on ``gaussian.yaml`` with ``--lam 4``:
   exit code and the JSON of the policy's coefficients;
-- ``wdrc oracle --seed 0`` to ``--seed 5``, and ``--seed 28`` to
-  ``--seed 31``, the program seeds that perfbench's ``oracle-selfcheck``
-  times at its ``--seed 7``: exit code and stdout.
+- ``wdrc oracle --seed 0`` to ``--seed 15``, and ``--seed 28`` to
+  ``--seed 31``, which include the program seeds that perfbench's
+  ``oracle-selfcheck`` times at its ``--seed 7``: exit code and stdout.
 
 One line per output says whether it is identical; a file written on one
 side only differs.  For an output that differs, the line adds the
@@ -69,7 +69,7 @@ import yaml
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("gaussian", "uniform", "uniform-stagewise")
 SIM_SEEDS = (None, 12, 13)
-ORACLE_SEEDS = (*range(6), *range(28, 32))
+ORACLE_SEEDS = (*range(16), *range(28, 32))
 
 
 def write_configs(work_dir: str) -> None:
