@@ -31,10 +31,14 @@ in each stage covariance with weight ``N_t = E_t' Pi_{t+1} E_t`` (``Pi``
 the loop's cost-to-go matrices), whose Bures-penalized supremum is
 ``kappa tr[Sigma_hat_t (kappa (kappa I - N_t)^{-1} - I)]``.  Both parts
 are finite exactly for ``kappa`` above the largest eigenvalue of ``H``.
-By weak duality ``kappa T theta^2 + W_kappa`` bounds the expected cost
-of every sequence of laws within Gelbrich distance ``theta`` of the
-nominal at every stage; :func:`dual_bounds` minimizes it over the
-multiplier.
+The same cost-to-go gives ``H`` in closed form: its block at row ``tau``
+and column ``sigma <= tau`` is ``E_tau' Pi_{tau+1}`` times the response
+of ``E[z_{tau+1}]`` to the shift at stage ``sigma``, so the Lanczos
+model of ``dW/dkappa`` that starts each multiplier search runs on the
+explicit ``H`` (:func:`_mean_hessian`).  By weak duality ``kappa T
+theta^2 + W_kappa`` bounds the expected cost of every sequence of laws
+within Gelbrich distance ``theta`` of the nominal at every stage;
+:func:`dual_bounds` minimizes it over the multiplier.
 
 Several loops of one nominal are bounded together on stacks with a
 leading axis (:func:`closed_loop` of several controllers,
@@ -232,8 +236,9 @@ class _DualTerms(NamedTuple):
     the augmented coordinates ``(E[z_t], 1)``, where the mean dynamics
     under the nominal means are linear, ``Fa_t = [[F_t, f_t + E_t
     w_hat_t], [0, 1]]``.  ``fixed`` is the cost of ``Cov(z_0)`` and of
-    the measurement noise, which the adversary does not control; ``nu``
-    and ``d`` are the eigenvalues of ``N_t = E_t' Pi_{t+1} E_t`` and the
+    the measurement noise, which the adversary does not control; ``EPi``
+    holds the products ``E_t' Pi_{t+1}``, ``(T, n, 2n)``, and ``nu`` and
+    ``d`` are the eigenvalues of ``N_t = E_t' Pi_{t+1} E_t`` and the
     diagonal of ``U_t' Sigma_hat_t U_t`` in its eigenbasis ``U_t``.
     """
 
@@ -243,6 +248,7 @@ class _DualTerms(NamedTuple):
     Qfa: np.ndarray
     za0: np.ndarray
     fixed: np.ndarray
+    EPi: np.ndarray
     N: np.ndarray
     nu: np.ndarray
     d: np.ndarray
@@ -273,7 +279,8 @@ def _dual_terms(
 
     mu0, cov0 = z0
     noise = np.swapaxes(loop.D, 2, 3) @ loop.Pi[:, 1:] @ loop.D
-    N = np.swapaxes(loop.E, 2, 3) @ loop.Pi[:, 1:] @ loop.E
+    EPi = np.swapaxes(loop.E, 2, 3) @ loop.Pi[:, 1:]
+    N = EPi @ loop.E
     nu, U = np.linalg.eigh(N)
     sig_hat = np.stack([nominal.cov(t) for t in range(T)])
     return _DualTerms(
@@ -283,6 +290,7 @@ def _dual_terms(
         Qfa=Qfa,
         za0=np.tile(np.append(mu0, 1.0), (k, 1)),
         fixed=_sums(loop.Pi[:, 0] * cov0) + _sums(noise * noise_cov),
+        EPi=EPi,
         N=N,
         nu=nu,
         d=np.einsum("stji,tjk,stki->sti", U, sig_hat, U),
@@ -403,29 +411,22 @@ def worst_case_law(
     return w_hat + shifts[0], kappa * kappa * inv @ sig_hat @ inv
 
 
-# Problems whose slope models are built in one stack.  Their Lanczos
-# runs share a ``(k, T + 1, 2n, T n)`` map from shifts to mean states,
-# about 1.3 MB for 8 problems at ``T = 50`` and ``n = 2``.
-_SLOPE_CHUNK = 8
+# Bytes of the Hessians of the problems whose Lanczos runs advance in one
+# stack: ``(T n)^2`` floats each, 80 kB at ``T = 50`` and ``n = 2``, so
+# every problem of a calibration scan, and 1.3 MB at ``T = 200``, so a
+# few.
+_HESSIAN_BYTES = 4 << 20
+# Problems whose maps from shifts to mean states, ``(k, T + 1, 2n, T n)``,
+# are built at once: about 1.3 MB for 8 problems at ``T = 50``.
+_MAP_CHUNK = 8
 
 
-def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Poles ``p`` and weights ``c`` with ``-dW/dkappa ~ sum c / (kappa -
-    p)^2``, for each problem of a stack.
-
-    The mean part is ``J0 + g' (kappa I - H)^{-1} g`` for the Hessian
-    ``H = sum_t R_t' Q_t R_t`` and gradient ``g`` of the mean-driven cost
-    in the stacked shifts, where ``R_t`` maps the shifts to ``E[z_t]``.
-    A Lanczos run on ``H`` from ``g`` (full reorthogonalization, at most
-    30 vectors, products with ``H`` applied through ``R``) gives
-    Ritz values and weights, the Gauss-quadrature model of that term,
-    which is exact once the Krylov space is exhausted; the Bures terms
-    are exact.  Only small dense products are used, so no call reaches
-    the sizes at which BLAS starts threads.  The problems' runs advance
-    together, and each stops on its own; the stack is the outermost axis
-    of every einsum, whose inner loops then run as on one problem alone,
-    so each model keeps its bits.
-    """
+def _shift_map(terms: _DualTerms) -> tuple[np.ndarray, np.ndarray]:
+    """For each problem of a stack, the map ``R`` from the stacked shifts
+    to the mean states, ``(k, T + 1, 2n, T n)``, whose stage ``t`` has
+    ``R_{t+1} = F_t R_t`` plus ``E_t`` in the columns of shift ``t``, and
+    the augmented mean states ``(E[z_t], 1)`` under the nominal means,
+    ``(k, T + 1, 2n + 1)``."""
     k, T, m, n = terms.Ea.shape
     R = np.zeros((k, T + 1, m - 1, T * n))
     za = np.zeros((k, T + 1, m))
@@ -434,9 +435,64 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
         R[:, t + 1] = terms.Fa[:, t, :-1, :-1] @ R[:, t]
         R[:, t + 1, :, t * n : (t + 1) * n] += terms.Ea[:, t, :-1]
         za[:, t + 1] = (terms.Fa[:, t] @ za[:, t, :, None])[..., 0]
+    return R, za
+
+
+def _hessian_rows(terms: _DualTerms, rows: np.ndarray) -> np.ndarray:
+    """Write the block rows ``E_tau' Pi_{tau+1} R_{tau+1}`` of the mean
+    part's Hessian into ``rows``, ``(k, T, n, T n)``, and return its
+    gradient ``g = sum_t R_t' (Q_t E[z_t] + q_t)``, for each problem of a
+    stack.  Row ``tau`` is zero right of its diagonal block, since no
+    later shift moves ``E[z_{tau+1}]``."""
+    R, za = _shift_map(terms)
+    np.matmul(terms.EPi, R[:, 1:], out=rows)
     Qs = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)
-    Qz = Qs[..., :-1, :-1]
-    g = np.einsum("stia,sti->sa", R, np.einsum("stij,stj->sti", Qs, za)[..., :-1])
+    return np.einsum("stia,sti->sa", R, np.einsum("stij,stj->sti", Qs, za)[..., :-1])
+
+
+def _mean_hessian(terms: _DualTerms) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian ``H = sum_t R_t' Q_t R_t`` and gradient ``g`` of the
+    mean-driven cost in the stacked shifts, ``(k, T n, T n)`` and ``(k, T
+    n)``, for each problem of a stack.
+
+    With ``Pi`` the loop's cost-to-go, the block of ``H`` at row ``tau``
+    and column ``sigma <= tau`` is ``E_tau' Pi_{tau+1} R_{tau+1}[:,
+    sigma]`` (its diagonal blocks are the ``N_t``): the rows are one
+    stacked product, and the blocks right of the diagonal are copied
+    from their transposes below it.
+    """
+    k, T, _, n = terms.Ea.shape
+    H = np.empty((k, T * n, T * n))
+    g = np.empty((k, T * n))
+    for start in range(0, k, _MAP_CHUNK):
+        sub = slice(start, start + _MAP_CHUNK)
+        g[sub] = _hessian_rows(_index(terms, sub), H[sub].reshape(-1, T, n, T * n))
+    for t in range(1, T):
+        rows = slice(t * n, (t + 1) * n)
+        H[:, : t * n, rows] = np.swapaxes(H[:, rows, : t * n], 1, 2)
+    return H, g
+
+
+def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Poles ``p`` and weights ``c`` with ``-dW/dkappa ~ sum c / (kappa -
+    p)^2``, for each problem of a stack.
+
+    The mean part is ``J0 + g' (kappa I - H)^{-1} g`` for the Hessian
+    ``H`` and gradient ``g`` of the mean-driven cost in the stacked
+    shifts (:func:`_mean_hessian`).  A Lanczos run on ``H`` from ``g``
+    (full reorthogonalization, at most 30 vectors, products with the
+    explicit ``H``) gives Ritz values and weights, the Gauss-quadrature
+    model of that term, which is exact once the Krylov space is
+    exhausted; the Bures terms are exact.  Each product with ``H`` is one
+    matrix-vector product per problem, whose bits are the same on one
+    BLAS thread as on several.  The problems' runs advance together, and
+    each stops on its own; the tridiagonal matrices of the runs of equal
+    length are diagonalized in one stacked ``eigh``.  Every product works
+    matrix by matrix and every einsum has the stack as its outermost
+    axis, so each model keeps its bits.
+    """
+    k, T, _, n = terms.Ea.shape
+    H, g = _mean_hessian(terms)
 
     norm = np.sqrt(np.vecdot(g, g))
     size = min(30, T * n)
@@ -454,8 +510,7 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
         # finished run's products are not recorded.
         sel = slice(None) if live.size == k else live
         basis[sel, j] = q[sel]
-        zv = np.einsum("stia,sa->sti", R, q)
-        w = np.einsum("stia,sti->sa", R, np.einsum("stij,stj->sti", Qz, zv))
+        w = (H @ q[..., None])[..., 0]
         alpha = np.vecdot(q, w)[sel]
         for _ in range(2):
             span = basis[:, : j + 1]
@@ -468,19 +523,22 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
         live = live[going]
         q[live] = w[live] / b[going, None]
 
-    models = []
-    for i in range(k):
-        size = steps[i]
-        alpha, beta = alphas[i, :size], betas[i, : max(size - 1, 0)]
-        tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        ritz, vecs = np.linalg.eigh(tri) if size else (np.zeros(0), np.zeros((1, 0)))
-        nu, d = terms.nu[i], terms.d[i]
-        poles = np.concatenate([ritz, nu.ravel()])
-        weights = np.concatenate(
-            [norm[i] * norm[i] * vecs[0] ** 2, (d * nu * nu).ravel()]
-        )
-        models.append((poles, weights))
-    return models
+    ritz, weights = [np.zeros(0)] * k, [np.zeros(0)] * k
+    for size in np.unique(steps[steps > 0]):
+        idx = np.flatnonzero(steps == size)
+        diag = np.arange(size)
+        tri = np.zeros((idx.size, size, size))
+        tri[:, diag, diag] = alphas[idx, :size]
+        beta = betas[idx, : size - 1]
+        tri[:, diag[1:], diag[:-1]] = tri[:, diag[:-1], diag[1:]] = beta
+        values, vecs = np.linalg.eigh(tri)
+        top = (norm[idx] * norm[idx])[:, None] * vecs[:, 0] ** 2
+        for i, value, weight in zip(idx, values, top):
+            ritz[i], weights[i] = value, weight
+    return [
+        (np.concatenate([p, nu.ravel()]), np.concatenate([c, (d * nu * nu).ravel()]))
+        for p, c, nu, d in zip(ritz, weights, terms.nu, terms.d)
+    ]
 
 
 def _model_step(
@@ -647,10 +705,12 @@ def dual_bounds(
         return [DualBound(kappa=math.inf, w_kappa=w, bound=w) for w in costs]
 
     terms = _dual_terms(loops, z0, nominal, noise_cov)
+    n = terms.Ea.shape[-1]
+    chunk = max(1, _HESSIAN_BYTES // (8 * (T * n) ** 2))
     models = [
         model
-        for start in range(0, k, _SLOPE_CHUNK)
-        for model in _slope_models(_index(terms, slice(start, start + _SLOPE_CHUNK)))
+        for start in range(0, k, chunk)
+        for model in _slope_models(_index(terms, slice(start, start + chunk)))
     ]
     # Model roots of the models with the same number of poles together.
     target = 1.0 / (theta * math.sqrt(T))

@@ -54,6 +54,7 @@ computed once at synthesis and carried by the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -282,6 +283,7 @@ def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
     return _gradient(Sigma[None], ctx._stage)[0]
 
 
+@lru_cache(maxsize=8)
 def _basis(n: int) -> np.ndarray:
     """``(n * n, m)`` columns: the row-major ``vec`` of each symmetric
     basis matrix ``E_k`` of the ``m = n (n + 1) / 2`` free entries, ``e_i
@@ -289,12 +291,16 @@ def _basis(n: int) -> np.ndarray:
 
     Every entry is 0 or 1 and each ``vec`` position belongs to one basis
     matrix, so products with it only gather and add pairs, exactly.
+    Built once per ``n`` in a process; every stage shares the array, so
+    it is read-only.
     """
     i, j = np.triu_indices(n)
     k = np.arange(i.size)
     basis = np.zeros((n, n, i.size))
     basis[i, j, k] = basis[j, i, k] = 1.0
-    return basis.reshape(n * n, i.size)
+    basis = basis.reshape(n * n, i.size)
+    basis.flags.writeable = False
+    return basis
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,15 +18,21 @@ from wdrc import (
     synthesize_wdrc,
 )
 from wdrc.closedloop import (
+    _dual_terms,
+    _index,
+    _mean_hessian,
+    _shift_map,
+    _slope_models,
     closed_loop,
     exact_cost,
     initial_moments,
     penalized_value,
     worst_case_law,
 )
-from wdrc.bounds import performance_ratio
-from wdrc.model import draw_nominal_samples
+from wdrc.bounds import _synthesize_stacked, performance_ratio
+from wdrc.model import CostSpec, LinearSystem, NominalDistribution, draw_nominal_samples
 from wdrc.psdmath import MomentPair
+from wdrc.riccati import min_feasible_lambda
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -277,3 +283,86 @@ def test_dual_bound_steps_out_from_the_model_pole(monkeypatch):
     assert len(evaluations) <= 8
     assert cert.bound <= 7.435554896784209 * (1.0 + 1e-12)
 
+
+def _scan_terms(sys, cost, nominal, x0_dist, count):
+    """Dual terms of the robust loops at ``count`` penalties from 1.5 to
+    ``1.5^count`` times the smallest feasible one."""
+    lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
+    lams = [lam_min * 1.5**j for j in range(1, count + 1)]
+    p0 = initial_posterior_cov(x0_dist, sys)
+    ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
+    assert all(ctrl is not None for ctrl in ctrls)
+    z0 = initial_moments(x0_dist, sys, sys.M)
+    return _dual_terms(closed_loop(ctrls, sys, cost), z0, nominal, sys.M)
+
+
+def _two_input_terms(horizon, x0_dist):
+    """The two-input plant of
+    ``test_two_input_certificates_equal_stacks_of_one``."""
+    sys = LinearSystem(
+        A=np.array([[0.518, 0.266], [0.405, 0.806]]),
+        B=np.array([[-2.972, 0.4], [-2.271, 1.3]]),
+        C=np.array([[1.023, 1.955]]),
+        M=np.array([[0.2]]),
+    )
+    R = np.array([[1.0, 0.3], [0.3, 0.7]])
+    cost = CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=R, horizon=horizon)
+    cov = np.array([[0.02, 0.004], [0.004, 0.01]])
+    nominal = NominalDistribution((MomentPair(np.array([0.93, -0.51]), cov),) * horizon)
+    return _scan_terms(sys, cost, nominal, x0_dist, 6)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "uniform", "two-input-2", "two-input-9"])
+def test_explicit_hessian_is_the_product_through_the_shift_map(name, gaussian_scenario):
+    """The mean part's Hessian built from the loop's cost-to-go equals
+    ``sum_t R_t' Q_t R_t`` through the map from shifts to mean states, is
+    exactly symmetric off its diagonal blocks, and has the ``N_t`` of the
+    dual terms as its diagonal blocks."""
+    if name.startswith("two-input"):
+        horizon = int(name.rsplit("-", 1)[1])
+        terms = _two_input_terms(horizon, gaussian_scenario.initial_state)
+    else:
+        cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+        nominal = estimate_nominal(draw_nominal_samples(cfg.scenario, cfg.cost.horizon))
+        terms = _scan_terms(cfg.sys, cfg.cost, nominal, cfg.scenario.initial_state, 6)
+    k, T, _, n = terms.Ea.shape
+    H, _ = _mean_hessian(terms)
+    R, _ = _shift_map(terms)
+    Qz = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)[..., :-1, :-1]
+    ref = np.einsum("stia,stij,stjb->sab", R, Qz, R)
+    for i in range(k):
+        err = float(np.abs(H[i] - ref[i]).max()) / float(np.abs(ref[i]).max())
+        assert err <= 1e-13, (i, err)
+    blocks = H.reshape(k, T, n, T, n)
+    diag = blocks[:, np.arange(T), :, np.arange(T)]  # (T, k, n, n)
+    off = np.ones((T, T), dtype=bool)
+    off[np.arange(T), np.arange(T)] = False
+    for s, t in zip(*np.nonzero(off)):
+        assert np.array_equal(blocks[:, s, :, t], np.swapaxes(blocks[:, t, :, s], 1, 2))
+    N = np.swapaxes(diag, 0, 1)
+    scale = float(np.abs(terms.N).max())
+    assert float(np.abs(N - terms.N).max()) <= 1e-14 * scale
+
+
+def test_slope_models_of_unequal_lanczos_runs_equal_stacks_of_one(setup):
+    """A stack whose Lanczos runs end at different lengths (the shifts of
+    later stages silenced in three problems, so their Krylov spaces are
+    exhausted early, and a zero gradient in a fourth) gives each problem
+    the poles and weights of its stack of one, bit for bit: the Ritz
+    values of the runs of one length come from one stacked ``eigh``."""
+    cfg, nominal, _, _ = setup
+    terms = _scan_terms(cfg.sys, cfg.cost, nominal, cfg.scenario.initial_state, 6)
+    Ea, EPi, za0 = terms.Ea.copy(), terms.EPi.copy(), terms.za0.copy()
+    for i, stages in ((1, 1), (2, 3), (4, 1)):
+        Ea[i, stages:], EPi[i, stages:] = 0.0, 0.0
+    za0[3] = 0.0
+    terms = terms._replace(Ea=Ea, EPi=EPi, za0=za0)
+    models = _slope_models(terms)
+    lengths = [poles.size - terms.nu[i].size for i, (poles, _) in enumerate(models)]
+    print(f"Lanczos lengths {lengths}")
+    assert lengths[3] == 0 and lengths[0] == lengths[5] == 30
+    assert len(set(lengths)) >= 4
+    for i, (poles, weights) in enumerate(models):
+        ((alone_poles, alone_weights),) = _slope_models(_index(terms, [i]))
+        assert np.array_equal(poles, alone_poles)
+        assert np.array_equal(weights, alone_weights)

@@ -33,8 +33,10 @@ the tree) on the configs of this repository:
   slowest worst-case covariance solves, and on ``uniform.yaml`` with a
   per-stage nominal at ``--seed 2803``, whose smallest feasible penalty
   has the hardest stage;
-- ``wdrc calibrate`` on the same three configs at the config's seed:
-  exit code and its JSON;
+- ``wdrc calibrate`` on the same three configs at the config's seed,
+  and on ``gaussian.yaml`` with ``cost.horizon: 200``, whose
+  certificates run their Lanczos slope models on stacks of fewer
+  problems than a scan holds: exit code and its JSON;
 - ``wdrc synthesize`` on ``gaussian.yaml`` (calibrated penalty), on the
   pinned ``gaussian.yaml`` and on ``gaussian.yaml`` with ``--lam 4``:
   exit code and the JSON of the policy's coefficients;
@@ -73,13 +75,14 @@ ORACLE_SEEDS = (*range(16), *range(28, 32))
 
 
 def write_configs(work_dir: str) -> None:
-    """The bundled configs, plus uniform with a per-stage nominal and
-    gaussian with a pinned penalty."""
+    """The bundled configs, plus uniform with a per-stage nominal,
+    gaussian with a pinned penalty and gaussian over 200 stages."""
     for name, base, overrides in (
         ("gaussian", "gaussian", {}),
         ("uniform", "uniform", {}),
         ("uniform-stagewise", "uniform", {"per_stage_nominal": True}),
         ("gaussian-lam4", "gaussian", {"robustness": {"lam": 4.0}}),
+        ("gaussian-T200", "gaussian", {"cost": {"horizon": 200}}),
     ):
         with open(os.path.join(ROOT, "configs", f"{base}.yaml")) as fh:
             raw = yaml.safe_load(fh)
@@ -114,7 +117,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     ):
         argv = ["simulate", "--config", f"{name}.yaml", "--out", out_dir, *flags]
         out.append((f"simulate {' '.join([name, *flags])}", argv, out_dir))
-    for name in CONFIGS:
+    for name in (*CONFIGS, "gaussian-T200"):
         out.append((f"calibrate {name}", ["calibrate", "--config", f"{name}.yaml"], None))
     for name, flags in (("gaussian", []), ("gaussian-lam4", []), ("gaussian", ["--lam", "4"])):
         argv = ["synthesize", "--config", f"{name}.yaml", *flags]
