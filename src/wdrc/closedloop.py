@@ -33,9 +33,11 @@ the loop's cost-to-go matrices), whose Bures-penalized supremum is
 are finite exactly for ``kappa`` above the largest eigenvalue of ``H``.
 The same cost-to-go gives ``H`` in closed form: its block at row ``tau``
 and column ``sigma <= tau`` is ``E_tau' Pi_{tau+1}`` times the response
-of ``E[z_{tau+1}]`` to the shift at stage ``sigma``, so the Lanczos
-model of ``dW/dkappa`` that starts each multiplier search runs on the
-explicit ``H`` (:func:`_mean_hessian`).  By weak duality ``kappa T
+of ``E[z_{tau+1}]`` to the shift at stage ``sigma``, which a forward
+pass carries stage by stage, and an adjoint (costate) backward pass
+gives the gradient at the nominal means.  So the Lanczos model of
+``dW/dkappa`` that starts each multiplier search runs on the explicit
+``H`` (:func:`_mean_hessian`).  By weak duality ``kappa T
 theta^2 + W_kappa`` bounds the expected cost of every sequence of laws
 within Gelbrich distance ``theta`` of the nominal at every stage;
 :func:`dual_bounds` minimizes it over the multiplier.
@@ -412,65 +414,53 @@ def worst_case_law(
 
 
 # Bytes of the Hessians of the problems whose Lanczos runs advance in one
-# stack: ``(T n)^2`` floats each, 80 kB at ``T = 50`` and ``n = 2``, so
-# every problem of a calibration scan, and 1.3 MB at ``T = 200``, so a
-# few.
+# stack, the only array of a certificate quadratic in the horizon:
+# ``(T n)^2`` floats each, 80 kB at ``T = 50`` and ``n = 2``, so every
+# problem of a calibration scan, and 1.3 MB at ``T = 200``, so a few.
 _HESSIAN_BYTES = 4 << 20
-# Problems whose maps from shifts to mean states, ``(k, T + 1, 2n, T n)``,
-# are built at once: about 1.3 MB for 8 problems at ``T = 50``.
-_MAP_CHUNK = 8
-
-
-def _shift_map(terms: _DualTerms) -> tuple[np.ndarray, np.ndarray]:
-    """For each problem of a stack, the map ``R`` from the stacked shifts
-    to the mean states, ``(k, T + 1, 2n, T n)``, whose stage ``t`` has
-    ``R_{t+1} = F_t R_t`` plus ``E_t`` in the columns of shift ``t``, and
-    the augmented mean states ``(E[z_t], 1)`` under the nominal means,
-    ``(k, T + 1, 2n + 1)``."""
-    k, T, m, n = terms.Ea.shape
-    R = np.zeros((k, T + 1, m - 1, T * n))
-    za = np.zeros((k, T + 1, m))
-    za[:, 0] = terms.za0
-    for t in range(T):
-        R[:, t + 1] = terms.Fa[:, t, :-1, :-1] @ R[:, t]
-        R[:, t + 1, :, t * n : (t + 1) * n] += terms.Ea[:, t, :-1]
-        za[:, t + 1] = (terms.Fa[:, t] @ za[:, t, :, None])[..., 0]
-    return R, za
-
-
-def _hessian_rows(terms: _DualTerms, rows: np.ndarray) -> np.ndarray:
-    """Write the block rows ``E_tau' Pi_{tau+1} R_{tau+1}`` of the mean
-    part's Hessian into ``rows``, ``(k, T, n, T n)``, and return its
-    gradient ``g = sum_t R_t' (Q_t E[z_t] + q_t)``, for each problem of a
-    stack.  Row ``tau`` is zero right of its diagonal block, since no
-    later shift moves ``E[z_{tau+1}]``."""
-    R, za = _shift_map(terms)
-    np.matmul(terms.EPi, R[:, 1:], out=rows)
-    Qs = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)
-    return np.einsum("stia,sti->sa", R, np.einsum("stij,stj->sti", Qs, za)[..., :-1])
 
 
 def _mean_hessian(terms: _DualTerms) -> tuple[np.ndarray, np.ndarray]:
-    """The Hessian ``H = sum_t R_t' Q_t R_t`` and gradient ``g`` of the
-    mean-driven cost in the stacked shifts, ``(k, T n, T n)`` and ``(k, T
-    n)``, for each problem of a stack.
+    """The Hessian ``H = sum_t R_t' Q_t R_t`` and gradient ``g = sum_t
+    R_t' (Q_t E[z_t] + q_t)`` of the mean-driven cost in the stacked
+    shifts, ``(k, T n, T n)`` and ``(k, T n)``, for each problem of a
+    stack, with ``R_t`` the map from the stacked shifts to ``E[z_t]``.
 
-    With ``Pi`` the loop's cost-to-go, the block of ``H`` at row ``tau``
-    and column ``sigma <= tau`` is ``E_tau' Pi_{tau+1} R_{tau+1}[:,
-    sigma]`` (its diagonal blocks are the ``N_t``): the rows are one
-    stacked product, and the blocks right of the diagonal are copied
-    from their transposes below it.
+    A forward pass carries one ``R_t``, ``(k, 2n, T n)``: ``R_{t+1} = F_t
+    R_t`` plus ``E_t`` in the columns of shift ``t``.  With ``Pi`` the
+    loop's cost-to-go, block row ``tau`` of ``H`` is ``E_tau' Pi_{tau+1}
+    R_{tau+1}`` (its diagonal block is ``N_tau``, and it is zero right of
+    it, since no later shift moves ``E[z_{tau+1}]``); each row is written
+    at its stage, and its blocks left of the diagonal are mirrored into
+    the column above it.  The pass also records the mean states
+    ``(E[z_t], 1)`` under the nominal means.  The backward pass is the
+    adjoint: from the costate ``p = Q_T E[z_T]``, each stage gives
+    ``g_t = E_t' p`` and then ``p = Q_t E[z_t] + q_t + F_t' p``.
+    Every product works matrix by matrix, so each problem gets the bits
+    of its stack of one.
     """
-    k, T, _, n = terms.Ea.shape
+    k, T, m, n = terms.Ea.shape
+    F, E = terms.Fa[..., :-1, :-1], terms.Ea[..., :-1, :]
     H = np.empty((k, T * n, T * n))
-    g = np.empty((k, T * n))
-    for start in range(0, k, _MAP_CHUNK):
-        sub = slice(start, start + _MAP_CHUNK)
-        g[sub] = _hessian_rows(_index(terms, sub), H[sub].reshape(-1, T, n, T * n))
-    for t in range(1, T):
+    R = np.zeros((k, m - 1, T * n))
+    za = np.empty((k, T + 1, m))
+    za[:, 0] = terms.za0
+    for t in range(T):
         rows = slice(t * n, (t + 1) * n)
+        R = F[:, t] @ R
+        R[..., rows] += E[:, t]
+        np.matmul(terms.EPi[:, t], R, out=H[:, rows])
         H[:, : t * n, rows] = np.swapaxes(H[:, rows, : t * n], 1, 2)
-    return H, g
+        za[:, t + 1] = (terms.Fa[:, t] @ za[:, t, :, None])[..., 0]
+    Qs = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)
+    c = np.einsum("stij,stj->sti", Qs, za)[..., :-1]
+    Ft, Et = np.swapaxes(F, 2, 3), np.swapaxes(E, 2, 3)
+    g = np.empty((k, T, n))
+    costate = c[:, T]
+    for t in range(T - 1, -1, -1):
+        g[:, t] = (Et[:, t] @ costate[..., None])[..., 0]
+        costate = c[:, t] + (Ft[:, t] @ costate[..., None])[..., 0]
+    return H, g.reshape(k, T * n)
 
 
 def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -479,11 +469,11 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
 
     The mean part is ``J0 + g' (kappa I - H)^{-1} g`` for the Hessian
     ``H`` and gradient ``g`` of the mean-driven cost in the stacked
-    shifts (:func:`_mean_hessian`).  A Lanczos run on ``H`` from ``g``
-    (full reorthogonalization, at most 30 vectors, products with the
-    explicit ``H``) gives Ritz values and weights, the Gauss-quadrature
-    model of that term, which is exact once the Krylov space is
-    exhausted; the Bures terms are exact.  Each product with ``H`` is one
+    shifts, from one forward pass and its adjoint (:func:`_mean_hessian`).
+    A Lanczos run on ``H`` from ``g`` (full reorthogonalization, at most
+    30 vectors, products with the explicit ``H``) gives Ritz values and
+    weights, the Gauss-quadrature model of that term, which is exact
+    once the Krylov space is exhausted; the Bures terms are exact.  Each product with ``H`` is one
     matrix-vector product per problem, whose bits are the same on one
     BLAS thread as on several.  The problems' runs advance together, and
     each stops on its own; the tridiagonal matrices of the runs of equal

@@ -36,7 +36,6 @@ __all__ = [
     "ScenarioSpec",
     "Realization",
     "estimate_nominal",
-    "stationary_nominal",
     "split_stream",
     "draw_nominal_samples",
     "draw_realization",
@@ -287,12 +286,6 @@ def estimate_nominal(stage_samples: Sequence[np.ndarray]) -> NominalDistribution
     if not stages:
         raise EmptySamples("no stage sample sets given")
     return NominalDistribution(tuple(stages))
-
-
-def stationary_nominal(samples: np.ndarray, horizon: int) -> NominalDistribution:
-    """Estimate one moment pair from ``samples`` and repeat it every stage."""
-    pair = estimate_nominal([samples]).stages[0]
-    return NominalDistribution((pair,) * horizon)
 
 
 @dataclass(frozen=True)

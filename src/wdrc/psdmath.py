@@ -26,7 +26,6 @@ __all__ = [
     "psd_tolerance",
     "require_square",
     "min_eigenvalue",
-    "is_psd",
     "require_psd",
     "psd_sqrt",
     "trace_sqrt_product",
@@ -68,12 +67,6 @@ def psd_tolerance(m: np.ndarray) -> float | np.ndarray:
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of ``m``."""
     return float(np.linalg.eigvalsh(symmetrize(m))[0])
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """True when every eigenvalue of ``m`` is above ``-psd_tolerance(m)``."""
-    m = symmetrize(m)
-    return min_eigenvalue(m) >= -psd_tolerance(m)
 
 
 def require_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -1,6 +1,8 @@
 """Exact closed-loop moments and the certified dual bound."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from wdrc.closedloop import (
     _dual_terms,
     _index,
     _mean_hessian,
-    _shift_map,
     _slope_models,
     closed_loop,
     exact_cost,
@@ -312,12 +313,30 @@ def _two_input_terms(horizon, x0_dist):
     return _scan_terms(sys, cost, nominal, x0_dist, 6)
 
 
+def _shift_map(terms):
+    """Reference for :func:`_mean_hessian`: the map ``R`` from the stacked
+    shifts to the mean states, ``(k, T + 1, 2n, T n)``, whose stage ``t``
+    has ``R_{t+1} = F_t R_t`` plus ``E_t`` in the columns of shift ``t``,
+    and the augmented mean states ``(E[z_t], 1)`` under the nominal means,
+    ``(k, T + 1, 2n + 1)``."""
+    k, T, m, n = terms.Ea.shape
+    R = np.zeros((k, T + 1, m - 1, T * n))
+    za = np.zeros((k, T + 1, m))
+    za[:, 0] = terms.za0
+    for t in range(T):
+        R[:, t + 1] = terms.Fa[:, t, :-1, :-1] @ R[:, t]
+        R[:, t + 1, :, t * n : (t + 1) * n] += terms.Ea[:, t, :-1]
+        za[:, t + 1] = (terms.Fa[:, t] @ za[:, t, :, None])[..., 0]
+    return R, za
+
+
 @pytest.mark.parametrize("name", ["gaussian", "uniform", "two-input-2", "two-input-9"])
 def test_explicit_hessian_is_the_product_through_the_shift_map(name, gaussian_scenario):
     """The mean part's Hessian built from the loop's cost-to-go equals
     ``sum_t R_t' Q_t R_t`` through the map from shifts to mean states, is
     exactly symmetric off its diagonal blocks, and has the ``N_t`` of the
-    dual terms as its diagonal blocks."""
+    dual terms as its diagonal blocks; its gradient from the adjoint
+    recursion equals ``sum_t R_t' (Q_t E[z_t] + q_t)``."""
     if name.startswith("two-input"):
         horizon = int(name.rsplit("-", 1)[1])
         terms = _two_input_terms(horizon, gaussian_scenario.initial_state)
@@ -326,13 +345,17 @@ def test_explicit_hessian_is_the_product_through_the_shift_map(name, gaussian_sc
         nominal = estimate_nominal(draw_nominal_samples(cfg.scenario, cfg.cost.horizon))
         terms = _scan_terms(cfg.sys, cfg.cost, nominal, cfg.scenario.initial_state, 6)
     k, T, _, n = terms.Ea.shape
-    H, _ = _mean_hessian(terms)
-    R, _ = _shift_map(terms)
-    Qz = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)[..., :-1, :-1]
-    ref = np.einsum("stia,stij,stjb->sab", R, Qz, R)
+    H, g = _mean_hessian(terms)
+    R, za = _shift_map(terms)
+    Qs = np.concatenate([terms.Qa, terms.Qfa[:, None]], axis=1)
+    ref = np.einsum("stia,stij,stjb->sab", R, Qs[..., :-1, :-1], R)
+    c = np.einsum("stij,stj->sti", Qs, za)[..., :-1]
+    ref_g = np.einsum("stia,sti->sa", R, c)
     for i in range(k):
         err = float(np.abs(H[i] - ref[i]).max()) / float(np.abs(ref[i]).max())
         assert err <= 1e-13, (i, err)
+        err = float(np.abs(g[i] - ref_g[i]).max()) / float(np.abs(ref_g[i]).max())
+        assert err <= 1e-14, (i, err)
     blocks = H.reshape(k, T, n, T, n)
     diag = blocks[:, np.arange(T), :, np.arange(T)]  # (T, k, n, n)
     off = np.ones((T, T), dtype=bool)
@@ -342,6 +365,25 @@ def test_explicit_hessian_is_the_product_through_the_shift_map(name, gaussian_sc
     N = np.swapaxes(diag, 0, 1)
     scale = float(np.abs(terms.N).max())
     assert float(np.abs(N - terms.N).max()) <= 1e-14 * scale
+
+
+def test_mean_hessian_holds_no_more_than_its_hessians():
+    """At ``T = 200`` the Hessians and gradient of a three-problem stack
+    are built with less than 1 MiB beside the Hessians themselves: the
+    forward pass carries one stage of the shift map, never the whole
+    ``(k, T + 1, 2n, T n)`` map (7.5 MiB here)."""
+    cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
+    cost = replace(cfg.cost, horizon=200)
+    nominal = estimate_nominal(draw_nominal_samples(cfg.scenario, cost.horizon))
+    terms = _scan_terms(cfg.sys, cost, nominal, cfg.scenario.initial_state, 3)
+    tracemalloc.start()
+    try:
+        H, _ = _mean_hessian(terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"peak {peak / 2**20:.3f} MiB, H {H.nbytes / 2**20:.3f} MiB")
+    assert peak - H.nbytes < 1 << 20
 
 
 def test_slope_models_of_unequal_lanczos_runs_equal_stacks_of_one(setup):

@@ -18,7 +18,6 @@ from wdrc.model import (
     draw_realizations,
     estimate_nominal,
     split_stream,
-    stationary_nominal,
 )
 from wdrc.model import _run_keys
 from wdrc.psdmath import psd_sqrt
@@ -101,15 +100,6 @@ def test_estimate_nominal_rejects_empty():
         estimate_nominal([np.zeros((0, 2))])
     with pytest.raises(EmptySamples):
         estimate_nominal([])
-
-
-def test_stationary_nominal_replicates():
-    rng = np.random.default_rng(9)
-    nominal = stationary_nominal(rng.standard_normal((6, 2)), horizon=5)
-    assert nominal.horizon == 5
-    for t in range(1, 5):
-        assert np.array_equal(nominal.mean(t), nominal.mean(0))
-        assert np.array_equal(nominal.cov(t), nominal.cov(0))
 
 
 def test_split_stream_reproducible_and_keyed():

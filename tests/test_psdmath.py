@@ -9,8 +9,8 @@ from wdrc.psdmath import (
     MomentPair,
     bures_sq,
     gelbrich_dist_sq,
-    is_psd,
     psd_sqrt,
+    require_psd,
     symmetrize,
     trace_sqrt_product,
     transport_map,
@@ -48,7 +48,7 @@ def test_psd_sqrt_rejects_indefinite():
 def test_is_psd_tolerates_rounding_noise():
     a = np.eye(2) * 1.0
     a[0, 0] -= 1e-12
-    assert is_psd(a - np.eye(2))
+    require_psd(a - np.eye(2))
 
 
 def trace_sqrt_reference(a: np.ndarray, b: np.ndarray) -> float:
