@@ -53,6 +53,7 @@ from .model import (
     draw_nominal_samples,
     draw_realizations,
     estimate_nominal,
+    matmul_rows,
 )
 
 __all__ = [
@@ -376,7 +377,8 @@ def robust_policy(
 # Runs per block of a campaign's draws and rollouts.  Each numpy call
 # of a rollout covers a block, so smaller blocks pay more per-call
 # overhead: 1024 took 20,000 paired gaussian runs from 0.37 to 0.40 s.
-# A block's draws take about 10 MiB on the bundled configs.
+# Drawing a block of gaussian.yaml peaks at 5.3 MiB of allocations,
+# 4.8 MiB of them the draws themselves.
 _BLOCK = 4096
 
 
@@ -426,15 +428,16 @@ def _roll_batch(
     disturbances ``w`` (``(T, runs, n_x)``) and noises ``v``
     (``(T + 1, runs, n_y)``) are time-major, so each stage reads
     contiguous rows.  Products go through contiguous transposes
-    (:func:`_transposed`) and quadratic forms through
-    :func:`_quad_form`, so a run's cost does not depend on the batch
-    that holds it.  A batch of one is rolled as two copies of itself:
-    numpy multiplies a one-row matrix by its matrix-vector route, which
-    rounds differently.  With ``record``, the batch's ``(state,
-    observation, belief mean, input, filter disturbance mean)`` arrays
-    are appended to it for every stage ``t < T``, then ``(state,
-    observation, belief mean)`` at ``T``; a batch of one records both
-    copies.
+    (:func:`_transposed`), those with inner dimension one (a single
+    input or output) through :func:`~wdrc.model.matmul_rows`, and
+    quadratic forms through :func:`_quad_form`, so a run's cost does
+    not depend on the batch that holds it.  A batch of one is rolled
+    as two copies of itself: numpy multiplies a one-row matrix by its
+    matrix-vector route, which rounds differently.  With ``record``,
+    the batch's ``(state, observation, belief mean, input, filter
+    disturbance mean)`` arrays are appended to it for every stage
+    ``t < T``, then ``(state, observation, belief mean)`` at ``T``; a
+    batch of one records both copies.
     """
     if len(x0s) == 1:
         x0s, w, v = np.repeat(x0s, 2, 0), np.repeat(w, 2, 1), np.repeat(v, 2, 1)
@@ -447,7 +450,7 @@ def _roll_batch(
     Y = X @ C_t + v[0]
     # A single mean row takes the matrix-vector route in every batch.
     mu0 = x0_dist.mean()
-    Xb = mu0 + (Y - mu0 @ sys.C.T) @ _transposed(init_gain)
+    Xb = mu0 + matmul_rows(Y - mu0 @ sys.C.T, _transposed(init_gain))
     costs = np.zeros(len(X))
     for t in range(cost.horizon):
         U = Xb @ K_t[t] + L[t]
@@ -458,11 +461,11 @@ def _roll_batch(
         Wm = h[t] if H_t is None else Xb @ H_t[t] + h[t]
         if record is not None:
             record.append((X, Y, Xb, U, Wm))
-        UB = U @ B_t
+        UB = matmul_rows(U, B_t)
         X = X @ A_t + UB + w[t]
         Y = X @ C_t + v[t + 1]
         prior = Xb @ A_t + UB + Wm
-        Xb = prior + (Y - prior @ C_t) @ G_t[t]
+        Xb = prior + matmul_rows(Y - prior @ C_t, G_t[t])
     costs += _quad_form(X, cost.Q_f)
     if record is not None:
         record.append((X, Y, Xb))

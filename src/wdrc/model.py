@@ -11,8 +11,8 @@ Each law draws in two steps: its generator method fills standardized
 numbers (standard normals or unit-interval draws) and its affine map
 turns them into draws.  A campaign draws each block of runs with
 :func:`draw_realizations`, which keys one run stream after the other
-and maps the block's numbers in one call per law, bit for bit the
-per-run draws of :func:`draw_realization`.
+and maps the numbers of each sub-block of runs in one call per law,
+bit for bit the per-run draws of :func:`draw_realization`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "draw_nominal_samples",
     "draw_realization",
     "draw_realizations",
+    "matmul_rows",
     "STREAM_NOMINAL",
     "STREAM_RUN",
 ]
@@ -47,6 +48,33 @@ __all__ = [
 # Substream purposes for the master-seed split.
 STREAM_NOMINAL = 0
 STREAM_RUN = 1
+
+
+def matmul_rows(
+    X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``X @ M`` bit for bit, for rows ``X`` of shape ``(..., k)`` and a
+    matrix ``M`` of shape ``(k, m)``, written into ``out`` if given.
+
+    With ``k == 1`` it multiplies column by column and then adds
+    ``0.0``, two to four times faster than ``matmul`` on a block of
+    runs: gemm adds each product into +0.0, so the added ``0.0`` gives
+    a zero product its sign.  Wider products go through ``matmul``, with a
+    contiguous copy of ``M`` (such as a transposed view) when every
+    product has two rows or more; a one-row product takes numpy's
+    matrix-vector route, whose rounding depends on the layout of ``M``.
+    """
+    if M.shape[0] != 1:
+        if X.ndim >= 2 and X.shape[-2] >= 2:
+            M = np.ascontiguousarray(M)
+        return np.matmul(X, M, out=out)
+    if out is None:
+        out = np.empty(X.shape[:-1] + M.shape[1:])
+    x = X[..., 0]
+    for j, m in enumerate(M[0]):
+        np.multiply(x, m, out=out[..., j])
+    out += 0.0
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -166,7 +194,7 @@ class GaussianSpec:
 
     def from_unit(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map standard normal rows to draws: ``mean + z @ factor.T``."""
-        out = np.matmul(z, self.factor.T, out=out)
+        out = matmul_rows(z, self.factor.T, out=out)
         out += self.mean_vec
         return out
 
@@ -432,6 +460,12 @@ def _run_keys(seed: int, runs: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
+# Runs per sub-block of a block's draws: their numbers are filled into
+# one buffer and mapped in one call per law.  Sub-blocks start at
+# multiples of this run index.
+_SUB_BLOCK = 256
+
+
 def draw_realizations(
     scenario: ScenarioSpec, sys: LinearSystem, horizon: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -444,15 +478,19 @@ def draw_realizations(
     swapping their first two axes gives contiguous arrays whose stage
     ``t`` holds the rows of every run.
 
-    One vectorized pass derives the runs' stream keys, and one Philox
-    generator is re-keyed per run through its ``state`` setter.
-    Consecutive laws that draw with the same generator method share one
-    fill call per run: numpy's generator carries nothing between draws
-    of one method, so one call of ``k + m`` numbers gives the numbers of
-    a call of ``k`` followed by one of ``m``.  Each law then maps its
-    slice of every run's numbers in one call.  A run's draw thus costs
-    its stream and its samples only.  The buffers grow with ``count``;
-    a campaign passes one block of runs at a time.
+    One vectorized pass derives the runs' stream keys.  The runs then
+    go in sub-blocks of at most ``_SUB_BLOCK`` runs: one Philox
+    generator is re-keyed per run through its ``state`` setter, from a
+    state dict whose counter and buffer are Python lists (the setter
+    reads them faster than arrays), and fills the run's row of the
+    sub-block's buffer.  Consecutive laws that draw with the same
+    generator method share one fill call per run: numpy's generator
+    carries nothing between draws of one method, so one call of
+    ``k + m`` numbers gives the numbers of a call of ``k`` followed by
+    one of ``m``.  Each law then maps its slice of the sub-block's
+    numbers in one call, straight into the outputs.  A run's draw thus
+    costs its stream and its samples only, and beyond the outputs the
+    draws hold the keys and one sub-block's numbers.
 
     Raises:
         DimMismatch: If the noise law does not match the plant's outputs.
@@ -467,35 +505,42 @@ def draw_realizations(
         raise ValueError(f"run indices {start}..{start + count - 1} leave [0, 2**64)")
     bitgen = np.random.Philox(0)
     state = bitgen.state  # counter and buffer of a fresh stream
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     rng = np.random.Generator(bitgen)
     laws = (
         (scenario.initial_state, 1),
         (scenario.true_disturbance, horizon),
         (scenario.noise, horizon + 1),
     )
-    # (fill, [(law, rows)]) per stretch of laws drawing with one method.
-    groups = [
-        (fill, list(members))
-        for fill, members in groupby(laws, key=lambda lr: lr[0].unit_draws(rng))
-    ]
-    raws = [
-        np.empty((count, sum(rows * law.dim for law, rows in members)))
-        for _, members in groups
-    ]
-    runs = np.arange(start, start + count, dtype=np.uint64)
-    for i, key in enumerate(_run_keys(scenario.seed, runs).tolist()):
-        state["state"]["key"] = key
-        bitgen.state = state
-        for (fill, _), raw in zip(groups, raws):
-            fill(out=raw[i])
-    outs = []
-    for (_, members), raw in zip(groups, raws):
+    keys = _run_keys(scenario.seed, np.arange(start, start + count, dtype=np.uint64))
+    # One buffer per stretch of laws drawing with one method, filled by
+    # it; maps: (buffer, first column, law, rows, output) per law.
+    fills, maps = [], []
+    for fill, stretch in groupby(laws, key=lambda lr: lr[0].unit_draws(rng)):
+        members = list(stretch)
+        width = sum(rows * law.dim for law, rows in members)
+        raw = np.empty((min(count, _SUB_BLOCK), width))
+        fills.append((fill, raw))
         offset = 0
         for law, rows in members:
-            size = rows * law.dim
-            unit = raw[:, offset : offset + size].reshape(count, rows, law.dim)
             out = np.swapaxes(np.empty((rows, count, law.dim)), 0, 1)
-            outs.append(law.from_unit(unit, out=out))
-            offset += size
-    x0s, w, v = outs
+            maps.append((raw, offset, law, rows, out))
+            offset += rows * law.dim
+    lo, stop = start, start + count
+    while lo < stop:
+        hi = min(lo - lo % _SUB_BLOCK + _SUB_BLOCK, stop)
+        for i, key in enumerate(keys[lo - start : hi - start].tolist()):
+            state["state"]["key"] = key
+            bitgen.state = state
+            for fill, raw in fills:
+                fill(out=raw[i])
+        size = hi - lo
+        for raw, offset, law, rows, out in maps:
+            unit = raw[:size, offset : offset + rows * law.dim]
+            law.from_unit(
+                unit.reshape(size, rows, law.dim), out=out[lo - start : hi - start]
+            )
+        lo = hi
+    x0s, w, v = (out for *_, out in maps)
     return x0s[:, 0], w, v

@@ -32,7 +32,7 @@ from wdrc.harness import (
     simulate_paired,
     trace_run,
 )
-from wdrc.model import draw_nominal_samples, estimate_nominal
+from wdrc.model import draw_nominal_samples, estimate_nominal, matmul_rows
 from wdrc.oracles import run_closed_loop
 
 
@@ -455,6 +455,39 @@ def test_quad_form_is_einsum_bit_for_bit(n, batch, seed):
     assert _quad_form(X, M).tobytes() == want.tobytes()
     if batch >= 3:
         assert want.tobytes() == np.einsum("ij,jk,ik->i", X, M, X).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    batch=hs.integers(2, 5000),
+    stage_rows=hs.sampled_from([None, 1, 2, 51]),
+    inner=hs.integers(1, 3),
+    width=hs.integers(1, 3),
+    transposed=hs.booleans(),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_matmul_rows_is_matmul_bit_for_bit(
+    batch, stage_rows, inner, width, transposed, seed
+):
+    """The helper has the bits of ``X @ M`` on rows and on stacks of
+    rows, for a contiguous ``M`` or a transposed view: the
+    column-by-column product of inner dimension one also for zero
+    products of either sign, which gemm adds into +0.0, and a wider
+    product also for stacks of one-row products."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, inner) if stage_rows is None else (batch, stage_rows, inner)
+    X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    zeros = rng.random(shape) < 0.05
+    X[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    M = rng.standard_normal((width, inner)) * 10.0 ** rng.uniform(-3, 3, (width, inner))
+    M[rng.random(M.shape) < 0.3] = 0.0
+    M[rng.random(M.shape) < 0.3] = -0.0
+    M = M.T if transposed else np.ascontiguousarray(M.T)
+    want = X @ M
+    assert matmul_rows(X, M).tobytes() == want.tobytes()
+    out = np.moveaxis(np.empty((width, *shape[:-1])), 0, -1)
+    assert matmul_rows(X, M, out=out) is out
+    assert out.tobytes() == want.tobytes()
 
 
 def test_single_policy_simulation(small_setup):

@@ -1,11 +1,14 @@
 """Problem data types, sampling streams, and nominal estimation."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wdrc.errors import DimMismatch, EmptySamples, NotPD, NotPSD
+from wdrc.harness import _BLOCK, load_config
 from wdrc.model import (
     STREAM_RUN,
     CostSpec,
@@ -176,8 +179,14 @@ def test_uniform_sample_is_generator_uniform():
 @pytest.mark.parametrize("law", ["gaussian", "uniform"])
 @pytest.mark.parametrize(
     "start, count",
-    [(0, 1), (0, 1100), (1000, 1100), (2**32 - 700, 1300)],
-    ids=["one", "crosses-block", "unaligned-start", "crosses-2**32"],
+    [(0, 1), (0, 1100), (1000, 1100), (255, 514), (2**32 - 700, 1300)],
+    ids=[
+        "one",
+        "crosses-block",
+        "unaligned-start",
+        "inside-sub-blocks",
+        "crosses-2**32",
+    ],
 )
 def test_draw_realizations_equal_per_run_streams(
     plant, gaussian_scenario, law, start, count
@@ -192,6 +201,47 @@ def test_draw_realizations_equal_per_run_streams(
     assert np.array_equal(real.x0, want[0][-1])
     assert np.array_equal(real.w, want[1][-1])
     assert np.array_equal(real.v, want[2][-1])
+
+
+@pytest.mark.parametrize("law", ["gaussian", "uniform"])
+def test_draw_realizations_of_no_runs_are_empty(plant, gaussian_scenario, law):
+    scenario = gaussian_scenario if law == "gaussian" else _uniform_scenario(7)
+    x0s, w, v = draw_realizations(scenario, plant, 3, 5, 0)
+    assert (x0s.shape, w.shape, v.shape) == ((0, 2), (0, 3, 2), (0, 4, 1))
+
+
+def test_draw_realizations_hold_little_beyond_their_outputs():
+    """Drawing one campaign block of ``gaussian.yaml`` allocates less than
+    a fifth of its outputs' bytes beyond them: the standardized numbers
+    are buffered one sub-block of runs at a time, not for the block."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "gaussian.yaml")
+    horizon = cfg.cost.horizon
+    draw_realizations(cfg.scenario, cfg.sys, horizon, 0, 2)  # one-time allocations
+    tracemalloc.start()
+    try:
+        draws = draw_realizations(cfg.scenario, cfg.sys, horizon, 0, _BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.size for a in draws) * 8
+    assert outputs == _BLOCK * (2 + horizon * 2 + (horizon + 1) * 1) * 8
+    assert peak - outputs < outputs / 5, (peak, outputs)
+
+
+def test_one_dimensional_gaussian_from_unit_is_matmul_bit_for_bit():
+    """A one-dimensional law maps its numbers column by column, with the
+    bits of ``matmul`` plus the mean, also for zero products of either
+    sign and a mean of -0.0."""
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((300, 51, 1))
+    z[rng.random(z.shape) < 0.05] = 0.0
+    z[rng.random(z.shape) < 0.05] = -0.0
+    for mean, cov in (([0.0], [[0.2]]), ([-0.0], [[0.2]]), ([0.3], [[0.0]])):
+        law = GaussianSpec(np.array(mean), np.array(cov))
+        out = np.swapaxes(np.empty((51, 300, 1)), 0, 1)
+        want = np.matmul(z, law.factor.T, out=np.empty_like(z)) + law.mean_vec
+        assert law.from_unit(z, out=out).tobytes() == want.tobytes()
+        assert law.from_unit(z).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**130 + 7])

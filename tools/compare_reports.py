@@ -25,8 +25,11 @@ the tree) on the configs of this repository:
   ``gaussian.yaml`` with ``--runs 2500 --jobs 2``, whose second chunk
   starts at run 1250, inside a block; on the pinned ``gaussian.yaml``
   with ``--runs 8193``, two full blocks of 4096 runs and a trailing
-  single run; and on ``uniform.yaml`` with ``--dump-trace --trace-run
-  1777``, which adds the two trace files;
+  single run; on the pinned ``gaussian.yaml`` with ``--runs 4353
+  --jobs 2``, whose second chunk starts at run 2177, inside a sub-block
+  of 256 draws, and ends on a sub-block of one run; and on
+  ``uniform.yaml`` with ``--dump-trace --trace-run 1777``, which adds
+  the two trace files;
 - ``wdrc simulate`` on ``gaussian.yaml`` at ``--seed 2813``, whose
   calibration holds the longest multiplier search of the certificates,
   at ``--seed 411`` and ``--seed 1617``, whose calibrations hold the
@@ -109,6 +112,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         ("uniform", ["--mode", "wdrc"], "out-wdrc"),
         ("gaussian", ["--runs", "2500", "--jobs", "2"], "out-jobs"),
         ("gaussian-lam4", ["--runs", "8193"], "out-8193"),
+        ("gaussian-lam4", ["--runs", "4353", "--jobs", "2"], "out-4353"),
         ("uniform", ["--dump-trace", "--trace-run", "1777"], "out-trace"),
         ("gaussian", ["--seed", "2813"], "out-2813"),
         ("gaussian", ["--seed", "411"], "out-411"),
