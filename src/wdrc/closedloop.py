@@ -45,8 +45,8 @@ within Gelbrich distance ``theta`` of the nominal at every stage;
 Several loops of one nominal are bounded together on stacks with a
 leading axis (:func:`closed_loop` of several controllers,
 :func:`dual_bounds`).  Every stacked numpy call gives each member
-the bits of its call alone: matmul, solve, eigh and eigvalsh work matrix
-by matrix, dot products go through ``np.vecdot``, sums reduce each
+the bits of its call alone: matmul, solve, eigh, eigvalsh and svd work
+matrix by matrix, dot products go through ``np.vecdot``, sums reduce each
 member's contiguous block, and every einsum has the stack as its
 outermost axis, so its inner loops are those of the member alone.  So
 each bound equals its loop's alone, bit for bit.
@@ -477,7 +477,7 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
     matrix-vector product per problem, whose bits are the same on one
     BLAS thread as on several.  The problems' runs advance together, and
     each stops on its own; the tridiagonal matrices of the runs of equal
-    length are diagonalized in one stacked ``eigh``.  Every product works
+    length are diagonalized in one stacked ``svd``.  Every product works
     matrix by matrix and every einsum has the stack as its outermost
     axis, so each model keeps its bits.
     """
@@ -521,8 +521,12 @@ def _slope_models(terms: _DualTerms) -> list[tuple[np.ndarray, np.ndarray]]:
         tri[:, diag, diag] = alphas[idx, :size]
         beta = betas[idx, : size - 1]
         tri[:, diag[1:], diag[:-1]] = tri[:, diag[:-1], diag[1:]] = beta
-        values, vecs = np.linalg.eigh(tri)
-        top = (norm[idx] * norm[idx])[:, None] * vecs[:, 0] ** 2
+        # H is PSD, so the tridiagonal is, and its singular pairs are its
+        # eigenpairs; svd avoids eigh's divide and conquer, whose BLAS
+        # calls stall on a cold thread pool from 26 rows on.
+        vecs, values, _ = np.linalg.svd(tri)
+        values, vecs = values[:, ::-1], vecs[:, 0, ::-1]
+        top = (norm[idx] * norm[idx])[:, None] * vecs**2
         for i, value, weight in zip(idx, values, top):
             ritz[i], weights[i] = value, weight
     return [

@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimator import covariance_path
 from .model import CostSpec, LinearSystem, NominalDistribution
-from .psdmath import symmetrize
+from .psdmath import solve, symmetrize
 from .riccati import RiccatiSolution, backward_pass
 from .worstcase import WorstCaseSchedule, forward_schedule, mean_affine
 
@@ -144,8 +144,8 @@ def lqg_gains(
         P_next, r_next = P[t + 1], r[t + 1]
         w_hat = nominal.mean(t)
         ctrl_weight = cost.R + B.T @ P_next @ B
-        K[t] = -np.linalg.solve(ctrl_weight, B.T @ P_next @ A)
-        L[t] = -np.linalg.solve(ctrl_weight, B.T @ (P_next @ w_hat + r_next))
+        K[t] = -solve(ctrl_weight, B.T @ P_next @ A)
+        L[t] = -solve(ctrl_weight, B.T @ (P_next @ w_hat + r_next))
         P[t] = symmetrize(
             cost.Q + A.T @ P_next @ A + A.T @ P_next @ B @ K[t]
         )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimMismatch, SingularInnovation
 from .model import DistributionSpec, LinearSystem
-from .psdmath import symmetrize
+from .psdmath import solve, symmetrize
 
 __all__ = [
     "BeliefState",
@@ -88,7 +88,7 @@ def kalman_gain(prior_cov: np.ndarray, sys: LinearSystem) -> np.ndarray:
     C, M = sys.C, sys.M
     innov = symmetrize(C @ prior_cov @ C.T + M)
     try:
-        return np.linalg.solve(innov, C @ prior_cov).mT
+        return solve(innov, C @ prior_cov).mT
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
 

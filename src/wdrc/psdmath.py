@@ -1,8 +1,9 @@
 """Symmetric positive semidefinite matrix primitives.
 
 Provides square roots, the squared Bures distance between covariance
-matrices, and the squared Gelbrich distance between mean/covariance
-pairs.  All decompositions of symmetric matrices go through
+matrices, the squared Gelbrich distance between mean/covariance pairs,
+and :func:`solve`, the linear solve of the filter, Riccati and
+worst-case layers.  All decompositions of symmetric matrices go through
 ``numpy.linalg.eigh``; eigenvalues within a scale-aware tolerance of
 zero are clamped to zero instead of being rejected.
 
@@ -32,6 +33,7 @@ __all__ = [
     "transport_map",
     "bures_sq",
     "gelbrich_dist_sq",
+    "solve",
 ]
 
 
@@ -43,6 +45,28 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     require_square(m)
     return (m + m.mT) / 2.0
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)``, with 1x1 systems solved in numpy.
+
+    Single-output filters and single-input plants make most of the
+    stacked solves 1x1, where LAPACK's call costs far more than its
+    arithmetic.  OpenBLAS's solve divides a single right-hand side (a
+    vector or one column) by the pivot and multiplies several columns
+    by its reciprocal; this does the same, so every result keeps its
+    bits.  A zero pivot raises ``np.linalg.LinAlgError`` as LAPACK
+    does.
+    """
+    if a.shape[-1] != 1:
+        return np.linalg.solve(a, b)
+    if np.count_nonzero(a == 0.0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    if b.ndim == 1:
+        return b / a[..., 0]
+    if b.shape[-1] == 1:
+        return b / a
+    return b * (1.0 / a)
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> None:

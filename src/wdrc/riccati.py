@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NoFeasibleLambda, PenaltyTooSmall, SingularMatrix
 from .model import CostSpec, LinearSystem, NominalDistribution
-from .psdmath import symmetrize
+from .psdmath import solve, symmetrize
 
 __all__ = [
     "RiccatiSolution",
@@ -100,7 +100,7 @@ class PenaltyFeasibility:
 
 def _solve_stage(lhs: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
     try:
-        return np.linalg.solve(lhs, rhs)
+        return solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"stage {t}: {exc}") from exc
 
@@ -172,7 +172,7 @@ def backward_passes(
 
     k = lam.size
     Phi = symmetrize(
-        B @ np.linalg.solve(cost.R, B.T) - np.eye(n) / lam[:, None, None]
+        B @ solve(cost.R, B.T) - np.eye(n) / lam[:, None, None]
     )
     P = np.zeros((k, T + 1, n, n))
     S = np.zeros((k, T + 1, n, n))
@@ -222,8 +222,8 @@ def backward_passes(
         P[sel, t] = symmetrize(cost.Q + A.T @ ric)
         S[sel, t] = symmetrize(cost.Q + A.T @ (P_next @ A) - P[sel, t])
         r[sel, t] = (A.T @ vec)[:, :, 0]
-        K[sel, t] = -np.linalg.solve(cost.R, B.T @ ric)
-        L[sel, t] = -np.linalg.solve(cost.R, B.T @ vec)[:, :, 0]
+        K[sel, t] = -solve(cost.R, B.T @ ric)
+        L[sel, t] = -solve(cost.R, B.T @ vec)[:, :, 0]
 
         drift = 2.0 * w_hat - (Phi_t @ r_next[:, :, None])[:, :, 0]
         z[sel, t] = (
@@ -280,7 +280,7 @@ def check_penalties(
     n, T = sys.n_x, cost.horizon
     lam = np.array(lams, dtype=float)
     Phi = symmetrize(
-        sys.B @ np.linalg.solve(cost.R, sys.B.T) - np.eye(n) / lam[:, None, None]
+        sys.B @ solve(cost.R, sys.B.T) - np.eye(n) / lam[:, None, None]
     )
     P_next = np.asarray(cost.Q_f, dtype=float)
     margin = lam - float(np.linalg.eigvalsh(P_next)[-1])

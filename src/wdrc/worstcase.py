@@ -64,6 +64,7 @@ from .estimator import kalman_gain, kalman_update
 from .model import LinearSystem, NominalDistribution
 from .psdmath import (
     psd_tolerance,
+    solve,
     symmetrize,
     trace_sqrt_product,
     transport_map,
@@ -350,7 +351,7 @@ def _newton_system(
     G = symmetrize(st.prior_base + Sigma)
     innov = symmetrize(sys.C @ G @ sys.C.T + sys.M)
     try:
-        inv_c = np.linalg.solve(innov, np.broadcast_to(sys.C, (k, *sys.C.shape)))
+        inv_c = solve(innov, np.broadcast_to(sys.C, (k, *sys.C.shape)))
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
     closed = st.eye - (inv_c @ G).mT @ sys.C
@@ -370,13 +371,19 @@ def _newton_system(
     return grad, g, symmetrize(h)
 
 
-def _newton_direction(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+def _newton_direction(
+    Sigma: np.ndarray, st: _Stage
+) -> tuple[np.ndarray, np.ndarray]:
     """Ascent direction of each problem: the Newton step where the
     Hessian is negative definite, the gradient elsewhere.
 
     A Hessian whose smallest eigenvalue is positive only by rounding
     (far out along a flat direction) can still be singular to the
     solve; that problem takes the gradient too.
+
+    Returns:
+        ``(directions, newton)``: the ``(k, n, n)`` directions and
+        whether each is the Newton step.
     """
     grad, g, h = _newton_system(Sigma, st)
     k, n = Sigma.shape[0], Sigma.shape[-1]
@@ -385,24 +392,40 @@ def _newton_direction(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
         curved[curved] = np.linalg.eigvalsh(h[curved])[:, 0] > 0.0
     if np.count_nonzero(curved) == k:
         try:
-            return (st.basis @ np.linalg.solve(h, g)).reshape(k, n, n)
+            return (st.basis @ np.linalg.solve(h, g)).reshape(k, n, n), curved
         except np.linalg.LinAlgError:
             pass
     step = _solve_each(h[curved], g[curved])
     solved = ~np.isnan(step[:, 0, 0])
-    grad[np.flatnonzero(curved)[solved]] = (st.basis @ step[solved]).reshape(-1, n, n)
-    return grad
+    newton = np.zeros(k, dtype=bool)
+    newton[np.flatnonzero(curved)[solved]] = True
+    grad[newton] = (st.basis @ step[solved]).reshape(-1, n, n)
+    return grad, newton
 
 
-def _positive(Sigma: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Whether each matrix is finite with its eigenvalues above ``floor``."""
+def _lowest(Sigma: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix, ``-inf`` where an entry is not
+    finite."""
+    low = np.full(Sigma.shape[0], -np.inf)
     ok = np.isfinite(Sigma).all(axis=(1, 2))
-    ok[ok] = np.linalg.eigvalsh(Sigma[ok])[:, 0] > floor[ok]
-    return ok
+    low[ok] = np.linalg.eigvalsh(Sigma[ok])[:, 0]
+    return low
 
 
 # Halvings of a Newton step before the step counts as stalled.
 _HALVINGS = 50
+# A problem ends after any step that moves no entry by more than
+# ``_STEP_STOP (1 + max|Sigma|)``, and after a full Newton step ``d``
+# (not halved) once ``d <= _FULL_STEP_STOP (1 + max|Sigma|)`` and
+# ``d^2 / lambda_min(Sigma) <= _NEXT_STEP_STOP (1 + max|Sigma|)``.
+# Newton converges quadratically, with a constant that grows like
+# ``1 / lambda_min(Sigma)`` toward the cone's boundary, so the next step
+# would be about ``d^2 / lambda_min`` and only confirm convergence.  A
+# gradient or halved step converges linearly at best, so it ends a
+# problem only at the fine threshold.
+_STEP_STOP = 1e-14
+_FULL_STEP_STOP = 1e-8
+_NEXT_STEP_STOP = 1e-12
 
 
 def _newton(
@@ -413,11 +436,14 @@ def _newton(
     Each step is the Newton step (the gradient where the Hessian is
     not negative definite), halved until the iterate stays positive
     definite above the eigenvalue floor; there is no line search on
-    the objective.  Each problem stops on its own, by the fixed point's
-    rule: once a step moves no entry by more than ``1e-14 (1 +
-    max|Sigma|)``, when no halving keeps it positive definite, or when
-    an entry passes the growth cap.  The objective is not evaluated;
-    the caller checks value and stationarity of the result.
+    the objective.  Each problem stops on its own: after a full Newton
+    step (no halving) that moves no entry by more than ``1e-8 (1 +
+    max|Sigma|)`` and whose square, over the iterate's smallest
+    eigenvalue, is at most ``1e-12 (1 + max|Sigma|)``; after any step
+    that moves no entry by more than ``1e-14 (1 + max|Sigma|)``; when
+    no halving keeps it positive definite; or when an entry passes the
+    growth cap.  The objective is not evaluated; the caller checks
+    value and stationarity of the result.
 
     Returns:
         ``(iterates, steps)``.
@@ -426,15 +452,17 @@ def _newton(
     steps = np.zeros(Sigma.shape[0], dtype=int)
     idx = np.arange(Sigma.shape[0])
     for k in range(1, max_steps + 1):
-        step = _newton_direction(Sigma, st)
+        step, full = _newton_direction(Sigma, st)
         nxt = Sigma + step
-        stalled = ~_positive(nxt, st.floor)
+        low = _lowest(nxt)
+        stalled = ~(low > st.floor)
         if np.count_nonzero(stalled):
+            full &= ~stalled
             todo = np.flatnonzero(stalled)
             for _ in range(_HALVINGS):
                 step[todo] *= 0.5
                 trial = Sigma[todo] + step[todo]
-                ok = _positive(trial, st.floor[todo])
+                ok = _lowest(trial) > st.floor[todo]
                 nxt[todo[ok]] = trial[ok]
                 todo = todo[~ok]
                 if not todo.size:
@@ -445,7 +473,10 @@ def _newton(
         delta = np.abs(nxt - Sigma).max(axis=(1, 2))
         Sigma = nxt
         size = np.abs(Sigma).max(axis=(1, 2))
-        done = stalled | (delta <= 1e-14 * (1.0 + size)) | (size > st.cap)
+        scale = 1.0 + size
+        settled = full & (delta <= _FULL_STEP_STOP * scale)
+        settled &= delta * delta <= _NEXT_STEP_STOP * scale * low
+        done = stalled | settled | (delta <= _STEP_STOP * scale) | (size > st.cap)
         if np.count_nonzero(done):
             result[idx[done]] = Sigma[done]
             steps[idx[done]] = k
@@ -555,7 +586,7 @@ def _tolerance(st: _Stage) -> np.ndarray:
 
 # The first round of a solve runs 3 fixed-point passes and 30 Newton
 # steps, which settle nearly every stage problem (calibrations on the
-# bundled configs take up to 13 steps); a later round runs as many passes
+# bundled configs take up to 17 steps a round); a later round runs as many passes
 # and steps as all rounds before it took steps, within 5000 steps in all.
 _WARMUP_PASSES = 3
 _WARMUP_STEPS = 30

@@ -99,3 +99,26 @@ def test_a_differing_output_shows_how_far_its_numbers_moved(tool, monkeypatch, c
 )
 def test_largest_rel_diff_compares_numbers_when_the_text_matches(tool, base, head, rel):
     assert tool.largest_rel_diff(base, head) == rel
+
+
+def test_gate_line_reads_penalty_and_bound_moves_of_the_gate_calibrations(
+    tool, monkeypatch, capsys
+):
+    """The gate line counts the calibrations whose penalty moved and
+    gives the largest relative move of their bounds."""
+    gate = sorted(tool.GATE_LABELS)[:2]
+    stdout = {
+        ("base", gate[0]): b'{"lam": 2.5, "objective": 8.0}',
+        ("head", gate[0]): b'{"lam": 2.5, "objective": 8.000000000008}',
+        ("base", gate[1]): b'{"lam": 3.0, "objective": 1.0}',
+        ("head", gate[1]): b'{"lam": 3.1, "objective": 1.0}',
+    }
+    monkeypatch.setattr(
+        tool, "run",
+        lambda src, work_dir, argv, out: {"exit": b"0", "stdout": stdout[src, argv[-1]]},
+    )
+    monkeypatch.setattr(tool, "jobs", lambda: [(label, ["calibrate", label], None) for label in gate])
+    assert tool.main(["base", "head"]) == 1
+    assert "gate calibrations: lam moved in 1 of 2, bound max rel diff 1e-12" in (
+        capsys.readouterr().out
+    )

@@ -203,6 +203,32 @@ def test_draw_realizations_equal_per_run_streams(
     assert np.array_equal(real.v, want[2][-1])
 
 
+def test_draw_realizations_with_non_diagonal_factors(plant):
+    """Every law with a non-diagonal factor, the initial state's one-row
+    products included, draws each run's ``z @ factor.T + mean`` from its
+    stream's standard normals, across a sub-block edge."""
+    scenario = ScenarioSpec(
+        true_disturbance=GaussianSpec(
+            np.array([0.01, -0.02]), np.array([[0.02, -0.007], [-0.007, 0.01]])
+        ),
+        initial_state=GaussianSpec(
+            np.array([-1.0, 0.5]), np.array([[0.3, 0.12], [0.12, 0.1]])
+        ),
+        noise_cov=np.array([[0.2]]),
+        sample_count=5,
+        seed=9,
+    )
+    laws = (scenario.initial_state, scenario.true_disturbance, scenario.noise)
+    assert np.count_nonzero(laws[0].factor - np.diag(np.diag(laws[0].factor)))
+    horizon, start, count = 4, 250, 12
+    got = draw_realizations(scenario, plant, horizon, start, count)
+    for i, run in enumerate(range(start, start + count)):
+        rng = split_stream(scenario.seed, STREAM_RUN, run)
+        for law, rows, draws in zip(laws, (1, horizon, horizon + 1), got):
+            want = rng.standard_normal((rows, law.dim)) @ law.factor.T + law.mean_vec
+            assert np.array_equal(draws[i].reshape(rows, law.dim), want)
+
+
 @pytest.mark.parametrize("law", ["gaussian", "uniform"])
 def test_draw_realizations_of_no_runs_are_empty(plant, gaussian_scenario, law):
     scenario = gaussian_scenario if law == "gaussian" else _uniform_scenario(7)

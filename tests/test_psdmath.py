@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
-from wdrc.errors import DimMismatch, NotPSD
+from wdrc.errors import DimMismatch, NotPSD, SingularInnovation, SingularMatrix
+from wdrc.estimator import kalman_gain
+from wdrc.model import CostSpec, LinearSystem
+from wdrc.riccati import check_penalty
 from wdrc.psdmath import (
     MomentPair,
     bures_sq,
     gelbrich_dist_sq,
     psd_sqrt,
     require_psd,
+    solve,
     symmetrize,
     trace_sqrt_product,
     transport_map,
@@ -155,3 +159,54 @@ def test_stacked_primitives_match_single_calls_bitwise(n):
         assert tsp[k] == single
         assert np.array_equal(tmap[k], transport_map(a[k], b[k]))
     assert not tmap[3].any()
+
+
+def _signed_magnitudes(rng, shape):
+    """Both signs, magnitudes from 1e-20 to 1e20, and zeros of either sign."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-20.0, 20.0, shape)
+    x[rng.random(shape) < 0.05] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 300])
+@pytest.mark.parametrize("rhs", ["vector", 1, 2, 5])
+def test_one_by_one_solve_is_lapack_bit_for_bit(k, rhs):
+    """1x1 systems keep the bits of ``np.linalg.solve``: stacked, a
+    shared matrix against stacked right-hand sides, a vector right-hand
+    side, and each member of a stack against its stack of one."""
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        a = _signed_magnitudes(rng, (k, 1, 1))
+        a[a == 0.0] = 1.5
+        if rhs == "vector":
+            for q in range(k):
+                b = _signed_magnitudes(rng, (1,))
+                assert solve(a[q], b).tobytes() == np.linalg.solve(a[q], b).tobytes()
+            continue
+        b = _signed_magnitudes(rng, (k, 1, rhs))
+        got = solve(a, b)
+        assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+        assert solve(a[0], b).tobytes() == np.linalg.solve(a[0], b).tobytes()
+        for q in (0, k // 2, k - 1):
+            assert got[q].tobytes() == solve(a[q : q + 1], b[q : q + 1])[0].tobytes()
+
+
+def test_one_by_one_solve_raises_on_a_zero_pivot():
+    """A zero pivot of either sign raises as LAPACK does, and the filter
+    and the Riccati recursion turn it into their own errors."""
+    for zero in (0.0, -0.0):
+        a = np.array([[[2.0]], [[zero]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(a, np.ones((2, 1, 3)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones((2, 1, 3)))
+    blind = LinearSystem(A=np.eye(2), B=np.ones((2, 1)), C=np.zeros((1, 2)), M=np.zeros((1, 1)))
+    with pytest.raises(SingularInnovation):
+        kalman_gain(np.stack([np.eye(2), 2.0 * np.eye(2)]), blind)
+    # The stage system 1 + P Phi = 1 - 1 / lam of this scalar plant
+    # vanishes at lam = 1.
+    scalar = LinearSystem(A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1), M=np.eye(1))
+    cost = CostSpec(Q=np.eye(1), Q_f=np.eye(1), R=np.eye(1), horizon=3)
+    with pytest.raises(SingularMatrix):
+        check_penalty(scalar, cost, 1.0)

@@ -1,5 +1,6 @@
 """Adversarial moments: gradients, maximizers, and the schedule."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import random_psd
+from wdrc import worstcase
+from wdrc.bounds import calibrate_lambda
 from wdrc.controller import synthesize_wdrc
 from wdrc.errors import Diverged, NotPSD
 from wdrc.estimator import initial_posterior_cov, kalman_gain, update, BeliefState, predict
@@ -662,11 +665,14 @@ def test_newton_direction_survives_a_singular_solve_of_a_positive_hessian():
                 singular.append(q)
     if not singular:
         pytest.skip("no exact zero pivot among these iterates on this LAPACK")
-    direction = _newton_direction(sigma, stack)
+    direction, newton = _newton_direction(sigma, stack)
     assert np.isfinite(direction).all()
     assert np.array_equal(direction[singular], grad[singular])
+    assert not newton[singular].any()
     q = next(q for q in range(sigma.shape[0]) if q not in singular)
-    assert np.array_equal(direction[q], _newton_direction(sigma[q:q + 1], ctx._stage)[0])
+    alone, newton_alone = _newton_direction(sigma[q:q + 1], ctx._stage)
+    assert np.array_equal(direction[q], alone[0])
+    assert newton[q] == newton_alone[0]
 
 
 def _stack_of(ctxs) -> _Stage:
@@ -736,3 +742,104 @@ def test_stacked_solve_gives_each_problem_its_stack_of_one(dims, seed):
             assert cov_objective(probe, ctx) <= solve.z_tilde + 1e-7 * (
                 1 + abs(solve.z_tilde)
             )
+
+
+def _random_problem(seed: int, n: int, rank: int) -> CovObjectiveContext:
+    """A bounded problem drawn as in the stacked-solve test: ``lam``
+    above the top eigenvalue of ``P_next + S_next``, and a nominal
+    covariance of the given rank."""
+    rng = np.random.default_rng(seed)
+    n_y = int(rng.integers(1, n + 1))
+    sys = LinearSystem(
+        A=rng.standard_normal((n, n)) / np.sqrt(n),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((n_y, n)),
+        M=random_psd(rng, n_y, jitter=0.1),
+    )
+    p_next, s_next = random_psd(rng, n), random_psd(rng, n)
+    top = float(np.linalg.eigvalsh(p_next + s_next).max())
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    return CovObjectiveContext(
+        S_next=s_next,
+        P_next=p_next,
+        lam=top * (1.5 + 2.5 * rng.random()) + 1.0,
+        Sigma_hat=symmetrize((basis * rng.uniform(0.05, 1.0, rank)) @ basis.T),
+        P_bar=random_psd(rng, n),
+        sys=sys,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=hs.integers(1, 3), seed=hs.integers(0, 2**32 - 1))
+def test_newton_stop_leaves_nothing_for_more_steps(n, seed):
+    """A solve may end at a full Newton step of up to 1e-8 relative, so
+    the next steps only confirm it: on random bounded problems with a
+    full-rank nominal, 5 more Newton steps move each converged
+    maximizer by at most 1e-13 relative."""
+    ctx = _random_problem(seed, n, n)
+    solve = solve_worst_case_cov(ctx)
+    assert solve.converged
+    sigma = solve.cov[None]
+    for _ in range(5):
+        sigma = sigma + _newton_direction(sigma, ctx._stage)[0]
+    moved = np.abs(sigma[0] - solve.cov).max()
+    assert moved <= 1e-13 * np.abs(solve.cov).max()
+
+
+@pytest.mark.parametrize("seed", [1, 6, 14, 15])
+def test_rank_deficient_nominal_converges_as_with_the_fine_stop(monkeypatch, seed):
+    """Rank-2 nominals at n = 3 whose solves mix gradient steps with
+    full Newton steps toward a maximizer near the cone's boundary, where
+    Newton converges slowly: each still converges, to the maximizer
+    (within 1e-12 relative) that the solve reaches when every step must
+    move less than 1e-14 relative.  A stop at any full step of 1e-8
+    leaves each of them unconverged."""
+    ctx = _random_problem(seed, 3, 2)
+    flags = []
+    direction = worstcase._newton_direction
+
+    def recorded(Sigma, st):
+        step, newton = direction(Sigma, st)
+        flags.append(newton.copy())
+        return step, newton
+
+    monkeypatch.setattr(worstcase, "_newton_direction", recorded)
+    solve = solve_worst_case_cov(ctx)
+    newton = np.concatenate(flags)
+    assert newton.any() and not newton.all()
+    monkeypatch.setattr(worstcase, "_FULL_STEP_STOP", worstcase._STEP_STOP)
+    fine = solve_worst_case_cov(ctx)
+    assert solve.converged and fine.converged
+    assert np.abs(solve.cov - fine.cov).max() <= 1e-12 * np.abs(fine.cov).max()
+
+
+@pytest.mark.parametrize(
+    "name, per_stage, most", [("gaussian", False, 260), ("uniform", True, 500)]
+)
+def test_calibration_newton_step_count(monkeypatch, name, per_stage, most):
+    """One calibration at the config's seed takes at most ``most``
+    stacked Newton steps (381 and 618 when every problem ran until a
+    step moved less than 1e-14 relative), and every stage it solves
+    converges."""
+    cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
+    cfg = replace(cfg, per_stage_nominal=per_stage)
+    scenario, nominal, _ = prepare(cfg, None)
+    steps = []
+    direction = worstcase._newton_direction
+    settle = worstcase._settle
+    outcomes = []
+
+    def counted(Sigma, st):
+        steps.append(Sigma.shape[0])
+        return direction(Sigma, st)
+
+    def recorded(st, init):
+        out = settle(st, init)
+        outcomes.extend(out)
+        return out
+
+    monkeypatch.setattr(worstcase, "_newton_direction", counted)
+    monkeypatch.setattr(worstcase, "_settle", recorded)
+    calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
+    assert 0 < len(steps) <= most
+    assert all(o.converged for o in outcomes if isinstance(o, worstcase.CovSolve))

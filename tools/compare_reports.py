@@ -40,6 +40,10 @@ the tree) on the configs of this repository:
   and on ``gaussian.yaml`` with ``cost.horizon: 200``, whose
   certificates run their Lanczos slope models on stacks of fewer
   problems than a scan holds: exit code and its JSON;
+- the gate calibrations: ``wdrc calibrate`` on ``gaussian.yaml`` at
+  ``--seed 400`` to ``--seed 429`` and on ``uniform.yaml`` with a
+  per-stage nominal at ``--seed 2800`` to ``--seed 2829``, the same
+  way;
 - ``wdrc synthesize`` on ``gaussian.yaml`` (calibrated penalty), on the
   pinned ``gaussian.yaml`` and on ``gaussian.yaml`` with ``--lam 4``:
   exit code and the JSON of the policy's coefficients;
@@ -56,11 +60,19 @@ expected to succeed, so a nonzero exit on either side is reported as a
 failure even when both sides fail alike.  The exit status is 1 if any
 command fails or any output differs and 0 otherwise; a refactor that
 must keep the reports byte-identical passes only with 0.
+
+A change that moves the solver's numbers on purpose is held to a looser
+gate on the gate calibrations: the calibrated penalty unchanged and the
+bound moved by at most 1e-10 relative.  The line before the summary
+gives both over the gate calibrations that succeeded on both sides:
+on how many the penalty moved, and the largest relative move of the
+bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -75,6 +87,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("gaussian", "uniform", "uniform-stagewise")
 SIM_SEEDS = (None, 12, 13)
 ORACLE_SEEDS = (*range(16), *range(28, 32))
+GATE_SEEDS = {"gaussian": range(400, 430), "uniform-stagewise": range(2800, 2830)}
+GATE_LABELS = {
+    f"calibrate {name} seed={seed}" for name, seeds in GATE_SEEDS.items() for seed in seeds
+}
 
 
 def write_configs(work_dir: str) -> None:
@@ -123,6 +139,10 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         out.append((f"simulate {' '.join([name, *flags])}", argv, out_dir))
     for name in (*CONFIGS, "gaussian-T200"):
         out.append((f"calibrate {name}", ["calibrate", "--config", f"{name}.yaml"], None))
+    for name, seeds in GATE_SEEDS.items():
+        for seed in seeds:
+            argv = ["calibrate", "--config", f"{name}.yaml", "--seed", str(seed)]
+            out.append((f"calibrate {name} seed={seed}", argv, None))
     for name, flags in (("gaussian", []), ("gaussian-lam4", []), ("gaussian", ["--lam", "4"])):
         argv = ["synthesize", "--config", f"{name}.yaml", *flags]
         out.append((f"synthesize {' '.join([name, *flags])}", argv, None))
@@ -139,21 +159,36 @@ _NUMBER = re.compile(
 )
 
 
+def rel_diff(x: float, y: float) -> float:
+    """``|x - y| / max(|x|, |y|)``: 0 for equal numbers or two NaNs, 1
+    for a NaN or an infinity against anything else."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return rel if math.isfinite(rel) else 1.0
+
+
 def largest_rel_diff(base: bytes, head: bytes) -> float | None:
-    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of two
-    outputs, or None when they differ in more than their numbers."""
+    """The largest :func:`rel_diff` over the numbers of two outputs, or
+    None when they differ in more than their numbers."""
     a, b = _NUMBER.split(base), _NUMBER.split(head)
     # Text sits at even positions of the split, numbers at odd ones.
     if len(a) != len(b) or a[::2] != b[::2]:
         return None
-    largest = 0.0
-    for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            continue
-        # A NaN or an infinity against anything else counts as 1.
-        rel = abs(x - y) / max(abs(x), abs(y))
-        largest = max(largest, rel if math.isfinite(rel) else 1.0)
-    return largest
+    return max(map(rel_diff, map(float, a[1::2]), map(float, b[1::2])), default=0.0)
+
+
+def gate_line(pairs: list[tuple[dict, dict]]) -> str:
+    """The gate over ``(base, head)`` pairs of calibration JSON."""
+    moved = sum(base["lam"] != head["lam"] for base, head in pairs)
+    bound = max(
+        (rel_diff(base["objective"], head["objective"]) for base, head in pairs),
+        default=0.0,
+    )
+    return (
+        f"gate calibrations: lam moved in {moved} of {len(pairs)}, "
+        f"bound max rel diff {bound:.3g}"
+    )
 
 
 def run(src: str, work_dir: str, argv: list[str], out_dir: str | None) -> dict[str, bytes]:
@@ -180,6 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     differing = failed = 0
+    gate: list[tuple[dict, dict]] = []
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {}
         for side in ("base", "head"):
@@ -201,6 +237,8 @@ def main(argv=None) -> int:
                         failed += 1
                         code = outputs["exit"].decode()
                         print(f"FAILED     {label}: {side} exited with {code}")
+                if label in GATE_LABELS and base["exit"] == head["exit"] == b"0":
+                    gate.append((json.loads(base["stdout"]), json.loads(head["stdout"])))
                 for name in [*base, *(n for n in head if n not in base)]:
                     old, new = base.get(name), head.get(name)
                     if old == new:
@@ -210,6 +248,8 @@ def main(argv=None) -> int:
                     rel = None if old is None or new is None else largest_rel_diff(old, new)
                     moved = "" if rel is None else f" (numbers only, max rel diff {rel:.3g})"
                     print(f"DIFFERS    {label}: {name}{moved}")
+    if gate:
+        print(gate_line(gate))
     print(f"{failed} run(s) failed, {differing} output(s) differ")
     return 1 if failed or differing else 0
 
