@@ -34,8 +34,8 @@ synthesized in stacks: the backward passes
 (:func:`wdrc.worstcase.forward_schedules`) of all of one scan's
 penalties run as one stacked pass each.  Each stack's feasible
 controllers are certified in one stacked call (:func:`certified_bounds`),
-and the feasibility boundary is bisected with the checks of several
-steps stacked (:func:`wdrc.riccati.min_feasible_lambda`).  The
+and the feasibility boundary is found by nested log-space scans of
+stacked checks (:func:`wdrc.riccati.min_feasible_lambda`).  The
 controller at the chosen penalty and its certificate come with the
 result, so callers need not synthesize or certify it again.
 """
@@ -333,7 +333,7 @@ def calibrate_lambda(
     :func:`performance_ratio` reports; a penalty that is infeasible or
     whose worst-case schedule does not converge scores infinity.  The
     search runs over ``[lam_min, lam_cap]`` in log space, where
-    ``lam_min`` is the bisected feasibility boundary.  A scan of
+    ``lam_min`` is the scanned feasibility boundary.  A scan of
     ``scan_points`` points locates the basin; then, twice, the best
     point evaluated so far and its two nearest evaluated neighbours
     bracket a zoom scan of ``(scan_points - 3) // 2`` points evenly

@@ -28,7 +28,9 @@ at every stage ``t = 1..T``; violations raise
 once, on stacks with the penalty on the leading axis, and
 :func:`backward_pass` is its stack of one, so the recursion is written
 once; :func:`check_penalties` and :func:`check_penalty` do the same for
-the feasibility margins.
+the feasibility margins.  :func:`min_feasible_lambda` finds the
+smallest feasible penalty by nested log-space scans, each checked in
+one stacked call.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ __all__ = [
     "min_feasible_lambda",
 ]
 
-# Relative safety factor applied to the feasibility boundary found by
-# bisection, so downstream solves stay clear of the singular limit.
+# Relative safety factor applied to the feasibility boundary the scans
+# find, so downstream solves stay clear of the singular limit.
 SAFETY_FACTOR = 1e-3
 
 
@@ -298,10 +300,12 @@ def check_penalties(
     return [PenaltyFeasibility(feasible=bool(m > 0.0), margin=float(m)) for m in margin]
 
 
-# Bisection steps checked per stacked call: the midpoints of the next
-# steps form a binary tree over the outcomes of their checks, 15 points
-# per call, so the about 40 steps from [1e-3, 1e6] take 10 calls.
-_BISECT_AHEAD = 4
+# The boundary search stops once its bracket is narrower than this,
+# relative to the larger of 1 and its infeasible end.
+_TOL = 1e-6
+# Penalties per stacked check of the boundary search: each scan narrows
+# the bracket's log width 32-fold, so [1e-3, 1e6] takes 5 scans.
+_SCAN = 31
 
 
 def _feasible(sys: LinearSystem, cost: CostSpec, lams: list[float]) -> list[bool]:
@@ -313,42 +317,21 @@ def _feasible(sys: LinearSystem, cost: CostSpec, lams: list[float]) -> list[bool
     ]
 
 
-def _bisection_plan(bad: float, good: float, tol: float, depth: int) -> list[float]:
-    """The midpoints the next ``depth`` bisection steps from ``[bad,
-    good]`` can check, whichever way their checks go."""
-    points = []
-    frontier = [(bad, good)]
-    for _ in range(depth):
-        nxt = []
-        for b, g in frontier:
-            if g - b > tol * max(1.0, b):
-                mid = 0.5 * (b + g)
-                points.append(mid)
-                nxt += [(b, mid), (mid, g)]
-        frontier = nxt
-    return points
-
-
 def min_feasible_lambda(
-    sys: LinearSystem,
-    cost: CostSpec,
-    lo: float,
-    hi: float,
-    tol: float = 1e-6,
+    sys: LinearSystem, cost: CostSpec, lo: float, hi: float
 ) -> float:
-    """Locate the smallest feasible penalty in ``[lo, hi]`` by bisection.
+    """Locate the smallest feasible penalty in ``[lo, hi]`` by nested
+    log-space scans.
 
-    A penalty for which the recursion hits a singular stage system is
-    treated as infeasible.  The returned value is the bisection
-    boundary inflated by a relative safety factor, so it is strictly
-    feasible for downstream synthesis.
-
-    The bisection is checked ahead: ``hi`` and ``lo`` go in one
-    :func:`check_penalties` call, and whenever the search reaches a
-    midpoint it has not checked, it checks every midpoint of its next
-    ``_BISECT_AHEAD`` steps in one call.  It then takes the steps of the
-    one-point-at-a-time bisection from the same arithmetic, so it returns
-    that bisection's value, bit for bit.
+    ``hi`` and ``lo`` go in one :func:`check_penalties` call.  Then,
+    with ``lo`` infeasible and ``hi`` feasible, each scan checks
+    ``_SCAN`` penalties spaced evenly in ``log lam`` strictly inside
+    the bracket, in one call, and the bracket becomes the first
+    feasible point and the point before it, until it is narrower than
+    ``_TOL`` relative.  A penalty for which the recursion hits a
+    singular stage system is treated as infeasible.  The returned value
+    is the bracket's feasible end inflated by a relative safety factor,
+    so it is strictly feasible for downstream synthesis.
 
     Raises:
         NoFeasibleLambda: If ``hi`` itself is infeasible.
@@ -362,14 +345,9 @@ def min_feasible_lambda(
     if lo_ok:
         return lo * (1.0 + SAFETY_FACTOR)
     bad, good = lo, hi
-    ahead: dict[float, bool] = {}
-    while good - bad > tol * max(1.0, bad):
-        mid = 0.5 * (bad + good)
-        if mid not in ahead:
-            plan = _bisection_plan(bad, good, tol, _BISECT_AHEAD)
-            ahead = dict(zip(plan, _feasible(sys, cost, plan)))
-        if ahead[mid]:
-            good = mid
-        else:
-            bad = mid
+    while good - bad > _TOL * max(1.0, bad):
+        scan = np.exp(np.linspace(np.log(bad), np.log(good), _SCAN + 2)[1:-1]).tolist()
+        flags = _feasible(sys, cost, scan) + [True]
+        first = flags.index(True)
+        bad, good = ([bad] + scan)[first], (scan + [good])[first]
     return good * (1.0 + SAFETY_FACTOR)

@@ -105,13 +105,15 @@ def test_gate_line_reads_penalty_and_bound_moves_of_the_gate_calibrations(
     tool, monkeypatch, capsys
 ):
     """The gate line counts the calibrations whose penalty moved and
-    gives the largest relative move of their bounds."""
+    gives the largest relative move of their penalties, the largest
+    relative move of their bounds and the largest signed rise of their
+    bounds, which a larger fall elsewhere does not hide."""
     gate = sorted(tool.GATE_LABELS)[:2]
     stdout = {
         ("base", gate[0]): b'{"lam": 2.5, "objective": 8.0}',
         ("head", gate[0]): b'{"lam": 2.5, "objective": 8.000000000008}',
         ("base", gate[1]): b'{"lam": 3.0, "objective": 1.0}',
-        ("head", gate[1]): b'{"lam": 3.1, "objective": 1.0}',
+        ("head", gate[1]): b'{"lam": 3.1, "objective": 0.99999999}',
     }
     monkeypatch.setattr(
         tool, "run",
@@ -119,6 +121,7 @@ def test_gate_line_reads_penalty_and_bound_moves_of_the_gate_calibrations(
     )
     monkeypatch.setattr(tool, "jobs", lambda: [(label, ["calibrate", label], None) for label in gate])
     assert tool.main(["base", "head"]) == 1
-    assert "gate calibrations: lam moved in 1 of 2, bound max rel diff 1e-12" in (
-        capsys.readouterr().out
-    )
+    assert (
+        "gate calibrations: lam moved in 1 of 2, lam max rel diff 0.0323, "
+        "bound max rel diff 1e-08, bound max rel rise 1e-12"
+    ) in capsys.readouterr().out

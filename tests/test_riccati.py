@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_psd
 from wdrc.errors import NoFeasibleLambda, PenaltyTooSmall, SingularMatrix
@@ -292,45 +294,31 @@ def test_stacked_checks_equal_single_checks(plant, quad_cost):
     assert singular == 1
 
 
-def _reference_bisection(sys, cost, lo, hi, tol=1e-6):
-    """The feasibility bisection one penalty at a time."""
-
-    def feasible(lam):
-        try:
-            return check_penalty(sys, cost, lam).feasible
-        except SingularMatrix:
-            return False
-
-    assert feasible(hi)
-    if feasible(lo):
-        return lo * (1.0 + SAFETY_FACTOR)
-    bad, good = lo, hi
-    while good - bad > tol * max(1.0, bad):
-        mid = 0.5 * (bad + good)
-        if feasible(mid):
-            good = mid
-        else:
-            bad = mid
-    return good * (1.0 + SAFETY_FACTOR)
+def _scores_feasible(sys, cost, lam):
+    """The boundary search's score of one penalty: a singular stage
+    system counts as infeasible."""
+    try:
+        return check_penalty(sys, cost, lam).feasible
+    except SingularMatrix:
+        return False
 
 
 @pytest.mark.parametrize("case", ["plant", "gaussian", "uniform", "singular"])
-def test_bisection_ahead_returns_the_one_point_bisection(
-    case, plant, quad_cost, monkeypatch
-):
-    """``min_feasible_lambda`` returns the float of the one-point bisection
-    in at most 14 stacked checks; on the scalar plant the bracket ``[0.25,
-    2.25]`` puts the singular ``lam = 0.5`` into a stack checked ahead."""
+def test_boundary_scans_bracket_the_boundary(case, plant, quad_cost, monkeypatch):
+    """``min_feasible_lambda`` returns a feasible penalty within its
+    tolerance of an infeasible one in at most 6 stacked checks; on the
+    scalar plant the bracket ``[0.25, 4.0]`` puts the singular ``lam =
+    0.5`` into the first scan, which scores it infeasible after checking
+    it alone."""
     import wdrc.riccati
 
     if case == "plant":
         sys, cost, lo, hi = plant, quad_cost, 1e-3, 1e6
     elif case == "singular":
-        sys, cost, lo, hi = SCALAR_SYS, SCALAR_COST, 0.25, 2.25
+        sys, cost, lo, hi = SCALAR_SYS, SCALAR_COST, 0.25, 4.0
     else:
         sys, cost = _bundled_plant(case)
         lo, hi = 1e-3, 1e6
-    want = _reference_bisection(sys, cost, lo, hi)
     checked = []
     stacked = wdrc.riccati.check_penalties
 
@@ -339,10 +327,49 @@ def test_bisection_ahead_returns_the_one_point_bisection(
         return stacked(sys, cost, lams)
 
     monkeypatch.setattr(wdrc.riccati, "check_penalties", counting)
-    assert min_feasible_lambda(sys, cost, lo, hi) == want
+    good = min_feasible_lambda(sys, cost, lo, hi) / (1.0 + SAFETY_FACTOR)
+    monkeypatch.undo()
+    assert _scores_feasible(sys, cost, good)
+    assert not _scores_feasible(sys, cost, good - 1e-6 * max(1.0, good))
     outer = [lams for lams in checked if len(lams) > 1]
-    assert len(outer) <= 14
+    assert len(outer) <= 6
     if case == "singular":
-        assert any(0.5 in lams for lams in outer)
+        assert 0.5 in outer[1]
         assert [0.5] in checked
+        assert all(lam > 0.5 for lams in outer[2:] for lam in lams)
 
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dims=hs.tuples(hs.integers(1, 3), hs.integers(1, 2), hs.integers(1, 2)),
+    horizon=hs.integers(2, 20),
+    radius=hs.floats(0.3, 1.5),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_feasibility_is_monotone_in_the_penalty(dims, horizon, radius, seed):
+    """Both penalty searches assume that feasibility switches once, from
+    infeasible to feasible, as ``lam`` grows.  On random small plants the
+    flags of a 200-point log grid over ``[1e-3, 1e6]`` switch exactly
+    once (``1e-3`` lies below the top eigenvalue of ``Q_f``, and every
+    drawn plant is feasible at ``1e6``), and ``min_feasible_lambda``
+    lands in the switch's grid interval."""
+    n, n_u, n_y = dims
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    Q = random_psd(rng, n)
+    sys = LinearSystem(
+        A=radius * A / np.abs(np.linalg.eigvals(A)).max(),
+        B=rng.standard_normal((n, n_u)),
+        C=rng.standard_normal((n_y, n)),
+        M=random_psd(rng, n_y),
+    )
+    cost = CostSpec(Q=Q, Q_f=Q, R=random_psd(rng, n_u), horizon=horizon)
+    grid = np.geomspace(1e-3, 1e6, 200).tolist()
+    flags = [
+        not isinstance(result, SingularMatrix) and result.feasible
+        for result in check_penalties(sys, cost, grid)
+    ]
+    assert flags == sorted(flags) and not flags[0] and flags[-1]
+    k = flags.index(True)
+    good = min_feasible_lambda(sys, cost, 1e-3, 1e6) / (1.0 + SAFETY_FACTOR)
+    assert grid[k - 1] < good <= grid[k] + 1e-6 * max(1.0, grid[k])
