@@ -3,8 +3,8 @@
 The package synthesizes output-feedback controllers for linear systems
 whose disturbance distribution is only known through samples: a
 backward Riccati-style recursion prices in the worst distribution
-within a quadratic transport budget, a fixed-point schedule computes
-the adversary's covariances, and a simulation harness benchmarks the
+within a quadratic transport budget, a forward schedule of Newton
+solves computes the adversary's covariances, and a simulation harness benchmarks the
 result against the nominal LQG policy on paired Monte-Carlo runs.
 """
 

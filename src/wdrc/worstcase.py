@@ -10,22 +10,31 @@ closed form; the worst-case covariance solves
 where ``G = A P_bar A' + Sigma`` is the predicted state covariance and
 ``V(G) = G - G C' (C G C' + M)^{-1} C G`` its measurement update.  The
 objective is concave on the PSD cone (the last term is a Bures cross
-term, and ``V`` is a minimum of functions linear in ``G``), and an
-equivalent semidefinite program exists via Schur complements; this
-module solves it with the stationarity fixed point of the transport
-map, finished by damped Newton steps on the ``n (n + 1) / 2`` free
-entries of ``Sigma``, which is fast at the small state dimensions the
-harness targets and is cross-checked against grid oracles in the test
-suite.  The Hessian is analytic: the transport map's derivative solves
-a Sylvester equation (Bhatia, Jain and Lim, "On the Bures-Wasserstein
-distance between positive definite matrices", 2019) and the filter
-term's follows from ``d(I - K C)``.  Near the smallest feasible penalty
-the maximizer can lie far out along a direction in which the objective
-is nearly flat, next to the boundary of the cone, where the fixed point
-is undefined at the start and Newton steps shrink against the
-boundary; there the fixed point is retried from the Newton iterate
-after a doubling number of steps, and it is defined once Newton has
-moved toward the maximizer.
+term, and ``V`` is a minimum of functions linear in ``G``).
+
+This module solves it in the transport parametrization ``Sigma = U
+Sigma_hat U`` with ``U`` symmetric.  For PSD ``U`` the cross term is
+exactly ``2 lam tr(U Sigma_hat)`` (Gelbrich, "On a formula for the L2
+Wasserstein metric between measures on Euclidean and Hilbert spaces",
+1990), and for any symmetric ``U`` it is at least that, so
+
+    Phi(U) = tr[S_next V(A P_bar A' + U Sigma_hat U)]
+             + tr[(P_next - lam I) U Sigma_hat U] + 2 lam tr(U Sigma_hat)
+
+never exceeds the objective at ``U Sigma_hat U`` and equals it for PSD
+``U``.  ``Phi`` is smooth and unconstrained: damped Newton steps on the
+``n (n + 1) / 2`` free entries of ``U`` need no matrix square root, no
+Sylvester solve and no projection onto the cone.  The gradient is
+``grad_f U Sigma_hat + Sigma_hat U grad_f + 2 lam Sigma_hat`` with
+``grad_f = P_next - lam I + (I - K C)' S_next (I - K C)``, and the
+Hessian follows from ``d(I - K C) = -(I - K C) dSigma C' Inn^{-1} C``.
+The solver works in the eigenbasis of ``Sigma_hat``; entries of ``U``
+with both indices in its null space do not change ``Phi`` and are held
+fixed, so a rank-deficient nominal needs no special case.  A result is
+accepted only where ``U`` is positive definite on the nominal's range
+and the projected-gradient residual in ``Sigma`` is small; there the
+transport factor from ``Sigma`` to ``Sigma_hat`` is the inverse of
+``U``'s block on that range.
 
 The maximization is bounded only when the penalty is large enough; an
 iterate that grows past a cap ends its problem in
@@ -33,22 +42,21 @@ iterate that grows past a cap ends its problem in
 
 Every covariance problem takes one route, :func:`_settle`, on a stack
 of problems that share a plant: the private helpers (objective,
-gradient, Hessian, projection, fixed point, Newton steps) work on the
-whole stack, and each problem stops on its own.  The stacked numpy
-calls give each matrix the bits of the call on it alone, so a
-problem's outcome out of a stack is its outcome alone.
-:func:`solve_worst_case_cov` is the stack of one, and
-:func:`forward_schedules` solves the paths of several penalties in one
-pass, stacking their problems stage by stage, with
+derivatives, Newton steps, residual) work on the whole stack, and each
+problem stops on its own.  The stacked numpy calls give each matrix the
+bits of the call on it alone, so a problem's outcome out of a stack is
+its outcome alone.  :func:`solve_worst_case_cov` is the stack of one,
+and :func:`forward_schedules` solves the paths of several penalties in
+one pass, stacking their problems stage by stage, with
 :func:`forward_schedule` its stack of one.
 
-The filter's measurement step comes from :mod:`wdrc.estimator`: the
-objective and the stationarity map take their gains from
-:func:`~wdrc.estimator.kalman_gain`, and the schedule's posteriors from
-:func:`~wdrc.estimator.kalman_update`.  Only the Newton system forms
-``C' Inn^{-1} C`` itself, a route that rounds differently.  The
-worst-case mean map (:func:`mean_affine`, :func:`mean_affines`) is
-computed once at synthesis and carried by the controller.
+The filter's measurement step comes from :mod:`wdrc.estimator`:
+:func:`cov_objective` and :func:`cov_gradient` take their gains from
+:func:`~wdrc.estimator.kalman_gain`, and the schedule's posteriors come
+from :func:`~wdrc.estimator.kalman_update`.  Only the solver forms ``C'
+Inn^{-1} C`` itself, a route that rounds differently.  The worst-case
+mean map (:func:`mean_affine`, :func:`mean_affines`) is computed once at
+synthesis and carried by the controller.
 """
 
 from __future__ import annotations
@@ -130,8 +138,7 @@ class CovSolve:
     Attributes:
         cov: Maximizing covariance.
         z_tilde: Objective value at the maximizer.
-        iterations: Fixed-point passes plus Newton steps of every
-            adopted round.
+        iterations: Newton steps, halved ones included.
         converged: Whether the stationarity residual met tolerance.
     """
 
@@ -177,67 +184,62 @@ class _Stage:
 
     Besides each problem's data it holds what every evaluation reuses:
     the predicted covariance before the disturbance, ``A P_bar A'``,
-    the linear coefficient ``P_next - lam I``, its negative as the
-    stationarity map starts it, the eigenvalue floor and growth cap of
-    the iterates and the basis of the free entries that Newton steps
-    work on.
+    the linear coefficient ``P_next - lam I``, the eigenvalue floor of
+    the residual's projection and the growth cap.
+
+    The solver works in the eigenbasis ``frame`` of ``Sigma_hat``, where
+    ``Sigma_hat`` is the diagonal ``d`` (eigenvalues at most
+    ``_RANK_TOL`` of the largest set to zero), so ``U Sigma_hat U`` is a
+    product with a diagonal.  In that frame the stage keeps ``S_next``,
+    ``P_next - lam I``, ``A P_bar A'`` and ``C``; the entries of ``U``
+    the nominal sees (``free``: not both indices in its null space); unit
+    curvature for the others (``unseen``); and the gradient of ``2 lam
+    tr(U Sigma_hat)`` on the free entries (``lin``).
     """
 
     __slots__ = (
-        "sys", "eye", "basis", "S_next", "P_next", "Sigma_hat", "lam",
-        "lam_m", "prior_base", "shifted", "gap_base", "floor", "cap",
+        "sys", "eye", "S_next", "P_next", "Sigma_hat", "lam", "lam_m",
+        "prior_base", "shifted", "floor", "cap", "frame", "d", "free",
+        "unseen", "lin", "S_r", "shifted_r", "prior_r", "C_r",
     )
-    _STACKED = __slots__[3:]
+    _STACKED = __slots__[2:]
 
     def __init__(self, sys, S_next, P_next, lam, Sigma_hat, prior_base):
         self.sys = sys
         self.eye = np.eye(sys.n_x)
-        self.basis = _basis(sys.n_x)
         self.S_next, self.P_next, self.Sigma_hat = S_next, P_next, Sigma_hat
         self.lam = lam
         self.lam_m = lam[:, None, None]
-        lam_eye = self.lam_m * self.eye
         self.prior_base = prior_base
-        self.shifted = P_next - lam_eye
-        self.gap_base = lam_eye - P_next
+        self.shifted = P_next - self.lam_m * self.eye
         self.floor = 1e-10 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
         # An iterate whose trace passes this counts as unbounded.
         self.cap = 1e12 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
+        vals, frame = np.linalg.eigh(Sigma_hat)
+        self.frame = frame
+        self.d = d = np.where(vals > _RANK_TOL * vals[:, -1:], vals, 0.0)
+        row, col = _entries(sys.n_x)[:2]
+        self.free = (d[:, row] > 0.0) | (d[:, col] > 0.0)
+        self.unseen = (~self.free)[:, :, None] * np.eye(row.size)
+        self.lin = np.where(row == col, 2.0 * lam[:, None] * d[:, row], 0.0)
+        self.S_r, self.shifted_r, self.prior_r = (
+            symmetrize(frame.mT @ a @ frame) for a in (S_next, self.shifted, prior_base)
+        )
+        self.C_r = sys.C @ frame
 
     def take(self, keep: np.ndarray) -> "_Stage":
         """The problems selected by ``keep``, a boolean mask or an index
         array (which may repeat a problem)."""
         sub = object.__new__(_Stage)
-        sub.sys, sub.eye, sub.basis = self.sys, self.eye, self.basis
+        sub.sys, sub.eye = self.sys, self.eye
         for name in self._STACKED:
             setattr(sub, name, getattr(self, name)[keep])
         return sub
 
 
-def _objective(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
-    G = symmetrize(st.prior_base + Sigma)
-    post = symmetrize(G - kalman_gain(G, st.sys) @ st.sys.C @ G)
-    return (
-        (st.S_next @ post).trace(axis1=1, axis2=2)
-        + (st.shifted @ Sigma).trace(axis1=1, axis2=2)
-        + 2.0 * st.lam * trace_sqrt_product(Sigma, st.Sigma_hat)
-    )
-
-
-def _closed(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
-    """``I - K C`` with ``K`` the measurement gain after predicting with ``Sigma``."""
-    gain = kalman_gain(symmetrize(st.prior_base + Sigma), st.sys)
-    return st.eye - gain @ st.sys.C
-
-
-def _gradient(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
-    closed = _closed(Sigma, st)
-    grad = (
-        st.shifted
-        + st.lam_m * transport_map(Sigma, st.Sigma_hat)
-        + closed.mT @ st.S_next @ closed
-    )
-    return symmetrize(grad)
+# Eigenvalues of ``Sigma_hat`` at most this fraction of its largest count
+# as zero: the nominal does not see those directions.
+_RANK_TOL = 1e-12
 
 
 def cov_objective(
@@ -265,7 +267,13 @@ def cov_objective(
     st = ctx._stage
     if Sigma.shape[0] > 1:
         st = st.take(np.zeros(Sigma.shape[0], dtype=int))
-    values = _objective(Sigma, st)
+    G = symmetrize(st.prior_base + Sigma)
+    post = symmetrize(G - kalman_gain(G, st.sys) @ st.sys.C @ G)
+    values = (
+        (st.S_next @ post).trace(axis1=1, axis2=2)
+        + (st.shifted @ Sigma).trace(axis1=1, axis2=2)
+        + 2.0 * st.lam * trace_sqrt_product(Sigma, st.Sigma_hat)
+    )
     return values if stacked else float(values[0])
 
 
@@ -278,299 +286,297 @@ def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
     contributes ``(I - K C)' S_next (I - K C)`` with ``K`` the
     measurement gain of the predicted covariance.
     """
-    Sigma = symmetrize(Sigma)
-    if float(np.linalg.eigvalsh(Sigma)[0]) <= 0.0:
+    Sigma = symmetrize(Sigma)[None]
+    if float(np.linalg.eigvalsh(Sigma)[0, 0]) <= 0.0:
         raise NotPD("gradient requires a positive definite covariance")
-    return _gradient(Sigma[None], ctx._stage)[0]
+    st = ctx._stage
+    closed = st.eye - kalman_gain(symmetrize(st.prior_base + Sigma), st.sys) @ st.sys.C
+    grad = (
+        st.shifted
+        + st.lam_m * transport_map(Sigma, st.Sigma_hat)
+        + closed.mT @ st.S_next @ closed
+    )
+    return symmetrize(grad)[0]
 
 
 @lru_cache(maxsize=8)
-def _basis(n: int) -> np.ndarray:
-    """``(n * n, m)`` columns: the row-major ``vec`` of each symmetric
-    basis matrix ``E_k`` of the ``m = n (n + 1) / 2`` free entries, ``e_i
-    e_i'`` for a diagonal entry and ``e_i e_j' + e_j e_i'`` off it.
+def _entries(n: int) -> tuple[np.ndarray, ...]:
+    """The ``m = n (n + 1) / 2`` free entries of a symmetric ``n x n``
+    matrix: their rows and columns (the upper triangle, row-major),
+    their ``(m, n, n)`` basis matrices ``E_p`` (``e_i e_i'`` on the
+    diagonal, ``e_i e_j' + e_j e_i'`` off it), and the weights (1/2 on
+    the diagonal, 1 off it) that turn the pair sums ``X_ij + X_ji`` into
+    the coordinates ``tr(X E_p)``.
 
-    Every entry is 0 or 1 and each ``vec`` position belongs to one basis
-    matrix, so products with it only gather and add pairs, exactly.
-    Built once per ``n`` in a process; every stage shares the array, so
-    it is read-only.
+    Built once per ``n`` in a process and shared by every stage, so the
+    arrays are read-only.
     """
-    i, j = np.triu_indices(n)
-    k = np.arange(i.size)
-    basis = np.zeros((n, n, i.size))
-    basis[i, j, k] = basis[j, i, k] = 1.0
-    basis = basis.reshape(n * n, i.size)
-    basis.flags.writeable = False
-    return basis
+    row, col = np.triu_indices(n)
+    p = np.arange(row.size)
+    basis = np.zeros((row.size, n, n))
+    basis[p, row, col] = basis[p, col, row] = 1.0
+    half = np.where(row == col, 0.5, 1.0)
+    for a in (row, col, basis, half):
+        a.flags.writeable = False
+    return row, col, basis, half
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of each pair of a stack: ``vec(a X b') = (a ⊗ b)
-    vec(X)`` for the row-major ``vec``."""
-    k, n = a.shape[0], a.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, n * n, n * n)
+def _coords(X: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``weight`` times the pair sums ``X_ij + X_ji`` over the free
+    entries of each matrix: products with the 0/1 basis as gathers and
+    pair sums, which are exact."""
+    row, col = _entries(X.shape[-1])[:2]
+    return (X[..., row, col] + X[..., col, row]) * weight
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` on a stack; where that raises, pair by pair,
-    with NaN for each pair whose matrix is singular."""
+def _filter(Sigma: np.ndarray, st: _Stage) -> tuple[np.ndarray, ...]:
+    """The measurement step after predicting with ``Sigma`` (rotated):
+    the prediction ``G``, ``I - K C`` and ``Inn^{-1} C``."""
+    G = st.prior_r + Sigma
     try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = np.full_like(b, np.nan)
-        for q in range(a.shape[0]):
-            try:
-                x[q] = np.linalg.solve(a[q], b[q])
-            except np.linalg.LinAlgError:
-                pass
-        return x
-
-
-def _newton_system(
-    Sigma: np.ndarray, st: _Stage
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient, and the gradient and negated Hessian on the free entries.
-
-    Along a symmetric direction ``E`` the gradient's derivative has two
-    parts.  The transport factor ``T`` (``T Sigma T = Sigma_hat``)
-    moves by the ``dT`` that solves the Sylvester equation ``dT (Sigma
-    T) + (T Sigma) dT = -T E T``.  The filter term ``W = (I - K C)'
-    S_next (I - K C)`` moves through ``d(I - K C) = -(I - K C) E C'
-    Inn^{-1} C``, giving ``-(N E W + W E N)`` with ``N = C' Inn^{-1} C``.
-    Both are linear in ``vec(E)``, so the ``m`` directions of the free
-    entries come from one Sylvester solve with ``m`` right-hand sides.
-
-    Returns:
-        ``(grad, g, h)``: the ``(k, n, n)`` gradient, its ``(k, m, 1)``
-        coordinates ``<grad, E_k>`` and the ``(k, m, m)`` negated Hessian
-        ``-<E_k, d grad[E_l]>``, which concavity makes positive
-        semidefinite.
-    """
-    sys = st.sys
-    k, n = Sigma.shape[0], Sigma.shape[-1]
-    G = symmetrize(st.prior_base + Sigma)
-    innov = symmetrize(sys.C @ G @ sys.C.T + sys.M)
-    try:
-        inv_c = solve(innov, np.broadcast_to(sys.C, (k, *sys.C.shape)))
+        inv_c = solve(st.C_r @ G @ st.C_r.mT + st.sys.M, st.C_r)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
-    closed = st.eye - (inv_c @ G).mT @ sys.C
-    W = closed.mT @ st.S_next @ closed
-    N = sys.C.T @ inv_c
-    T = transport_map(Sigma, st.Sigma_hat)
-    grad = symmetrize(st.shifted + st.lam_m * T + W)
-    A = T @ Sigma
-    eye = np.broadcast_to(st.eye, A.shape)
-    basis = st.basis
-    rhs = _kron(T, T) @ basis
-    # A singular Sigma_hat can leave a pair of eigenvalues of T Sigma
-    # summing to zero; those problems get no curvature.
-    dT = _solve_each(_kron(A, eye) + _kron(eye, A), rhs)
-    h = basis.T @ (st.lam_m * dT + (_kron(N, W) + _kron(W, N)) @ basis)
-    g = basis.T @ grad.reshape(k, n * n, 1)
-    return grad, g, symmetrize(h)
+    return G, st.eye - (inv_c @ G).mT @ st.C_r, inv_c
 
 
-def _newton_direction(
-    Sigma: np.ndarray, st: _Stage
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascent direction of each problem: the Newton step where the
-    Hessian is negative definite, the gradient elsewhere.
-
-    A Hessian whose smallest eigenvalue is positive only by rounding
-    (far out along a flat direction) can still be singular to the
-    solve; that problem takes the gradient too.
+def _evaluate(U: np.ndarray, st: _Stage) -> tuple[np.ndarray, ...]:
+    """``Phi`` at each ``U`` (rotated), with what its derivatives reuse.
 
     Returns:
-        ``(directions, newton)``: the ``(k, n, n)`` directions and
-        whether each is the Newton step.
+        ``(phi, A, Sigma, grad_f, W, N)``: the values, ``A = U D``, the
+        covariance ``Sigma = U D U``, the ``Sigma``-gradient ``grad_f =
+        P_next - lam I + W`` of the terms other than the cross term,
+        with ``W = (I - K C)' S_next (I - K C)``, ``W`` itself and ``N =
+        C' Inn^{-1} C``.
     """
-    grad, g, h = _newton_system(Sigma, st)
-    k, n = Sigma.shape[0], Sigma.shape[-1]
-    with np.errstate(invalid="ignore"):
-        curved = np.isfinite(h).all(axis=(1, 2))
-        curved[curved] = np.linalg.eigvalsh(h[curved])[:, 0] > 0.0
-    if np.count_nonzero(curved) == k:
-        try:
-            return (st.basis @ np.linalg.solve(h, g)).reshape(k, n, n), curved
-        except np.linalg.LinAlgError:
-            pass
-    step = _solve_each(h[curved], g[curved])
-    solved = ~np.isnan(step[:, 0, 0])
-    newton = np.zeros(k, dtype=bool)
-    newton[np.flatnonzero(curved)[solved]] = True
-    grad[newton] = (st.basis @ step[solved]).reshape(-1, n, n)
-    return grad, newton
+    A = U * st.d[:, None, :]
+    Sigma = A @ U
+    G, closed, inv_c = _filter(Sigma, st)
+    W = closed.mT @ st.S_r @ closed
+    phi = (st.S_r @ closed @ G + st.shifted_r @ Sigma).trace(axis1=1, axis2=2)
+    phi += 2.0 * st.lam * np.vecdot(st.d, np.diagonal(U, axis1=1, axis2=2))
+    return phi, A, Sigma, st.shifted_r + W, W, st.C_r.mT @ inv_c
 
 
-def _lowest(Sigma: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each matrix, ``-inf`` where an entry is not
-    finite."""
-    low = np.full(Sigma.shape[0], -np.inf)
-    ok = np.isfinite(Sigma).all(axis=(1, 2))
-    low[ok] = np.linalg.eigvalsh(Sigma[ok])[:, 0]
-    return low
+def _system(state: tuple[np.ndarray, ...], st: _Stage) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and negated Hessian of ``Phi`` on the free entries.
+
+    The gradient is ``grad_f A + A' grad_f + 2 lam D``.  With ``dSigma_E
+    = E A' + A E`` along a symmetric direction ``E`` and ``dW = -(N
+    dSigma W + W dSigma N)``, the Hessian is ``H(E, F) = 2 tr(grad_f F D
+    E) - 2 tr(N dSigma_F W dSigma_E)``.  Entries the nominal does not see
+    have zero gradient and curvature; they get unit curvature, so their
+    steps are zero.
+
+    Returns:
+        ``(g, h)``: the ``(k, m)`` gradient coordinates and the ``(k, m,
+        m)`` negated Hessian.
+    """
+    _, A, _, grad_f, W, N = state
+    k, n = A.shape[:2]
+    basis, half = _entries(n)[2:]
+    m = half.size
+    g = _coords(grad_f @ A, 2.0 * half) + st.lin
+    dSigma = basis @ A.mT[:, None] + A[:, None] @ basis
+    P = (N[:, None] @ dSigma).reshape(k, m, n * n)
+    R = (W[:, None] @ dSigma).mT.reshape(k, m, n * n)
+    curve = _coords((grad_f[:, None] @ basis) * st.d[:, None, None, :], half)
+    return g, symmetrize(2.0 * (P @ R.mT - curve)) + st.unseen
 
 
-# Halvings of a Newton step before the step counts as stalled.
+def _scatter(s: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric ``n x n`` matrices whose free entries are the rows
+    of ``s``."""
+    row, col = _entries(n)[:2]
+    out = np.zeros((s.shape[0], n, n))
+    out[:, row, col] = s
+    out[:, col, row] = s
+    return out
+
+
+def _positive(h: np.ndarray) -> np.ndarray:
+    """Whether each matrix has a Cholesky factor: one stacked call, and
+    matrix by matrix only where that call fails."""
+    try:
+        np.linalg.cholesky(h)
+        return np.ones(h.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.ones(h.shape[0], dtype=bool)
+        for q in range(h.shape[0]):
+            try:
+                np.linalg.cholesky(h[q])
+            except np.linalg.LinAlgError:
+                ok[q] = False
+        return ok
+
+
+def _direction(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascent step of each problem on the free entries, and whether it
+    is Newton's: where the negated Hessian ``h`` is positive definite,
+    ``h^{-1} g``; elsewhere the same with the magnitudes of its
+    eigenvalues, floored at ``_CURVATURE_FLOOR`` of the largest."""
+    newton = _positive(h)
+    if np.count_nonzero(newton) == newton.size:
+        return solve(h, g[..., None])[..., 0], newton
+    s = np.empty_like(g)
+    if np.count_nonzero(newton):
+        s[newton] = solve(h[newton], g[newton, :, None])[..., 0]
+    other = ~newton
+    vals, vecs = np.linalg.eigh(h[other])
+    vals = np.abs(vals)
+    vals = np.maximum(vals, _CURVATURE_FLOOR * vals.max(axis=1, keepdims=True))
+    s[other] = np.vecdot(vecs, (np.vecdot(vecs.mT, g[other, None, :]) / vals)[:, None, :])
+    return s, newton
+
+
+def _start(st: _Stage, init: np.ndarray) -> np.ndarray:
+    """The start of each problem, rotated: ``lam (lam I - P_next -
+    W(init))^{-1}``, the ``U`` of an interior maximizer whose filter is
+    ``init``'s, or ``I`` where that gap is not positive definite."""
+    _, closed, _ = _filter(st.frame.mT @ init @ st.frame, st)
+    gap = -symmetrize(st.shifted_r + closed.mT @ st.S_r @ closed)
+    vals, vecs = np.linalg.eigh(gap)
+    ok = vals[:, 0] > 1e-12 * st.lam
+    vals = np.where(ok[:, None], vals, st.lam[:, None])
+    U = symmetrize((vecs * (st.lam[:, None] / vals)[:, None, :]) @ vecs.mT)
+    return np.where(ok[:, None, None], U, st.eye)
+
+
+# Halvings of a step before the problem counts as stalled.
 _HALVINGS = 50
-# A problem ends after any step that moves no entry by more than
-# ``_STEP_STOP (1 + max|Sigma|)``, and after a full Newton step ``d``
-# (not halved) once ``d <= _FULL_STEP_STOP (1 + max|Sigma|)`` and
-# ``d^2 / lambda_min(Sigma) <= _NEXT_STEP_STOP (1 + max|Sigma|)``.
-# Newton converges quadratically, with a constant that grows like
-# ``1 / lambda_min(Sigma)`` toward the cone's boundary, so the next step
-# would be about ``d^2 / lambda_min`` and only confirm convergence.  A
-# gradient or halved step converges linearly at best, so it ends a
-# problem only at the fine threshold.
-_STEP_STOP = 1e-14
+# A problem ends after a full Newton step (positive definite negated
+# Hessian, not halved) that moves no entry of ``U`` by more than
+# ``_FULL_STEP_STOP (1 + max|U|)``: Newton converges quadratically, so
+# the next step would only confirm it.  It also ends after any step
+# that moves no entry by more than ``_STEP_STOP (1 + max|U|)``.
 _FULL_STEP_STOP = 1e-8
-_NEXT_STEP_STOP = 1e-12
+_STEP_STOP = 1e-14
+# Where the negated Hessian is not positive definite, the step uses the
+# magnitudes of its eigenvalues, floored at this fraction of the largest.
+_CURVATURE_FLOOR = 1e-12
+# A step may lose this much of ``Phi``, relative: rounding.
+_NOISE = 64.0 * np.finfo(float).eps
+
+
+def _ascend(
+    st: _Stage, U: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Damped Newton ascent of ``Phi`` from ``U``, for the whole stack.
+
+    Each step solves with the negated Hessian, its eigenvalues flipped
+    to positive and floored where it is not positive definite, and is
+    halved until ``Phi`` loses no more than rounding.  Each problem
+    stops on its own: after a small full Newton step or any tiny step
+    (see ``_FULL_STEP_STOP``), when no halving keeps ``Phi``, or once
+    its covariance's trace passes the growth cap.
+
+    Returns:
+        ``(U, steps, state)``: the last iterates, the steps taken and
+        :func:`_evaluate` at the last iterates.
+    """
+    n = U.shape[-1]
+    state = _evaluate(U, st)
+    final = [np.empty_like(a) for a in state]
+    result, steps = np.empty_like(U), np.full(U.shape[0], max_steps)
+    idx = np.arange(U.shape[0])
+    for step in range(1, max_steps + 1):
+        s, newton = _direction(*_system(state, st))
+        move = _scatter(s * st.free, n)
+        new = _evaluate(U + move, st)
+        slack = state[0] - _NOISE * (1.0 + np.abs(state[0]))
+        lost = ~(new[0] >= slack)
+        if np.count_nonzero(lost):
+            newton &= ~lost
+            todo = np.flatnonzero(lost)
+            for _ in range(_HALVINGS):
+                move[todo] *= 0.5
+                retry = _evaluate(U[todo] + move[todo], st.take(todo))
+                kept = retry[0] >= slack[todo]
+                for a, b in zip(new, retry):
+                    a[todo[kept]] = b[kept]
+                todo = todo[~kept]
+                if not todo.size:
+                    break
+            lost[:] = False
+            lost[todo] = True
+            move[todo] = 0.0
+            for a, b in zip(new, state):
+                a[todo] = b[todo]
+        U, state = U + move, new
+        delta = np.abs(move).max(axis=(1, 2))
+        scale = 1.0 + np.abs(U).max(axis=(1, 2))
+        done = (delta <= np.where(newton, _FULL_STEP_STOP, _STEP_STOP) * scale) | lost
+        done |= ~(state[2].trace(axis1=1, axis2=2) <= st.cap)
+        if np.count_nonzero(done):
+            result[idx[done]] = U[done]
+            steps[idx[done]] = step
+            for a, b in zip(final, state):
+                a[idx[done]] = b[done]
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return result, steps, tuple(final)
+            idx, U, st = idx[keep], U[keep], st.take(keep)
+            state = tuple(a[keep] for a in state)
+    result[idx] = U
+    for a, b in zip(final, state):
+        a[idx] = b
+    return result, steps, tuple(final)
 
 
 def _newton(
-    st: _Stage, Sigma: np.ndarray, max_steps: int
+    st: _Stage, init: np.ndarray, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton steps on the free entries, for the whole stack.
-
-    Each step is the Newton step (the gradient where the Hessian is
-    not negative definite), halved until the iterate stays positive
-    definite above the eigenvalue floor; there is no line search on
-    the objective.  Each problem stops on its own: after a full Newton
-    step (no halving) that moves no entry by more than ``1e-8 (1 +
-    max|Sigma|)`` and whose square, over the iterate's smallest
-    eigenvalue, is at most ``1e-12 (1 + max|Sigma|)``; after any step
-    that moves no entry by more than ``1e-14 (1 + max|Sigma|)``; when
-    no halving keeps it positive definite; or when an entry passes the
-    growth cap.  The objective is not evaluated; the caller checks
-    value and stationarity of the result.
+    """:func:`_ascend` from :func:`_start`, without :func:`_settle`'s
+    checks.
 
     Returns:
-        ``(iterates, steps)``.
+        ``(covariances, steps)``.
     """
-    result = np.empty_like(Sigma)
-    steps = np.zeros(Sigma.shape[0], dtype=int)
-    idx = np.arange(Sigma.shape[0])
-    for k in range(1, max_steps + 1):
-        step, full = _newton_direction(Sigma, st)
-        nxt = Sigma + step
-        low = _lowest(nxt)
-        stalled = ~(low > st.floor)
-        if np.count_nonzero(stalled):
-            full &= ~stalled
-            todo = np.flatnonzero(stalled)
-            for _ in range(_HALVINGS):
-                step[todo] *= 0.5
-                trial = Sigma[todo] + step[todo]
-                ok = _lowest(trial) > st.floor[todo]
-                nxt[todo[ok]] = trial[ok]
-                todo = todo[~ok]
-                if not todo.size:
-                    break
-            stalled[:] = False
-            stalled[todo] = True
-            nxt[todo] = Sigma[todo]
-        delta = np.abs(nxt - Sigma).max(axis=(1, 2))
-        Sigma = nxt
-        size = np.abs(Sigma).max(axis=(1, 2))
-        scale = 1.0 + size
-        settled = full & (delta <= _FULL_STEP_STOP * scale)
-        settled &= delta * delta <= _NEXT_STEP_STOP * scale * low
-        done = stalled | settled | (delta <= _STEP_STOP * scale) | (size > st.cap)
-        if np.count_nonzero(done):
-            result[idx[done]] = Sigma[done]
-            steps[idx[done]] = k
-            keep = ~done
-            if not np.count_nonzero(keep):
-                return result, steps
-            idx, Sigma, st = idx[keep], Sigma[keep], st.take(keep)
-    result[idx] = Sigma
-    steps[idx] = max_steps
-    return result, steps
+    _, steps, state = _ascend(st, _start(st, init), max_steps)
+    return _unrotate(state[2], st), steps
+
+
+def _unrotate(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
+    return symmetrize(st.frame @ Sigma @ st.frame.mT)
 
 
 def _project(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues of each symmetric part at its ``floor``."""
     sym = symmetrize(m)
-    vals, vecs = np.linalg.eigh(sym)
-    ok = vals[:, 0] >= floor
-    if np.count_nonzero(ok) < ok.size:
-        low = ~ok
-        vals, vecs = np.clip(vals[low], floor[low, None], None), vecs[low]
+    low = np.linalg.eigvalsh(sym)[:, 0] < floor
+    if np.count_nonzero(low):
+        vals, vecs = np.linalg.eigh(sym[low])
+        vals = np.maximum(vals, floor[low, None])
         sym[low] = symmetrize((vecs * vals[:, None, :]) @ vecs.mT)
     return sym
 
 
-# The stack loops test their masks with ``np.count_nonzero``, which costs
-# a fraction of ``ndarray.any`` on arrays this small.
+def _stationarity(
+    U: np.ndarray, state: tuple[np.ndarray, ...], st: _Stage
+) -> np.ndarray:
+    """Unit-step projected-gradient residual of each covariance ``U D U``
+    in ``Sigma``-space, ``inf`` where ``U`` is not positive definite on
+    the nominal's range.
 
-
-def _fixed_point(
-    st: _Stage, Sigma: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the stationarity map of the covariance objective.
-
-    At an interior maximizer the transport factor ``T`` (``T Sigma T =
-    Sigma_hat``) must equal ``(lam I - P - (I - K C)' S (I - K C)) /
-    lam``, so each pass re-evaluates the gain at the current iterate
-    and inverts the relation: ``Sigma <- T^{-1} Sigma_hat T^{-1}``.
-    The map is not an ascent method, but its fixed point is the unique
-    interior stationary point, and it contracts rapidly whenever the
-    penalty dominates the continuation coefficients.  Each problem of
-    the stack stops on its own.
-
-    Returns:
-        ``(iterates, passes)``; ``passes`` is 0 where the map is
-        undefined (the shifted coefficient matrix loses definiteness,
-        hinting at a boundary maximizer or an unbounded problem) and
-        the iterate there is meaningless.
+    There the transport factor from ``Sigma`` to ``Sigma_hat`` is the
+    inverse of ``U``'s block on that range, and zero off it: no square
+    root is taken, and a singular ``Sigma`` needs no special case.
     """
-    result = np.empty_like(Sigma)
-    passes = np.zeros(Sigma.shape[0], dtype=int)
-    idx = np.arange(Sigma.shape[0])
-    for k in range(1, max_iter + 1):
-        closed = _closed(Sigma, st)
-        gap = symmetrize(st.gap_base - closed.mT @ st.S_next @ closed)
-        undefined = np.linalg.eigvalsh(gap)[:, 0] <= st.lam * 1e-12
-        if np.count_nonzero(undefined):
-            keep = ~undefined
-            if not np.count_nonzero(keep):
-                return result, passes
-            idx, Sigma, gap, st = idx[keep], Sigma[keep], gap[keep], st.take(keep)
-        tm = gap / st.lam_m
-        nxt = symmetrize(np.linalg.solve(tm, np.linalg.solve(tm, st.Sigma_hat).mT))
-        nxt = _project(nxt, st.floor)
-        delta = np.abs(nxt - Sigma).max(axis=(1, 2))
-        Sigma = nxt
-        done = delta <= 1e-14 * (1.0 + np.abs(Sigma).max(axis=(1, 2)))
-        finite = np.isfinite(delta)
-        if np.count_nonzero(done) or np.count_nonzero(finite) < finite.size:
-            result[idx[done]] = Sigma[done]
-            passes[idx[done]] = k
-            keep = finite & ~done
-            if not np.count_nonzero(keep):
-                return result, passes
-            idx, Sigma, st = idx[keep], Sigma[keep], st.take(keep)
-    result[idx] = Sigma
-    passes[idx] = max_iter
-    return result, passes
-
-
-def _adopted(f_new, f_cur):
-    """Whether a fixed point's value loses no more than rounding noise.
-
-    A warm start at the neighboring stage's maximizer can tie with the
-    fixed point to within eps while having a far worse stationarity
-    residual, so ties go to the fixed point.
-    """
-    return f_new >= f_cur - 64.0 * np.finfo(float).eps * (1.0 + np.abs(f_cur))
-
-
-def _stationarity(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
-    """Unit-step projected-gradient residual of each problem."""
-    probe = _project(Sigma + _gradient(Sigma, st), st.floor)
-    d = (probe - Sigma).reshape(Sigma.shape[0], -1)
-    return np.sqrt(np.vecdot(d, d))
+    seen = st.d > 0.0
+    both = seen[:, :, None] & seen[:, None, :]
+    block = np.where(both, U, st.eye)
+    ok = _positive(block)
+    res = np.full(ok.size, np.inf)
+    if not np.count_nonzero(ok):
+        return res
+    if np.count_nonzero(ok) < ok.size:
+        state, st, both, block = [a[ok] for a in state], st.take(ok), both[ok], block[ok]
+    Sigma = state[2]
+    grad = symmetrize(state[3] + st.lam_m * np.where(both, np.linalg.inv(block), 0.0))
+    d = (_project(Sigma + grad, st.floor) - Sigma).reshape(Sigma.shape[0], -1)
+    res[ok] = np.sqrt(np.vecdot(d, d))
+    return res
 
 
 def _tolerance(st: _Stage) -> np.ndarray:
@@ -584,13 +590,8 @@ def _tolerance(st: _Stage) -> np.ndarray:
     return _TOL_SCALE * scale
 
 
-# The first round of a solve runs 3 fixed-point passes and 30 Newton
-# steps, which settle nearly every stage problem (calibrations on the
-# bundled configs take up to 17 steps a round); a later round runs as many passes
-# and steps as all rounds before it took steps, within 5000 steps in all.
-_WARMUP_PASSES = 3
-_WARMUP_STEPS = 30
-_MAX_STEPS = 5000
+# Newton steps per problem.
+_MAX_STEPS = 200
 # Residual tolerance per unit of coefficient scale.
 _TOL_SCALE = 1e-7
 
@@ -598,73 +599,29 @@ _TOL_SCALE = 1e-7
 def _settle(st: _Stage, init: np.ndarray) -> list[CovSolve | Diverged]:
     """Maximize the objective of every problem of the stack.
 
-    From its start, projected to the eigenvalue floor, each problem runs
-    rounds of transport fixed-point passes (:func:`_fixed_point`; none
-    where the map is undefined) and then damped Newton steps
-    (:func:`_newton`).  A round's result is adopted unless it loses more
-    than rounding noise of objective value (:func:`_adopted`).  After
-    each round a problem stops: converged once its iterate is
-    stationary (unit-step projected-gradient residual below
-    :func:`_tolerance`), diverged once its trace passes the growth cap,
-    unconverged once a round leaves it unchanged or 5000 Newton steps
-    are spent.
-
-    The first round settles nearly every problem.  The longer later
-    rounds retry the map where it was undefined at the start (near the
-    smallest feasible penalty, where Newton steps shrink against the
-    cone's boundary), which it no longer is once Newton has moved toward
-    the maximizer; and where Newton has no curvature to use (a
-    rank-deficient ``Sigma_hat``), their passes finish the problem.
-    Each problem stops on its own, so its outcome has the bits of its
-    stack of one.
+    Each problem runs :func:`_ascend` from :func:`_start` at ``init``
+    and ends diverged once its trace passes the growth cap; otherwise it
+    converged where ``U`` is positive definite on the nominal's range
+    and the ``Sigma``-space residual (:func:`_stationarity`) is below
+    :func:`_tolerance`.  Each problem stops on its own, so its outcome
+    has the bits of its stack of one.
 
     Returns:
         Per problem, its solve or the :class:`~wdrc.errors.Diverged`
         that ended it.
     """
-    outcomes: list[CovSolve | Diverged] = [None] * st.lam.size
-    idx = np.arange(st.lam.size)
-    Sigma = _project(init, st.floor)
-    f_cur = _objective(Sigma, st)
-    iterations = np.zeros(idx.size, dtype=int)
-    passes_max, steps_max, taken = _WARMUP_PASSES, _WARMUP_STEPS, 0
-    while True:
-        fp, passes = _fixed_point(st, Sigma, passes_max)
-        defined = passes > 0
-        if np.count_nonzero(defined) < defined.size:
-            fp = np.where(defined[:, None, None], fp, Sigma)
-        x, steps = _newton(st, fp, steps_max)
-        f_x = _objective(x, st)
-        adopted = _adopted(f_x, f_cur)
-        prev = Sigma
-        if np.count_nonzero(adopted) == adopted.size:
-            Sigma, f_cur = x, f_x
-        else:
-            Sigma = np.where(adopted[:, None, None], x, Sigma)
-            f_cur = np.where(adopted, f_x, f_cur)
-        iterations += np.where(adopted, passes + steps, 0)
-        taken += steps_max
-        grown = ~np.isfinite(f_cur) | (Sigma.trace(axis1=1, axis2=2) > st.cap)
-        stationary = _stationarity(Sigma, st) < _tolerance(st)
-        done = grown | stationary
-        if np.count_nonzero(done) < done.size:
-            # A round that changed nothing would only repeat itself.
-            unchanged = ~adopted | (x == prev).all(axis=(1, 2))
-            done |= unchanged | (taken >= _MAX_STEPS)
-        for i, cov, f, its, ok, big in zip(
-            idx[done].tolist(), Sigma[done], f_cur[done].tolist(),
-            iterations[done].tolist(), stationary[done].tolist(), grown[done].tolist(),
-        ):
-            outcomes[i] = (
-                Diverged("worst-case covariance grew without bound") if big
-                else CovSolve(cov, f, its, ok)
-            )
-        keep = ~done
-        if not np.count_nonzero(keep):
-            return outcomes
-        idx, Sigma, f_cur = idx[keep], Sigma[keep], f_cur[keep]
-        iterations, st = iterations[keep], st.take(keep)
-        passes_max = steps_max = min(taken, _MAX_STEPS - taken)
+    U, steps, state = _ascend(st, _start(st, init), _MAX_STEPS)
+    phi, Sigma = state[0], state[2]
+    grown = ~np.isfinite(phi) | ~(Sigma.trace(axis1=1, axis2=2) <= st.cap)
+    stationary = _stationarity(U, state, st) < _tolerance(st)
+    return [
+        Diverged("worst-case covariance grew without bound") if big
+        else CovSolve(cov, f, its, ok)
+        for cov, f, its, ok, big in zip(
+            _unrotate(Sigma, st), phi.tolist(), steps.tolist(),
+            stationary.tolist(), grown.tolist(),
+        )
+    ]
 
 
 def solve_worst_case_cov(ctx: CovObjectiveContext) -> CovSolve:

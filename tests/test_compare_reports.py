@@ -15,6 +15,7 @@ def tool(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "jobs", lambda: [("calibrate x", ["calibrate"], None)])
+    monkeypatch.setattr(module, "run_suite", lambda src: {})
     return module
 
 
@@ -125,3 +126,37 @@ def test_gate_line_reads_penalty_and_bound_moves_of_the_gate_calibrations(
         "gate calibrations: lam moved in 1 of 2, lam max rel diff 0.0323, "
         "bound max rel diff 1e-08, bound max rel rise 1e-12"
     ) in capsys.readouterr().out
+
+
+def test_solver_suite_line_reads_outcome_counts_and_value_gaps(tool, monkeypatch, capsys):
+    """Per state dimension and nominal rank the suite line counts each
+    side's outcomes and gives the largest relative value difference
+    over the problems that converged on both sides only; a suite that
+    did not finish is a failed run."""
+    base = {"3,2": [["converged", 2.0], ["unconverged", 5.0], ["converged", 1.0]]}
+    head = {"3,2": [["converged", 2.000002], ["converged", 9.0], ["raised", None]]}
+    assert tool.suite_lines(base, head) == [
+        "solver suite n=3 rank=2: converged 2 -> 2, unconverged 1 -> 0, "
+        "raised 0 -> 1, value max rel diff 1e-06"
+    ]
+    _stub(tool, monkeypatch, {"base": (0, b"{}"), "head": (0, b"{}")})
+    suites = {"base": base, "head": None}
+    monkeypatch.setattr(tool, "run_suite", lambda src: suites[src])
+    assert tool.main(["base", "head"]) == 1
+    assert "FAILED     solver suite: head did not finish" in capsys.readouterr().out
+
+
+def test_solver_suite_draws_the_random_problems_of_the_worstcase_tests(tool):
+    """The suite rebuilds ``_random_problem`` on the public API, so that
+    older trees run it too; its draws are that helper's."""
+    import numpy as np
+    from test_worstcase import _random_problem
+
+    for n, rank in tool.SUITE:
+        for seed in (0, 1, tool.SUITE_SEEDS[-1]):
+            ours, theirs = tool.random_problem(seed, n, rank), _random_problem(seed, n, rank)
+            assert ours.lam == theirs.lam
+            for name in ("S_next", "P_next", "Sigma_hat", "P_bar"):
+                assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+            for name in ("A", "B", "C", "M"):
+                assert np.array_equal(getattr(ours.sys, name), getattr(theirs.sys, name))

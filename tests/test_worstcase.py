@@ -36,11 +36,17 @@ from wdrc.riccati import backward_pass, min_feasible_lambda
 from wdrc.worstcase import (
     CovObjectiveContext,
     _Stage,
-    _basis,
+    _ascend,
+    _direction,
+    _entries,
+    _evaluate,
     _newton,
-    _newton_direction,
-    _newton_system,
+    _positive,
+    _scatter,
     _settle,
+    _start,
+    _system,
+    _unrotate,
     cov_gradient,
     cov_objective,
     forward_schedule,
@@ -85,29 +91,35 @@ def test_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hessian_matches_finite_differences_of_gradient(n):
-    """Column by column, the analytic Hessian on the free entries is the
-    central difference of ``cov_gradient`` along that entry's basis
-    matrix, for every measurement count."""
+    """For every measurement count, on the free entries of ``U`` in the
+    nominal's eigenbasis: the gradient of the transport objective
+    ``Phi`` is its central difference, each column of the negated
+    Hessian is minus the central difference of the gradient along that
+    entry's basis matrix, and the ``Sigma``-space gradient that the
+    residual takes, ``P_next - lam I + W + lam U^{-1}``, is
+    ``cov_gradient`` at ``Sigma = U Sigma_hat U``."""
     rng = np.random.default_rng(50 + n)
-    basis = _basis(n)
+    basis = _entries(n)[2]
     step = 1e-5
     for n_y in range(1, n + 1):
         for _ in range(4):
             ctx = _context(rng, n, n_y)
-            sigma = random_psd(rng, n, jitter=0.05)
-            grad, g, h = _newton_system(sigma[None], ctx._stage)
-            assert np.allclose(grad[0], cov_gradient(sigma, ctx), rtol=1e-12, atol=1e-13)
-            assert np.allclose(g[0, :, 0], basis.T @ grad[0].reshape(-1))
+            st = ctx._stage
+            frame = st.frame[0]
+            U = (frame.T @ random_psd(rng, n, jitter=0.05) @ frame)[None]
+            state = _evaluate(U, st)
+            g, h = _system(state, st)
             assert np.array_equal(h, h.mT)
-            scale = max(float(np.abs(h).max()), 1.0)
-            for col in range(basis.shape[1]):
-                e = basis[:, col].reshape(n, n)
-                fd = (
-                    cov_gradient(sigma + step * e, ctx)
-                    - cov_gradient(sigma - step * e, ctx)
-                ) / (2.0 * step)
-                err = np.abs(basis.T @ fd.reshape(-1) + h[0, :, col]).max()
-                assert err / scale < 1e-6
+            sigma = symmetrize(frame @ state[2][0] @ frame.T)
+            grad = frame @ (state[3][0] + ctx.lam * np.linalg.inv(U[0])) @ frame.T
+            assert np.allclose(grad, cov_gradient(sigma, ctx), rtol=1e-8, atol=1e-10)
+            scale = max(float(np.abs(h).max()), float(np.abs(g).max()), 1.0)
+            for col, e in enumerate(basis):
+                up, down = (_evaluate(U + sign * step * e, st) for sign in (1.0, -1.0))
+                fd_phi = (up[0] - down[0]) / (2.0 * step)
+                assert abs(fd_phi[0] - g[0, col]) / scale < 1e-6
+                fd = (_system(up, st)[0] - _system(down, st)[0]) / (2.0 * step)
+                assert np.abs(fd[0] + h[0, :, col]).max() / scale < 1e-6
 
 
 def test_objective_concave_along_segments():
@@ -252,11 +264,12 @@ def test_newton_alone_matches_oracles():
         assert np.allclose(stacked[0], ref, rtol=1e-6, atol=1e-10)
 
 
-def test_singular_nominal_covariance_takes_gradient_steps():
-    """A rank-deficient nominal covariance (as few samples give) makes the
-    transport map's Sylvester equation singular: that problem gets no
-    curvature and takes gradient steps, its stack neighbour keeps its
-    Hessian, and the solver still converges to a maximizer."""
+def test_singular_nominal_covariance_holds_unseen_entries_fixed():
+    """A rank-deficient nominal covariance (as few samples give) leaves
+    the entry of ``U`` on its null space unseen by the objective: that
+    entry gets zero gradient and unit curvature, so steps leave it
+    alone, while its stack neighbour keeps the system of its stack of
+    one, and the solver still converges to a maximizer of rank one."""
     rng = np.random.default_rng(34)
     ctx0 = _context(rng, 2, 1)
     singular = CovObjectiveContext(
@@ -267,18 +280,22 @@ def test_singular_nominal_covariance_takes_gradient_steps():
         P_bar=ctx0.P_bar,
         sys=ctx0.sys,
     )
-    stack = _Stage(
-        ctx0.sys,
-        *(np.stack([getattr(c._stage, name)[0] for c in (singular, ctx0)])
-          for name in ("S_next", "P_next", "lam", "Sigma_hat", "prior_base")),
-    )
-    sigma = np.stack([0.05 * np.eye(2), random_psd(rng, 2)])
-    _, _, h = _newton_system(sigma, stack)
-    assert np.isnan(h[0]).all()
-    assert np.array_equal(h[1], _newton_system(sigma[1:], ctx0._stage)[2][0])
+    stack = _stack_of([singular, ctx0])
+    assert stack.free.tolist() == [[False, True, True], [True, True, True]]
+    U = np.stack([0.7 * np.eye(2), random_psd(rng, 2)])
+    g, h = _system(_evaluate(U, stack), stack)
+    assert g[0, 0] == 0.0
+    assert np.array_equal(h[0, 0], [1.0, 0.0, 0.0])
+    assert np.array_equal(h[0, :, 0], [1.0, 0.0, 0.0])
+    s, newton = _direction(g, h)
+    assert s[0, 0] == 0.0 and newton.all()
+    alone = _system(_evaluate(U[1:], ctx0._stage), ctx0._stage)
+    assert np.array_equal(g[1], alone[0][0]) and np.array_equal(h[1], alone[1][0])
 
     solve = solve_worst_case_cov(singular)
     assert solve.converged
+    vals = np.linalg.eigvalsh(solve.cov)
+    assert vals[0] <= 1e-15 * vals[1]
     for _ in range(40):
         probe = random_psd(rng, 2, jitter=1e-6)
         assert cov_objective(probe, singular) <= solve.z_tilde + 1e-7 * (
@@ -288,8 +305,7 @@ def test_singular_nominal_covariance_takes_gradient_steps():
 
 # Stage-0 problems of the calibration at gaussian scenario seed 411 that
 # the solver's earlier projected-gradient-ascent fallback took longest
-# on: (penalty, the value the ascent reached, its iterations).  The
-# smallest three need the fixed point's retry schedule.
+# on: (penalty, the value the ascent reached, its iterations).
 _SLOW_AT_411 = (
     (2.1554160837427836, 1.22539587647604, 31),
     (2.2168119302170175, 0.07786745172296873, 70),
@@ -638,41 +654,33 @@ def test_stacked_pass_drops_a_diverging_penalty(monkeypatch):
         forward_schedule(cfg.sys, sols[0], nominal, p0)
 
 
-def test_newton_direction_survives_a_singular_solve_of_a_positive_hessian():
-    """Far out along the flattest direction of the first stage of the
-    n = 3 plant at the smallest feasible penalty, the negated Hessian's
-    smallest eigenvalue is positive only by rounding (about 1e-14 against
-    770), and for some of these iterates the solve meets an exact zero
-    pivot.  Those take the gradient; the rest of the stack keeps its
-    Newton steps, and no direction is lost."""
+def test_direction_survives_hessians_that_are_not_positive_definite():
+    """On the n = 3 plant, the first stage's objective is unbounded at
+    the smallest feasible penalty, and there the negated Hessian is not
+    positive definite at any ``U = c I``; at three times that penalty it
+    is.  In one stack of both, each problem takes its own step, the bits
+    of its stack of one: Newton's where the Cholesky factor exists, and
+    an ascent step with the eigenvalues' magnitudes elsewhere."""
     sys, cost, nominal, p0, lam = _plant_problem(3)
-    sol = backward_pass(sys, cost, nominal, lam)
-    ctx = CovObjectiveContext(
-        S_next=sol.S[1], P_next=sol.P[1], lam=lam,
-        Sigma_hat=nominal.cov(0), P_bar=p0, sys=sys,
-    )
-    flat = np.linalg.eigh(ctx.P_next)[1][:, -1]
-    sigma = ctx.Sigma_hat + np.logspace(4.0, 12.0, 401)[:, None, None] * np.outer(flat, flat)
-    stack = ctx._stage.take(np.zeros(sigma.shape[0], dtype=int))
-    grad, g, h = _newton_system(sigma, stack)
-    assert np.isfinite(h).all()
-    singular = []
-    for q in range(sigma.shape[0]):
-        if np.linalg.eigvalsh(h[q])[0] > 0.0:
-            try:
-                np.linalg.solve(h[q], g[q])
-            except np.linalg.LinAlgError:
-                singular.append(q)
-    if not singular:
-        pytest.skip("no exact zero pivot among these iterates on this LAPACK")
-    direction, newton = _newton_direction(sigma, stack)
-    assert np.isfinite(direction).all()
-    assert np.array_equal(direction[singular], grad[singular])
-    assert not newton[singular].any()
-    q = next(q for q in range(sigma.shape[0]) if q not in singular)
-    alone, newton_alone = _newton_direction(sigma[q:q + 1], ctx._stage)
-    assert np.array_equal(direction[q], alone[0])
-    assert newton[q] == newton_alone[0]
+    ctxs = []
+    for scale in (1.0, 3.0):
+        sol = backward_pass(sys, cost, nominal, scale * lam)
+        ctxs.append(CovObjectiveContext(
+            S_next=sol.S[1], P_next=sol.P[1], lam=scale * lam,
+            Sigma_hat=nominal.cov(0), P_bar=p0, sys=sys,
+        ))
+    c = np.linspace(-2.0, 2.0, 9)
+    stack = _stack_of([ctx for ctx in ctxs for _ in c])
+    g, h = _system(_evaluate(np.tile(c, 2)[:, None, None] * np.eye(3), stack), stack)
+    s, newton = _direction(g, h)
+    assert newton.tolist() == [False] * c.size + [True] * c.size
+    assert np.isfinite(s).all()
+    assert (np.vecdot(g, s) > 0.0).all()
+    assert np.array_equal(s[newton], np.linalg.solve(h[newton], g[newton, :, None])[..., 0])
+    for q in range(s.shape[0]):
+        alone, newton_alone = _direction(g[q:q + 1], h[q:q + 1])
+        assert np.array_equal(s[q], alone[0]) and newton[q] == newton_alone[0]
+    assert _positive(h).tolist() == newton.tolist()
 
 
 def _stack_of(ctxs) -> _Stage:
@@ -769,44 +777,127 @@ def _random_problem(seed: int, n: int, rank: int) -> CovObjectiveContext:
     )
 
 
+def _factor_objective(Sigma: np.ndarray, ctx: CovObjectiveContext, rank: int) -> float:
+    """The stage objective at ``Sigma``, its cross term taken as ``tr
+    (F' Sigma F)^{1/2}`` with ``Sigma_hat = F F'`` of the given rank:
+    exact to rounding where ``Sigma`` is singular, unlike a square root
+    of ``Sigma``."""
+    vals, vecs = np.linalg.eigh(ctx.Sigma_hat)
+    F = vecs[:, -rank:] * np.sqrt(vals[-rank:])
+    sys = ctx.sys
+    G = sys.A @ ctx.P_bar @ sys.A.T + Sigma
+    gain = G @ sys.C.T @ np.linalg.inv(sys.C @ G @ sys.C.T + sys.M)
+    cross = np.sqrt(np.maximum(np.linalg.eigvalsh(symmetrize(F.T @ Sigma @ F)), 0.0)).sum()
+    return float(
+        np.trace(ctx.S_next @ (G - gain @ sys.C @ G))
+        + np.trace((ctx.P_next - ctx.lam * np.eye(Sigma.shape[0])) @ Sigma)
+        + 2.0 * ctx.lam * cross
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dims=hs.integers(1, 3).flatmap(lambda n: hs.tuples(hs.just(n), hs.integers(1, n))),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_transport_objective_bounds_the_stage_objective(dims, seed):
+    """``Phi(U)`` is the stage objective at ``Sigma = U Sigma_hat U`` for
+    PSD ``U`` (within 1e-12 relative, and within the error of the
+    square root of a singular ``Sigma`` in ``cov_objective``) and at
+    most that value for indefinite symmetric ``U``; its gradient and
+    negated Hessian on the free entries match central differences, at
+    full and deficient rank of the nominal."""
+    n, rank = dims
+    ctx = _random_problem(seed, n, rank)
+    st = ctx._stage
+    frame = st.frame[0]
+    rng = np.random.default_rng(seed)
+    shift = np.diag(rng.uniform(-2.0, 0.0, n))
+    for U, psd in ((random_psd(rng, n, jitter=0.05), True), (random_psd(rng, n) + shift, False)):
+        U_r = (frame.T @ U @ frame)[None]
+        state = _evaluate(U_r, st)
+        phi = float(state[0][0])
+        sigma = symmetrize(U @ ctx.Sigma_hat @ U)
+        exact = _factor_objective(sigma, ctx, rank)
+        if psd:
+            assert abs(phi - exact) <= 1e-12 * max(abs(exact), 1.0)
+            slack = 1e-12 if rank == n else 1e-6
+            assert abs(phi - cov_objective(sigma, ctx)) <= slack * max(abs(exact), 1.0)
+        else:
+            assert phi <= exact + 1e-12 * max(abs(exact), 1.0)
+
+        g, h = _system(state, st)
+        scale = max(float(np.abs(h).max()), float(np.abs(g).max()), 1.0)
+        step = 1e-5
+        for col, e in enumerate(_entries(n)[2]):
+            up, down = (_evaluate(U_r + sign * step * e, st) for sign in (1.0, -1.0))
+            if not st.free[0, col]:
+                assert g[0, col] == 0.0 and up[0][0] == down[0][0]
+                continue
+            assert abs((up[0][0] - down[0][0]) / (2.0 * step) - g[0, col]) / scale < 1e-6
+            fd = (_system(up, st)[0] - _system(down, st)[0]) / (2.0 * step)
+            assert np.abs(fd[0] + h[0, :, col]).max() / scale < 1e-6
+
+
+def test_a_singular_member_leaves_the_stack_its_own_results():
+    """A rank-one nominal at n = 3 makes that problem's maximizer
+    singular, where no transport factor of ``Sigma`` exists; its
+    residual is taken in ``U``, so it converges, and in one stack with
+    full-rank problems, a rank-two one and an unbounded one every
+    problem keeps the outcome of its stack of one, bit for bit."""
+    base = [_random_problem(seed, 3, rank) for seed, rank in ((2, 3), (5, 1), (7, 2))]
+    sys = base[0].sys
+    ctxs = [replace(ctx, sys=sys) for ctx in base]
+    ctxs.append(replace(ctxs[0], lam=0.5, S_next=10.0 * np.eye(3)))
+    stack = _stack_of(ctxs)
+    stacked = _settle(stack, stack.Sigma_hat)
+    for ctx, solve in zip(ctxs, stacked):
+        (alone,) = _settle(ctx._stage, ctx._stage.Sigma_hat)
+        if isinstance(alone, Diverged):
+            assert isinstance(solve, Diverged)
+            continue
+        assert np.array_equal(solve.cov, alone.cov)
+        assert (solve.z_tilde, solve.iterations, solve.converged) == (
+            alone.z_tilde, alone.iterations, alone.converged
+        )
+    assert isinstance(stacked[3], Diverged)
+    singular = stacked[1]
+    assert singular.converged
+    vals = np.linalg.eigvalsh(singular.cov)
+    assert vals[1] <= 1e-12 * vals[2]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=hs.integers(1, 3), seed=hs.integers(0, 2**32 - 1))
 def test_newton_stop_leaves_nothing_for_more_steps(n, seed):
     """A solve may end at a full Newton step of up to 1e-8 relative, so
     the next steps only confirm it: on random bounded problems with a
-    full-rank nominal, 5 more Newton steps move each converged
+    full-rank nominal, 5 more full Newton steps move each converged
     maximizer by at most 1e-13 relative."""
     ctx = _random_problem(seed, n, n)
     solve = solve_worst_case_cov(ctx)
     assert solve.converged
-    sigma = solve.cov[None]
+    st = ctx._stage
+    U, _, state = _ascend(st, _start(st, st.Sigma_hat), worstcase._MAX_STEPS)
+    assert np.array_equal(_unrotate(state[2], st)[0], solve.cov)
     for _ in range(5):
-        sigma = sigma + _newton_direction(sigma, ctx._stage)[0]
-    moved = np.abs(sigma[0] - solve.cov).max()
+        s, newton = _direction(*_system(state, st))
+        assert newton.all()
+        U = U + _scatter(s, n)
+        state = _evaluate(U, st)
+    moved = np.abs(_unrotate(state[2], st)[0] - solve.cov).max()
     assert moved <= 1e-13 * np.abs(solve.cov).max()
 
 
 @pytest.mark.parametrize("seed", [1, 6, 14, 15])
 def test_rank_deficient_nominal_converges_as_with_the_fine_stop(monkeypatch, seed):
-    """Rank-2 nominals at n = 3 whose solves mix gradient steps with
-    full Newton steps toward a maximizer near the cone's boundary, where
-    Newton converges slowly: each still converges, to the maximizer
+    """Rank-2 nominals at n = 3, whose solves hold the entry of ``U`` on
+    the nominal's null space fixed: each converges to the maximizer
     (within 1e-12 relative) that the solve reaches when every step must
-    move less than 1e-14 relative.  A stop at any full step of 1e-8
-    leaves each of them unconverged."""
+    move less than 1e-14 relative."""
     ctx = _random_problem(seed, 3, 2)
-    flags = []
-    direction = worstcase._newton_direction
-
-    def recorded(Sigma, st):
-        step, newton = direction(Sigma, st)
-        flags.append(newton.copy())
-        return step, newton
-
-    monkeypatch.setattr(worstcase, "_newton_direction", recorded)
+    assert ctx._stage.free.sum() == 5
     solve = solve_worst_case_cov(ctx)
-    newton = np.concatenate(flags)
-    assert newton.any() and not newton.all()
     monkeypatch.setattr(worstcase, "_FULL_STEP_STOP", worstcase._STEP_STOP)
     fine = solve_worst_case_cov(ctx)
     assert solve.converged and fine.converged
@@ -814,31 +905,30 @@ def test_rank_deficient_nominal_converges_as_with_the_fine_stop(monkeypatch, see
 
 
 @pytest.mark.parametrize(
-    "name, per_stage, most", [("gaussian", False, 260), ("uniform", True, 500)]
+    "name, per_stage, most", [("gaussian", False, 310), ("uniform", True, 560)]
 )
 def test_calibration_newton_step_count(monkeypatch, name, per_stage, most):
     """One calibration at the config's seed takes at most ``most``
-    stacked Newton steps (381 and 618 when every problem ran until a
-    step moved less than 1e-14 relative), and every stage it solves
-    converges."""
+    stacked Newton steps (302 and 548 when this bound was set), and
+    every stage it solves converges."""
     cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
     cfg = replace(cfg, per_stage_nominal=per_stage)
     scenario, nominal, _ = prepare(cfg, None)
     steps = []
-    direction = worstcase._newton_direction
+    direction = worstcase._direction
     settle = worstcase._settle
     outcomes = []
 
-    def counted(Sigma, st):
-        steps.append(Sigma.shape[0])
-        return direction(Sigma, st)
+    def counted(g, h):
+        steps.append(g.shape[0])
+        return direction(g, h)
 
     def recorded(st, init):
         out = settle(st, init)
         outcomes.extend(out)
         return out
 
-    monkeypatch.setattr(worstcase, "_newton_direction", counted)
+    monkeypatch.setattr(worstcase, "_direction", counted)
     monkeypatch.setattr(worstcase, "_settle", recorded)
     calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     assert 0 < len(steps) <= most

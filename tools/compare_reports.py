@@ -49,7 +49,11 @@ the tree) on the configs of this repository:
   exit code and the JSON of the policy's coefficients;
 - ``wdrc oracle --seed 0`` to ``--seed 15``, and ``--seed 28`` to
   ``--seed 31``, which include the program seeds that perfbench's
-  ``oracle-selfcheck`` times at its ``--seed 7``: exit code and stdout.
+  ``oracle-selfcheck`` times at its ``--seed 7``: exit code and stdout;
+- the solver suite: ``solve_worst_case_cov`` on the random bounded
+  stage problems of ``tests/test_worstcase.py::_random_problem``, 300
+  seeds each at n = 2 with a rank-1 nominal and at n = 3 with ranks 1,
+  2 and 3.
 
 One line per output says whether it is identical; a file written on one
 side only differs.  For an output that differs, the line adds the
@@ -69,7 +73,11 @@ line before the summary reads the gate over the calibrations that
 succeeded on both sides: on how many the penalty moved and the largest
 relative move of the penalty, then the largest relative move of the
 bound and its largest signed relative rise (negative when every bound
-fell).
+fell).  The solver suite prints one line per state dimension and
+nominal rank: how many problems converged, ended unconverged or raised
+on each side, and the largest relative difference of the values where
+both sides converged.  Only a suite run that fails to finish counts as
+a failure.
 """
 
 from __future__ import annotations
@@ -94,6 +102,9 @@ GATE_SEEDS = {"gaussian": range(400, 430), "uniform-stagewise": range(2800, 2830
 GATE_LABELS = {
     f"calibrate {name} seed={seed}" for name, seeds in GATE_SEEDS.items() for seed in seeds
 }
+# (state dimension, nominal rank) of the solver suite, and its seeds.
+SUITE = ((2, 1), (3, 1), (3, 2), (3, 3))
+SUITE_SEEDS = range(300)
 
 
 def write_configs(work_dir: str) -> None:
@@ -197,6 +208,94 @@ def gate_line(pairs: list[tuple[dict, dict]]) -> str:
     )
 
 
+def random_problem(seed: int, n: int, rank: int):
+    """The stage problem that ``tests/test_worstcase.py::_random_problem``
+    draws, built on the public API that every tree has."""
+    import numpy as np
+
+    from wdrc.model import LinearSystem
+    from wdrc.psdmath import symmetrize
+    from wdrc.worstcase import CovObjectiveContext
+
+    def random_psd(rng, n, jitter=1e-3):
+        m = rng.standard_normal((n, n))
+        return symmetrize(m @ m.T / n + jitter * np.eye(n))
+
+    rng = np.random.default_rng(seed)
+    n_y = int(rng.integers(1, n + 1))
+    sys_ = LinearSystem(
+        A=rng.standard_normal((n, n)) / np.sqrt(n),
+        B=rng.standard_normal((n, 1)),
+        C=rng.standard_normal((n_y, n)),
+        M=random_psd(rng, n_y, jitter=0.1),
+    )
+    p_next, s_next = random_psd(rng, n), random_psd(rng, n)
+    top = float(np.linalg.eigvalsh(p_next + s_next).max())
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    return CovObjectiveContext(
+        S_next=s_next,
+        P_next=p_next,
+        lam=top * (1.5 + 2.5 * rng.random()) + 1.0,
+        Sigma_hat=symmetrize((basis * rng.uniform(0.05, 1.0, rank)) @ basis.T),
+        P_bar=random_psd(rng, n),
+        sys=sys_,
+    )
+
+
+def suite_worker() -> None:
+    """Solve the suite with the ``wdrc`` on the path; print per
+    ``"n,rank"`` each problem's ``[outcome, value]``, the outcome being
+    ``converged``, ``unconverged`` or ``raised`` (a solver error; any
+    other exception stops the worker)."""
+    import numpy as np
+
+    from wdrc.errors import WdrcError
+    from wdrc.worstcase import solve_worst_case_cov
+
+    out = {}
+    for n, rank in SUITE:
+        rows = out[f"{n},{rank}"] = []
+        for seed in SUITE_SEEDS:
+            try:
+                solve = solve_worst_case_cov(random_problem(seed, n, rank))
+            except (WdrcError, np.linalg.LinAlgError):
+                rows.append(["raised", None])
+                continue
+            rows.append(["converged" if solve.converged else "unconverged", solve.z_tilde])
+    print(json.dumps(out))
+
+
+def run_suite(src: str) -> dict | None:
+    """:func:`suite_worker` on one tree, or None if it did not finish."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--suite-worker"],
+        env=env, capture_output=True, check=False,
+    )
+    return json.loads(proc.stdout) if proc.returncode == 0 else None
+
+
+def suite_lines(base: dict, head: dict) -> list[str]:
+    """One line per suite key of two :func:`suite_worker` outputs."""
+    lines = []
+    for key, rows in base.items():
+        counts = []
+        for outcome in ("converged", "unconverged", "raised"):
+            a, b = (sum(row[0] == outcome for row in side) for side in (rows, head[key]))
+            counts.append(f"{outcome} {a} -> {b}")
+        gap = max(
+            (rel_diff(x[1], y[1]) for x, y in zip(rows, head[key])
+             if x[0] == y[0] == "converged"),
+            default=0.0,
+        )
+        n, rank = key.split(",")
+        lines.append(
+            f"solver suite n={n} rank={rank}: {', '.join(counts)}, "
+            f"value max rel diff {gap:.3g}"
+        )
+    return lines
+
+
 def run(src: str, work_dir: str, argv: list[str], out_dir: str | None) -> dict[str, bytes]:
     """Run one command on one tree; its outputs by name, with every file it
     wrote to ``out_dir``."""
@@ -231,6 +330,7 @@ def main(argv=None) -> int:
         todo = jobs()
         # Two workers: the two sides of one command run side by side.
         with ThreadPoolExecutor(max_workers=2) as pool:
+            suite = [pool.submit(run_suite, src) for src in (args.base_src, args.head_src)]
             futures = [
                 (label, pool.submit(run, args.base_src, dirs["base"], cli, out),
                  pool.submit(run, args.head_src, dirs["head"], cli, out))
@@ -256,9 +356,19 @@ def main(argv=None) -> int:
                     print(f"DIFFERS    {label}: {name}{moved}")
     if gate:
         print(gate_line(gate))
+    suite_base, suite_head = (future.result() for future in suite)
+    for side, result in (("base", suite_base), ("head", suite_head)):
+        if result is None:
+            failed += 1
+            print(f"FAILED     solver suite: {side} did not finish")
+    if suite_base and suite_head:
+        print(*suite_lines(suite_base, suite_head), sep="\n")
     print(f"{failed} run(s) failed, {differing} output(s) differ")
     return 1 if failed or differing else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    if sys.argv[1:] == ["--suite-worker"]:
+        suite_worker()
+    else:
+        raise SystemExit(main())
