@@ -265,7 +265,7 @@ def _dual_terms(
     """The dual terms of a stack of loops."""
     k, T, n = loop.E.shape[0], loop.E.shape[1], loop.E.shape[3]
     m = 2 * n + 1
-    w_hat = np.stack([nominal.mean(t) for t in range(T)])
+    w_hat = nominal.means[:T]
     Fa = np.zeros((k, T, m, m))
     Fa[..., :-1, :-1] = loop.F
     Fa[..., :-1, -1] = loop.f + np.einsum("stij,tj->sti", loop.E, w_hat)
@@ -284,7 +284,7 @@ def _dual_terms(
     EPi = np.swapaxes(loop.E, 2, 3) @ loop.Pi[:, 1:]
     N = EPi @ loop.E
     nu, U = np.linalg.eigh(N)
-    sig_hat = np.stack([nominal.cov(t) for t in range(T)])
+    sig_hat = nominal.covs[:T]
     return _DualTerms(
         Fa=Fa,
         Ea=Ea,
@@ -408,9 +408,7 @@ def worst_case_law(
     terms = _dual_terms(_index(loop, None), z0, nominal, noise_cov)
     _, shifts = _mean_part(terms, np.array([kappa]))
     inv = np.linalg.inv(kappa * np.eye(terms.N.shape[-1]) - terms.N[0])
-    w_hat = np.stack([nominal.mean(t) for t in range(T)])
-    sig_hat = np.stack([nominal.cov(t) for t in range(T)])
-    return w_hat + shifts[0], kappa * kappa * inv @ sig_hat @ inv
+    return nominal.means[:T] + shifts[0], kappa * kappa * inv @ nominal.covs[:T] @ inv
 
 
 # Bytes of the Hessians of the problems whose Lanczos runs advance in one
@@ -691,8 +689,7 @@ def dual_bounds(
         raise ValueError(f"theta must be >= 0, got {theta}")
     k, T = loops.F.shape[0], loops.F.shape[1]
     if theta == 0.0:
-        means = np.stack([nominal.mean(t) for t in range(T)])
-        covs = np.stack([nominal.cov(t) for t in range(T)])
+        means, covs = nominal.means[:T], nominal.covs[:T]
         costs = [
             exact_cost(_index(loops, i), z0, means, covs, noise_cov) for i in range(k)
         ]

@@ -73,7 +73,7 @@ class LqgController:
 
     @property
     def h(self) -> np.ndarray:
-        return np.stack([self.nominal.mean(t) for t in range(self.horizon)])
+        return self.nominal.means[: self.horizon]
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,7 @@ def lqg_gains(
             + float(drift @ P_next @ drift)
             + 2.0 * float(r_next @ drift)
         )
-    feed = np.stack([nominal.cov(t) for t in range(T)])
-    _, post_covs, gains = covariance_path(p0_cov, feed, sys)
+    _, post_covs, gains = covariance_path(p0_cov, nominal.covs[:T], sys)
     return LqgController(
         P=P, S=S, r=r, z=z, K=K, L=L, nominal=nominal,
         post_covs=post_covs, gains=gains,

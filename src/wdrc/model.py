@@ -257,9 +257,15 @@ DistributionSpec = Union[GaussianSpec, UniformSpec]
 
 @dataclass(frozen=True)
 class NominalDistribution:
-    """Per-stage nominal disturbance moments seen by the controller."""
+    """Per-stage nominal disturbance moments seen by the controller.
+
+    ``means`` (``(T, n)``) and ``covs`` (``(T, n, n)``) are the stages'
+    moments stacked once, read-only, for the stacked layers.
+    """
 
     stages: tuple[MomentPair, ...]
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    covs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -269,7 +275,12 @@ class NominalDistribution:
         for k, pair in enumerate(stages):
             if pair.dim != dim:
                 raise DimMismatch(f"stage {k} has dim {pair.dim}, expected {dim}")
+        means = np.stack([pair.mean for pair in stages])
+        covs = np.stack([pair.cov for pair in stages])
+        means.flags.writeable = covs.flags.writeable = False
         object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "covs", covs)
 
     @property
     def horizon(self) -> int:

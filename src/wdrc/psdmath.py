@@ -7,7 +7,13 @@ worst-case layers.  All decompositions of symmetric matrices go through
 ``numpy.linalg.eigh``; eigenvalues within a scale-aware tolerance of
 zero are clamped to zero instead of being rejected.
 
-``symmetrize``, ``psd_sqrt``, ``trace_sqrt_product`` and
+A covariance's numerical null space is decided here alone, by
+:func:`rank_eigh`: eigenvalues at most ``1e-12`` of the largest count
+as zero.  :func:`trace_sqrt_product` takes its factor of the second
+argument from that rule, and the worst-case solver takes the nominal's
+eigenbasis from it.
+
+``symmetrize``, ``rank_eigh``, ``psd_sqrt``, ``trace_sqrt_product`` and
 ``transport_map`` also accept stacks of matrices, ``(..., n, n)``, and
 then work matrix by matrix; each stacked result has the same bits as
 the call on that matrix alone.
@@ -26,8 +32,8 @@ __all__ = [
     "symmetrize",
     "psd_tolerance",
     "require_square",
-    "min_eigenvalue",
     "require_psd",
+    "rank_eigh",
     "psd_sqrt",
     "trace_sqrt_product",
     "transport_map",
@@ -82,15 +88,7 @@ def psd_tolerance(m: np.ndarray) -> float | np.ndarray:
     One value per matrix of a stack ``(..., n, n)``.
     """
     diag = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
-    if m.ndim > 2:
-        return 1e-9 * (1.0 + diag.max(axis=-1, initial=0.0))
-    peak = float(diag.max()) if diag.size else 0.0
-    return 1e-9 * (1.0 + peak)
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of ``m``."""
-    return float(np.linalg.eigvalsh(symmetrize(m))[0])
+    return 1e-9 * (1.0 + diag.max(axis=-1, initial=0.0))
 
 
 def require_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -108,7 +106,7 @@ def require_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         DimMismatch: If ``m`` is not square.
     """
     sym = symmetrize(m)
-    lo = min_eigenvalue(sym)
+    lo = float(np.linalg.eigvalsh(sym)[0])
     if lo < -psd_tolerance(sym):
         raise NotPSD(f"{name} has eigenvalue {lo:.6g} below tolerance")
     return sym
@@ -138,44 +136,46 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return symmetrize(root)
 
 
-def _clamped_det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of 2x2 PSD matrices, clamped at zero for roundoff."""
-    diag_products = m[..., 0, :] * m[..., 1, ::-1]
-    return np.maximum(diag_products[..., 0] - diag_products[..., 1], 0.0)
-
-
-def _sqrt_product2(a: np.ndarray, b: np.ndarray):
-    """``trace_sqrt_product`` of 2x2 matrices, with ``sqrt(det a det b)``
-    and ``det a`` (both clamped at zero), which the transport map reuses."""
-    ab = a @ b
-    det_a = _clamped_det2(a)
-    gm = np.sqrt(det_a * _clamped_det2(b))
-    cross = ab[..., 0, 0] + ab[..., 1, 1]
-    return np.sqrt(np.maximum(cross + 2.0 * gm, 0.0)), gm, det_a
-
-
 def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
 
 
+# Eigenvalues at most this fraction of a covariance's largest count as
+# zero (:func:`rank_eigh`).
+_RANK_TOL = 1e-12
+
+
+def rank_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` of a symmetric matrix, or of each matrix of
+    a stack, with eigenvalues at most ``_RANK_TOL`` of the largest set
+    to zero.
+
+    This is the one rule for a covariance's numerical null space: the
+    eigenvectors with zero eigenvalues span it.
+
+    Returns:
+        ``(d, vecs)``: the ascending eigenvalues, zeroed below the rule,
+        and the eigenvectors as columns.
+    """
+    vals, vecs = np.linalg.eigh(m)
+    return np.where(vals > _RANK_TOL * vals[..., -1:], vals, 0.0), vecs
+
+
 def trace_sqrt_product(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Compute ``tr[(a^{1/2} b a^{1/2})^{1/2}]`` for PSD ``a``, ``b``.
 
-    The value equals the sum of square roots of the eigenvalues of
-    ``a @ b``, which gives closed forms in one and two dimensions; the
-    general case falls back to eigendecompositions.  Stacks of
+    The value is the sum of the square roots of the eigenvalues of ``F'
+    a F``, with ``F = V sqrt(d)`` the factor of ``b`` from
+    :func:`rank_eigh`, so ``b``'s null space is decided by the one rank
+    rule and no square root of a singular matrix is taken.  Stacks of
     matrices give one value per matrix.
     """
     _same_shape(a, b)
-    n = a.shape[-1]
-    if n == 1:
-        val = np.sqrt(np.maximum(a[..., 0, 0] * b[..., 0, 0], 0.0))
-    elif n == 2:
-        val = _sqrt_product2(a, b)[0]
-    else:
-        root = psd_sqrt(a)
-        val = psd_sqrt(root @ b @ root).trace(axis1=-2, axis2=-1)
+    d, vecs = rank_eigh(b)
+    factor = vecs * np.sqrt(d)[..., None, :]
+    eigs = np.linalg.eigvalsh(symmetrize(factor.mT @ a @ factor))
+    val = np.sqrt(np.clip(eigs, 0.0, None)).sum(axis=-1)
     return val if a.ndim > 2 else float(val)
 
 
@@ -188,26 +188,6 @@ def transport_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     factor of one half.  Stacks of matrices are mapped pair by pair.
     """
     _same_shape(a, b)
-    n = a.shape[-1]
-    if n == 1:
-        if np.count_nonzero(a <= 0.0):
-            raise NotPSD("transport map requires positive definite input")
-        return np.sqrt(np.maximum(b, 0.0) / a)
-    if n == 2:
-        scale, gm, det_a = _sqrt_product2(a, b)
-        dead = scale <= 0.0
-        if np.count_nonzero(dead):
-            # A zero cross term maps to zero; the rest are mapped alone.
-            out = np.zeros_like(a)
-            if np.count_nonzero(dead) < dead.size:
-                out[~dead] = transport_map(a[~dead], b[~dead])
-            return out
-        if np.count_nonzero(det_a <= 0.0):
-            raise NotPSD("transport map requires positive definite input")
-        inv_a = a[..., ::-1, ::-1].mT * _ADJUGATE_SIGNS / det_a[..., None, None]
-        return symmetrize(
-            (b + gm[..., None, None] * inv_a) / scale[..., None, None]
-        )
     root = psd_sqrt(a)
     vals, vecs = np.linalg.eigh(root)
     if np.count_nonzero(vals[..., 0] <= psd_tolerance(root)):
@@ -215,10 +195,6 @@ def transport_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inv_root = (vecs / vals[..., None, :]) @ vecs.mT
     inner = psd_sqrt(root @ b @ root)
     return symmetrize(inv_root @ inner @ inv_root)
-
-
-# ``a[::-1, ::-1].T`` times these signs is the adjugate of a 2x2 ``a``.
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def bures_sq(a: np.ndarray, b: np.ndarray) -> float:

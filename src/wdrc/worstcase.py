@@ -72,6 +72,7 @@ from .estimator import kalman_gain, kalman_update
 from .model import LinearSystem, NominalDistribution
 from .psdmath import (
     psd_tolerance,
+    rank_eigh,
     solve,
     symmetrize,
     trace_sqrt_product,
@@ -188,13 +189,13 @@ class _Stage:
     the residual's projection and the growth cap.
 
     The solver works in the eigenbasis ``frame`` of ``Sigma_hat``, where
-    ``Sigma_hat`` is the diagonal ``d`` (eigenvalues at most
-    ``_RANK_TOL`` of the largest set to zero), so ``U Sigma_hat U`` is a
-    product with a diagonal.  In that frame the stage keeps ``S_next``,
-    ``P_next - lam I``, ``A P_bar A'`` and ``C``; the entries of ``U``
-    the nominal sees (``free``: not both indices in its null space); unit
-    curvature for the others (``unseen``); and the gradient of ``2 lam
-    tr(U Sigma_hat)`` on the free entries (``lin``).
+    ``Sigma_hat`` is the diagonal ``d`` (from
+    :func:`~wdrc.psdmath.rank_eigh`, the one rank rule), so ``U
+    Sigma_hat U`` is a product with a diagonal.  In that frame the stage
+    keeps ``S_next``, ``P_next - lam I``, ``A P_bar A'`` and ``C``; the
+    entries of ``U`` the nominal sees (``free``: not both indices in its
+    null space); unit curvature for the others (``unseen``); and the
+    gradient of ``2 lam tr(U Sigma_hat)`` on the free entries (``lin``).
     """
 
     __slots__ = (
@@ -215,9 +216,7 @@ class _Stage:
         self.floor = 1e-10 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
         # An iterate whose trace passes this counts as unbounded.
         self.cap = 1e12 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
-        vals, frame = np.linalg.eigh(Sigma_hat)
-        self.frame = frame
-        self.d = d = np.where(vals > _RANK_TOL * vals[:, -1:], vals, 0.0)
+        self.d, self.frame = d, frame = rank_eigh(Sigma_hat)
         row, col = _entries(sys.n_x)[:2]
         self.free = (d[:, row] > 0.0) | (d[:, col] > 0.0)
         self.unseen = (~self.free)[:, :, None] * np.eye(row.size)
@@ -237,15 +236,14 @@ class _Stage:
         return sub
 
 
-# Eigenvalues of ``Sigma_hat`` at most this fraction of its largest count
-# as zero: the nominal does not see those directions.
-_RANK_TOL = 1e-12
-
-
 def cov_objective(
     Sigma: np.ndarray, ctx: CovObjectiveContext
 ) -> float | np.ndarray:
     """Evaluate the stage objective at a PSD candidate covariance.
+
+    The cross term is :func:`~wdrc.psdmath.trace_sqrt_product` with the
+    nominal as the factored argument, so it takes no square root of a
+    singular candidate and is exact to rounding at every rank.
 
     ``Sigma`` is one ``(n, n)`` candidate, which gives a float, or a
     stack ``(k, n, n)``, which gives one value per candidate, as in
@@ -807,7 +805,7 @@ def mean_affines(
     r_next = np.stack([sol.r[1:] for sol in sols])
     shifted = lam[:, None, None, None] * np.eye(n) - P_next
     H = np.linalg.solve(shifted, P_next @ (sys.A + sys.B @ K))
-    w_hat = np.stack([nominal.mean(t) for t in range(T)])
+    w_hat = nominal.means[:T]
     offset = (P_next @ (sys.B @ L[..., None]))[..., 0]
     rhs = r_next + offset + lam[:, None, None] * w_hat
     h = np.linalg.solve(shifted, rhs[..., None])[..., 0]

@@ -252,3 +252,49 @@ def test_out_of_range_overrides_exit_with_config_code(
     assert err.startswith("config error: ")
     assert field in err
     assert not (tmp_path / "o").exists()
+
+
+def _recipe_config(n: int, sample_count: int) -> dict:
+    """A random plant with ``n`` states, one input and one output: ``A``
+    rescaled to spectral radius 0.95, and a Gaussian disturbance of mean 0.01 per entry and
+    covariance ``L L' + 0.002 I``, all drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, n))
+    A *= 0.95 / np.abs(np.linalg.eigvals(A)).max()
+    B = rng.standard_normal((n, 1))
+    C = rng.standard_normal((1, n))
+    L = 0.05 * rng.standard_normal((n, n))
+    eye = np.eye(n)
+    return {
+        "plant": {"A": A.tolist(), "B": B.tolist(), "C": C.tolist(), "M": [[0.2]]},
+        "cost": {"Q": eye.tolist(), "Q_f": eye.tolist(), "R": [[1.0]], "horizon": 50},
+        "robustness": {"theta": 0.1, "lam": "auto"},
+        "scenario": {
+            "true_disturbance": {
+                "type": "gaussian",
+                "mean": [0.01] * n,
+                "cov": (L @ L.T + 0.002 * eye).tolist(),
+            },
+            "initial_state": {"type": "gaussian", "mean": [-1.0] * n, "cov": (0.001 * eye).tolist()},
+            "sample_count": sample_count,
+            "seed": 2,
+        },
+        "runs": 1000,
+    }
+
+
+@pytest.mark.parametrize("n, sample_count", [(3, 2), (4, 3)], ids=["n3-rank1", "n4-rank2"])
+def test_calibrate_plants_with_rank_deficient_nominals(tmp_path, n, sample_count):
+    """With fewer samples than states every nominal covariance is
+    singular (rank ``sample_count - 1``); the calibration still certifies
+    a finite bound over its full scan."""
+    path = tmp_path / "recipe.yaml"
+    path.write_text(yaml.safe_dump(_recipe_config(n, sample_count)))
+    cfg = wdrc.load_config(str(path))
+    nominal = wdrc.harness.prepare(cfg)[1]
+    assert {int(np.linalg.matrix_rank(cov)) for cov in nominal.covs} == {sample_count - 1}
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "-c", str(path), "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert np.isfinite(payload["objective"])
+    assert payload["evaluations"] == 93

@@ -130,14 +130,19 @@ def test_gate_line_reads_penalty_and_bound_moves_of_the_gate_calibrations(
 
 def test_solver_suite_line_reads_outcome_counts_and_value_gaps(tool, monkeypatch, capsys):
     """Per state dimension and nominal rank the suite line counts each
-    side's outcomes and gives the largest relative value difference
-    over the problems that converged on both sides only; a suite that
-    did not finish is a failed run."""
-    base = {"3,2": [["converged", 2.0], ["unconverged", 5.0], ["converged", 1.0]]}
-    head = {"3,2": [["converged", 2.000002], ["converged", 9.0], ["raised", None]]}
+    side's outcomes, gives the largest relative value difference over
+    the problems that converged on both sides only, and per side the
+    largest relative gap between a converged value and its reference;
+    a suite that did not finish is a failed run."""
+    base = {
+        "3,2": [["converged", 2.0, 2.0], ["unconverged", 5.0, 1.0], ["converged", 1.0, 1.001]]
+    }
+    head = {
+        "3,2": [["converged", 2.000002, 2.000002], ["converged", 9.0, 9.0], ["raised", None, None]]
+    }
     assert tool.suite_lines(base, head) == [
         "solver suite n=3 rank=2: converged 2 -> 2, unconverged 1 -> 0, "
-        "raised 0 -> 1, value max rel diff 1e-06"
+        "raised 0 -> 1, value max rel diff 1e-06, reference max rel gap 0.000999 -> 0"
     ]
     _stub(tool, monkeypatch, {"base": (0, b"{}"), "head": (0, b"{}")})
     suites = {"base": base, "head": None}

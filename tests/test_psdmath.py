@@ -13,6 +13,7 @@ from wdrc.psdmath import (
     bures_sq,
     gelbrich_dist_sq,
     psd_sqrt,
+    rank_eigh,
     require_psd,
     solve,
     symmetrize,
@@ -77,6 +78,38 @@ def test_trace_sqrt_product_symmetric_in_arguments():
         assert trace_sqrt_product(a, b) == pytest.approx(
             trace_sqrt_product(b, a), rel=1e-10
         )
+
+
+@pytest.mark.parametrize("n, rank", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_trace_sqrt_product_is_exact_at_a_singular_nominal(n, rank):
+    """At ``a = U b U`` with PSD ``U`` the value is ``tr(U b)`` (Gelbrich)
+    within 1e-12 relative at a singular ``b``: the factor of ``b`` under
+    the rank rule keeps ``a``'s rounding-size eigenvalues from turning
+    into square-root-size ones."""
+    rng = np.random.default_rng(60 + 4 * n + rank)
+    for _ in range(20):
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+        b = symmetrize((basis * rng.uniform(0.05, 1.0, rank)) @ basis.T)
+        u = random_psd(rng, n, jitter=0.05)
+        exact = float(np.trace(u @ b))
+        assert abs(trace_sqrt_product(symmetrize(u @ b @ u), b) - exact) <= 1e-12 * exact
+
+
+def test_rank_rule_zeroes_eigenvalues_at_most_1e_12_of_the_largest():
+    """Stacked and alone, eigenvalues at most 1e-12 of a matrix's
+    largest (rounding noise of either sign among them) read zero and
+    the rest are kept exactly."""
+    frame = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    spectra = np.array([[1.0e-12, 5.0e-12, 2.0], [-1.0e-15, 0.5, 1.0], [0.0, 0.0, 0.0]])
+    m = symmetrize((frame * spectra[:, None, :]) @ frame.T)
+    d, vecs = rank_eigh(m)
+    vals = np.linalg.eigh(m)[0]
+    assert np.array_equal(d[0], [0.0, vals[0, 1], vals[0, 2]])
+    assert np.array_equal(d[1], [0.0, vals[1, 1], vals[1, 2]])
+    assert not d[2].any()
+    for k in range(3):
+        d_k, vecs_k = rank_eigh(m[k])
+        assert np.array_equal(d_k, d[k]) and np.array_equal(vecs_k, vecs[k])
 
 
 def test_transport_map_pushes_forward():

@@ -75,9 +75,11 @@ relative move of the penalty, then the largest relative move of the
 bound and its largest signed relative rise (negative when every bound
 fell).  The solver suite prints one line per state dimension and
 nominal rank: how many problems converged, ended unconverged or raised
-on each side, and the largest relative difference of the values where
-both sides converged.  Only a suite run that fails to finish counts as
-a failure.
+on each side, the largest relative difference of the values where both
+sides converged, and on each side the largest relative gap between a
+converged solve's value and ``cov_objective``, the independent
+reference, at its covariance.  Only a suite run that fails to finish
+counts as a failure.
 """
 
 from __future__ import annotations
@@ -244,24 +246,27 @@ def random_problem(seed: int, n: int, rank: int):
 
 def suite_worker() -> None:
     """Solve the suite with the ``wdrc`` on the path; print per
-    ``"n,rank"`` each problem's ``[outcome, value]``, the outcome being
-    ``converged``, ``unconverged`` or ``raised`` (a solver error; any
-    other exception stops the worker)."""
+    ``"n,rank"`` each problem's ``[outcome, value, reference]``, the
+    outcome being ``converged``, ``unconverged`` or ``raised`` (a solver
+    error, with no value; any other exception stops the worker) and the
+    reference ``cov_objective`` at the solver's covariance."""
     import numpy as np
 
     from wdrc.errors import WdrcError
-    from wdrc.worstcase import solve_worst_case_cov
+    from wdrc.worstcase import cov_objective, solve_worst_case_cov
 
     out = {}
     for n, rank in SUITE:
         rows = out[f"{n},{rank}"] = []
         for seed in SUITE_SEEDS:
+            ctx = random_problem(seed, n, rank)
             try:
-                solve = solve_worst_case_cov(random_problem(seed, n, rank))
+                solve = solve_worst_case_cov(ctx)
             except (WdrcError, np.linalg.LinAlgError):
-                rows.append(["raised", None])
+                rows.append(["raised", None, None])
                 continue
-            rows.append(["converged" if solve.converged else "unconverged", solve.z_tilde])
+            outcome = "converged" if solve.converged else "unconverged"
+            rows.append([outcome, solve.z_tilde, cov_objective(solve.cov, ctx)])
     print(json.dumps(out))
 
 
@@ -288,10 +293,14 @@ def suite_lines(base: dict, head: dict) -> list[str]:
              if x[0] == y[0] == "converged"),
             default=0.0,
         )
+        ref_a, ref_b = (
+            max((rel_diff(row[1], row[2]) for row in side if row[0] == "converged"), default=0.0)
+            for side in (rows, head[key])
+        )
         n, rank = key.split(",")
         lines.append(
             f"solver suite n={n} rank={rank}: {', '.join(counts)}, "
-            f"value max rel diff {gap:.3g}"
+            f"value max rel diff {gap:.3g}, reference max rel gap {ref_a:.3g} -> {ref_b:.3g}"
         )
     return lines
 
