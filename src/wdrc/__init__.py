@@ -8,7 +8,7 @@ solves computes the adversary's covariances, and a simulation harness benchmarks
 result against the nominal LQG policy on paired Monte-Carlo runs.
 """
 
-from .bounds import certified_bound, evaluate_value, guaranteed_cost
+from .bounds import certified_bounds, evaluate_value
 from .controller import lqg_gains, synthesize_wdrc
 from .estimator import BeliefState, initial_posterior_cov, kalman_gain, predict, update
 from .harness import (
@@ -60,8 +60,7 @@ __all__ = [
     "synthesize_wdrc",
     # bounds
     "evaluate_value",
-    "guaranteed_cost",
-    "certified_bound",
+    "certified_bounds",
     # harness
     "load_config",
     "run_campaign",

@@ -28,14 +28,12 @@ the premium paid for robustness.
 
 ``calibrate_lambda`` picks the design penalty that minimizes the bound
 by a log-grid scan followed by two zoom scans, each strictly inside the
-bracket of the best point evaluated before it.  Penalties are
-synthesized in stacks: the backward passes
-(:func:`wdrc.riccati.backward_passes`) and the worst-case forward passes
-(:func:`wdrc.worstcase.forward_schedules`) of all of one scan's
-penalties run as one stacked pass each.  Each stack's feasible
-controllers are certified in one stacked call (:func:`certified_bounds`),
-and the feasibility boundary is found by nested log-space scans of
-stacked checks (:func:`wdrc.riccati.min_feasible_lambda`).  The
+bracket of the best point evaluated before it.  Each scan's penalties
+are synthesized in one stack (:func:`wdrc.controller.synthesize_wdrcs`,
+the route a pinned penalty takes too), and the stack's controllers are
+certified in one stacked call (:func:`certified_bounds`, which takes
+stacks only); the feasibility boundary is found by nested log-space
+scans of stacked checks (:func:`wdrc.riccati.min_feasible_lambda`).  The
 controller at the chosen penalty and its certificate come with the
 result, so callers need not synthesize or certify it again.
 """
@@ -49,8 +47,8 @@ from typing import Sequence
 import numpy as np
 
 from .closedloop import DualBound, closed_loop, dual_bounds, initial_moments
-from .controller import LqgController, WdrcController
-from .errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
+from .controller import LqgController, WdrcController, synthesize_wdrcs
+from .errors import DegenerateLQ, NoFeasibleLambda
 from .estimator import BeliefState, initial_posterior_cov
 from .model import (
     CostSpec,
@@ -59,38 +57,39 @@ from .model import (
     NominalDistribution,
     ScenarioSpec,
 )
-from .riccati import backward_passes, min_feasible_lambda
-from .worstcase import forward_schedules, mean_affines
+from .riccati import min_feasible_lambda
 
 __all__ = [
     "CostCertificate",
     "CalibrationResult",
     "evaluate_value",
-    "guaranteed_cost",
-    "certified_bound",
     "certified_bounds",
     "lqg_value_terms",
     "performance_ratio",
     "calibrate_lambda",
 ]
 
-DEFAULT_LAMBDA_CAP = 1e6
+# Upper end of the penalty search.
+LAMBDA_CAP = 1e6
+# Points of the first calibration scan; each zoom scan puts
+# ``(SCAN_POINTS - 3) // 2`` points strictly inside each side of the best
+# point.
+SCAN_POINTS = 33
 
 
 @dataclass(frozen=True)
 class CostCertificate:
     """Guaranteed-bound certificate of a synthesized robust policy.
 
-    ``guaranteed_bound`` equals ``guaranteed_cost(kappa, T, theta,
-    w_kappa)``: ``kappa`` is the minimizing multiplier and ``w_kappa``
-    the penalized worst-case value of the deployed loop there (with
-    ``theta = 0``, ``kappa`` is infinite and the bound is the exact
-    nominal cost).  ``j_lambda`` is the penalized game value at the
-    design penalty ``lam``; it prices an idealized filter and is not a
-    bound by itself.  ``j_lambda`` and ``j_lq`` are the respective
-    optimal values in expectation over the first measurement, exact under
-    the initial-state law and the plant's measurement noise.  ``rho`` is
-    ``guaranteed_bound / j_lq``.
+    ``guaranteed_bound`` equals ``kappa T theta^2 + w_kappa``: ``kappa``
+    is the minimizing multiplier and ``w_kappa`` the penalized worst-case
+    value of the deployed loop there (with ``theta = 0``, ``kappa`` is
+    infinite and the bound is the exact nominal cost).  ``j_lambda`` is
+    the penalized game value at the design penalty ``lam``; it prices an
+    idealized filter and is not a bound by itself.  ``j_lambda`` and
+    ``j_lq`` are the respective optimal values in expectation over the
+    first measurement, exact under the initial-state law and the plant's
+    measurement noise.  ``rho`` is ``guaranteed_bound / j_lq``.
     """
 
     lam: float
@@ -111,14 +110,14 @@ class CalibrationResult:
         lam: Design penalty minimizing the certified bound.
         objective: Certified bound at ``lam``.
         hit_upper: True when ``lam`` is the bracket's upper edge
-            ``lam_cap`` (the bound kept decreasing, as with ``theta =
+            ``LAMBDA_CAP`` (the bound kept decreasing, as with ``theta =
             0``).
         evaluations: The ``(lam, objective)`` pair of every penalty
             the search evaluated, in order: the scan's, then each zoom
             scan's.
         controller: The robust controller synthesized at ``lam``.
-        dual: Its :func:`certified_bound`, whose ``bound`` is
-            ``objective``.
+        dual: Its certificate (:func:`certified_bounds`), whose
+            ``bound`` is ``objective``.
     """
 
     lam: float
@@ -169,35 +168,6 @@ def _exact_value(
     return evaluate_value(sol, z_tilde_path, belief) + spread
 
 
-def guaranteed_cost(lam: float, horizon: int, theta: float, j_lambda: float) -> float:
-    """Weak-duality bound ``lam * T * theta^2 + j_lambda``.
-
-    It bounds the cost over the ambiguity set when ``j_lambda`` is the
-    penalized worst-case value, at multiplier ``lam``, of the loop whose
-    cost is bounded; :func:`certified_bound` minimizes it over the
-    multiplier for the deployed loop.
-    """
-    return lam * horizon * theta * theta + j_lambda
-
-
-def certified_bound(
-    ctrl: WdrcController,
-    sys: LinearSystem,
-    cost: CostSpec,
-    x0_dist: DistributionSpec,
-    theta: float,
-) -> DualBound:
-    """Certified bound of the deployed robust loop, minimized over kappa.
-
-    The stage-0 moments are exact under the initial-state law and the
-    plant's measurement noise ``M``, which the loop's noise also
-    follows.  A pure function of its arguments.  This is
-    :func:`certified_bounds` on a stack of one.
-    """
-    (dual,) = certified_bounds([ctrl], sys, cost, x0_dist, theta)
-    return dual
-
-
 def certified_bounds(
     ctrls: Sequence[WdrcController],
     sys: LinearSystem,
@@ -205,9 +175,14 @@ def certified_bounds(
     x0_dist: DistributionSpec,
     theta: float,
 ) -> list[DualBound]:
-    """:func:`certified_bound` of several robust controllers of one
-    nominal, in one stacked :func:`~wdrc.closedloop.dual_bounds`; each
-    bound equals its controller's alone, bit for bit.
+    """Certified bound of the deployed loop of each robust controller of
+    one nominal, minimized over kappa, in one stacked
+    :func:`~wdrc.closedloop.dual_bounds`; each bound equals its
+    controller's stack of one, bit for bit.
+
+    The stage-0 moments are exact under the initial-state law and the
+    plant's measurement noise ``M``, which the loop's noise also
+    follows.  A pure function of its arguments.
 
     Raises:
         ValueError: If the controllers do not share one nominal.
@@ -249,7 +224,7 @@ def performance_ratio(
 ) -> CostCertificate:
     """Certificate comparing the robust bound with the baseline value.
 
-    The bound is :func:`certified_bound` of the deployed loop of
+    The bound is :func:`certified_bounds` of the deployed loop of
     ``wdrc_ctrl``, so it covers every per-stage law within Gelbrich
     distance ``theta`` of the controllers' nominal; it stays finite for
     any design penalty that passes synthesis.  The design penalty is the
@@ -258,9 +233,8 @@ def performance_ratio(
     initial-state law.
 
     Args:
-        dual: Optional :func:`certified_bound` of ``wdrc_ctrl`` at
-            ``theta``, as calibration returns it; computed here when
-            omitted.
+        dual: Optional certificate of ``wdrc_ctrl`` at ``theta``, as
+            calibration returns it; computed here when omitted.
 
     Raises:
         ValueError: If the controllers were synthesized for different
@@ -277,7 +251,7 @@ def performance_ratio(
         raise DegenerateLQ(f"baseline value {j_lq} is not strictly positive")
 
     if dual is None:
-        dual = certified_bound(ctrl, sys, cost, x0_dist, theta)
+        (dual,) = certified_bounds([ctrl], sys, cost, x0_dist, theta)
     return CostCertificate(
         lam=ctrl.solution.lam,
         theta=theta,
@@ -290,61 +264,31 @@ def performance_ratio(
     )
 
 
-def _synthesize_stacked(
-    sys: LinearSystem,
-    cost: CostSpec,
-    nominal: NominalDistribution,
-    lams: list[float],
-    p0: np.ndarray,
-) -> list[WdrcController | None]:
-    """The robust controller at every penalty, from one stacked backward
-    pass, one stacked forward pass and one stacked
-    :func:`~wdrc.worstcase.mean_affines` over the converged penalties;
-    None where the penalty is infeasible or a worst-case stage does not
-    converge."""
-    sols = backward_passes(sys, cost, nominal, lams)
-    feasible = [i for i, sol in enumerate(sols) if not isinstance(sol, PenaltyTooSmall)]
-    schedules = forward_schedules(sys, [sols[i] for i in feasible], nominal, p0)
-    done = [
-        (i, schedule) for i, schedule in zip(feasible, schedules)
-        if not isinstance(schedule, Diverged)
-    ]
-    ctrls: list[WdrcController | None] = [None] * len(sols)
-    if done:
-        H, h = mean_affines(sys, [sols[i] for i, _ in done], nominal)
-        for j, (i, schedule) in enumerate(done):
-            ctrls[i] = WdrcController(sols[i], schedule, nominal, H[j], h[j])
-    return ctrls
-
-
 def calibrate_lambda(
     sys: LinearSystem,
     cost: CostSpec,
     nominal: NominalDistribution,
     scenario: ScenarioSpec,
     theta: float,
-    lam_cap: float = DEFAULT_LAMBDA_CAP,
-    scan_points: int = 33,
 ) -> CalibrationResult:
     """Minimize the certified bound over the design penalty.
 
-    The objective at ``lam`` is :func:`certified_bound` of the robust
+    The objective at ``lam`` is :func:`certified_bounds` of the robust
     controller synthesized at ``lam``, the same number
     :func:`performance_ratio` reports; a penalty that is infeasible or
     whose worst-case schedule does not converge scores infinity.  The
-    search runs over ``[lam_min, lam_cap]`` in log space, where
+    search runs over ``[lam_min, LAMBDA_CAP]`` in log space, where
     ``lam_min`` is the scanned feasibility boundary.  A scan of
-    ``scan_points`` points locates the basin; then, twice, the best
+    ``SCAN_POINTS`` points locates the basin; then, twice, the best
     point evaluated so far and its two nearest evaluated neighbours
-    bracket a zoom scan of ``(scan_points - 3) // 2`` points evenly
-    spaced strictly inside each side of the best point (15 a side by
-    default).  Every zoom point lies strictly between evaluated
+    bracket a zoom scan of ``(SCAN_POINTS - 3) // 2`` points evenly
+    spaced strictly inside each side of the best point (15 a side).  Every zoom point lies strictly between evaluated
     neighbours, so no penalty is evaluated twice.  The answer is the
     best point evaluated, the first of equal ones.  The objective is a
     deterministic function of ``lam``.
 
     Each of the three scans synthesizes its penalties in one stack
-    (:func:`_synthesize_stacked`) and certifies their feasible
+    (:func:`~wdrc.controller.synthesize_wdrcs`) and certifies their
     controllers in one :func:`certified_bounds` call, so every value is
     that of its penalty alone.
 
@@ -353,30 +297,30 @@ def calibrate_lambda(
             finite objective.
     """
     x0_dist = scenario.initial_state
-    lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * lam_cap, hi=lam_cap)
+    lam_min = min_feasible_lambda(sys, cost, lo=1e-9 * LAMBDA_CAP, hi=LAMBDA_CAP)
     p0 = initial_posterior_cov(x0_dist, sys)
 
-    lo, hi = math.log(lam_min), math.log(lam_cap)
-    points = np.linspace(lo, hi, scan_points).tolist()
-    half = (scan_points + 1) // 2
+    lo, hi = math.log(lam_min), math.log(LAMBDA_CAP)
+    points = np.linspace(lo, hi, SCAN_POINTS).tolist()
+    half = (SCAN_POINTS + 1) // 2
     tried: list[float] = []
     evaluations: list[tuple[float, float]] = []
     # (bound, log lam, controller, certificate) of the best point so far
     best = (math.inf, lo, None, None)
     for _ in range(3):
         lams = [math.exp(s) for s in points]
-        ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
-        feasible = [ctrl for ctrl in ctrls if ctrl is not None]
+        ctrls = synthesize_wdrcs(sys, cost, nominal, lams, p0)
+        feasible = [ctrl for ctrl in ctrls if isinstance(ctrl, WdrcController)]
         duals = iter(certified_bounds(feasible, sys, cost, x0_dist, theta))
         for s, lam, ctrl in zip(points, lams, ctrls):
-            dual = None if ctrl is None else next(duals)
+            dual = next(duals) if isinstance(ctrl, WdrcController) else None
             value = math.inf if dual is None else dual.bound
             evaluations.append((lam, value))
             if value < best[0]:
                 best = (value, s, ctrl, dual)
         if best[2] is None:
             raise NoFeasibleLambda(
-                f"guaranteed bound is infinite throughout [{lam_min}, {lam_cap}]"
+                f"guaranteed bound is infinite throughout [{lam_min}, {LAMBDA_CAP}]"
             )
         tried.extend(points)
         s_star = best[1]

@@ -13,12 +13,12 @@ with (the adversary's equilibrium mean for the robust policy, the
 nominal mean for the baseline, whose ``H`` is ``None``, read as zero).
 Hence ``z_{t+1} = F_t z_t + f_t + E_t w_t + D_t v_{t+1}`` with ``E_t =
 [I; G_t C]`` and ``D_t = [0; G_t]``, and the stage cost is quadratic in
-``z``.  :func:`closed_loop` builds these matrices from the controllers
-of :mod:`wdrc.controller`, which carry ``K``, ``L``, the filter gains
-``G`` and ``H``, ``h``.  For disturbances drawn independently at every
-stage, the expected cost depends only on the per-stage means and
-covariances, so it is computed exactly here (:func:`exact_cost`)
-instead of sampled.
+``z``.  :func:`closed_loop` builds these matrices from a sequence of
+controllers of :mod:`wdrc.controller`, which carry ``K``, ``L``, the
+filter gains ``G`` and ``H``, ``h``.  For disturbances drawn
+independently at every stage, the expected cost depends only on the
+per-stage means and covariances, so it is computed exactly here
+(:func:`exact_cost`) instead of sampled.
 
 The same structure gives the penalized worst case over per-stage laws
 
@@ -43,13 +43,13 @@ within Gelbrich distance ``theta`` of the nominal at every stage;
 :func:`dual_bounds` minimizes it over the multiplier.
 
 Several loops of one nominal are bounded together on stacks with a
-leading axis (:func:`closed_loop` of several controllers,
-:func:`dual_bounds`).  Every stacked numpy call gives each member
-the bits of its call alone: matmul, solve, eigh, eigvalsh and svd work
-matrix by matrix, dot products go through ``np.vecdot``, sums reduce each
-member's contiguous block, and every einsum has the stack as its
-outermost axis, so its inner loops are those of the member alone.  So
-each bound equals its loop's alone, bit for bit.
+leading axis (:func:`closed_loop`, :func:`dual_bounds`).  Every stacked
+numpy call gives each member the bits of its call alone: matmul, solve,
+eigh, eigvalsh and svd work matrix by matrix, dot products go through
+``np.vecdot``, sums reduce each member's contiguous block, and every
+einsum has the stack as its outermost axis, so its inner loops are
+those of the member alone.  So each bound equals its loop's alone, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import ControllerMode, LqgController, WdrcController
+from .controller import ControllerMode
 from .estimator import kalman_gain
 from .model import CostSpec, DistributionSpec, LinearSystem, NominalDistribution
 
@@ -86,8 +86,9 @@ class ClosedLoop(NamedTuple):
         Qf: Terminal weight on ``z``.
         Pi: Cost-to-go matrices of the loop, ``(T + 1, 2n, 2n)``.
 
-    A stack of loops (:func:`closed_loop` of several controllers)
-    carries a leading stack axis on every array, ``Qf`` included.
+    :func:`closed_loop` returns a stack of loops, with a leading stack
+    axis on every array, ``Qf`` included; :func:`exact_cost`,
+    :func:`penalized_value` and :func:`worst_case_law` take one loop.
     """
 
     F: np.ndarray
@@ -131,17 +132,12 @@ def _sums(x: np.ndarray) -> np.ndarray:
 
 
 def closed_loop(
-    ctrls: ControllerMode | Sequence[ControllerMode], sys: LinearSystem, cost: CostSpec
+    ctrls: Sequence[ControllerMode], sys: LinearSystem, cost: CostSpec
 ) -> ClosedLoop:
-    """Assemble a controller's augmented loop matrices for all stages at
-    once.
-
-    A sequence of controllers gives a stack of loops, each bitwise equal
-    to the loop of its controller alone.
+    """Assemble the augmented loop matrices of a sequence of controllers
+    for all stages at once: a stack of loops, each bitwise equal to the
+    loop of its controller alone.
     """
-    if isinstance(ctrls, (WdrcController, LqgController)):
-        return _index(closed_loop([ctrls], sys, cost), 0)
-
     A, B, C = sys.A, sys.B, sys.C
     K = np.stack([ctrl.K for ctrl in ctrls])
     L = np.stack([ctrl.L for ctrl in ctrls])

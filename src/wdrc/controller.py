@@ -12,6 +12,13 @@ and ``h`` the nominal means for the baseline).  Both run in the same
 closed loop, simulated by :mod:`wdrc.harness` and evaluated exactly by
 :mod:`wdrc.closedloop`, which read the controllers directly.
 
+:func:`synthesize_wdrcs` is the one place that puts a robust controller
+together, for a stack of penalties at once: the stacked backward pass,
+worst-case forward pass and worst-case mean map of
+:mod:`wdrc.riccati` and :mod:`wdrc.worstcase`.  Calibration scans call
+it on their stacks, and :func:`synthesize_wdrc`, the pinned penalty's
+route, is its stack of one.
+
 The baseline gains are synthesized by the textbook finite-horizon
 recursion (control-weight inverse ``(R + B' P B)^{-1}``), deliberately
 not by taking a large-penalty limit of the robust recursion, so the two
@@ -21,15 +28,16 @@ syntheses cross-validate each other in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
+from .errors import Diverged, PenaltyTooSmall
 from .estimator import covariance_path
 from .model import CostSpec, LinearSystem, NominalDistribution
 from .psdmath import solve, symmetrize
-from .riccati import RiccatiSolution, backward_pass
-from .worstcase import WorstCaseSchedule, forward_schedule, mean_affine
+from .riccati import RiccatiSolution, backward_passes
+from .worstcase import WorstCaseSchedule, forward_schedules, mean_affines
 
 __all__ = [
     "LqgController",
@@ -37,6 +45,7 @@ __all__ = [
     "ControllerMode",
     "lqg_gains",
     "synthesize_wdrc",
+    "synthesize_wdrcs",
 ]
 
 
@@ -82,7 +91,7 @@ class WdrcController:
 
     ``H`` (``(T, n, n)``) and ``h`` (``(T, n)``) give the worst-case
     mean ``H_t x_bar + h_t`` the filter predicts with
-    (:func:`~wdrc.worstcase.mean_affine` of ``solution``).
+    (:func:`~wdrc.worstcase.mean_affines` of ``solution``).
     """
 
     solution: RiccatiSolution
@@ -165,6 +174,42 @@ def lqg_gains(
     )
 
 
+def synthesize_wdrcs(
+    sys: LinearSystem,
+    cost: CostSpec,
+    nominal: NominalDistribution,
+    lams: Sequence[float],
+    p0_cov: np.ndarray,
+) -> list[WdrcController | PenaltyTooSmall | Diverged]:
+    """The robust controllers of several penalties: one stacked backward
+    pass (:func:`~wdrc.riccati.backward_passes`), one stacked worst-case
+    forward pass (:func:`~wdrc.worstcase.forward_schedules`) over the
+    feasible penalties and one stacked worst-case mean map
+    (:func:`~wdrc.worstcase.mean_affines`) over the converged ones.
+    Each controller equals its penalty's stack of one, bit for bit.
+
+    Returns:
+        For each penalty in order, its controller, or the
+        :class:`~wdrc.errors.PenaltyTooSmall` or
+        :class:`~wdrc.errors.Diverged` that ended it.
+    """
+    sols = backward_passes(sys, cost, nominal, lams)
+    feasible = [i for i, sol in enumerate(sols) if isinstance(sol, RiccatiSolution)]
+    schedules = forward_schedules(sys, [sols[i] for i in feasible], nominal, p0_cov)
+    out: list[WdrcController | PenaltyTooSmall | Diverged] = list(sols)
+    done = []
+    for i, schedule in zip(feasible, schedules):
+        if isinstance(schedule, Diverged):
+            out[i] = schedule
+        else:
+            done.append((i, schedule))
+    if done:
+        H, h = mean_affines(sys, [sols[i] for i, _ in done], nominal)
+        for j, (i, schedule) in enumerate(done):
+            out[i] = WdrcController(sols[i], schedule, nominal, H[j], h[j])
+    return out
+
+
 def synthesize_wdrc(
     sys: LinearSystem,
     cost: CostSpec,
@@ -172,12 +217,14 @@ def synthesize_wdrc(
     lam: float,
     p0_cov: np.ndarray,
 ) -> WdrcController:
-    """Run the backward pass, the worst-case forward pass and the
-    worst-case mean map.
+    """The robust controller at one penalty: :func:`synthesize_wdrcs` on
+    a stack of one.
 
-    Raises :class:`~wdrc.errors.Diverged` at an unconverged stage.
+    Raises:
+        PenaltyTooSmall: If the penalty is infeasible.
+        Diverged: At an unconverged worst-case stage.
     """
-    sol = backward_pass(sys, cost, nominal, lam)
-    schedule = forward_schedule(sys, sol, nominal, p0_cov)
-    H, h = mean_affine(sys, sol, nominal)
-    return WdrcController(solution=sol, schedule=schedule, nominal=nominal, H=H, h=h)
+    (ctrl,) = synthesize_wdrcs(sys, cost, nominal, [lam], p0_cov)
+    if isinstance(ctrl, Exception):
+        raise ctrl
+    return ctrl

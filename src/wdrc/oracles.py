@@ -731,6 +731,19 @@ def run_oracle_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
             eigs = np.linalg.eigvalsh(symmetrize(root_a.T @ b @ root_a))
             ref = float(np.sqrt(np.clip(eigs, 0.0, None)).sum())
             err = max(err, abs(trace_sqrt_product(a, b) - ref) / max(ref, 1.0))
+    # Singular pairs with a closed form: for PSD ``u`` and ``a = u b u``
+    # the value is ``tr(u b)`` (Gelbrich), at every rank of ``b`` below
+    # ``n``.  Drawn from their own stream, so later checks draw as before.
+    pairs = np.random.default_rng([seed, 1])
+    for n in (2, 3):
+        for rank in range(1, n):
+            for _ in range(10):
+                basis = np.linalg.qr(pairs.standard_normal((n, n)))[0][:, :rank]
+                b = symmetrize((basis * pairs.uniform(0.05, 1.0, rank)) @ basis.T)
+                u = _random_psd(pairs, n)
+                ref = float(np.trace(u @ b))
+                got = trace_sqrt_product(symmetrize(u @ b @ u), b)
+                err = max(err, abs(got - ref) / max(ref, 1.0))
     record("trace_sqrt_product vs eigenvalue route", err, 1e-9)
 
     # Transport map pushes the first covariance onto the second.

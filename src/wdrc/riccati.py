@@ -25,12 +25,13 @@ at every stage ``t = 1..T``; violations raise
 :class:`~wdrc.errors.PenaltyTooSmall`.
 
 :func:`backward_passes` runs the recursion for several penalties at
-once, on stacks with the penalty on the leading axis, and
-:func:`backward_pass` is its stack of one, so the recursion is written
-once; :func:`check_penalties` and :func:`check_penalty` do the same for
-the feasibility margins.  :func:`min_feasible_lambda` finds the
-smallest feasible penalty by nested log-space scans, each checked in
-one stacked call.
+once, on stacks with the penalty on the leading axis; it is the
+backward pass of :func:`wdrc.controller.synthesize_wdrcs`, the one
+synthesis route.  :func:`backward_pass` is its stack of one, so the
+recursion is written once; :func:`check_penalties` and
+:func:`check_penalty` do the same for the feasibility margins.
+:func:`min_feasible_lambda` finds the smallest feasible penalty by
+nested log-space scans, each checked in one stacked call.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class RiccatiSolution:
         z: Scalar offsets, ``(T + 1,)``.
         K: Feedback gains on the state estimate, ``(T, n_u, n)``.
         L: Affine input offsets, ``(T, n_u)``.
-        Phi: Penalty-shifted control weight ``B R^{-1} B' - I / lam``.
         lam: Penalty parameter the pass was run with.
     """
 
@@ -80,7 +80,6 @@ class RiccatiSolution:
     z: np.ndarray
     K: np.ndarray
     L: np.ndarray
-    Phi: np.ndarray
     lam: float
 
     @property
@@ -115,7 +114,9 @@ def backward_pass(
 ) -> RiccatiSolution:
     """Run the backward recursion and assemble gains.
 
-    This is :func:`backward_passes` on a stack of one.
+    This is :func:`backward_passes` on a stack of one.  Synthesis does
+    not call it; the oracles' huge-penalty check does, and perfbench's
+    tracer wraps it by name.
 
     Args:
         sys: Plant matrices.
@@ -239,7 +240,7 @@ def backward_passes(
 
     return [
         failed[i] if i in failed else RiccatiSolution(
-            P=P[i], S=S[i], r=r[i], z=z[i], K=K[i], L=L[i], Phi=Phi[i], lam=lams[i]
+            P=P[i], S=S[i], r=r[i], z=z[i], K=K[i], L=L[i], lam=lams[i]
         )
         for i in range(k)
     ]
@@ -253,7 +254,8 @@ def check_penalty(
     Runs the quadratic-coefficient recursion only (it does not depend
     on the nominal moments) and returns the worst margin of
     ``lam I - P_t`` over stages ``1..T``.  This is
-    :func:`check_penalties` on a stack of one.
+    :func:`check_penalties` on a stack of one, kept because perfbench's
+    tracer wraps it by name.
 
     Raises:
         SingularMatrix: If a stage system is numerically singular.

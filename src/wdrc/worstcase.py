@@ -47,16 +47,19 @@ problem stops on its own.  The stacked numpy calls give each matrix the
 bits of the call on it alone, so a problem's outcome out of a stack is
 its outcome alone.  :func:`solve_worst_case_cov` is the stack of one,
 and :func:`forward_schedules` solves the paths of several penalties in
-one pass, stacking their problems stage by stage, with
-:func:`forward_schedule` its stack of one.
+one pass, stacking their problems stage by stage; it is the forward
+pass of :func:`wdrc.controller.synthesize_wdrcs`, the one synthesis
+route.
 
 The filter's measurement step comes from :mod:`wdrc.estimator`:
 :func:`cov_objective` and :func:`cov_gradient` take their gains from
 :func:`~wdrc.estimator.kalman_gain`, and the schedule's posteriors come
 from :func:`~wdrc.estimator.kalman_update`.  Only the solver forms ``C'
 Inn^{-1} C`` itself, a route that rounds differently.  The worst-case
-mean map (:func:`mean_affine`, :func:`mean_affines`) is computed once at
-synthesis and carried by the controller.
+mean map (:func:`mean_affines`) is computed once at synthesis and
+carried by the controller.  :func:`forward_schedule` and
+:func:`mean_affine` are the stacks of one of the stacked passes; no
+synthesis calls them, and perfbench's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -522,19 +525,6 @@ def _ascend(
     return result, steps, tuple(final)
 
 
-def _newton(
-    st: _Stage, init: np.ndarray, max_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ascend` from :func:`_start`, without :func:`_settle`'s
-    checks.
-
-    Returns:
-        ``(covariances, steps)``.
-    """
-    _, steps, state = _ascend(st, _start(st, init), max_steps)
-    return _unrotate(state[2], st), steps
-
-
 def _unrotate(Sigma: np.ndarray, st: _Stage) -> np.ndarray:
     return symmetrize(st.frame @ Sigma @ st.frame.mT)
 
@@ -755,7 +745,8 @@ def forward_schedule(
     count sharply.  The first stage whose solve does not converge
     raises :class:`~wdrc.errors.Diverged`.
 
-    This is :func:`forward_schedules` on a stack of one.
+    This is :func:`forward_schedules` on a stack of one.  Synthesis
+    does not call it; perfbench's tracer wraps it by name.
     """
     (schedule,) = forward_schedules(sys, [sol], nominal, p0_cov)
     if isinstance(schedule, Diverged):
@@ -775,7 +766,8 @@ def mean_affine(
         h_t = (lam I - P_{t+1})^{-1}
               (r_{t+1} + P_{t+1} B L_t + lam w_hat_t).
 
-    This is :func:`mean_affines` on a stack of one.
+    This is :func:`mean_affines` on a stack of one.  Synthesis does not
+    call it; perfbench's tracer wraps it by name.
 
     Returns:
         Arrays ``H`` of shape ``(T, n, n)`` and ``h`` of ``(T, n)``.

@@ -1,5 +1,8 @@
 """Shared fixtures: the two-state benchmark plant and helpers."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,3 +45,13 @@ def random_psd(rng: np.random.Generator, n: int, jitter: float = 1e-3) -> np.nda
 
 def random_moments(rng: np.random.Generator, n: int) -> MomentPair:
     return MomentPair(rng.standard_normal(n), random_psd(rng, n))
+
+
+# ``tools/compare_reports.py``, loaded once.  Its solver suite draws the
+# random bounded stage problems that the worst-case tests solve too.
+_TOOL = importlib.util.spec_from_file_location(
+    "compare_reports", Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+)
+compare_reports = importlib.util.module_from_spec(_TOOL)
+_TOOL.loader.exec_module(compare_reports)
+random_problem = compare_reports.random_problem

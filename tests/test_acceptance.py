@@ -32,7 +32,7 @@ from wdrc import (
     GaussianSpec,
     NominalDistribution,
     ScenarioSpec,
-    certified_bound,
+    certified_bounds,
     emit_reports,
     estimate_nominal,
     evaluate_value,
@@ -368,7 +368,7 @@ def test_certificate_and_calibration_optimality(gaussian_campaign):
             ctrl = synthesize_wdrc(sys_, cost, nominal, float(lam), p0)
         except (PenaltyTooSmall, Diverged):
             continue
-        bound = certified_bound(ctrl, sys_, cost, x0_dist, cfg.theta).bound
+        bound = certified_bounds([ctrl], sys_, cost, x0_dist, cfg.theta)[0].bound
         best = min(best, bound)
         finite += 1
     print(

@@ -7,21 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wdrc.bounds
 from wdrc.bounds import (
     _exact_value,
-    _synthesize_stacked,
     calibrate_lambda,
-    certified_bound,
     certified_bounds,
     evaluate_value,
-    guaranteed_cost,
     lqg_value_terms,
     performance_ratio,
 )
-from wdrc.controller import lqg_gains, synthesize_wdrc
+from wdrc.controller import WdrcController, lqg_gains, synthesize_wdrc, synthesize_wdrcs
 from wdrc.errors import DegenerateLQ, Diverged, NoFeasibleLambda, PenaltyTooSmall
 from wdrc.estimator import BeliefState, initial_posterior_cov, kalman_gain
-from wdrc.harness import load_config, prepare
+from wdrc.harness import load_config, prepare, robust_policy
 from wdrc.model import (
     CostSpec,
     GaussianSpec,
@@ -123,10 +121,6 @@ def _certificate(sys, cost, nominal, scenario, theta, lam):
         scenario.initial_state,
         theta,
     )
-
-
-def test_guaranteed_cost_formula():
-    assert guaranteed_cost(3.0, 50, 0.1, 7.0) == pytest.approx(3.0 * 50 * 0.01 + 7.0)
 
 
 def test_certificate_collapses_at_huge_penalty(
@@ -236,8 +230,8 @@ def test_certificate_reports_its_dual_ingredients(
         lam=calibration.lam,
     )
     assert cert.guaranteed_bound == calibration.objective
-    assert cert.guaranteed_bound == guaranteed_cost(
-        cert.kappa, short_cost.horizon, 0.1, cert.w_kappa
+    assert cert.guaranteed_bound == (
+        cert.kappa * short_cost.horizon * 0.1 * 0.1 + cert.w_kappa
     )
     assert cert.kappa > 0.0 and np.isfinite(cert.w_kappa)
 
@@ -245,20 +239,12 @@ def test_certificate_reports_its_dual_ingredients(
 def test_calibration_zero_radius_pushes_to_cap(
     plant, short_cost, short_nominal, short_scenario
 ):
-    cal = calibrate_lambda(
-        plant,
-        short_cost,
-        short_nominal,
-        short_scenario,
-        theta=0.0,
-        lam_cap=1e4,
-        scan_points=9,
-    )
+    cal = calibrate_lambda(plant, short_cost, short_nominal, short_scenario, theta=0.0)
     assert cal.hit_upper
-    assert cal.lam == pytest.approx(1e4, rel=1e-3)
+    assert cal.lam == pytest.approx(wdrc.bounds.LAMBDA_CAP, rel=1e-3)
 
 
-def test_no_feasible_penalty_raises(short_scenario):
+def test_no_feasible_penalty_raises(short_scenario, monkeypatch):
     wild = LinearSystem(
         A=3.0 * np.eye(1), B=np.ones((1, 1)), C=np.ones((1, 1)), M=np.eye(1)
     )
@@ -273,10 +259,9 @@ def test_no_feasible_penalty_raises(short_scenario):
         sample_count=5,
         seed=0,
     )
+    monkeypatch.setattr(wdrc.bounds, "LAMBDA_CAP", 5.0)
     with pytest.raises(NoFeasibleLambda):
-        calibrate_lambda(
-            wild, cost, nominal, scenario, theta=0.1, lam_cap=5.0, scan_points=5
-        )
+        calibrate_lambda(wild, cost, nominal, scenario, theta=0.1)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -296,9 +281,10 @@ def _bound_at(cfg, scenario, nominal, p0, lam: float) -> float:
         ctrl = synthesize_wdrc(cfg.sys, cfg.cost, nominal, lam, p0)
     except (PenaltyTooSmall, Diverged):
         return math.inf
-    return certified_bound(
-        ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta
-    ).bound
+    (dual,) = certified_bounds(
+        [ctrl], cfg.sys, cfg.cost, scenario.initial_state, cfg.theta
+    )
+    return dual.bound
 
 
 @pytest.mark.parametrize("name", ["gaussian", "uniform"])
@@ -306,7 +292,7 @@ def _bound_at(cfg, scenario, nominal, p0, lam: float) -> float:
 def test_stacked_scan_equals_objective_per_penalty(name, seed):
     """Calibration is the nested-zoom search one penalty at a time, bit
     for bit: its evaluations are the objective from ``synthesize_wdrc``
-    and ``certified_bound`` at the scan's points (``lam_min`` first, and
+    and ``certified_bounds`` on a stack of one at the scan's points (``lam_min`` first, and
     finite), then at each zoom scan's, 15 points strictly inside each
     side of the best point evaluated before it, so never on an
     evaluated point.  Its objective is the least evaluation, and its
@@ -346,10 +332,10 @@ def test_stacked_scan_equals_objective_per_penalty(name, seed):
 @pytest.mark.parametrize("name, seed", [("gaussian", 2813), ("uniform", None)])
 def test_stacked_certificates_equal_stacks_of_one(name, seed, monkeypatch):
     """``certified_bounds`` gives each controller of the scan's stack the
-    ``DualBound`` of ``certified_bound`` on it alone, bit for bit, at the
-    config's radius and at ``theta = 0``.  The stack holds the scan's
-    feasible controllers; below it ``lam_min / 2`` is infeasible and
-    ``lam_min`` is made to diverge, and both have no controller and score
+    ``DualBound`` of its stack of one, bit for bit, at the config's
+    radius and at ``theta = 0``.  The stack holds the scan's feasible
+    controllers; below it ``lam_min / 2`` is infeasible and ``lam_min`` is
+    made to diverge, and both have an error for a controller and score
     infinity in calibration, whose other scan values are the stacked
     bounds.  Gaussian at scenario seed 2813 holds the controller whose
     multiplier search takes the longest; uniform has a per-stage
@@ -369,14 +355,14 @@ def test_stacked_certificates_equal_stacks_of_one(name, seed, monkeypatch):
         ]
 
     monkeypatch.setattr(wdrc.worstcase, "_settle", refuse_lam_min)
-    ctrls = _synthesize_stacked(cfg.sys, cfg.cost, nominal, [0.5 * lam_min, *grid], p0)
-    assert ctrls[0] is None and ctrls[1] is None
+    ctrls = synthesize_wdrcs(cfg.sys, cfg.cost, nominal, [0.5 * lam_min, *grid], p0)
+    assert isinstance(ctrls[0], PenaltyTooSmall) and isinstance(ctrls[1], Diverged)
     feasible = ctrls[2:]
-    assert all(ctrl is not None for ctrl in feasible)
+    assert all(isinstance(ctrl, WdrcController) for ctrl in feasible)
     for theta in (cfg.theta, 0.0):
         stacked = certified_bounds(feasible, cfg.sys, cfg.cost, x0_dist, theta)
         alone = [
-            certified_bound(ctrl, cfg.sys, cfg.cost, x0_dist, theta)
+            certified_bounds([ctrl], cfg.sys, cfg.cost, x0_dist, theta)[0]
             for ctrl in feasible
         ]
         assert stacked == alone
@@ -406,35 +392,42 @@ def test_two_input_certificates_equal_stacks_of_one(horizon, gaussian_scenario):
     p0 = initial_posterior_cov(x0_dist, sys)
     lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
     lams = [lam_min * 1.5**j for j in range(1, 17)]
-    ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
-    assert all(ctrl is not None for ctrl in ctrls)
+    ctrls = synthesize_wdrcs(sys, cost, nominal, lams, p0)
+    assert all(isinstance(ctrl, WdrcController) for ctrl in ctrls)
     for theta in (0.1, 0.0):
         stacked = certified_bounds(ctrls, sys, cost, x0_dist, theta)
-        alone = [certified_bound(ctrl, sys, cost, x0_dist, theta) for ctrl in ctrls]
+        alone = [certified_bounds([ctrl], sys, cost, x0_dist, theta)[0] for ctrl in ctrls]
         assert stacked == alone
 
 
-@pytest.mark.parametrize("name", ["gaussian", "uniform"])
+@pytest.mark.parametrize(
+    "name, lam",
+    [("gaussian", None), ("uniform", None), ("gaussian", 4.0)],
+    ids=["gaussian", "uniform", "gaussian-pinned"],
+)
 def test_calibration_schedules_converge_and_memoize_stationary_stages(
-    name, monkeypatch
+    name, lam, monkeypatch
 ):
-    """Every schedule the calibration's stacked passes return has only
-    converged stages; with the stationary gaussian nominal the stages
-    that reach steady state share a memoized solve, and with the
-    per-stage uniform nominal no two stages share one."""
-    import wdrc.bounds
+    """Every schedule the stacked forward passes of synthesis return has
+    only converged stages, whether calibration scans the penalties or
+    the penalty is pinned (at 4.0, as in the rollout benchmark); with
+    the stationary gaussian nominal the stages that reach steady state
+    share a memoized solve, and with the per-stage uniform nominal no
+    two stages share one."""
+    import wdrc.controller
 
-    stacked, schedules = wdrc.bounds.forward_schedules, []
+    stacked, schedules = wdrc.controller.forward_schedules, []
 
     def recording(*args, **kwargs):
         out = stacked(*args, **kwargs)
         schedules.extend(s for s in out if not isinstance(s, Diverged))
         return out
 
-    monkeypatch.setattr(wdrc.bounds, "forward_schedules", recording)
-    cfg, scenario, nominal, _ = _bundled(name, None)
-    cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
-    assert any(s is cal.controller.schedule for s in schedules)
+    monkeypatch.setattr(wdrc.controller, "forward_schedules", recording)
+    cfg, scenario, nominal, p0 = _bundled(name, None)
+    ctrl, cal = robust_policy(cfg, scenario, nominal, p0, override=lam)
+    assert (cal is None) == (lam is not None)
+    assert any(s is ctrl.schedule for s in schedules)
     stages = sum(len(s.solves) for s in schedules)
     unique = sum(len({id(x) for x in s.solves}) for s in schedules)
     assert all(x.converged for s in schedules for x in s.solves)
@@ -452,16 +445,16 @@ def test_calibration_converges_every_stage_at_slow_scenario_seeds(seed, monkeypa
     without converging, so ``lam_min`` scored infinity.  With Newton
     steps every stage of every calibration schedule converges, and every
     scanned penalty scores a finite bound."""
-    import wdrc.bounds
+    import wdrc.controller
 
-    stacked, schedules = wdrc.bounds.forward_schedules, []
+    stacked, schedules = wdrc.controller.forward_schedules, []
 
     def recording(*args, **kwargs):
         out = stacked(*args, **kwargs)
         schedules.extend(out)
         return out
 
-    monkeypatch.setattr(wdrc.bounds, "forward_schedules", recording)
+    monkeypatch.setattr(wdrc.controller, "forward_schedules", recording)
     cfg, scenario, nominal, _ = _bundled("uniform", seed)
     cal = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
     assert not any(isinstance(s, Diverged) for s in schedules)

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from wdrc import (
-    certified_bound,
+    certified_bounds,
     estimate_nominal,
     gelbrich_dist_sq,
-    guaranteed_cost,
     initial_posterior_cov,
     lqg_gains,
     load_config,
@@ -30,7 +29,8 @@ from wdrc.closedloop import (
     penalized_value,
     worst_case_law,
 )
-from wdrc.bounds import _synthesize_stacked, performance_ratio
+from wdrc.bounds import performance_ratio
+from wdrc.controller import WdrcController, synthesize_wdrcs
 from wdrc.model import CostSpec, LinearSystem, NominalDistribution, draw_nominal_samples
 from wdrc.psdmath import MomentPair
 from wdrc.riccati import min_feasible_lambda
@@ -51,7 +51,8 @@ def setup(request):
 
 
 def _loop(cfg, ctrl):
-    return closed_loop(ctrl, cfg.sys, cfg.cost)
+    """The loop of one controller: the member of its stack of one."""
+    return _index(closed_loop([ctrl], cfg.sys, cfg.cost), 0)
 
 
 def _stationary(T, mean, cov):
@@ -115,7 +116,7 @@ def test_certificate_covers_admissible_laws_exactly(setup):
     for stationary and non-stationary laws inside the ball."""
     cfg, nominal, wdrc, _ = setup
     scen, T, theta = cfg.scenario, cfg.cost.horizon, cfg.theta
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, scen.initial_state, theta)
+    cert = certified_bounds([wdrc], cfg.sys, cfg.cost, scen.initial_state, theta)[0]
     assert math.isfinite(cert.bound)
     loop = _loop(cfg, wdrc)
     z0 = initial_moments(scen.initial_state, cfg.sys, cfg.sys.M)
@@ -135,7 +136,7 @@ def test_zero_radius_certificate_is_exact_nominal_cost(setup):
     law."""
     cfg, nominal, wdrc, _ = setup
     x0_dist, T = cfg.scenario.initial_state, cfg.cost.horizon
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, 0.0)
+    cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, 0.0)[0]
     means = np.stack([nominal.mean(t) for t in range(T)])
     covs = np.stack([nominal.cov(t) for t in range(T)])
     z0 = initial_moments(x0_dist, cfg.sys, cfg.sys.M)
@@ -152,7 +153,7 @@ def test_certificate_is_the_cost_of_its_attaining_law(setup):
     both sides get the same tolerance."""
     cfg, nominal, wdrc, _ = setup
     x0_dist, M = cfg.scenario.initial_state, cfg.sys.M
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
+    cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, cfg.theta)[0]
     loop = _loop(cfg, wdrc)
     z0 = initial_moments(x0_dist, cfg.sys, M)
     means, covs = worst_case_law(loop, z0, nominal, cert.kappa)
@@ -184,8 +185,8 @@ def test_penalized_value_duality(setup):
     x0_dist, T, M = cfg.scenario.initial_state, cfg.cost.horizon, cfg.sys.M
     loop = _loop(cfg, wdrc)
     z0 = initial_moments(x0_dist, cfg.sys, M)
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
-    assert cert.bound == guaranteed_cost(cert.kappa, T, cfg.theta, cert.w_kappa)
+    cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, cfg.theta)[0]
+    assert cert.bound == cert.kappa * T * cfg.theta * cfg.theta + cert.w_kappa
 
     def penalty(means, covs):
         return sum(
@@ -204,7 +205,7 @@ def test_penalized_value_duality(setup):
         attained = exact_cost(loop, z0, means, covs, M) - kappa * dist
         assert value == pytest.approx(attained, rel=1e-10)
         assert slope == pytest.approx(-dist, rel=1e-8)
-        assert cert.bound <= guaranteed_cost(kappa, T, cfg.theta, value)
+        assert cert.bound <= kappa * T * cfg.theta * cfg.theta + value
         for _ in range(5):
             other_means = means + 0.05 * rng.standard_normal(means.shape)
             a = 0.1 * rng.standard_normal(covs.shape)
@@ -221,10 +222,10 @@ def test_dual_bound_recovers_from_poor_model_roots(setup, monkeypatch):
 
     cfg, _, wdrc, _ = setup
     x0_dist = cfg.scenario.initial_state
-    cert = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
+    cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, cfg.theta)[0]
     for start in (0.5 * cert.kappa, 100.0 * cert.kappa):
         monkeypatch.setattr(closedloop, "_model_root", lambda *args: start)
-        again = certified_bound(wdrc, cfg.sys, cfg.cost, x0_dist, cfg.theta)
+        again = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, cfg.theta)[0]
         assert again.bound == pytest.approx(cert.bound, rel=1e-10)
         assert again.kappa == pytest.approx(cert.kappa, rel=1e-4)
 
@@ -250,7 +251,9 @@ def test_dual_bound_steps_by_secant_next_to_a_pole(monkeypatch):
         return evaluate(terms, kappa)
 
     monkeypatch.setattr(closedloop, "_evaluate", counted)
-    cert = certified_bound(ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta)
+    (cert,) = certified_bounds(
+        [ctrl], cfg.sys, cfg.cost, scenario.initial_state, cfg.theta
+    )
     assert len(evaluations) <= 8
     # The bound the model-Newton search reaches in 41 evaluations, and the
     # searches started at half and 100 times the multiplier, within 1e-12.
@@ -280,7 +283,9 @@ def test_dual_bound_steps_out_from_the_model_pole(monkeypatch):
         return evaluate(terms, kappa)
 
     monkeypatch.setattr(closedloop, "_evaluate", counted)
-    cert = certified_bound(ctrl, cfg.sys, cfg.cost, scenario.initial_state, cfg.theta)
+    (cert,) = certified_bounds(
+        [ctrl], cfg.sys, cfg.cost, scenario.initial_state, cfg.theta
+    )
     assert len(evaluations) <= 8
     assert cert.bound <= 7.435554896784209 * (1.0 + 1e-12)
 
@@ -291,8 +296,8 @@ def _scan_terms(sys, cost, nominal, x0_dist, count):
     lam_min = min_feasible_lambda(sys, cost, 1e-3, 1e6)
     lams = [lam_min * 1.5**j for j in range(1, count + 1)]
     p0 = initial_posterior_cov(x0_dist, sys)
-    ctrls = _synthesize_stacked(sys, cost, nominal, lams, p0)
-    assert all(ctrl is not None for ctrl in ctrls)
+    ctrls = synthesize_wdrcs(sys, cost, nominal, lams, p0)
+    assert all(isinstance(ctrl, WdrcController) for ctrl in ctrls)
     z0 = initial_moments(x0_dist, sys, sys.M)
     return _dual_terms(closed_loop(ctrls, sys, cost), z0, nominal, sys.M)
 

@@ -1,22 +1,20 @@
 """The identity gate of ``tools/compare_reports.py``, on stubbed runs."""
 
-import importlib.util
 import subprocess
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+from conftest import compare_reports
 
 
 @pytest.fixture
 def tool(monkeypatch):
-    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "jobs", lambda: [("calibrate x", ["calibrate"], None)])
-    monkeypatch.setattr(module, "run_suite", lambda src: {})
-    return module
+    monkeypatch.setattr(
+        compare_reports, "jobs", lambda: [("calibrate x", ["calibrate"], None)]
+    )
+    monkeypatch.setattr(compare_reports, "run_suite", lambda src: {})
+    return compare_reports
 
 
 def _stub(tool, monkeypatch, by_side):
@@ -149,19 +147,3 @@ def test_solver_suite_line_reads_outcome_counts_and_value_gaps(tool, monkeypatch
     monkeypatch.setattr(tool, "run_suite", lambda src: suites[src])
     assert tool.main(["base", "head"]) == 1
     assert "FAILED     solver suite: head did not finish" in capsys.readouterr().out
-
-
-def test_solver_suite_draws_the_random_problems_of_the_worstcase_tests(tool):
-    """The suite rebuilds ``_random_problem`` on the public API, so that
-    older trees run it too; its draws are that helper's."""
-    import numpy as np
-    from test_worstcase import _random_problem
-
-    for n, rank in tool.SUITE:
-        for seed in (0, 1, tool.SUITE_SEEDS[-1]):
-            ours, theirs = tool.random_problem(seed, n, rank), _random_problem(seed, n, rank)
-            assert ours.lam == theirs.lam
-            for name in ("S_next", "P_next", "Sigma_hat", "P_bar"):
-                assert np.array_equal(getattr(ours, name), getattr(theirs, name))
-            for name in ("A", "B", "C", "M"):
-                assert np.array_equal(getattr(ours.sys, name), getattr(theirs.sys, name))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from wdrc.bounds import calibrate_lambda, certified_bounds
-from wdrc.controller import lqg_gains, synthesize_wdrc
+from wdrc.controller import WdrcController, lqg_gains, synthesize_wdrc
 from wdrc.errors import ConfigError
 from wdrc.estimator import initial_posterior_cov, kalman_gain
 from wdrc.harness import (
@@ -558,7 +558,7 @@ def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
     ctrl = result.policies["wdrc"]
     assert ctrl is result.calibration.controller
     assert result.lam == result.calibration.lam
-    for field in ("P", "S", "r", "z", "K", "L", "Phi"):
+    for field in ("P", "S", "r", "z", "K", "L"):
         assert np.array_equal(
             getattr(ctrl.solution, field), getattr(fresh.solution, field)
         )
@@ -580,11 +580,13 @@ def test_calibrated_campaign_certifies_only_in_calibration(monkeypatch):
     import wdrc.harness
 
     calls, synthesized = [], []
-    stacked = wdrc.bounds._synthesize_stacked
+    stacked = wdrc.bounds.synthesize_wdrcs
 
     def synthesizing(*args, **kwargs):
         ctrls = stacked(*args, **kwargs)
-        synthesized.append([ctrl.solution.lam for ctrl in ctrls if ctrl is not None])
+        synthesized.append(
+            [ctrl.solution.lam for ctrl in ctrls if isinstance(ctrl, WdrcController)]
+        )
         return ctrls
 
     def certifying(ctrls, *args, **kwargs):
@@ -597,7 +599,7 @@ def test_calibrated_campaign_certifies_only_in_calibration(monkeypatch):
         return result
 
     # Every certificate goes through ``bounds.certified_bounds``.
-    monkeypatch.setattr(wdrc.bounds, "_synthesize_stacked", synthesizing)
+    monkeypatch.setattr(wdrc.bounds, "synthesize_wdrcs", synthesizing)
     monkeypatch.setattr(wdrc.bounds, "certified_bounds", certifying)
     monkeypatch.setattr(wdrc.harness, "calibrate_lambda", calibrating)
     raw = base_config()

@@ -183,7 +183,7 @@ def _reference_pass(sys, cost, nominal, lam):
         )
         if t >= 1:
             check(t)
-    return dict(P=P, S=S, r=r, z=z, K=K, L=L, Phi=Phi)
+    return dict(P=P, S=S, r=r, z=z, K=K, L=L)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

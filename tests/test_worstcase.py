@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import random_psd
+from conftest import random_problem, random_psd
 from wdrc import worstcase
 from wdrc.bounds import calibrate_lambda
 from wdrc.controller import synthesize_wdrc
@@ -40,7 +40,6 @@ from wdrc.worstcase import (
     _direction,
     _entries,
     _evaluate,
-    _newton,
     _positive,
     _scatter,
     _settle,
@@ -227,8 +226,8 @@ def test_unobserved_closed_form():
 
 
 def test_newton_alone_matches_oracles():
-    """Newton steps without the fixed point, from the nominal start,
-    reach the maximizers of the scalar grid oracles and of the
+    """Newton steps from the nominal start reach, in fewer than 30
+    steps, the maximizers of the scalar grid oracles and of the
     unobserved closed form, within their tolerances above."""
     rng = np.random.default_rng(24)
     for _ in range(6):
@@ -239,10 +238,10 @@ def test_newton_alone_matches_oracles():
 
         hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
         v_star, f_star = grid_max(f, 0.0, hi)
-        stacked, steps = _newton(ctx._stage, ctx._stage.Sigma_hat, 30)
-        assert stacked[0, 0, 0] == pytest.approx(v_star, rel=1e-3, abs=1e-9)
-        assert cov_objective(stacked[0], ctx) == pytest.approx(f_star, rel=1e-4, abs=1e-9)
-        assert steps[0] < 30
+        solve = solve_worst_case_cov(ctx)
+        assert solve.cov[0, 0] == pytest.approx(v_star, rel=1e-3, abs=1e-9)
+        assert cov_objective(solve.cov, ctx) == pytest.approx(f_star, rel=1e-4, abs=1e-9)
+        assert solve.iterations < 30
 
     rng = np.random.default_rng(26)
     for n in (1, 2, 3):
@@ -259,9 +258,9 @@ def test_newton_alone_matches_oracles():
             ),
         )
         ref = worst_cov_no_obs(ctx.S_next, ctx.P_next, lam, ctx.Sigma_hat)
-        stacked, steps = _newton(ctx._stage, ctx._stage.Sigma_hat, 30)
-        assert steps[0] < 30
-        assert np.allclose(stacked[0], ref, rtol=1e-6, atol=1e-10)
+        solve = solve_worst_case_cov(ctx)
+        assert solve.iterations < 30
+        assert np.allclose(solve.cov, ref, rtol=1e-6, atol=1e-10)
 
 
 def test_singular_nominal_covariance_holds_unseen_entries_fixed():
@@ -752,31 +751,6 @@ def test_stacked_solve_gives_each_problem_its_stack_of_one(dims, seed):
             )
 
 
-def _random_problem(seed: int, n: int, rank: int) -> CovObjectiveContext:
-    """A bounded problem drawn as in the stacked-solve test: ``lam``
-    above the top eigenvalue of ``P_next + S_next``, and a nominal
-    covariance of the given rank."""
-    rng = np.random.default_rng(seed)
-    n_y = int(rng.integers(1, n + 1))
-    sys = LinearSystem(
-        A=rng.standard_normal((n, n)) / np.sqrt(n),
-        B=rng.standard_normal((n, 1)),
-        C=rng.standard_normal((n_y, n)),
-        M=random_psd(rng, n_y, jitter=0.1),
-    )
-    p_next, s_next = random_psd(rng, n), random_psd(rng, n)
-    top = float(np.linalg.eigvalsh(p_next + s_next).max())
-    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
-    return CovObjectiveContext(
-        S_next=s_next,
-        P_next=p_next,
-        lam=top * (1.5 + 2.5 * rng.random()) + 1.0,
-        Sigma_hat=symmetrize((basis * rng.uniform(0.05, 1.0, rank)) @ basis.T),
-        P_bar=random_psd(rng, n),
-        sys=sys,
-    )
-
-
 def _factor_objective(Sigma: np.ndarray, ctx: CovObjectiveContext, rank: int) -> float:
     """The stage objective at ``Sigma``, its cross term taken as ``tr
     (F' Sigma F)^{1/2}`` with ``Sigma_hat = F F'`` of the given rank:
@@ -808,7 +782,7 @@ def test_transport_objective_bounds_the_stage_objective(dims, seed):
     negated Hessian on the free entries match central differences, at
     full and deficient rank of the nominal."""
     n, rank = dims
-    ctx = _random_problem(seed, n, rank)
+    ctx = random_problem(seed, n, rank)
     st = ctx._stage
     frame = st.frame[0]
     rng = np.random.default_rng(seed)
@@ -845,7 +819,7 @@ def test_cov_objective_agrees_with_the_solver_at_every_rank(n, rank):
     reference, reads the solver's value within 1e-12 relative: the
     cross term takes no square root of the singular maximizer."""
     for seed in range(100):
-        ctx = _random_problem(seed, n, rank)
+        ctx = random_problem(seed, n, rank)
         solve = solve_worst_case_cov(ctx)
         assert solve.converged
         gap = abs(cov_objective(solve.cov, ctx) - solve.z_tilde)
@@ -858,7 +832,7 @@ def test_a_singular_member_leaves_the_stack_its_own_results():
     residual is taken in ``U``, so it converges, and in one stack with
     full-rank problems, a rank-two one and an unbounded one every
     problem keeps the outcome of its stack of one, bit for bit."""
-    base = [_random_problem(seed, 3, rank) for seed, rank in ((2, 3), (5, 1), (7, 2))]
+    base = [random_problem(seed, 3, rank) for seed, rank in ((2, 3), (5, 1), (7, 2))]
     sys = base[0].sys
     ctxs = [replace(ctx, sys=sys) for ctx in base]
     ctxs.append(replace(ctxs[0], lam=0.5, S_next=10.0 * np.eye(3)))
@@ -887,7 +861,7 @@ def test_newton_stop_leaves_nothing_for_more_steps(n, seed):
     the next steps only confirm it: on random bounded problems with a
     full-rank nominal, 5 more full Newton steps move each converged
     maximizer by at most 1e-13 relative."""
-    ctx = _random_problem(seed, n, n)
+    ctx = random_problem(seed, n, n)
     solve = solve_worst_case_cov(ctx)
     assert solve.converged
     st = ctx._stage
@@ -908,7 +882,7 @@ def test_rank_deficient_nominal_converges_as_with_the_fine_stop(monkeypatch, see
     the nominal's null space fixed: each converges to the maximizer
     (within 1e-12 relative) that the solve reaches when every step must
     move less than 1e-14 relative."""
-    ctx = _random_problem(seed, 3, 2)
+    ctx = random_problem(seed, 3, 2)
     assert ctx._stage.free.sum() == 5
     solve = solve_worst_case_cov(ctx)
     monkeypatch.setattr(worstcase, "_FULL_STEP_STOP", worstcase._STEP_STOP)

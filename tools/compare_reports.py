@@ -51,8 +51,8 @@ the tree) on the configs of this repository:
   ``--seed 31``, which include the program seeds that perfbench's
   ``oracle-selfcheck`` times at its ``--seed 7``: exit code and stdout;
 - the solver suite: ``solve_worst_case_cov`` on the random bounded
-  stage problems of ``tests/test_worstcase.py::_random_problem``, 300
-  seeds each at n = 2 with a rank-1 nominal and at n = 3 with ranks 1,
+  stage problems of :func:`random_problem`, which the worst-case tests
+  solve too, 300 seeds each at n = 2 with a rank-1 nominal and at n = 3 with ranks 1,
   2 and 3.
 
 One line per output says whether it is identical; a file written on one
@@ -211,8 +211,11 @@ def gate_line(pairs: list[tuple[dict, dict]]) -> str:
 
 
 def random_problem(seed: int, n: int, rank: int):
-    """The stage problem that ``tests/test_worstcase.py::_random_problem``
-    draws, built on the public API that every tree has."""
+    """A bounded random stage problem: ``lam`` above the top eigenvalue
+    of ``P_next + S_next``, and a nominal covariance of the given rank.
+    Built on the public API that every tree has, so older trees run the
+    suite too; ``tests/conftest.py`` loads it for the worst-case
+    tests."""
     import numpy as np
 
     from wdrc.model import LinearSystem
