@@ -140,8 +140,7 @@ def init_belief(
 
 def initial_posterior_cov(x0_dist: DistributionSpec, sys: LinearSystem) -> np.ndarray:
     """Covariance of the initial belief; it does not depend on ``y0``."""
-    prior = BeliefState(mean=x0_dist.mean(), cov=x0_dist.cov())
-    return update(prior, np.zeros(sys.n_y), sys).cov
+    return kalman_update(x0_dist.cov(), sys)[1]
 
 
 def covariance_path(

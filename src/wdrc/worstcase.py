@@ -52,7 +52,8 @@ pass of :func:`wdrc.controller.synthesize_wdrcs`, the one synthesis
 route.
 
 The filter's measurement step comes from :mod:`wdrc.estimator`:
-:func:`cov_objective` and :func:`cov_gradient` take their gains from
+:func:`cov_objective` and :func:`cov_gradient`, the references for the
+solver, read only their context and take their gains from
 :func:`~wdrc.estimator.kalman_gain`, and the schedule's posteriors come
 from :func:`~wdrc.estimator.kalman_update`.  Only the solver forms ``C'
 Inn^{-1} C`` itself, a route that rounds differently.  The worst-case
@@ -64,7 +65,7 @@ synthesis calls them, and perfbench's tracer wraps them by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -116,23 +117,6 @@ class CovObjectiveContext:
     Sigma_hat: np.ndarray
     P_bar: np.ndarray
     sys: LinearSystem
-    # The problem as a stack of one, derived once for every evaluation.
-    _stage: "_Stage" = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        S_next, P_next, Sigma_hat, P_bar = (
-            np.asarray(a, dtype=float)[None]
-            for a in (self.S_next, self.P_next, self.Sigma_hat, self.P_bar)
-        )
-        stage = _Stage(
-            self.sys,
-            S_next,
-            P_next,
-            np.array([self.lam], dtype=float),
-            Sigma_hat,
-            self.sys.A @ P_bar @ self.sys.A.T,
-        )
-        object.__setattr__(self, "_stage", stage)
 
 
 @dataclass(frozen=True)
@@ -165,13 +149,11 @@ class WorstCaseSchedule:
         post_covs: Belief covariances, ``(T + 1, n, n)``;
             ``post_covs[0]`` is the initial posterior the schedule was
             built from.
-        prior_covs: Predicted covariances for stages ``1..T``.
         gains: Measurement gains used at stages ``1..T``.
     """
 
     solves: tuple[CovSolve, ...]
     post_covs: np.ndarray
-    prior_covs: np.ndarray
     gains: np.ndarray
 
     @property
@@ -184,26 +166,28 @@ class WorstCaseSchedule:
 
 
 class _Stage:
-    """Covariance problems of one stage, stacked on a leading axis.
-
-    Besides each problem's data it holds what every evaluation reuses:
-    the predicted covariance before the disturbance, ``A P_bar A'``,
-    the linear coefficient ``P_next - lam I``, the eigenvalue floor of
-    the residual's projection and the growth cap.
+    """Covariance problems of one stage, stacked on a leading axis, in
+    the form the Newton solver reads them.
 
     The solver works in the eigenbasis ``frame`` of ``Sigma_hat``, where
     ``Sigma_hat`` is the diagonal ``d`` (from
     :func:`~wdrc.psdmath.rank_eigh`, the one rank rule), so ``U
     Sigma_hat U`` is a product with a diagonal.  In that frame the stage
-    keeps ``S_next``, ``P_next - lam I``, ``A P_bar A'`` and ``C``; the
-    entries of ``U`` the nominal sees (``free``: not both indices in its
-    null space); unit curvature for the others (``unseen``); and the
-    gradient of ``2 lam tr(U Sigma_hat)`` on the free entries (``lin``).
+    keeps ``S_next``, ``P_next - lam I``, the predicted covariance
+    before the disturbance ``A P_bar A'`` and ``C``; the entries of
+    ``U`` the nominal sees (``free``: not both indices in its null
+    space); unit curvature for the others (``unseen``); and the
+    gradient of ``2 lam tr(U Sigma_hat)`` on the free entries
+    (``lin``).  Besides, it holds the eigenvalue floor of the residual's
+    projection, the growth cap and the residual tolerance ``tol``:
+    ``_TOL_SCALE`` times the coefficient scale ``lam + max|P_next| +
+    max|S_next|``.  Scaling by the data rather than by the objective
+    value keeps an unbounded instance (whose objective grows without
+    limit) from widening its own finish line.
     """
 
     __slots__ = (
-        "sys", "eye", "S_next", "P_next", "Sigma_hat", "lam", "lam_m",
-        "prior_base", "shifted", "floor", "cap", "frame", "d", "free",
+        "sys", "eye", "lam", "tol", "floor", "cap", "frame", "d", "free",
         "unseen", "lin", "S_r", "shifted_r", "prior_r", "C_r",
     )
     _STACKED = __slots__[2:]
@@ -211,11 +195,10 @@ class _Stage:
     def __init__(self, sys, S_next, P_next, lam, Sigma_hat, prior_base):
         self.sys = sys
         self.eye = np.eye(sys.n_x)
-        self.S_next, self.P_next, self.Sigma_hat = S_next, P_next, Sigma_hat
         self.lam = lam
-        self.lam_m = lam[:, None, None]
-        self.prior_base = prior_base
-        self.shifted = P_next - self.lam_m * self.eye
+        self.tol = _TOL_SCALE * (
+            lam + (np.abs(P_next).max(axis=(1, 2)) + np.abs(S_next).max(axis=(1, 2)))
+        )
         self.floor = 1e-10 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
         # An iterate whose trace passes this counts as unbounded.
         self.cap = 1e12 * (1.0 + Sigma_hat.trace(axis1=1, axis2=2))
@@ -224,8 +207,9 @@ class _Stage:
         self.free = (d[:, row] > 0.0) | (d[:, col] > 0.0)
         self.unseen = (~self.free)[:, :, None] * np.eye(row.size)
         self.lin = np.where(row == col, 2.0 * lam[:, None] * d[:, row], 0.0)
+        shifted = P_next - lam[:, None, None] * self.eye
         self.S_r, self.shifted_r, self.prior_r = (
-            symmetrize(frame.mT @ a @ frame) for a in (S_next, self.shifted, prior_base)
+            symmetrize(frame.mT @ a @ frame) for a in (S_next, shifted, prior_base)
         )
         self.C_r = sys.C @ frame
 
@@ -239,6 +223,17 @@ class _Stage:
         return sub
 
 
+def _stack(ctxs: Sequence[CovObjectiveContext]) -> _Stage:
+    """The problems of contexts that share a plant, as one stacked stage."""
+    sys = ctxs[0].sys
+    S_next, P_next, Sigma_hat, P_bar = (
+        np.stack([np.asarray(getattr(c, name), dtype=float) for c in ctxs])
+        for name in ("S_next", "P_next", "Sigma_hat", "P_bar")
+    )
+    lam = np.array([c.lam for c in ctxs], dtype=float)
+    return _Stage(sys, S_next, P_next, lam, Sigma_hat, sys.A @ P_bar @ sys.A.T)
+
+
 def cov_objective(
     Sigma: np.ndarray, ctx: CovObjectiveContext
 ) -> float | np.ndarray:
@@ -250,9 +245,9 @@ def cov_objective(
 
     ``Sigma`` is one ``(n, n)`` candidate, which gives a float, or a
     stack ``(k, n, n)``, which gives one value per candidate, as in
-    :mod:`wdrc.psdmath`.  Every candidate of a stack is evaluated
-    against its own copy of the context's problem, so each value has
-    the bits of the call on that candidate alone.
+    :mod:`wdrc.psdmath`.  The value is computed from the context's
+    fields alone, which every candidate of a stack broadcasts against,
+    so each value has the bits of the call on that candidate alone.
 
     Raises:
         NotPSD: If any candidate has an eigenvalue below
@@ -265,21 +260,21 @@ def cov_objective(
     low = np.linalg.eigvalsh(Sigma)[:, 0] < -psd_tolerance(Sigma)
     if np.count_nonzero(low):
         raise NotPSD("candidate covariance is not PSD")
-    st = ctx._stage
-    if Sigma.shape[0] > 1:
-        st = st.take(np.zeros(Sigma.shape[0], dtype=int))
-    G = symmetrize(st.prior_base + Sigma)
-    post = symmetrize(G - kalman_gain(G, st.sys) @ st.sys.C @ G)
+    sys = ctx.sys
+    G = symmetrize(sys.A @ ctx.P_bar @ sys.A.T + Sigma)
+    post = symmetrize(G - kalman_gain(G, sys) @ sys.C @ G)
     values = (
-        (st.S_next @ post).trace(axis1=1, axis2=2)
-        + (st.shifted @ Sigma).trace(axis1=1, axis2=2)
-        + 2.0 * st.lam * trace_sqrt_product(Sigma, st.Sigma_hat)
+        (ctx.S_next @ post).trace(axis1=1, axis2=2)
+        + ((ctx.P_next - ctx.lam * np.eye(sys.n_x)) @ Sigma).trace(axis1=1, axis2=2)
+        + 2.0 * ctx.lam
+        * trace_sqrt_product(Sigma, np.broadcast_to(ctx.Sigma_hat, Sigma.shape))
     )
     return values if stacked else float(values[0])
 
 
 def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
-    """Gradient of the stage objective at a positive definite candidate.
+    """Gradient of the stage objective at a positive definite candidate,
+    computed from the context's fields alone.
 
     The Bures cross term contributes ``lam`` times the optimal
     transport factor between ``Sigma`` and ``Sigma_hat``, the linear
@@ -290,12 +285,13 @@ def cov_gradient(Sigma: np.ndarray, ctx: CovObjectiveContext) -> np.ndarray:
     Sigma = symmetrize(Sigma)[None]
     if float(np.linalg.eigvalsh(Sigma)[0, 0]) <= 0.0:
         raise NotPD("gradient requires a positive definite covariance")
-    st = ctx._stage
-    closed = st.eye - kalman_gain(symmetrize(st.prior_base + Sigma), st.sys) @ st.sys.C
+    sys, eye = ctx.sys, np.eye(ctx.sys.n_x)
+    G = symmetrize(sys.A @ ctx.P_bar @ sys.A.T + Sigma)
+    closed = eye - kalman_gain(G, sys) @ sys.C
     grad = (
-        st.shifted
-        + st.lam_m * transport_map(Sigma, st.Sigma_hat)
-        + closed.mT @ st.S_next @ closed
+        (ctx.P_next - ctx.lam * eye)
+        + ctx.lam * transport_map(Sigma, np.broadcast_to(ctx.Sigma_hat, Sigma.shape))
+        + closed.mT @ ctx.S_next @ closed
     )
     return symmetrize(grad)[0]
 
@@ -561,21 +557,11 @@ def _stationarity(
     if np.count_nonzero(ok) < ok.size:
         state, st, both, block = [a[ok] for a in state], st.take(ok), both[ok], block[ok]
     Sigma = state[2]
-    grad = symmetrize(state[3] + st.lam_m * np.where(both, np.linalg.inv(block), 0.0))
+    lam = st.lam[:, None, None]
+    grad = symmetrize(state[3] + lam * np.where(both, np.linalg.inv(block), 0.0))
     d = (_project(Sigma + grad, st.floor) - Sigma).reshape(Sigma.shape[0], -1)
     res[ok] = np.sqrt(np.vecdot(d, d))
     return res
-
-
-def _tolerance(st: _Stage) -> np.ndarray:
-    """Residual tolerance: ``_TOL_SCALE`` times the coefficient scale
-    ``lam + max|P_next| + max|S_next|``.  Scaling by the data rather than
-    by the objective value keeps an unbounded instance (whose objective
-    grows without limit) from widening its own finish line."""
-    scale = st.lam + (
-        np.abs(st.P_next).max(axis=(1, 2)) + np.abs(st.S_next).max(axis=(1, 2))
-    )
-    return _TOL_SCALE * scale
 
 
 # Newton steps per problem.
@@ -591,7 +577,7 @@ def _settle(st: _Stage, init: np.ndarray) -> list[CovSolve | Diverged]:
     and ends diverged once its trace passes the growth cap; otherwise it
     converged where ``U`` is positive definite on the nominal's range
     and the ``Sigma``-space residual (:func:`_stationarity`) is below
-    :func:`_tolerance`.  Each problem stops on its own, so its outcome
+    the stage's tolerance.  Each problem stops on its own, so its outcome
     has the bits of its stack of one.
 
     Returns:
@@ -601,7 +587,7 @@ def _settle(st: _Stage, init: np.ndarray) -> list[CovSolve | Diverged]:
     U, steps, state = _ascend(st, _start(st, init), _MAX_STEPS)
     phi, Sigma = state[0], state[2]
     grown = ~np.isfinite(phi) | ~(Sigma.trace(axis1=1, axis2=2) <= st.cap)
-    stationary = _stationarity(U, state, st) < _tolerance(st)
+    stationary = _stationarity(U, state, st) < st.tol
     return [
         Diverged("worst-case covariance grew without bound") if big
         else CovSolve(cov, f, its, ok)
@@ -621,7 +607,7 @@ def solve_worst_case_cov(ctx: CovObjectiveContext) -> CovSolve:
         SingularInnovation: If the predicted innovation covariance is
             singular.
     """
-    (solve,) = _settle(ctx._stage, ctx._stage.Sigma_hat)
+    (solve,) = _settle(_stack([ctx]), np.asarray(ctx.Sigma_hat, dtype=float)[None])
     if isinstance(solve, Diverged):
         raise solve
     return solve
@@ -665,31 +651,24 @@ def forward_schedules(
     S = np.stack([sol.S for sol in sols])
     P = np.stack([sol.P for sol in sols])
     post_covs = np.zeros((k, T + 1, n, n))
-    prior_covs = np.zeros((k, T, n, n))
     gains = np.zeros((k, T, n, sys.n_y))
     post_covs[:, 0] = symmetrize(p0_cov)
     solves: list[list[CovSolve]] = [[] for _ in sols]
     memos: list[dict[bytes, CovSolve | Diverged]] = [{} for _ in sols]
     failed: dict[int, Diverged] = {}
     live = list(range(k))
-    # Index of the live penalties: a slice (no gather) while all are live.
-    sel: slice | list[int] = slice(None)
 
     for t in range(T):
         Sigma_hat = nominal.cov(t)
-        P_bar = post_covs[sel, t]
+        P_bar = post_covs[live, t]
         prior_base = sys.A @ P_bar @ sys.A.T
-        S_t, P_t = S[sel, t + 1], P[sel, t + 1]
+        S_t, P_t = S[live, t + 1], P[live, t + 1]
         keys = _memo_keys(S_t, P_t, Sigma_hat, P_bar)
         miss = [j for j, i in enumerate(live) if keys[j] not in memos[i]]
         if miss:
-            sub = slice(None) if len(miss) == len(live) else miss
-            st = _Stage(
-                sys, S_t[sub], P_t[sub], lams[sel][sub],
-                Sigma_hat[None].repeat(len(miss), axis=0), prior_base[sub],
-            )
-            init = st.Sigma_hat if t == 0 else covs[sub]
-            for j, solve in zip(miss, _settle(st, init)):
+            hats = Sigma_hat[None].repeat(len(miss), axis=0)
+            st = _Stage(sys, S_t[miss], P_t[miss], lams[live][miss], hats, prior_base[miss])
+            for j, solve in zip(miss, _settle(st, hats if t == 0 else covs[miss])):
                 memos[live[j]][keys[j]] = solve
 
         for j, i in enumerate(live):
@@ -706,21 +685,19 @@ def forward_schedules(
         if failed.keys() & live:
             keep = [j for j, i in enumerate(live) if i not in failed]
             live = [live[j] for j in keep]
-            sel, prior_base = live, prior_base[keep]
+            prior_base = prior_base[keep]
             if not live:
                 break
 
         # This stage's maximizers are the next stage's starting points.
         covs = np.stack([solves[i][t].cov for i in live])
         prior = symmetrize(prior_base + covs)
-        prior_covs[sel, t] = prior
-        gains[sel, t], post_covs[sel, t + 1] = kalman_update(prior, sys)
+        gains[live, t], post_covs[live, t + 1] = kalman_update(prior, sys)
 
     return [
         failed[i] if i in failed else WorstCaseSchedule(
             solves=tuple(solves[i]),
             post_covs=post_covs[i],
-            prior_covs=prior_covs[i],
             gains=gains[i],
         )
         for i in range(k)

@@ -562,7 +562,7 @@ def test_calibrated_campaign_synthesizes_only_in_stacks(monkeypatch):
         assert np.array_equal(
             getattr(ctrl.solution, field), getattr(fresh.solution, field)
         )
-    for field in ("post_covs", "prior_covs", "gains"):
+    for field in ("post_covs", "gains"):
         assert np.array_equal(
             getattr(ctrl.schedule, field), getattr(fresh.schedule, field)
         )

@@ -35,7 +35,6 @@ from wdrc.psdmath import MomentPair, symmetrize
 from wdrc.riccati import backward_pass, min_feasible_lambda
 from wdrc.worstcase import (
     CovObjectiveContext,
-    _Stage,
     _ascend,
     _direction,
     _entries,
@@ -43,6 +42,7 @@ from wdrc.worstcase import (
     _positive,
     _scatter,
     _settle,
+    _stack,
     _start,
     _system,
     _unrotate,
@@ -103,7 +103,7 @@ def test_hessian_matches_finite_differences_of_gradient(n):
     for n_y in range(1, n + 1):
         for _ in range(4):
             ctx = _context(rng, n, n_y)
-            st = ctx._stage
+            st = _stack([ctx])
             frame = st.frame[0]
             U = (frame.T @ random_psd(rng, n, jitter=0.05) @ frame)[None]
             state = _evaluate(U, st)
@@ -165,27 +165,35 @@ def test_stacked_objective_equals_per_matrix_calls(n):
         assert np.array_equal(values, singles)
 
 
+def test_objective_and_gradient_read_only_their_context(monkeypatch):
+    """``cov_objective`` and ``cov_gradient``, the references the
+    solver is checked against, build none of the solver's stage data:
+    with ``_Stage`` refusing construction, a context is still built,
+    and both evaluate, on one candidate and on a stack, where the
+    objective reads the value the solver found before."""
+    n = 3
+    solve = solve_worst_case_cov(random_problem(4, n, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver stage was built")
+
+    monkeypatch.setattr(worstcase, "_Stage", refuse)
+    ctx = random_problem(4, n, 2)
+    rng = np.random.default_rng(35)
+    stack = np.stack([solve.cov] + [random_psd(rng, n) for _ in range(3)])
+    values = cov_objective(stack, ctx)
+    assert values.shape == (4,) and np.isfinite(values).all()
+    assert cov_objective(solve.cov, ctx) == values[0]
+    assert abs(values[0] - solve.z_tilde) <= 1e-12 * max(abs(solve.z_tilde), 1.0)
+    assert np.isfinite(cov_gradient(stack[1], ctx)).all()
+
+
 def test_stacked_objective_rejects_a_non_psd_member():
     rng = np.random.default_rng(33)
     ctx = _context(rng, 2, 1)
     stack = np.stack([random_psd(rng, 2), np.diag([1.0, -0.5]), random_psd(rng, 2)])
     with pytest.raises(NotPSD):
         cov_objective(stack, ctx)
-
-
-def test_scalar_solver_matches_grid():
-    rng = np.random.default_rng(24)
-    for _ in range(6):
-        ctx = _context(rng, 1, 1)
-        solve = solve_worst_case_cov(ctx)
-
-        def f(v: np.ndarray) -> np.ndarray:
-            return cov_objective(np.maximum(v, 1e-12)[:, None, None], ctx)
-
-        hi = bracket_max(f, 0.0, float(ctx.Sigma_hat[0, 0]) * 8.0 + 1.0)
-        v_star, f_star = grid_max(f, 0.0, hi)
-        assert solve.cov[0, 0] == pytest.approx(v_star, rel=1e-3, abs=1e-9)
-        assert solve.z_tilde == pytest.approx(f_star, rel=1e-4, abs=1e-9)
 
 
 def test_huge_penalty_returns_nominal_cov():
@@ -204,31 +212,10 @@ def test_huge_penalty_returns_nominal_cov():
     assert np.allclose(solve.cov, ctx.Sigma_hat, rtol=1e-5, atol=1e-10)
 
 
-def test_unobserved_closed_form():
-    rng = np.random.default_rng(26)
-    for n in (1, 2, 3):
-        ctx0 = _context(rng, n, 1)
-        lam = float(np.linalg.eigvalsh(ctx0.P_next + ctx0.S_next).max() * 2.5 + 1.0)
-        ctx = CovObjectiveContext(
-            S_next=ctx0.S_next,
-            P_next=ctx0.P_next,
-            lam=lam,
-            Sigma_hat=ctx0.Sigma_hat,
-            P_bar=ctx0.P_bar,
-            sys=LinearSystem(
-                A=ctx0.sys.A, B=ctx0.sys.B, C=np.zeros((1, n)), M=np.eye(1)
-            ),
-        )
-        ref = worst_cov_no_obs(ctx.S_next, ctx.P_next, lam, ctx.Sigma_hat)
-        solve = solve_worst_case_cov(ctx)
-        assert solve.converged
-        assert np.allclose(solve.cov, ref, rtol=1e-6, atol=1e-10)
-
-
 def test_newton_alone_matches_oracles():
-    """Newton steps from the nominal start reach, in fewer than 30
-    steps, the maximizers of the scalar grid oracles and of the
-    unobserved closed form, within their tolerances above."""
+    """Newton steps from the nominal start converge, in fewer than 30
+    steps, to the maximizers and maxima of the scalar grid oracles and
+    to the maximizers of the unobserved closed form."""
     rng = np.random.default_rng(24)
     for _ in range(6):
         ctx = _context(rng, 1, 1)
@@ -240,6 +227,7 @@ def test_newton_alone_matches_oracles():
         v_star, f_star = grid_max(f, 0.0, hi)
         solve = solve_worst_case_cov(ctx)
         assert solve.cov[0, 0] == pytest.approx(v_star, rel=1e-3, abs=1e-9)
+        assert solve.z_tilde == pytest.approx(f_star, rel=1e-4, abs=1e-9)
         assert cov_objective(solve.cov, ctx) == pytest.approx(f_star, rel=1e-4, abs=1e-9)
         assert solve.iterations < 30
 
@@ -259,6 +247,7 @@ def test_newton_alone_matches_oracles():
         )
         ref = worst_cov_no_obs(ctx.S_next, ctx.P_next, lam, ctx.Sigma_hat)
         solve = solve_worst_case_cov(ctx)
+        assert solve.converged
         assert solve.iterations < 30
         assert np.allclose(solve.cov, ref, rtol=1e-6, atol=1e-10)
 
@@ -279,7 +268,7 @@ def test_singular_nominal_covariance_holds_unseen_entries_fixed():
         P_bar=ctx0.P_bar,
         sys=ctx0.sys,
     )
-    stack = _stack_of([singular, ctx0])
+    stack = _stack([singular, ctx0])
     assert stack.free.tolist() == [[False, True, True], [True, True, True]]
     U = np.stack([0.7 * np.eye(2), random_psd(rng, 2)])
     g, h = _system(_evaluate(U, stack), stack)
@@ -288,7 +277,8 @@ def test_singular_nominal_covariance_holds_unseen_entries_fixed():
     assert np.array_equal(h[0, :, 0], [1.0, 0.0, 0.0])
     s, newton = _direction(g, h)
     assert s[0, 0] == 0.0 and newton.all()
-    alone = _system(_evaluate(U[1:], ctx0._stage), ctx0._stage)
+    one = _stack([ctx0])
+    alone = _system(_evaluate(U[1:], one), one)
     assert np.array_equal(g[1], alone[0][0]) and np.array_equal(h[1], alone[1][0])
 
     solve = solve_worst_case_cov(singular)
@@ -486,12 +476,11 @@ def test_forward_schedule_posteriors_match_filter(plant, quad_cost, gaussian_sce
         belief = predict(
             belief, np.zeros(1), np.zeros(2), schedule.solves[t].cov, plant
         )
-        assert np.allclose(schedule.prior_covs[t], belief.cov, atol=1e-10)
+        assert np.allclose(
+            schedule.gains[t], kalman_gain(belief.cov, plant), atol=1e-10
+        )
         belief = update(belief, np.zeros(1), plant)
         assert np.allclose(schedule.post_covs[t + 1], belief.cov, atol=1e-10)
-        assert np.allclose(
-            schedule.gains[t], kalman_gain(schedule.prior_covs[t], plant), atol=1e-10
-        )
 
 
 def test_warm_start_changes_nothing(plant, quad_cost, gaussian_scenario):
@@ -561,7 +550,7 @@ def _same_schedule(a, b) -> None:
         return [first.setdefault(id(x), t) for t, x in enumerate(s.solves)]
 
     assert shares(a) == shares(b)
-    for name in ("post_covs", "prior_covs", "gains"):
+    for name in ("post_covs", "gains"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -669,7 +658,7 @@ def test_direction_survives_hessians_that_are_not_positive_definite():
             Sigma_hat=nominal.cov(0), P_bar=p0, sys=sys,
         ))
     c = np.linspace(-2.0, 2.0, 9)
-    stack = _stack_of([ctx for ctx in ctxs for _ in c])
+    stack = _stack([ctx for ctx in ctxs for _ in c])
     g, h = _system(_evaluate(np.tile(c, 2)[:, None, None] * np.eye(3), stack), stack)
     s, newton = _direction(g, h)
     assert newton.tolist() == [False] * c.size + [True] * c.size
@@ -682,13 +671,11 @@ def test_direction_survives_hessians_that_are_not_positive_definite():
     assert _positive(h).tolist() == newton.tolist()
 
 
-def _stack_of(ctxs) -> _Stage:
-    """The problems of contexts that share a plant, as one stacked stage."""
-    return _Stage(
-        ctxs[0].sys,
-        *(np.stack([getattr(c._stage, name)[0] for c in ctxs])
-          for name in ("S_next", "P_next", "lam", "Sigma_hat", "prior_base")),
-    )
+def _hats(ctxs) -> np.ndarray:
+    """The contexts' nominal covariances, stacked: the start of
+    :func:`~wdrc.worstcase._settle` that ``solve_worst_case_cov``
+    takes."""
+    return np.stack([ctx.Sigma_hat for ctx in ctxs])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -731,9 +718,9 @@ def test_stacked_solve_gives_each_problem_its_stack_of_one(dims, seed):
             P_bar=random_psd(rng, n),
             sys=sys,
         ))
-    stack = _stack_of(ctxs)
-    for ctx, rank, solve in zip(ctxs, ranks, _settle(stack, stack.Sigma_hat)):
-        (alone,) = _settle(ctx._stage, ctx._stage.Sigma_hat)
+    stacked = _settle(_stack(ctxs), _hats(ctxs))
+    for ctx, rank, solve in zip(ctxs, ranks, stacked):
+        (alone,) = _settle(_stack([ctx]), _hats([ctx]))
         if isinstance(solve, Diverged):
             assert isinstance(alone, Diverged)
             continue
@@ -783,7 +770,7 @@ def test_transport_objective_bounds_the_stage_objective(dims, seed):
     full and deficient rank of the nominal."""
     n, rank = dims
     ctx = random_problem(seed, n, rank)
-    st = ctx._stage
+    st = _stack([ctx])
     frame = st.frame[0]
     rng = np.random.default_rng(seed)
     shift = np.diag(rng.uniform(-2.0, 0.0, n))
@@ -836,10 +823,9 @@ def test_a_singular_member_leaves_the_stack_its_own_results():
     sys = base[0].sys
     ctxs = [replace(ctx, sys=sys) for ctx in base]
     ctxs.append(replace(ctxs[0], lam=0.5, S_next=10.0 * np.eye(3)))
-    stack = _stack_of(ctxs)
-    stacked = _settle(stack, stack.Sigma_hat)
+    stacked = _settle(_stack(ctxs), _hats(ctxs))
     for ctx, solve in zip(ctxs, stacked):
-        (alone,) = _settle(ctx._stage, ctx._stage.Sigma_hat)
+        (alone,) = _settle(_stack([ctx]), _hats([ctx]))
         if isinstance(alone, Diverged):
             assert isinstance(solve, Diverged)
             continue
@@ -864,8 +850,8 @@ def test_newton_stop_leaves_nothing_for_more_steps(n, seed):
     ctx = random_problem(seed, n, n)
     solve = solve_worst_case_cov(ctx)
     assert solve.converged
-    st = ctx._stage
-    U, _, state = _ascend(st, _start(st, st.Sigma_hat), worstcase._MAX_STEPS)
+    st = _stack([ctx])
+    U, _, state = _ascend(st, _start(st, _hats([ctx])), worstcase._MAX_STEPS)
     assert np.array_equal(_unrotate(state[2], st)[0], solve.cov)
     for _ in range(5):
         s, newton = _direction(*_system(state, st))
@@ -883,7 +869,7 @@ def test_rank_deficient_nominal_converges_as_with_the_fine_stop(monkeypatch, see
     (within 1e-12 relative) that the solve reaches when every step must
     move less than 1e-14 relative."""
     ctx = random_problem(seed, 3, 2)
-    assert ctx._stage.free.sum() == 5
+    assert _stack([ctx]).free.sum() == 5
     solve = solve_worst_case_cov(ctx)
     monkeypatch.setattr(worstcase, "_FULL_STEP_STOP", worstcase._STEP_STOP)
     fine = solve_worst_case_cov(ctx)
