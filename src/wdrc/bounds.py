@@ -162,7 +162,7 @@ def _exact_value(
     the filter-mean block of :func:`wdrc.closedloop.initial_moments`.
     """
     n = sys.n_x
-    mean, cov = initial_moments(x0_dist, sys, sys.M)
+    mean, cov = initial_moments(x0_dist, sys)
     belief = BeliefState(mean=mean[:n], cov=initial_posterior_cov(x0_dist, sys))
     spread = float(np.trace(sol.P[0] @ cov[n:, n:]))
     return evaluate_value(sol, z_tilde_path, belief) + spread
@@ -180,9 +180,8 @@ def certified_bounds(
     :func:`~wdrc.closedloop.dual_bounds`; each bound equals its
     controller's stack of one, bit for bit.
 
-    The stage-0 moments are exact under the initial-state law and the
-    plant's measurement noise ``M``, which the loop's noise also
-    follows.  A pure function of its arguments.
+    The stage-0 moments and the loop's noise follow the plant's ``M``.
+    A pure function of its arguments.
 
     Raises:
         ValueError: If the controllers do not share one nominal.
@@ -192,8 +191,8 @@ def certified_bounds(
     nominal = ctrls[0].nominal
     if any(ctrl.nominal is not nominal for ctrl in ctrls):
         raise ValueError("stacked controllers must share one nominal")
-    z0 = initial_moments(x0_dist, sys, sys.M)
-    return dual_bounds(closed_loop(ctrls, sys, cost), z0, nominal, sys.M, theta)
+    z0 = initial_moments(x0_dist, sys)
+    return dual_bounds(closed_loop(ctrls, sys, cost), z0, nominal, theta)
 
 
 def lqg_value_terms(ctrl: LqgController) -> np.ndarray:

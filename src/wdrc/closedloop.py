@@ -85,9 +85,10 @@ class ClosedLoop(NamedTuple):
         Qz, qz, cz: Stage cost ``z' Qz z + 2 qz' z + cz``.
         Qf: Terminal weight on ``z``.
         Pi: Cost-to-go matrices of the loop, ``(T + 1, 2n, 2n)``.
+        M: Covariance of the measurement noise, the plant's ``M``.
 
     :func:`closed_loop` returns a stack of loops, with a leading stack
-    axis on every array, ``Qf`` included; :func:`exact_cost`,
+    axis on every array, ``Qf`` and ``M`` included; :func:`exact_cost`,
     :func:`penalized_value` and :func:`worst_case_law` take one loop.
     """
 
@@ -100,6 +101,7 @@ class ClosedLoop(NamedTuple):
     cz: np.ndarray
     Qf: np.ndarray
     Pi: np.ndarray
+    M: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -181,21 +183,22 @@ def closed_loop(
         cz=cz,
         Qf=np.broadcast_to(Qf, (k, 2 * n, 2 * n)),
         Pi=Pi,
+        M=np.broadcast_to(sys.M, (k, *sys.M.shape)),
     )
 
 
 def initial_moments(
-    x0_dist: DistributionSpec, sys: LinearSystem, noise_cov: np.ndarray
+    x0_dist: DistributionSpec, sys: LinearSystem
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of ``z_0 = (x_0, x_bar_0)``.
 
-    Exact under the initial-state law and measurement noise
-    ``noise_cov``: ``x_bar_0 = E[x_0] + K_0 (y_0 - C E[x_0])`` has mean
-    ``E[x_0]`` and covariance ``K_0 (C Sigma_0 C' + noise_cov) K_0'``.
+    Exact under the initial-state law and the plant's measurement noise:
+    ``x_bar_0 = E[x_0] + K_0 (y_0 - C E[x_0])`` has mean ``E[x_0]`` and
+    covariance ``K_0 (C Sigma_0 C' + M) K_0'``.
     """
     mu0, cov0 = x0_dist.mean(), x0_dist.cov()
     gain = kalman_gain(cov0, sys)
-    cov_bar = gain @ (sys.C @ cov0 @ sys.C.T + noise_cov) @ gain.T
+    cov_bar = gain @ (sys.C @ cov0 @ sys.C.T + sys.M) @ gain.T
     cross = cov0 @ sys.C.T @ gain.T
     cov = np.block([[cov0, cross], [cross.T, cov_bar]])
     return np.concatenate([mu0, mu0]), cov
@@ -206,13 +209,12 @@ def exact_cost(
     z0: tuple[np.ndarray, np.ndarray],
     means: np.ndarray,
     covs: np.ndarray,
-    noise_cov: np.ndarray,
 ) -> float:
     """Expected cost under independent per-stage disturbance moments.
 
     Propagates the mean and covariance of ``z`` forward; ``means`` and
-    ``covs`` hold the disturbance moments of stages ``0..T-1`` and
-    ``noise_cov`` the covariance of the measurement noise.
+    ``covs`` hold the disturbance moments of stages ``0..T-1``, and the
+    measurement noise has the loop's covariance ``M``.
     """
     mu, cov = z0
     total = 0.0
@@ -222,7 +224,7 @@ def exact_cost(
         ) + float(np.sum(loop.Qz[t] * cov))
         F, E, D = loop.F[t], loop.E[t], loop.D[t]
         mu = F @ mu + loop.f[t] + E @ means[t]
-        cov = F @ cov @ F.T + E @ covs[t] @ E.T + D @ noise_cov @ D.T
+        cov = F @ cov @ F.T + E @ covs[t] @ E.T + D @ loop.M @ D.T
     return total + float(mu @ loop.Qf @ mu) + float(np.sum(loop.Qf * cov))
 
 
@@ -256,7 +258,6 @@ def _dual_terms(
     loop: ClosedLoop,
     z0: tuple[np.ndarray, np.ndarray],
     nominal: NominalDistribution,
-    noise_cov: np.ndarray,
 ) -> _DualTerms:
     """The dual terms of a stack of loops."""
     k, T, n = loop.E.shape[0], loop.E.shape[1], loop.E.shape[3]
@@ -287,7 +288,7 @@ def _dual_terms(
         Qa=Qa,
         Qfa=Qfa,
         za0=np.tile(np.append(mu0, 1.0), (k, 1)),
-        fixed=_sums(loop.Pi[:, 0] * cov0) + _sums(noise * noise_cov),
+        fixed=_sums(loop.Pi[:, 0] * cov0) + _sums(noise * loop.M[:, None]),
         EPi=EPi,
         N=N,
         nu=nu,
@@ -371,7 +372,6 @@ def penalized_value(
     loop: ClosedLoop,
     z0: tuple[np.ndarray, np.ndarray],
     nominal: NominalDistribution,
-    noise_cov: np.ndarray,
     kappa: float,
 ) -> tuple[float, float]:
     """``W_kappa`` and ``dW/dkappa`` at one multiplier.
@@ -383,7 +383,7 @@ def penalized_value(
     Where the supremum is unbounded the value is ``inf`` and the
     derivative ``nan``.
     """
-    terms = _dual_terms(_index(loop, None), z0, nominal, noise_cov)
+    terms = _dual_terms(_index(loop, None), z0, nominal)
     value, slope = _evaluate(terms, np.array([kappa]))
     return float(value[0]), float(slope[0])
 
@@ -400,8 +400,7 @@ def worst_case_law(
     (kappa I - N_t)^{-1}``.
     """
     T = loop.horizon
-    noise_cov = np.zeros((loop.D.shape[2],) * 2)
-    terms = _dual_terms(_index(loop, None), z0, nominal, noise_cov)
+    terms = _dual_terms(_index(loop, None), z0, nominal)
     _, shifts = _mean_part(terms, np.array([kappa]))
     inv = np.linalg.inv(kappa * np.eye(terms.N.shape[-1]) - terms.N[0])
     return nominal.means[:T] + shifts[0], kappa * kappa * inv @ nominal.covs[:T] @ inv
@@ -663,7 +662,6 @@ def dual_bounds(
     loops: ClosedLoop,
     z0: tuple[np.ndarray, np.ndarray],
     nominal: NominalDistribution,
-    noise_cov: np.ndarray,
     theta: float,
 ) -> list[DualBound]:
     """The dual bound of each loop of a stack (one nominal): the minimum
@@ -687,11 +685,11 @@ def dual_bounds(
     if theta == 0.0:
         means, covs = nominal.means[:T], nominal.covs[:T]
         costs = [
-            exact_cost(_index(loops, i), z0, means, covs, noise_cov) for i in range(k)
+            exact_cost(_index(loops, i), z0, means, covs) for i in range(k)
         ]
         return [DualBound(kappa=math.inf, w_kappa=w, bound=w) for w in costs]
 
-    terms = _dual_terms(loops, z0, nominal, noise_cov)
+    terms = _dual_terms(loops, z0, nominal)
     n = terms.Ea.shape[-1]
     chunk = max(1, _HESSIAN_BYTES // (8 * (T * n) ** 2))
     models = [

@@ -252,6 +252,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         R=_matrix(cost_raw, "R", "cost"),
         horizon=_integer(cost_raw, "horizon", "cost", minimum=1),
     )
+    for key, dim in (("Q", sys.n_x), ("R", sys.n_u)):
+        n = getattr(cost, key).shape[0]
+        if n != dim:
+            raise ConfigError(f"is {n}x{n}, plant needs {dim}x{dim}", f"cost.{key}")
     robust = _section(raw, "robustness", ("theta", "lam"))
     theta = _real(_entry(robust, "theta", "robustness"), "robustness.theta")
     if theta < 0.0:
@@ -269,18 +273,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     scen = _section(
         raw,
         "scenario",
-        ("true_disturbance", "initial_state", "noise_cov", "sample_count", "seed"),
+        ("true_disturbance", "initial_state", "sample_count", "seed"),
     )
-    noise_cov = (
-        _matrix(scen, "noise_cov", "scenario")
-        if "noise_cov" in scen
-        else np.array(sys.M)
-    )
-    if noise_cov.shape != (sys.n_y, sys.n_y):
-        raise ConfigError(
-            f"noise_cov has shape {noise_cov.shape}, plant has {sys.n_y} outputs",
-            "scenario.noise_cov",
-        )
     scenario = _built(
         "scenario",
         ScenarioSpec,
@@ -291,7 +285,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         initial_state=_distribution(
             _entry(scen, "initial_state", "scenario"), "scenario.initial_state"
         ),
-        noise_cov=noise_cov,
         sample_count=_integer(scen, "sample_count", "scenario", minimum=1),
         seed=_integer(scen, "seed", "scenario", minimum=0, default=0),
     )

@@ -101,17 +101,15 @@ class LinearSystem:
         B = _frozen(self.B)
         C = _frozen(self.C)
         M = require_psd(np.asarray(self.M, dtype=float), "M")
-        n = A.shape[0]
-        if A.ndim != 2 or A.shape[1] != n:
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimMismatch(f"A must be square, got {A.shape}")
+        n = A.shape[0]
         if B.ndim != 2 or B.shape[0] != n:
             raise DimMismatch(f"B must have {n} rows, got {B.shape}")
         if C.ndim != 2 or C.shape[1] != n:
             raise DimMismatch(f"C must have {n} columns, got {C.shape}")
         if M.shape[0] != C.shape[0]:
-            raise DimMismatch(
-                f"M must be {C.shape[0]}x{C.shape[0]}, got {M.shape}"
-            )
+            raise DimMismatch(f"M must be {C.shape[0]}x{C.shape[0]}, got {M.shape}")
         M.flags.writeable = False
         for name, val in (("A", A), ("B", B), ("C", C), ("M", M)):
             object.__setattr__(self, name, val)
@@ -141,7 +139,7 @@ class CostSpec:
     def __post_init__(self):
         Q = require_psd(np.asarray(self.Q, dtype=float), "Q")
         Q_f = require_psd(np.asarray(self.Q_f, dtype=float), "Q_f")
-        R = symmetrize(np.asarray(self.R, dtype=float))
+        R = require_psd(np.asarray(self.R, dtype=float), "R")
         if Q.shape != Q_f.shape:
             raise DimMismatch(f"Q is {Q.shape} but Q_f is {Q_f.shape}")
         if float(np.linalg.eigvalsh(R)[0]) <= 0.0:
@@ -329,38 +327,27 @@ def estimate_nominal(stage_samples: Sequence[np.ndarray]) -> NominalDistribution
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """True data-generating laws plus the nominal sample budget.
+    """True data-generating laws plus the nominal sample budget; the
+    measurement noise is the plant's, Gaussian with covariance ``M``.
 
     Attributes:
         true_disturbance: Law of the process disturbance at every stage.
         initial_state: Law of the initial state.
-        noise_cov: True measurement-noise covariance used when sampling
-            observations; the filter always uses the plant's ``M``.
         sample_count: Number of disturbance samples used to estimate
             the nominal moments.
         seed: Master seed for all randomness derived from the scenario.
-        noise: Zero-mean Gaussian law of the measurement noise with
-            covariance ``noise_cov``, built once for every run's draw.
     """
 
     true_disturbance: DistributionSpec
     initial_state: DistributionSpec
-    noise_cov: np.ndarray
     sample_count: int
     seed: int = 0
-    noise: GaussianSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        noise = require_psd(np.asarray(self.noise_cov, dtype=float), "noise_cov")
-        noise.flags.writeable = False
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "noise_cov", noise)
-        object.__setattr__(
-            self, "noise", GaussianSpec(np.zeros(noise.shape[0]), noise)
-        )
 
 
 def split_stream(seed: int, *key: int) -> np.random.Generator:
@@ -489,7 +476,8 @@ def draw_realizations(
     swapping their first two axes gives contiguous arrays whose stage
     ``t`` holds the rows of every run.
 
-    One vectorized pass derives the runs' stream keys.  The runs then
+    The noises are drawn with covariance ``sys.M``, factored once per
+    call.  One vectorized pass derives the runs' stream keys.  The runs then
     go in sub-blocks of at most ``_SUB_BLOCK`` runs: one Philox
     generator is re-keyed per run through its ``state`` setter, from a
     state dict whose counter and buffer are Python lists (the setter
@@ -504,14 +492,8 @@ def draw_realizations(
     draws hold the keys and one sub-block's numbers.
 
     Raises:
-        DimMismatch: If the noise law does not match the plant's outputs.
         ValueError: If a run index lies outside ``[0, 2**64)``.
     """
-    if scenario.noise.dim != sys.n_y:
-        raise DimMismatch(
-            f"noise_cov is {scenario.noise.dim}x{scenario.noise.dim}, "
-            f"plant has {sys.n_y} outputs"
-        )
     if start < 0 or start + count > 2**64:
         raise ValueError(f"run indices {start}..{start + count - 1} leave [0, 2**64)")
     bitgen = np.random.Philox(0)
@@ -522,7 +504,7 @@ def draw_realizations(
     laws = (
         (scenario.initial_state, 1),
         (scenario.true_disturbance, horizon),
-        (scenario.noise, horizon + 1),
+        (GaussianSpec(np.zeros(sys.n_y), sys.M), horizon + 1),
     )
     keys = _run_keys(scenario.seed, np.arange(start, start + count, dtype=np.uint64))
     # One buffer per stretch of laws drawing with one method, filled by

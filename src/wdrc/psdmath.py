@@ -103,8 +103,10 @@ def require_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
     Raises:
         NotPSD: If an eigenvalue falls below the scale-aware tolerance.
-        DimMismatch: If ``m`` is not square.
+        DimMismatch: If ``m`` is not a single square matrix.
     """
+    if np.ndim(m) != 2:
+        raise DimMismatch(f"{name} must be a square matrix, got shape {np.shape(m)}")
     sym = symmetrize(m)
     lo = float(np.linalg.eigvalsh(sym)[0])
     if lo < -psd_tolerance(sym):

@@ -32,7 +32,6 @@ def gaussian_scenario() -> ScenarioSpec:
             np.array([0.01, 0.02]), np.array([[0.01, 0.005], [0.005, 0.01]])
         ),
         initial_state=GaussianSpec(np.array([-1.0, -1.0]), 0.001 * np.eye(2)),
-        noise_cov=np.array([[0.2]]),
         sample_count=5,
         seed=2,
     )

@@ -315,7 +315,6 @@ def test_guaranteed_bound_covers_admissible_disturbance_laws(gaussian_campaign):
         scen = ScenarioSpec(
             true_disturbance=law,
             initial_state=result.scenario.initial_state,
-            noise_cov=np.array(result.scenario.noise_cov),
             sample_count=result.scenario.sample_count,
             seed=211 + i,
         )

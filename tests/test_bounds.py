@@ -139,7 +139,6 @@ def test_degenerate_baseline_is_rejected(plant, short_cost):
     scenario = ScenarioSpec(
         true_disturbance=GaussianSpec(np.zeros(2), np.zeros((2, 2))),
         initial_state=GaussianSpec(np.zeros(2), np.zeros((2, 2))),
-        noise_cov=plant.M,
         sample_count=5,
         seed=0,
     )
@@ -255,7 +254,6 @@ def test_no_feasible_penalty_raises(short_scenario, monkeypatch):
     scenario = ScenarioSpec(
         true_disturbance=GaussianSpec(np.zeros(1), 0.01 * np.eye(1)),
         initial_state=GaussianSpec(np.zeros(1), 0.01 * np.eye(1)),
-        noise_cov=wild.M,
         sample_count=5,
         seed=0,
     )

@@ -115,10 +115,13 @@ def test_malformed_config_exits_with_config_code(tmp_path, capsys):
     assert "plant.A" in capsys.readouterr().err
 
 
-def test_noise_cov_of_wrong_size_exits_with_config_code(tmp_path, capsys):
+def test_noise_cov_key_exits_with_config_code(tmp_path, capsys):
+    """The measurement noise is the plant's ``M``: a scenario that sets
+    its own noise covariance, even one of the right size, is an unknown
+    key."""
     raw = base_config()
-    raw["scenario"]["noise_cov"] = [[0.2, 0.0], [0.0, 0.2]]
-    path = tmp_path / "wide_noise.yaml"
+    raw["scenario"]["noise_cov"] = [[1.0]]
+    path = tmp_path / "own_noise.yaml"
     path.write_text(yaml.safe_dump(raw))
     code = main(["simulate", "-c", str(path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
@@ -152,9 +155,17 @@ def test_bad_law_parameters_exit_with_config_code(law, tmp_path, capsys):
     [
         ("plant", "M", [[-0.2]]),
         ("cost", "R", [[0.0]]),
-        ("scenario", "noise_cov", [[-0.2]]),
+        ("plant", "A", 0.5),
+        ("cost", "Q_f", [[[1.0]]]),
+        ("cost", "R", [[[1.0]]]),
     ],
-    ids=["plant-noise-not-psd", "cost-input-weight-not-pd", "true-noise-not-psd"],
+    ids=[
+        "plant-noise-not-psd",
+        "cost-input-weight-not-pd",
+        "plant-dynamics-scalar",
+        "cost-terminal-weight-stacked",
+        "cost-input-weight-stacked",
+    ],
 )
 def test_bad_model_matrix_exits_with_config_code(
     section, key, value, tmp_path, capsys

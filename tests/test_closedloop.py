@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from wdrc import (
     certified_bounds,
@@ -30,6 +31,7 @@ from wdrc.closedloop import (
     worst_case_law,
 )
 from wdrc.bounds import performance_ratio
+from wdrc.harness import config_from_dict
 from wdrc.controller import WdrcController, synthesize_wdrcs
 from wdrc.model import CostSpec, LinearSystem, NominalDistribution, draw_nominal_samples
 from wdrc.psdmath import MomentPair
@@ -38,10 +40,19 @@ from wdrc.riccati import min_feasible_lambda
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.fixture(scope="module", params=["gaussian", "uniform"])
+@pytest.fixture(
+    scope="module", params=["gaussian", "uniform", "gaussian-two-outputs"]
+)
 def setup(request):
-    """Bundled config with both policies, the robust one pinned at 4.0."""
-    cfg = load_config(str(CONFIG_DIR / f"{request.param}.yaml"))
+    """Bundled config with both policies, the robust one pinned at 4.0;
+    ``gaussian-two-outputs`` is ``gaussian.yaml`` with a second output
+    and a measurement noise that is not a scalar."""
+    name, _, variant = request.param.partition("-")
+    raw = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    if variant:
+        raw["plant"]["C"] = [[1.023, 1.955], [0.5, -0.3]]
+        raw["plant"]["M"] = [[0.2, 0.05], [0.05, 0.1]]
+    cfg = config_from_dict(raw)
     scen = cfg.scenario
     nominal = estimate_nominal(draw_nominal_samples(scen, cfg.cost.horizon))
     p0 = initial_posterior_cov(scen.initial_state, cfg.sys)
@@ -61,17 +72,17 @@ def _stationary(T, mean, cov):
 
 def test_exact_cost_matches_batched_rollouts(setup):
     """Monte-Carlo means of both policies sit within 3 SE of the exact
-    expectation under the scenario's true laws."""
+    expectation under the scenario's true laws and the plant's noise."""
     cfg, _, wdrc, lqg = setup
     scen = cfg.scenario
     wdrc_costs, lqg_costs = simulate_paired(
         [wdrc, lqg], scen, cfg.sys, cfg.cost, runs=4000
     )
-    z0 = initial_moments(scen.initial_state, cfg.sys, scen.noise_cov)
+    z0 = initial_moments(scen.initial_state, cfg.sys)
     law = scen.true_disturbance
     means, covs = _stationary(cfg.cost.horizon, law.mean(), law.cov())
     for ctrl, costs in ((wdrc, wdrc_costs), (lqg, lqg_costs)):
-        exact = exact_cost(_loop(cfg, ctrl), z0, means, covs, scen.noise_cov)
+        exact = exact_cost(_loop(cfg, ctrl), z0, means, covs)
         se = float(costs.std(ddof=1)) / math.sqrt(costs.size)
         z = (float(costs.mean()) - exact) / se
         print(f"exact {exact:.5f}, MC {costs.mean():.5f} +- {se:.5f}, z {z:+.2f}")
@@ -119,13 +130,13 @@ def test_certificate_covers_admissible_laws_exactly(setup):
     cert = certified_bounds([wdrc], cfg.sys, cfg.cost, scen.initial_state, theta)[0]
     assert math.isfinite(cert.bound)
     loop = _loop(cfg, wdrc)
-    z0 = initial_moments(scen.initial_state, cfg.sys, cfg.sys.M)
+    z0 = initial_moments(scen.initial_state, cfg.sys)
     worst = -math.inf
     for label, means, covs in _admissible_laws(nominal, theta, T):
         for t in range(T):
             dist_sq = gelbrich_dist_sq(MomentPair(means[t], covs[t]), nominal.stages[t])
             assert dist_sq <= theta**2 + 1e-12, label
-        cost = exact_cost(loop, z0, means, covs, cfg.sys.M)
+        cost = exact_cost(loop, z0, means, covs)
         assert cost <= cert.bound, label
         worst = max(worst, cost)
     print(f"bound {cert.bound:.4f} at kappa {cert.kappa:.4f}; worst law {worst:.4f}")
@@ -139,8 +150,8 @@ def test_zero_radius_certificate_is_exact_nominal_cost(setup):
     cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, 0.0)[0]
     means = np.stack([nominal.mean(t) for t in range(T)])
     covs = np.stack([nominal.cov(t) for t in range(T)])
-    z0 = initial_moments(x0_dist, cfg.sys, cfg.sys.M)
-    exact = exact_cost(_loop(cfg, wdrc), z0, means, covs, cfg.sys.M)
+    z0 = initial_moments(x0_dist, cfg.sys)
+    exact = exact_cost(_loop(cfg, wdrc), z0, means, covs)
     assert cert.kappa == math.inf
     assert cert.bound == pytest.approx(exact, rel=1e-12)
 
@@ -152,12 +163,12 @@ def test_certificate_is_the_cost_of_its_attaining_law(setup):
     whose sign at the computed multiplier is a matter of rounding, so
     both sides get the same tolerance."""
     cfg, nominal, wdrc, _ = setup
-    x0_dist, M = cfg.scenario.initial_state, cfg.sys.M
+    x0_dist = cfg.scenario.initial_state
     cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, cfg.theta)[0]
     loop = _loop(cfg, wdrc)
-    z0 = initial_moments(x0_dist, cfg.sys, M)
+    z0 = initial_moments(x0_dist, cfg.sys)
     means, covs = worst_case_law(loop, z0, nominal, cert.kappa)
-    cost = exact_cost(loop, z0, means, covs, M)
+    cost = exact_cost(loop, z0, means, covs)
     print(f"bound {cert.bound!r}, attaining law {cost!r}")
     assert cert.bound == pytest.approx(cost, rel=1e-12)
 
@@ -166,14 +177,14 @@ def test_baseline_value_is_the_exact_nominal_cost(setup):
     """The textbook LQG value ``j_lq`` is the exact expected cost of the
     baseline loop under the nominal moments and the plant's noise."""
     cfg, nominal, wdrc, lqg = setup
-    scen, T, M = cfg.scenario, cfg.cost.horizon, cfg.sys.M
+    scen, T = cfg.scenario, cfg.cost.horizon
     cert = performance_ratio(
         wdrc, lqg, cfg.sys, cfg.cost, scen.initial_state, cfg.theta
     )
     means = np.stack([nominal.mean(t) for t in range(T)])
     covs = np.stack([nominal.cov(t) for t in range(T)])
-    z0 = initial_moments(scen.initial_state, cfg.sys, M)
-    exact = exact_cost(_loop(cfg, lqg), z0, means, covs, M)
+    z0 = initial_moments(scen.initial_state, cfg.sys)
+    exact = exact_cost(_loop(cfg, lqg), z0, means, covs)
     assert cert.j_lq == pytest.approx(exact, rel=1e-12)
 
 
@@ -182,9 +193,9 @@ def test_penalized_value_duality(setup):
     other law's penalized cost, and its slope is minus the maximizer's
     summed squared distance; the dual bound is its minimum over kappa."""
     cfg, nominal, wdrc, _ = setup
-    x0_dist, T, M = cfg.scenario.initial_state, cfg.cost.horizon, cfg.sys.M
+    x0_dist, T = cfg.scenario.initial_state, cfg.cost.horizon
     loop = _loop(cfg, wdrc)
-    z0 = initial_moments(x0_dist, cfg.sys, M)
+    z0 = initial_moments(x0_dist, cfg.sys)
     cert = certified_bounds([wdrc], cfg.sys, cfg.cost, x0_dist, cfg.theta)[0]
     assert cert.bound == cert.kappa * T * cfg.theta * cfg.theta + cert.w_kappa
 
@@ -196,13 +207,13 @@ def test_penalized_value_duality(setup):
 
     rng = np.random.default_rng(5)
     for kappa in cert.kappa * np.array([0.97, 1.0, 1.5, 4.0]):
-        value, slope = penalized_value(loop, z0, nominal, M, kappa)
-        ahead, _ = penalized_value(loop, z0, nominal, M, kappa * (1.0 + 1e-6))
-        behind, _ = penalized_value(loop, z0, nominal, M, kappa * (1.0 - 1e-6))
+        value, slope = penalized_value(loop, z0, nominal, kappa)
+        ahead, _ = penalized_value(loop, z0, nominal, kappa * (1.0 + 1e-6))
+        behind, _ = penalized_value(loop, z0, nominal, kappa * (1.0 - 1e-6))
         assert slope == pytest.approx((ahead - behind) / (2e-6 * kappa), rel=1e-5)
         means, covs = worst_case_law(loop, z0, nominal, kappa)
         dist = penalty(means, covs)
-        attained = exact_cost(loop, z0, means, covs, M) - kappa * dist
+        attained = exact_cost(loop, z0, means, covs) - kappa * dist
         assert value == pytest.approx(attained, rel=1e-10)
         assert slope == pytest.approx(-dist, rel=1e-8)
         assert cert.bound <= kappa * T * cfg.theta * cfg.theta + value
@@ -210,9 +221,9 @@ def test_penalized_value_duality(setup):
             other_means = means + 0.05 * rng.standard_normal(means.shape)
             a = 0.1 * rng.standard_normal(covs.shape)
             other_covs = covs + a @ np.swapaxes(a, 1, 2)
-            other = exact_cost(loop, z0, other_means, other_covs, M)
+            other = exact_cost(loop, z0, other_means, other_covs)
             assert other - kappa * penalty(other_means, other_covs) <= value
-    assert penalized_value(loop, z0, nominal, M, 0.5 * cert.kappa)[0] == math.inf
+    assert penalized_value(loop, z0, nominal, 0.5 * cert.kappa)[0] == math.inf
 
 
 def test_dual_bound_recovers_from_poor_model_roots(setup, monkeypatch):
@@ -298,8 +309,8 @@ def _scan_terms(sys, cost, nominal, x0_dist, count):
     p0 = initial_posterior_cov(x0_dist, sys)
     ctrls = synthesize_wdrcs(sys, cost, nominal, lams, p0)
     assert all(isinstance(ctrl, WdrcController) for ctrl in ctrls)
-    z0 = initial_moments(x0_dist, sys, sys.M)
-    return _dual_terms(closed_loop(ctrls, sys, cost), z0, nominal, sys.M)
+    z0 = initial_moments(x0_dist, sys)
+    return _dual_terms(closed_loop(ctrls, sys, cost), z0, nominal)
 
 
 def _two_input_terms(horizon, x0_dist):

@@ -85,7 +85,6 @@ def test_valid_config_parses():
     assert cfg.cost.horizon == 12
     assert cfg.lam == 4.0
     assert cfg.runs == 8
-    assert np.allclose(cfg.scenario.noise_cov, cfg.sys.M)
     assert cfg.echo == base_config()
 
 
@@ -223,13 +222,34 @@ def test_dimension_cross_checks():
     assert err.value.field == "scenario.initial_state"
 
 
-@pytest.mark.parametrize("noise_cov", [[[0.2, 0.0], [0.0, 0.2]], [[0.2, 0.1]], [0.2]])
+@pytest.mark.parametrize(
+    "noise_cov", [[[0.2, 0.0], [0.0, 0.2]], [[0.2, 0.1]], [0.2], [[0.2]], [[1.0]]]
+)
 def test_noise_cov_must_match_plant_outputs(noise_cov):
+    """Simulation and certificate both draw the measurement noise from
+    the plant's ``M``; the scenario has no noise of its own, so any
+    ``noise_cov``, of whatever shape, is rejected as an unknown key."""
     raw = base_config()
     raw["scenario"]["noise_cov"] = noise_cov
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.field == "scenario.noise_cov"
+
+
+@pytest.mark.parametrize(
+    "entries, field",
+    [
+        ({"Q": np.eye(3).tolist(), "Q_f": np.eye(3).tolist()}, "cost.Q"),
+        ({"R": np.eye(2).tolist()}, "cost.R"),
+    ],
+    ids=["Q", "R"],
+)
+def test_cost_weights_must_match_plant_dimensions(entries, field):
+    raw = base_config()
+    raw["cost"].update(entries)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field == field
 
 
 def test_non_numeric_matrix_is_rejected():
@@ -247,7 +267,6 @@ def test_non_numeric_matrix_is_rejected():
         ("robustness", "theta", float("nan")),
         ("robustness", "lam", True),
         ("robustness", "lam", float("inf")),
-        ("scenario", "noise_cov", [["x"]]),
     ],
 )
 def test_non_numeric_entries_are_rejected(section, key, value):

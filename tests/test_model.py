@@ -33,6 +33,8 @@ def test_linear_system_dims(plant):
 
 def test_linear_system_rejects_bad_shapes():
     with pytest.raises(DimMismatch):
+        LinearSystem(A=0.5, B=np.ones((1, 1)), C=np.ones((1, 1)), M=np.eye(1))
+    with pytest.raises(DimMismatch):
         LinearSystem(A=np.eye(2), B=np.ones((3, 1)), C=np.ones((1, 2)), M=np.eye(1))
     with pytest.raises(DimMismatch):
         LinearSystem(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 3)), M=np.eye(1))
@@ -47,6 +49,8 @@ def test_cost_spec_validation():
         CostSpec(Q=-np.eye(2), Q_f=np.eye(2), R=np.eye(1), horizon=3)
     with pytest.raises(NotPD):
         CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=np.zeros((1, 1)), horizon=3)
+    with pytest.raises(DimMismatch):
+        CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=np.eye(2)[None], horizon=3)
     with pytest.raises(ValueError):
         CostSpec(Q=np.eye(2), Q_f=np.eye(2), R=np.eye(1), horizon=0)
 
@@ -143,19 +147,20 @@ def test_draws_use_factors_computed_once(plant, gaussian_scenario):
     rng = split_stream(gaussian_scenario.seed, STREAM_RUN, 3)
     gaussian_scenario.initial_state.sample(rng, 1)
     gaussian_scenario.true_disturbance.sample(rng, 10)
-    noise = GaussianSpec(np.zeros(plant.n_y), gaussian_scenario.noise_cov)
+    noise = GaussianSpec(np.zeros(plant.n_y), plant.M)
     assert np.array_equal(real.v, noise.sample(rng, 11))
 
 
-def _per_run_reference(scenario, horizon, start, count):
+def _per_run_reference(scenario, sys, horizon, start, count):
     """Each run's stream from ``split_stream``, then each law's ``sample``
-    in draw order, stacked."""
+    in draw order, the noise's from the plant's ``M``, stacked."""
+    noise = GaussianSpec(np.zeros(sys.n_y), sys.M)
     x0s, ws, vs = [], [], []
     for run in range(start, start + count):
         rng = split_stream(scenario.seed, STREAM_RUN, run)
         x0s.append(scenario.initial_state.sample(rng, 1)[0])
         ws.append(scenario.true_disturbance.sample(rng, horizon))
-        vs.append(scenario.noise.sample(rng, horizon + 1))
+        vs.append(noise.sample(rng, horizon + 1))
     return np.stack(x0s), np.stack(ws), np.stack(vs)
 
 
@@ -163,7 +168,6 @@ def _uniform_scenario(seed):
     return ScenarioSpec(
         true_disturbance=UniformSpec(np.array([-0.05, -0.1]), np.array([0.05, 0.3])),
         initial_state=UniformSpec(np.array([0.1, 0.2]), np.array([0.3, 0.5])),
-        noise_cov=np.array([[0.1]]),
         sample_count=5,
         seed=seed,
     )
@@ -193,7 +197,7 @@ def test_draw_realizations_equal_per_run_streams(
 ):
     scenario = gaussian_scenario if law == "gaussian" else _uniform_scenario(7)
     got = draw_realizations(scenario, plant, 3, start, count)
-    want = _per_run_reference(scenario, 3, start, count)
+    want = _per_run_reference(scenario, plant, 3, start, count)
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
@@ -205,8 +209,14 @@ def test_draw_realizations_equal_per_run_streams(
 
 def test_draw_realizations_with_non_diagonal_factors(plant):
     """Every law with a non-diagonal factor, the initial state's one-row
-    products included, draws each run's ``z @ factor.T + mean`` from its
-    stream's standard normals, across a sub-block edge."""
+    products and a two-output plant's noise included, draws each run's
+    ``z @ factor.T + mean`` from its stream's standard normals, across a
+    sub-block edge."""
+    sys = replace(
+        plant,
+        C=np.array([[1.023, 1.955], [0.5, -0.3]]),
+        M=np.array([[0.2, 0.05], [0.05, 0.1]]),
+    )
     scenario = ScenarioSpec(
         true_disturbance=GaussianSpec(
             np.array([0.01, -0.02]), np.array([[0.02, -0.007], [-0.007, 0.01]])
@@ -214,14 +224,15 @@ def test_draw_realizations_with_non_diagonal_factors(plant):
         initial_state=GaussianSpec(
             np.array([-1.0, 0.5]), np.array([[0.3, 0.12], [0.12, 0.1]])
         ),
-        noise_cov=np.array([[0.2]]),
         sample_count=5,
         seed=9,
     )
-    laws = (scenario.initial_state, scenario.true_disturbance, scenario.noise)
-    assert np.count_nonzero(laws[0].factor - np.diag(np.diag(laws[0].factor)))
+    noise = GaussianSpec(np.zeros(sys.n_y), sys.M)
+    laws = (scenario.initial_state, scenario.true_disturbance, noise)
+    for law in laws:
+        assert np.count_nonzero(law.factor - np.diag(np.diag(law.factor)))
     horizon, start, count = 4, 250, 12
-    got = draw_realizations(scenario, plant, horizon, start, count)
+    got = draw_realizations(scenario, sys, horizon, start, count)
     for i, run in enumerate(range(start, start + count)):
         rng = split_stream(scenario.seed, STREAM_RUN, run)
         for law, rows, draws in zip(laws, (1, horizon, horizon + 1), got):
@@ -289,12 +300,6 @@ def test_draw_realizations_rejects_runs_outside_uint64(plant, gaussian_scenario)
         draw_realizations(gaussian_scenario, plant, 3, 2**64 - 1, 2)
 
 
-def test_realization_rejects_noise_of_wrong_dimension(plant, gaussian_scenario):
-    scenario = replace(gaussian_scenario, noise_cov=np.eye(2))
-    with pytest.raises(DimMismatch):
-        draw_realization(scenario, plant, 10, run=0)
-
-
 def test_nominal_samples_shared_by_default(gaussian_scenario):
     sets = draw_nominal_samples(gaussian_scenario, horizon=4)
     assert len(sets) == 4
@@ -308,7 +313,6 @@ def test_scenario_validation(gaussian_scenario):
         ScenarioSpec(
             true_disturbance=gaussian_scenario.true_disturbance,
             initial_state=gaussian_scenario.initial_state,
-            noise_cov=np.array([[0.2]]),
             sample_count=0,
         )
     with pytest.raises(ValueError, match="seed"):

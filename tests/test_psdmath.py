@@ -50,6 +50,12 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_require_psd_takes_one_square_matrix():
+    for m in (np.float64(0.5), np.ones(2), np.eye(2)[None], np.ones((2, 3))):
+        with pytest.raises(DimMismatch):
+            require_psd(m)
+
+
 def test_is_psd_tolerates_rounding_noise():
     a = np.eye(2) * 1.0
     a[0, 0] -= 1e-12

@@ -563,7 +563,6 @@ def _plant_problem(n: int, per_stage: bool = False):
     scenario = ScenarioSpec(
         true_disturbance=GaussianSpec(np.full(n, 0.01), 0.01 * np.eye(n)),
         initial_state=GaussianSpec(-np.ones(n), 0.001 * np.eye(n)),
-        noise_cov=np.array([[0.2]]),
         sample_count=5,
         seed=4,
     )
