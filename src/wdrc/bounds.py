@@ -41,8 +41,7 @@ result, so callers need not synthesize or certify it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,8 +76,7 @@ LAMBDA_CAP = 1e6
 SCAN_POINTS = 33
 
 
-@dataclass(frozen=True)
-class CostCertificate:
+class CostCertificate(NamedTuple):
     """Guaranteed-bound certificate of a synthesized robust policy.
 
     ``guaranteed_bound`` equals ``kappa T theta^2 + w_kappa``: ``kappa``
@@ -102,8 +100,7 @@ class CostCertificate:
     rho: float
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """Outcome of the penalty calibration.
 
     Attributes:
@@ -124,8 +121,8 @@ class CalibrationResult:
     objective: float
     hit_upper: bool
     evaluations: tuple[tuple[float, float], ...]
-    controller: WdrcController = field(compare=False, repr=False)
-    dual: DualBound = field(compare=False, repr=False)
+    controller: WdrcController
+    dual: DualBound
 
 
 def evaluate_value(sol, z_tilde_path: np.ndarray, b0: BeliefState) -> float:

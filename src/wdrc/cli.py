@@ -167,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("wdrc", "lqg", "both"), default="both",
         help="which policies to simulate",
     )
-    p_sim.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_sim.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, a ceiling: at most one per CPU",
+    )
     p_sim.add_argument("--out", default=None, help="report directory")
     p_sim.add_argument(
         "--dump-trace", action="store_true",

@@ -27,8 +27,7 @@ syntheses cross-validate each other in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LqgController:
+class LqgController(NamedTuple):
     """Certainty-equivalent affine LQG policy and value coefficients.
 
     The scalar offsets ``z`` exclude all covariance trace terms; those
@@ -85,8 +83,7 @@ class LqgController:
         return self.nominal.means[: self.horizon]
 
 
-@dataclass(frozen=True)
-class WdrcController:
+class WdrcController(NamedTuple):
     """Robust policy: penalized Riccati gains plus worst-case schedule.
 
     ``H`` (``(T, n, n)``) and ``h`` (``(T, n)``) give the worst-case

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeliefState:
     """Gaussian belief over the state: mean and covariance."""
 

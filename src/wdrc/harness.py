@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import replace
+from typing import Any, NamedTuple
 
 import numpy as np
 import yaml
@@ -74,8 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Validated campaign configuration plus its raw echo."""
 
     sys: LinearSystem
@@ -90,8 +89,7 @@ class ExperimentConfig:
     echo: dict
 
 
-@dataclass(frozen=True)
-class CostStatistics:
+class CostStatistics(NamedTuple):
     """Summary statistics over the retained per-run costs."""
 
     mean: float
@@ -115,8 +113,7 @@ class CostStatistics:
         )
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """Everything a campaign produced, ready for report emission.
 
     ``policies`` maps each simulated policy's label (``wdrc``, ``lqg``)
@@ -215,7 +212,14 @@ def _distribution(raw: Any, path: str) -> DistributionSpec:
             f"{path}.type",
         )
     _known_keys(raw, ("type", *keys), path)
-    return _built(path, make, *[_matrix(raw, key, path) for key in keys])
+    args = [_matrix(raw, key, path) for key in keys]
+    # A covariance is a matrix; every other entry is one flat list.
+    for key, value in zip(keys, args):
+        if key != "cov" and value.ndim != 1:
+            raise ConfigError(
+                f"expected a flat list, got shape {value.shape}", f"{path}.{key}"
+            )
+    return _built(path, make, *args)
 
 
 def _built(path: str, make, *args, **kwargs):
@@ -325,10 +329,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a YAML campaign configuration file."""
+    """Parse and validate a YAML campaign configuration file.
+
+    libyaml parses it when PyYAML has it, else PyYAML's own reader; both
+    build values with the same Python code, so only error wording differs.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except yaml.YAMLError as exc:
@@ -553,7 +562,7 @@ def simulate_paired(
     Every controller consumes identical realizations per run index.
     Returns one cost array per controller, in the order given; each is
     ordered by run index and does not depend on ``jobs``, which must be
-    at least 1.
+    at least 1 and caps the worker processes at the chunks and CPUs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -570,7 +579,9 @@ def simulate_paired(
         # to the package's import time and serial runs never need it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # ``jobs`` is a ceiling: the pool starts all its workers at once.
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_simulate_chunk, tasks))
 
     return [np.concatenate(chunks) for chunks in zip(*outputs)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Time-invariant linear dynamics with linear observations.
 
@@ -127,7 +127,7 @@ class LinearSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostSpec:
     """Finite-horizon quadratic cost ``sum(x'Qx + u'Ru) + x_T'Qf x_T``."""
 
@@ -153,7 +153,7 @@ class CostSpec:
         object.__setattr__(self, "R", R)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSpec:
     """Gaussian distribution descriptor with possibly singular covariance.
 
@@ -163,7 +163,7 @@ class GaussianSpec:
 
     mean_vec: np.ndarray
     cov_mat: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pair = MomentPair(self.mean_vec, self.cov_mat)
@@ -201,7 +201,7 @@ class GaussianSpec:
         return self.from_unit(rng.standard_normal((size, self.dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformSpec:
     """Axis-aligned uniform box with componentwise bounds ``lo <= hi``."""
 
@@ -253,7 +253,7 @@ class UniformSpec:
 DistributionSpec = Union[GaussianSpec, UniformSpec]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NominalDistribution:
     """Per-stage nominal disturbance moments seen by the controller.
 
@@ -262,8 +262,8 @@ class NominalDistribution:
     """
 
     stages: tuple[MomentPair, ...]
-    means: np.ndarray = field(init=False, repr=False, compare=False)
-    covs: np.ndarray = field(init=False, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False)
+    covs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -325,7 +325,7 @@ def estimate_nominal(stage_samples: Sequence[np.ndarray]) -> NominalDistribution
     return NominalDistribution(tuple(stages))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """True data-generating laws plus the nominal sample budget; the
     measurement noise is the plant's, Gaussian with covariance ``M``.
@@ -361,8 +361,7 @@ def split_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """All randomness of one closed-loop run.
 
     Attributes:

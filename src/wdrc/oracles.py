@@ -26,8 +26,8 @@ point-by-point loop would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -520,8 +520,7 @@ def worst_case_mean(
 _SCHEDULE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class WorstCaseStage:
+class WorstCaseStage(NamedTuple):
     """Realized worst-case moments of one stage of one run."""
 
     mean: np.ndarray
@@ -531,8 +530,7 @@ class WorstCaseStage:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """Complete record of one closed-loop run.
 
     Attributes:

@@ -213,7 +213,7 @@ def bures_sq(a: np.ndarray, b: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentPair:
     """Mean vector and PSD covariance matrix of a distribution.
 

@@ -36,8 +36,7 @@ nested log-space scans, each checked in one stacked call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +59,7 @@ __all__ = [
 SAFETY_FACTOR = 1e-3
 
 
-@dataclass(frozen=True)
-class RiccatiSolution:
+class RiccatiSolution(NamedTuple):
     """Stagewise value-function coefficients and control gains.
 
     Attributes:
@@ -87,8 +85,7 @@ class RiccatiSolution:
         return self.K.shape[0]
 
 
-@dataclass(frozen=True)
-class PenaltyFeasibility:
+class PenaltyFeasibility(NamedTuple):
     """Outcome of the penalty feasibility check.
 
     ``margin`` is the smallest eigenvalue of ``lam I - P_t`` over stages

@@ -65,9 +65,8 @@ synthesis calls them, and perfbench's tracer wraps them by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,8 +97,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CovObjectiveContext:
+class CovObjectiveContext(NamedTuple):
     """Fixed data of one stage's worst-case covariance problem.
 
     Attributes:
@@ -119,8 +117,7 @@ class CovObjectiveContext:
     sys: LinearSystem
 
 
-@dataclass(frozen=True)
-class CovSolve:
+class CovSolve(NamedTuple):
     """Solver output for one stage.
 
     Attributes:
@@ -136,8 +133,7 @@ class CovSolve:
     converged: bool
 
 
-@dataclass(frozen=True)
-class WorstCaseSchedule:
+class WorstCaseSchedule(NamedTuple):
     """Run-independent worst-case covariance path of a synthesized policy.
 
     The covariance problem depends on the belief covariance only, and

@@ -1,7 +1,7 @@
 """Value evaluation, cost certificates, and penalty calibration."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +268,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 def _bundled(name: str, seed: int | None):
     cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
     if name == "uniform":
-        cfg = replace(cfg, per_stage_nominal=True)
+        cfg = cfg._replace(per_stage_nominal=True)
     scenario, nominal, p0 = prepare(cfg, seed)
     return cfg, scenario, nominal, p0
 

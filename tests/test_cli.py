@@ -13,6 +13,7 @@ import yaml
 import wdrc
 from test_harness import base_config
 from wdrc.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
+from wdrc.harness import load_config
 
 
 @pytest.fixture()
@@ -115,6 +116,45 @@ def test_malformed_config_exits_with_config_code(tmp_path, capsys):
     assert "plant.A" in capsys.readouterr().err
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML has no libyaml loader"
+)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", ["gaussian", "uniform"])
+def test_both_yaml_loaders_read_configs_alike(name, monkeypatch):
+    """libyaml and PyYAML's own reader give the same echo and the same
+    bits in every plant, cost and scenario array."""
+    path = str(CONFIG_DIR / f"{name}.yaml")
+    fast = load_config(path)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    pure = load_config(path)
+    assert fast.echo == pure.echo
+
+    def arrays(cfg):
+        laws = (cfg.scenario.true_disturbance, cfg.scenario.initial_state)
+        return [*vars(cfg.sys).values(), *vars(cfg.cost).values(),
+                *(value for law in laws for value in vars(law).values())]
+
+    for a, b in zip(arrays(fast), arrays(pure), strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@needs_libyaml
+@pytest.mark.parametrize("pure", [False, True], ids=["libyaml", "python"])
+def test_truncated_yaml_exits_with_config_code(pure, tmp_path, capsys, monkeypatch):
+    if pure:
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    path = tmp_path / "truncated.yaml"
+    path.write_text("plant:\n  A: [[0.518, 0.266], [0.405\n")
+    assert main(["simulate", "-c", str(path)]) == EXIT_CONFIG
+    assert "invalid YAML:" in capsys.readouterr().err
+
+
 def test_noise_cov_key_exits_with_config_code(tmp_path, capsys):
     """The measurement noise is the plant's ``M``: a scenario that sets
     its own noise covariance, even one of the right size, is an unknown
@@ -136,8 +176,12 @@ def test_noise_cov_key_exits_with_config_code(tmp_path, capsys):
         {"type": "uniform", "lo": [-0.05, -0.05], "hi": [float("inf"), 0.05]},
         {"type": "uniform", "lo": [-0.05, -0.05], "hi": [0.05, 0.05, 0.05]},
         {"type": "gaussian", "mean": [0.0, 0.0], "cov": [[0.01, 0.0], [0.0, -0.01]]},
+        {"type": "gaussian", "mean": [[0.01], [0.02]], "cov": [[0.01, 0.0], [0.0, 0.01]]},
+        {"type": "uniform", "lo": [[-0.05], [-0.05]], "hi": [0.05, 0.05]},
+        {"type": "uniform", "lo": [-0.05, -0.05], "hi": [[0.05, 0.05]]},
     ],
-    ids=["inverted", "infinite", "shapes", "not-psd"],
+    ids=["inverted", "infinite", "shapes", "not-psd", "nested-mean", "nested-lo",
+         "nested-hi"],
 )
 def test_bad_law_parameters_exit_with_config_code(law, tmp_path, capsys):
     raw = base_config()
@@ -220,14 +264,12 @@ def test_infeasible_penalty_exits_with_solver_code(tmp_path, capsys):
 def test_unconverged_stage_exits_with_solver_code(
     config_path, tmp_path, capsys, monkeypatch
 ):
-    import dataclasses
-
     import wdrc.worstcase
 
     settle = wdrc.worstcase._settle
 
     def settle_nothing(st, init):
-        return [dataclasses.replace(s, converged=False) for s in settle(st, init)]
+        return [s._replace(converged=False) for s in settle(st, init)]
 
     monkeypatch.setattr(wdrc.worstcase, "_settle", settle_nothing)
     code = main(["simulate", "-c", config_path, "--out", str(tmp_path / "o")])

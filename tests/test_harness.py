@@ -1,7 +1,9 @@
 """Campaign configuration, batched rollouts, statistics, and reports."""
 
+import concurrent.futures
 import copy
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -68,6 +70,15 @@ def base_config() -> dict:
         "runs": 8,
         "histogram_bins": 5,
     }
+
+
+def put(raw: dict, value, *path: str) -> dict:
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
 
 
 def drop(raw: dict, *path: str) -> dict:
@@ -168,6 +179,15 @@ def test_lam_accepts_yaml_exponent_forms(text, value):
             },
             "scenario.true_disturbance.high",
         ),
+        # A vector entry is one flat list, never flattened from a column,
+        # a row or a number.
+        *[
+            (
+                lambda r, mean=mean: put(r, mean, "scenario", "initial_state", "mean"),
+                "scenario.initial_state.mean",
+            )
+            for mean in ([[-1.0], [-1.0]], [[-1.0, -1.0]], -1.0)
+        ],
     ],
 )
 def test_config_errors_carry_field_paths(mutate, field):
@@ -401,6 +421,35 @@ def test_worker_count_does_not_change_results(small_setup):
     every other batch."""
     cfg, wdrc_ctrl, lqg_ctrl = small_setup
     _assert_split_keeps_costs(cfg, [wdrc_ctrl, lqg_ctrl], 10, (3, 4))
+
+
+def test_jobs_is_a_ceiling_on_worker_processes(small_setup, monkeypatch):
+    """A pool starts all its workers at once, so ``jobs`` far above the
+    chunks and CPUs starts no more than those; the stand-in pool records
+    its size and maps serially, so no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg, wdrc_ctrl, lqg_ctrl = small_setup
+    ctrls = [wdrc_ctrl, lqg_ctrl]
+    serial = simulate_paired(ctrls, cfg.scenario, cfg.sys, cfg.cost, 8, jobs=1)
+    clamped = simulate_paired(ctrls, cfg.scenario, cfg.sys, cfg.cost, 8, jobs=10**6)
+    assert sizes == [min(8, os.cpu_count() or 1)]
+    for a, b in zip(serial, clamped):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("runs", [_BLOCK + 1, 2 * _BLOCK + 1], ids=["B+1", "2B+1"])

@@ -1,6 +1,5 @@
 """Adversarial moments: gradients, maximizers, and the schedule."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -820,8 +819,8 @@ def test_a_singular_member_leaves_the_stack_its_own_results():
     problem keeps the outcome of its stack of one, bit for bit."""
     base = [random_problem(seed, 3, rank) for seed, rank in ((2, 3), (5, 1), (7, 2))]
     sys = base[0].sys
-    ctxs = [replace(ctx, sys=sys) for ctx in base]
-    ctxs.append(replace(ctxs[0], lam=0.5, S_next=10.0 * np.eye(3)))
+    ctxs = [ctx._replace(sys=sys) for ctx in base]
+    ctxs.append(ctxs[0]._replace(lam=0.5, S_next=10.0 * np.eye(3)))
     stacked = _settle(_stack(ctxs), _hats(ctxs))
     for ctx, solve in zip(ctxs, stacked):
         (alone,) = _settle(_stack([ctx]), _hats([ctx]))
@@ -884,7 +883,7 @@ def test_calibration_newton_step_count(monkeypatch, name, per_stage, most):
     stacked Newton steps (302 and 548 when this bound was set), and
     every stage it solves converges."""
     cfg = load_config(str(CONFIG_DIR / f"{name}.yaml"))
-    cfg = replace(cfg, per_stage_nominal=per_stage)
+    cfg = cfg._replace(per_stage_nominal=per_stage)
     scenario, nominal, _ = prepare(cfg, None)
     steps = []
     direction = worstcase._direction
