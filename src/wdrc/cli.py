@@ -7,7 +7,9 @@ Subcommands:
     calibrate   Search for the penalty minimizing the guaranteed bound.
     oracle      Run the built-in numerical self-checks.
 
-Every subcommand but ``oracle`` starts from :func:`wdrc.harness.prepare`.
+Every subcommand but ``oracle`` starts from :func:`wdrc.harness.prepare`
+and imports the harness when it runs, so ``wdrc oracle`` loads neither
+the harness nor PyYAML.
 
 Exit codes: 0 success, 2 configuration error, 3 solver or numerical
 failure (including a worst-case stage that does not converge), 4 I/O
@@ -17,7 +19,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys as _sys
 
@@ -25,15 +26,6 @@ import numpy as np
 
 from .bounds import calibrate_lambda
 from .errors import ConfigError, WdrcError
-from .harness import (
-    emit_reports,
-    load_config,
-    prepare,
-    robust_policy,
-    run_campaign,
-    trace_run,
-    write_trace,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -62,16 +54,9 @@ def _check_overrides(args) -> None:
         raise ConfigError(f"must be positive and finite, got {lam}", "--lam")
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        _sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-
-
 def cmd_synthesize(args) -> int:
+    from .harness import load_config, prepare, robust_policy, write_json
+
     cfg = load_config(args.config)
     scenario, nominal, p0 = prepare(cfg, args.seed)
     ctrl, _ = robust_policy(cfg, scenario, nominal, p0, args.lam)
@@ -91,11 +76,13 @@ def cmd_synthesize(args) -> int:
         ).tolist(),
         "filter_gains": ctrl.schedule.gains.tolist(),
     }
-    _write_json(payload, args.out)
+    write_json(payload, args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    from .harness import emit_reports, load_config, run_campaign, trace_run, write_trace
+
     cfg = load_config(args.config)
     result = run_campaign(
         cfg, mode=args.mode, seed=args.seed, runs=args.runs, jobs=args.jobs
@@ -114,10 +101,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .harness import load_config, prepare, write_json
+
     cfg = load_config(args.config)
     scenario, nominal, _ = prepare(cfg, args.seed)
     calibration = calibrate_lambda(cfg.sys, cfg.cost, nominal, scenario, cfg.theta)
-    _write_json(
+    write_json(
         {
             "lam": calibration.lam,
             "objective": calibration.objective,

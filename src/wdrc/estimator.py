@@ -15,13 +15,11 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimMismatch, SingularInnovation
 from .model import DistributionSpec, LinearSystem
-from .psdmath import solve, symmetrize
+from .psdmath import ValueType, solve, symmetrize
 
 __all__ = [
     "BeliefState",
@@ -35,22 +33,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefState:
+class BeliefState(ValueType):
     """Gaussian belief over the state: mean and covariance."""
 
+    __slots__ = _fields = ("mean", "cov")
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = symmetrize(np.asarray(self.cov, dtype=float))
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        mean = np.array(mean, dtype=float).reshape(-1)
+        cov = symmetrize(np.asarray(cov, dtype=float))
         if cov.shape[0] != mean.shape[0]:
             raise DimMismatch(
                 f"mean has dim {mean.shape[0]}, covariance {cov.shape}"
             )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        self._set(mean=mean, cov=cov)
 
 
 def predict(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
+import sys as _sys
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -66,6 +66,7 @@ __all__ = [
     "robust_policy",
     "run_campaign",
     "trace_run",
+    "write_json",
     "write_trace",
     "emit_reports",
     "build_histogram",
@@ -336,10 +337,12 @@ def load_config(path: str) -> ExperimentConfig:
     """
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}")
     return config_from_dict(raw)
@@ -350,7 +353,7 @@ def prepare(
 ) -> tuple[ScenarioSpec, NominalDistribution, np.ndarray]:
     """The scenario with the seed override applied, the nominal law
     estimated from its samples, and the initial posterior covariance."""
-    scenario = cfg.scenario if seed is None else replace(cfg.scenario, seed=seed)
+    scenario = cfg.scenario if seed is None else cfg.scenario._replace(seed=seed)
     samples = draw_nominal_samples(
         scenario, cfg.cost.horizon, per_stage=cfg.per_stage_nominal
     )
@@ -519,6 +522,17 @@ def trace_run(
     return trace
 
 
+def write_json(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as indented, key-sorted JSON to the file ``out``,
+    or to standard output when ``out`` is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if out is None:
+        _sys.stdout.write(text)
+    else:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
+
+
 def write_trace(trace: dict[str, np.ndarray], path) -> None:
     """Serialize a trace as JSON lines, one record per stage."""
     with open(path, "w") as fh:
@@ -561,26 +575,30 @@ def simulate_paired(
 
     Every controller consumes identical realizations per run index.
     Returns one cost array per controller, in the order given; each is
-    ordered by run index and does not depend on ``jobs``, which must be
-    at least 1 and caps the worker processes at the chunks and CPUs.
+    ordered by run index and does not depend on ``jobs``.  ``runs`` and
+    ``jobs`` must be at least 1; ``jobs`` caps the worker processes at
+    the runs and CPUs.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     init_gain = kalman_gain(scenario.initial_state.cov(), sys)
-    chunk = runs if jobs == 1 else max(1, math.ceil(runs / jobs))
+    # ``jobs`` is a ceiling, as the pool starts all its workers at once;
+    # each worker gets one chunk, the chunks' sizes differing by at most 1.
+    workers = min(jobs, runs, os.cpu_count() or 1)
+    edges = [k * runs // workers for k in range(workers + 1)]
     tasks = [
-        (start, min(chunk, runs - start), ctrls, init_gain, scenario, sys, cost)
-        for start in range(0, runs, chunk)
+        (lo, hi - lo, ctrls, init_gain, scenario, sys, cost)
+        for lo, hi in zip(edges, edges[1:])
     ]
-    if jobs == 1 or len(tasks) == 1:
-        outputs = [_simulate_chunk(t) for t in tasks]
+    if workers == 1:
+        outputs = [_simulate_chunk(tasks[0])]
     else:
         # Imported on first use: the process machinery adds about a tenth
         # to the package's import time and serial runs never need it.
         from concurrent.futures import ProcessPoolExecutor
 
-        # ``jobs`` is a ceiling: the pool starts all its workers at once.
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_simulate_chunk, tasks))
 

@@ -17,14 +17,13 @@ bit for bit the per-run draws of :func:`draw_realization`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import DimMismatch, EmptySamples, NotPD
-from .psdmath import MomentPair, psd_sqrt, require_psd, symmetrize
+from .psdmath import MomentPair, ValueType, psd_sqrt, require_psd, symmetrize
 
 __all__ = [
     "LinearSystem",
@@ -83,24 +82,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
+class LinearSystem(ValueType):
     """Time-invariant linear dynamics with linear observations.
 
     State transition ``x+ = A x + B u + w`` and measurement
     ``y = C x + v`` with ``v`` zero-mean Gaussian of covariance ``M``.
     """
 
+    __slots__ = _fields = ("A", "B", "C", "M")
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     M: np.ndarray
 
-    def __post_init__(self):
-        A = _frozen(self.A)
-        B = _frozen(self.B)
-        C = _frozen(self.C)
-        M = require_psd(np.asarray(self.M, dtype=float), "M")
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, M: np.ndarray):
+        A = _frozen(A)
+        B = _frozen(B)
+        C = _frozen(C)
+        M = require_psd(np.asarray(M, dtype=float), "M")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
@@ -111,8 +110,7 @@ class LinearSystem:
         if M.shape[0] != C.shape[0]:
             raise DimMismatch(f"M must be {C.shape[0]}x{C.shape[0]}, got {M.shape}")
         M.flags.writeable = False
-        for name, val in (("A", A), ("B", B), ("C", C), ("M", M)):
-            object.__setattr__(self, name, val)
+        self._set(A=A, B=B, C=C, M=M)
 
     @property
     def n_x(self) -> int:
@@ -127,51 +125,48 @@ class LinearSystem:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CostSpec:
+class CostSpec(ValueType):
     """Finite-horizon quadratic cost ``sum(x'Qx + u'Ru) + x_T'Qf x_T``."""
 
+    __slots__ = _fields = ("Q", "Q_f", "R", "horizon")
     Q: np.ndarray
     Q_f: np.ndarray
     R: np.ndarray
     horizon: int
 
-    def __post_init__(self):
-        Q = require_psd(np.asarray(self.Q, dtype=float), "Q")
-        Q_f = require_psd(np.asarray(self.Q_f, dtype=float), "Q_f")
-        R = require_psd(np.asarray(self.R, dtype=float), "R")
+    def __init__(self, Q: np.ndarray, Q_f: np.ndarray, R: np.ndarray, horizon: int):
+        Q = require_psd(np.asarray(Q, dtype=float), "Q")
+        Q_f = require_psd(np.asarray(Q_f, dtype=float), "Q_f")
+        R = require_psd(np.asarray(R, dtype=float), "R")
         if Q.shape != Q_f.shape:
             raise DimMismatch(f"Q is {Q.shape} but Q_f is {Q_f.shape}")
         if float(np.linalg.eigvalsh(R)[0]) <= 0.0:
             raise NotPD("R must be positive definite")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         for m in (Q, Q_f, R):
             m.flags.writeable = False
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "Q_f", Q_f)
-        object.__setattr__(self, "R", R)
+        self._set(Q=Q, Q_f=Q_f, R=R, horizon=horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianSpec:
+class GaussianSpec(ValueType):
     """Gaussian distribution descriptor with possibly singular covariance.
 
     ``factor`` is the PSD square root of the covariance, computed once
     on construction and used by every draw.
     """
 
+    _fields = ("mean_vec", "cov_mat")
+    __slots__ = _fields + ("factor",)
     mean_vec: np.ndarray
     cov_mat: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False)
+    factor: np.ndarray
 
-    def __post_init__(self):
-        pair = MomentPair(self.mean_vec, self.cov_mat)
+    def __init__(self, mean_vec: np.ndarray, cov_mat: np.ndarray):
+        pair = MomentPair(mean_vec, cov_mat)
         factor = psd_sqrt(pair.cov)
         factor.flags.writeable = False
-        object.__setattr__(self, "mean_vec", pair.mean)
-        object.__setattr__(self, "cov_mat", pair.cov)
-        object.__setattr__(self, "factor", factor)
+        self._set(mean_vec=pair.mean, cov_mat=pair.cov, factor=factor)
 
     @property
     def dim(self) -> int:
@@ -201,16 +196,16 @@ class GaussianSpec:
         return self.from_unit(rng.standard_normal((size, self.dim)))
 
 
-@dataclass(frozen=True, eq=False)
-class UniformSpec:
+class UniformSpec(ValueType):
     """Axis-aligned uniform box with componentwise bounds ``lo <= hi``."""
 
+    __slots__ = _fields = ("lo", "hi")
     lo: np.ndarray
     hi: np.ndarray
 
-    def __post_init__(self):
-        lo = _frozen(np.asarray(self.lo, dtype=float).reshape(-1))
-        hi = _frozen(np.asarray(self.hi, dtype=float).reshape(-1))
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        lo = _frozen(np.asarray(lo, dtype=float).reshape(-1))
+        hi = _frozen(np.asarray(hi, dtype=float).reshape(-1))
         if lo.shape != hi.shape:
             raise DimMismatch(f"lo has shape {lo.shape}, hi {hi.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,8 +214,7 @@ class UniformSpec:
             raise ValueError("uniform bounds must be finite, with a finite width")
         if np.any(lo > hi):
             raise ValueError("uniform bounds require lo <= hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(lo=lo, hi=hi)
 
     @property
     def dim(self) -> int:
@@ -253,20 +247,21 @@ class UniformSpec:
 DistributionSpec = Union[GaussianSpec, UniformSpec]
 
 
-@dataclass(frozen=True, eq=False)
-class NominalDistribution:
+class NominalDistribution(ValueType):
     """Per-stage nominal disturbance moments seen by the controller.
 
     ``means`` (``(T, n)``) and ``covs`` (``(T, n, n)``) are the stages'
     moments stacked once, read-only, for the stacked layers.
     """
 
+    _fields = ("stages",)
+    __slots__ = _fields + ("means", "covs")
     stages: tuple[MomentPair, ...]
-    means: np.ndarray = field(init=False, repr=False)
-    covs: np.ndarray = field(init=False, repr=False)
+    means: np.ndarray
+    covs: np.ndarray
 
-    def __post_init__(self):
-        stages = tuple(self.stages)
+    def __init__(self, stages: Sequence[MomentPair]):
+        stages = tuple(stages)
         if not stages:
             raise EmptySamples("nominal distribution needs at least one stage")
         dim = stages[0].dim
@@ -276,9 +271,7 @@ class NominalDistribution:
         means = np.stack([pair.mean for pair in stages])
         covs = np.stack([pair.cov for pair in stages])
         means.flags.writeable = covs.flags.writeable = False
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
+        self._set(stages=stages, means=means, covs=covs)
 
     @property
     def horizon(self) -> int:
@@ -325,8 +318,7 @@ def estimate_nominal(stage_samples: Sequence[np.ndarray]) -> NominalDistribution
     return NominalDistribution(tuple(stages))
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioSpec:
+class ScenarioSpec(ValueType):
     """True data-generating laws plus the nominal sample budget; the
     measurement noise is the plant's, Gaussian with covariance ``M``.
 
@@ -338,16 +330,29 @@ class ScenarioSpec:
         seed: Master seed for all randomness derived from the scenario.
     """
 
+    __slots__ = _fields = ("true_disturbance", "initial_state", "sample_count", "seed")
     true_disturbance: DistributionSpec
     initial_state: DistributionSpec
     sample_count: int
-    seed: int = 0
+    seed: int
 
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    def __init__(
+        self,
+        true_disturbance: DistributionSpec,
+        initial_state: DistributionSpec,
+        sample_count: int,
+        seed: int = 0,
+    ):
+        if sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        self._set(
+            true_disturbance=true_disturbance,
+            initial_state=initial_state,
+            sample_count=sample_count,
+            seed=seed,
+        )
 
 
 def split_stream(seed: int, *key: int) -> np.random.Generator:

@@ -21,13 +21,12 @@ the call on that matrix alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimMismatch, NotPSD
 
 __all__ = [
+    "ValueType",
     "MomentPair",
     "symmetrize",
     "psd_tolerance",
@@ -213,20 +212,60 @@ def bures_sq(a: np.ndarray, b: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentPair:
+class ValueType:
+    """Base of the value types that validate their arguments.
+
+    A subclass's ``__init__`` checks and normalizes its arguments and
+    stores them, and any values derived from them, with :meth:`_set`.
+    It names its arguments, in order, in ``_fields`` and every stored
+    attribute in ``__slots__``.  Instances are immutable and compare
+    by identity (array fields have no ``==`` that gives a truth value).
+    :meth:`_replace` and unpickling call the constructor again, so a
+    changed or unpickled value is validated as a new one is.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._args()))
+        return f"{type(self).__name__}({args})"
+
+    def _replace(self, **changes):
+        """A new value with ``changes`` applied, validated anew."""
+        return type(self)(**{**dict(zip(self._fields, self._args())), **changes})
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+
+class MomentPair(ValueType):
     """Mean vector and PSD covariance matrix of a distribution.
 
     The covariance is symmetrized and validated on construction, and
     both arrays are frozen against later mutation.
     """
 
+    __slots__ = _fields = ("mean", "cov")
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = require_psd(np.asarray(self.cov, dtype=float), "covariance")
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        mean = np.array(mean, dtype=float).reshape(-1)
+        cov = require_psd(np.asarray(cov, dtype=float), "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise DimMismatch(
                 f"mean has dim {mean.shape[0]} but covariance is "
@@ -234,8 +273,7 @@ class MomentPair:
             )
         mean.flags.writeable = False
         cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        self._set(mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:

@@ -137,8 +137,8 @@ def test_both_yaml_loaders_read_configs_alike(name, monkeypatch):
 
     def arrays(cfg):
         laws = (cfg.scenario.true_disturbance, cfg.scenario.initial_state)
-        return [*vars(cfg.sys).values(), *vars(cfg.cost).values(),
-                *(value for law in laws for value in vars(law).values())]
+        return [getattr(x, name) for x in (cfg.sys, cfg.cost, *laws)
+                for name in x.__slots__]
 
     for a, b in zip(arrays(fast), arrays(pure), strict=True):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -153,6 +153,17 @@ def test_truncated_yaml_exits_with_config_code(pure, tmp_path, capsys, monkeypat
     path.write_text("plant:\n  A: [[0.518, 0.266], [0.405\n")
     assert main(["simulate", "-c", str(path)]) == EXIT_CONFIG
     assert "invalid YAML:" in capsys.readouterr().err
+
+
+@needs_libyaml
+@pytest.mark.parametrize("pure", [False, True], ids=["libyaml", "python"])
+def test_non_utf8_config_exits_with_config_code(pure, tmp_path, capsys, monkeypatch):
+    if pure:
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"a: \xff\xfe\n")
+    assert main(["simulate", "-c", str(path)]) == EXIT_CONFIG
+    assert "config is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_noise_cov_key_exits_with_config_code(tmp_path, capsys):
@@ -239,6 +250,35 @@ def test_imports_leave_scipy_and_the_oracles_unloaded():
         "assert not scipy_modules(), scipy_modules()\n"
         "assert wdrc.cli.main(['oracle', '--seed', '0']) == 0\n"
         "assert not scipy_modules(), scipy_modules()\n"
+    )
+    src = str(Path(wdrc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_command_loads_no_campaign_code():
+    """``wdrc oracle`` runs without the campaign harness, PyYAML or
+    ``dataclasses``, and the package still resolves every name it
+    exports, the harness's on first use."""
+    code = (
+        "import sys\n"
+        "import wdrc.cli\n"
+        "import wdrc.oracles\n"
+        "assert wdrc.cli.main(['oracle', '--seed', '0']) == 0\n"
+        "loaded = {'yaml', 'wdrc.harness', 'dataclasses'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import wdrc\n"
+        "for name in wdrc.__all__:\n"
+        "    getattr(wdrc, name)\n"
+        "from wdrc import run_campaign\n"
+        "import wdrc.harness\n"
+        "assert run_campaign is wdrc.harness.run_campaign\n"
     )
     src = str(Path(wdrc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

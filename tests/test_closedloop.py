@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -389,7 +388,7 @@ def test_mean_hessian_holds_no_more_than_its_hessians():
     forward pass carries one stage of the shift map, never the whole
     ``(k, T + 1, 2n, T n)`` map (7.5 MiB here)."""
     cfg = load_config(str(CONFIG_DIR / "gaussian.yaml"))
-    cost = replace(cfg.cost, horizon=200)
+    cost = cfg.cost._replace(horizon=200)
     nominal = estimate_nominal(draw_nominal_samples(cfg.scenario, cost.horizon))
     terms = _scan_terms(cfg.sys, cost, nominal, cfg.scenario.initial_state, 3)
     tracemalloc.start()

@@ -185,9 +185,7 @@ def test_schedule_mismatch_is_detected(plant, quad_cost, nominal, gaussian_scena
 def test_horizon_mismatch_is_rejected(
     wdrc_ctrl, plant, quad_cost, gaussian_scenario
 ):
-    import dataclasses
-
-    short = dataclasses.replace(quad_cost, horizon=10)
+    short = quad_cost._replace(horizon=10)
     with pytest.raises(ValueError):
         run_closed_loop(wdrc_ctrl, gaussian_scenario, plant, short, run=0)
 

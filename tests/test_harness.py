@@ -425,9 +425,10 @@ def test_worker_count_does_not_change_results(small_setup):
 
 def test_jobs_is_a_ceiling_on_worker_processes(small_setup, monkeypatch):
     """A pool starts all its workers at once, so ``jobs`` far above the
-    chunks and CPUs starts no more than those; the stand-in pool records
-    its size and maps serially, so no process starts."""
-    sizes = []
+    runs and CPUs starts no more than those, and each worker gets one
+    chunk; the stand-in pool records its size and its tasks and maps
+    serially, so no process starts."""
+    sizes, task_counts = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -440,6 +441,8 @@ def test_jobs_is_a_ceiling_on_worker_processes(small_setup, monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            task_counts.append(len(tasks))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -447,9 +450,19 @@ def test_jobs_is_a_ceiling_on_worker_processes(small_setup, monkeypatch):
     ctrls = [wdrc_ctrl, lqg_ctrl]
     serial = simulate_paired(ctrls, cfg.scenario, cfg.sys, cfg.cost, 8, jobs=1)
     clamped = simulate_paired(ctrls, cfg.scenario, cfg.sys, cfg.cost, 8, jobs=10**6)
-    assert sizes == [min(8, os.cpu_count() or 1)]
+    workers = min(8, os.cpu_count() or 1)
+    assert sizes == [workers]
+    assert task_counts == [workers]
     for a, b in zip(serial, clamped):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(("runs", "jobs"), [(0, 1), (0, 2), (4, 0)])
+def test_simulate_paired_rejects_no_runs_or_no_jobs(small_setup, runs, jobs):
+    cfg, _, lqg_ctrl = small_setup
+    name = "runs" if runs < 1 else "jobs"
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        simulate_paired([lqg_ctrl], cfg.scenario, cfg.sys, cfg.cost, runs, jobs=jobs)
 
 
 @pytest.mark.parametrize("runs", [_BLOCK + 1, 2 * _BLOCK + 1], ids=["B+1", "2B+1"])

@@ -1,7 +1,6 @@
 """Problem data types, sampling streams, and nominal estimation."""
 
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +211,7 @@ def test_draw_realizations_with_non_diagonal_factors(plant):
     products and a two-output plant's noise included, draws each run's
     ``z @ factor.T + mean`` from its stream's standard normals, across a
     sub-block edge."""
-    sys = replace(
-        plant,
+    sys = plant._replace(
         C=np.array([[1.023, 1.955], [0.5, -0.3]]),
         M=np.array([[0.2, 0.05], [0.05, 0.1]]),
     )
@@ -316,4 +314,4 @@ def test_scenario_validation(gaussian_scenario):
             sample_count=0,
         )
     with pytest.raises(ValueError, match="seed"):
-        replace(gaussian_scenario, seed=-1)
+        gaussian_scenario._replace(seed=-1)
